@@ -2,11 +2,19 @@
 
 ``solve`` is a conflict-driven solver with two watched literals, first-UIP
 clause learning, and an activity-based decision heuristic with deterministic
-tie-breaking (lowest variable index first, phase false first).  No restarts:
-instances produced by the bounded encoder stay small, and reproducible runs
-matter more than raw speed here.  ``brute_force_solve`` is the independent
-exhaustive oracle for small instances, and DIMACS read/write lets an external
-solver be swapped in.
+tie-breaking.  No restarts: instances produced by the bounded encoder stay
+small, and reproducible runs matter more than raw speed here.
+``brute_force_solve`` is the independent exhaustive oracle for small
+instances, and DIMACS read/write lets an external solver be swapped in.
+
+Heuristic contract: each decision takes the unassigned variable of highest
+activity, the lowest index among equal activities, and assigns it false.  The
+variables sit in a binary heap keyed on (-activity, index), after MiniSat's
+order heap (Eén & Sörensson, "An Extensible SAT-solver", SAT 2003), and watch
+lists and truth values are indexed by literal.  These are data structures only: the
+decisions, conflicts, learned clauses and the returned model are the ones a
+linear scan over the variables would give, so models, and the traces decoded
+from them, do not depend on them.
 
 Literals are DIMACS-style signed integers: +v / -v for variable v >= 1.
 """
@@ -14,6 +22,7 @@ Literals are DIMACS-style signed integers: +v / -v for variable v >= 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 
 import numpy as np
 
@@ -70,35 +79,60 @@ def _model_satisfies(cnf: CnfFormula, model: dict[int, bool]) -> bool:
 
 
 _UNDEF, _TRUE, _FALSE = 0, 1, -1
+# Order-heap keys are -activity <= 0, so a positive key marks "no live entry".
+_NO_ENTRY = 1.0
 
 
 class _Solver:
-    """Single-use CDCL engine. See module docstring for the heuristic contract."""
+    """Single-use CDCL engine. See module docstring for the heuristic contract.
+
+    ``value`` and ``watches`` have 2n+1 slots indexed by literal: +v sits at v
+    and -v at 2n+1-v, which is where Python's negative indexing puts it.  So
+    ``value[lit]`` is the literal's truth value and ``value[v]`` the variable's.
+
+    ``heap`` holds ``(-activity, var)`` entries.  ``heap_key[var]`` is the key
+    of var's one live entry, or ``_NO_ENTRY``; an entry whose key differs is
+    stale (var was bumped since) and is skipped when popped.  Every unassigned
+    variable has a live entry, so popping yields the unassigned variable of
+    highest activity, lowest index on ties.
+    """
 
     def __init__(self, cnf: CnfFormula):
-        self.n = cnf.num_vars
+        n = self.n = cnf.num_vars
         self.clauses: list[list[int]] = []
-        self.value = [_UNDEF] * (self.n + 1)
-        self.level = [0] * (self.n + 1)
-        self.reason: list[int | None] = [None] * (self.n + 1)  # clause index
+        self.value = [_UNDEF] * (2 * n + 1)
+        self.level = [0] * (n + 1)
+        self.reason: list[int | None] = [None] * (n + 1)  # clause index
         self.trail: list[int] = []
         self.trail_lim: list[int] = []
         self.qhead = 0
-        self.watches: dict[int, list[int]] = {}
-        self.activity = [0.0] * (self.n + 1)
+        self.watches: list[list[int]] = [[] for _ in range(2 * n + 1)]
+        self.activity = [0.0] * (n + 1)
         self.var_inc = 1.0
         self.var_decay = 0.95
         self.ok = True
+        self.decisions = 0
+        self.conflicts = 0
+        self._rebuild_heap()
 
+        clauses, watches = self.clauses, self.watches
         for clause in cnf.clauses:
+            if len(clause) == 2:
+                a, b = clause
+                if a != b and a != -b:
+                    idx = len(clauses)
+                    watches[a].append(idx)
+                    watches[b].append(idx)
+                    clauses.append([a, b])
+                    continue
             self._add_clause(list(clause))
 
-    def _watchlist(self, lit: int) -> list[int]:
-        lst = self.watches.get(lit)
-        if lst is None:
-            lst = []
-            self.watches[lit] = lst
-        return lst
+    def _rebuild_heap(self) -> None:
+        """One live entry per variable, keyed on its current activity."""
+        # Activities still at 0 (all of them at the start) share one key object.
+        self.heap_key = [-a if a else -0.0 for a in self.activity]
+        self.heap = list(zip(self.heap_key[1:], range(1, self.n + 1)))
+        heapify(self.heap)
 
     def _add_clause(self, lits: list[int]) -> None:
         seen: dict[int, int] = {}
@@ -115,64 +149,69 @@ class _Solver:
             return
         idx = len(self.clauses)
         self.clauses.append(out)
-        self._watchlist(out[0]).append(idx)
-        self._watchlist(out[1]).append(idx)
+        self.watches[out[0]].append(idx)
+        self.watches[out[1]].append(idx)
 
     def _enqueue(self, lit: int, reason: int | None) -> bool:
+        if self.value[lit] != _UNDEF:
+            return self.value[lit] == _TRUE
+        self.value[lit] = _TRUE
+        self.value[-lit] = _FALSE
         var = abs(lit)
-        val = _TRUE if lit > 0 else _FALSE
-        if self.value[var] != _UNDEF:
-            return self.value[var] == val
-        self.value[var] = val
         self.level[var] = len(self.trail_lim)
         self.reason[var] = reason
         self.trail.append(lit)
         return True
 
-    def _lit_value(self, lit: int) -> int:
-        v = self.value[abs(lit)]
-        return v if lit > 0 else -v
-
     def _propagate(self) -> int | None:
         """Unit propagation; returns a conflicting clause index or None."""
-        while self.qhead < len(self.trail):
-            lit = self.trail[self.qhead]
-            self.qhead += 1
-            falsified = -lit
-            watchers = self.watches.get(falsified)
+        trail, value, watches, clauses = self.trail, self.value, self.watches, self.clauses
+        level, reason = self.level, self.reason
+        current_level = len(self.trail_lim)
+        qhead = self.qhead
+        while qhead < len(trail):
+            falsified = -trail[qhead]
+            qhead += 1
+            watchers = watches[falsified]
             if not watchers:
                 continue
             kept: list[int] = []
             conflict: int | None = None
-            i = 0
-            while i < len(watchers):
-                ci = watchers[i]
-                i += 1
-                clause = self.clauses[ci]
+            for i, ci in enumerate(watchers):
+                clause = clauses[ci]
                 # Normalize so the falsified watcher sits in slot 1.
-                if clause[0] == falsified:
-                    clause[0], clause[1] = clause[1], clause[0]
                 first = clause[0]
-                if self._lit_value(first) == _TRUE:
+                if first == falsified:
+                    first = clause[1]
+                    clause[0] = first
+                    clause[1] = falsified
+                if value[first] == _TRUE:
                     kept.append(ci)
                     continue
-                moved = False
                 for j in range(2, len(clause)):
-                    if self._lit_value(clause[j]) != _FALSE:
-                        clause[1], clause[j] = clause[j], clause[1]
-                        self._watchlist(clause[1]).append(ci)
-                        moved = True
+                    lit = clause[j]
+                    if value[lit] != _FALSE:
+                        clause[1] = lit
+                        clause[j] = falsified
+                        watches[lit].append(ci)
                         break
-                if moved:
-                    continue
-                kept.append(ci)
-                if not self._enqueue(first, ci):
-                    conflict = ci
-                    kept.extend(watchers[i:])
-                    break
-            self.watches[falsified] = kept
+                else:
+                    kept.append(ci)
+                    if value[first] == _FALSE:
+                        conflict = ci
+                        kept.extend(watchers[i + 1:])
+                        break
+                    value[first] = _TRUE
+                    value[-first] = _FALSE
+                    var = first if first > 0 else -first
+                    level[var] = current_level
+                    reason[var] = ci
+                    trail.append(first)
+            watches[falsified] = kept
             if conflict is not None:
+                self.qhead = qhead
                 return conflict
+        self.qhead = qhead
         return None
 
     def _bump(self, var: int) -> None:
@@ -181,6 +220,7 @@ class _Solver:
             for v in range(1, self.n + 1):
                 self.activity[v] *= 1e-100
             self.var_inc *= 1e-100
+            self._rebuild_heap()
 
     def _analyze(self, conflict: int) -> tuple[list[int], int]:
         """First-UIP learned clause and the level to backjump to."""
@@ -231,37 +271,47 @@ class _Solver:
 
     def _backtrack(self, target_level: int) -> None:
         limit = self.trail_lim[target_level]
-        for lit in reversed(self.trail[limit:]):
-            var = abs(lit)
-            self.value[var] = _UNDEF
-            self.reason[var] = None
+        value, activity, heap_key, heap = self.value, self.activity, self.heap_key, self.heap
+        for lit in self.trail[limit:]:
+            value[lit] = value[-lit] = _UNDEF
+            var = lit if lit > 0 else -lit
+            key = -activity[var]
+            if heap_key[var] != key:
+                heap_key[var] = key
+                heappush(heap, (key, var))
         del self.trail[limit:]
         del self.trail_lim[target_level:]
         self.qhead = len(self.trail)
+        if len(heap) > 2 * self.n:
+            self._rebuild_heap()  # drop the stale entries
 
     def _decide(self) -> int:
-        best_var = 0
-        best_act = -1.0
-        for var in range(1, self.n + 1):
-            if self.value[var] == _UNDEF and self.activity[var] > best_act:
-                best_var = var
-                best_act = self.activity[var]
-        return -best_var  # phase: false first
+        heap, heap_key, value = self.heap, self.heap_key, self.value
+        while True:
+            key, var = heappop(heap)
+            if heap_key[var] != key:
+                continue  # stale
+            heap_key[var] = _NO_ENTRY
+            if value[var] == _UNDEF:
+                return -var  # phase: false first
 
     def solve(self) -> SolveResult:
         if not self.ok:
             return SolveResult.unsat()
         if self._propagate() is not None:
+            self.conflicts += 1
             return SolveResult.unsat()
 
         while len(self.trail) < self.n:
             decision = self._decide()
+            self.decisions += 1
             self.trail_lim.append(len(self.trail))
             self._enqueue(decision, None)
             while True:
                 conflict = self._propagate()
                 if conflict is None:
                     break
+                self.conflicts += 1
                 if not self.trail_lim:
                     return SolveResult.unsat()
                 learned, back_level = self._analyze(conflict)
@@ -271,8 +321,8 @@ class _Solver:
                 else:
                     idx = len(self.clauses)
                     self.clauses.append(learned)
-                    self._watchlist(learned[0]).append(idx)
-                    self._watchlist(learned[1]).append(idx)
+                    self.watches[learned[0]].append(idx)
+                    self.watches[learned[1]].append(idx)
                     enqueued = self._enqueue(learned[0], idx)
                 if not enqueued:
                     return SolveResult.unsat()

@@ -1,6 +1,8 @@
 """CLI: exit-code contract, artifact files, determinism."""
 
+import hashlib
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
@@ -70,6 +72,39 @@ class TestVerify:
         run_verify(RunConfig(scenario=HANDOVER, out=str(first)))
         run_verify(RunConfig(scenario=HANDOVER, out=str(second)))
         assert first.read_bytes() == second.read_bytes()
+
+
+# SHA-256 of the trace `verify --out` writes; None where the verdict is SAFE.
+# A change that alters one of these must update it and say why in CHANGES.md.
+GOLDEN_TRACES = [
+    (HANDOVER, None, "067058cd3a9073c579e59d8a3468be43533e8a745ea8f7b20ffdcad60adea500"),
+    (HANDOVER, 30, "4c2f9a453554a9c97ecb7690c1b97b15b061dd56b18a9b0b54a21aeac5376f38"),
+    (HANDOVER_POINT, None, "067058cd3a9073c579e59d8a3468be43533e8a745ea8f7b20ffdcad60adea500"),
+    (HANDOVER_POINT, 30, "4c2f9a453554a9c97ecb7690c1b97b15b061dd56b18a9b0b54a21aeac5376f38"),
+    (HANDOVER_MINI, None, "d34d31e9e1120a93b1e099d5b8e692aa4634ba872fb1f46351287f37571ac8a5"),
+    (HANDOVER_MINI, 30, "4140c2ca9e63fb93304261f06c6553c89a1c39d7a5976717d19eb902f400f30a"),
+    (HANDOVER_STOP, None, None),
+    (HANDOVER_STOP, 30, None),
+]
+
+
+@pytest.mark.parametrize(
+    "scenario, bound, digest",
+    GOLDEN_TRACES,
+    ids=[f"{Path(path).stem}-{bound or 'own'}" for path, bound, _ in GOLDEN_TRACES],
+)
+def test_golden_trace(tmp_path, scenario, bound, digest):
+    out = tmp_path / "golden.trace"
+    argv = ["verify", scenario, "--out", str(out)]
+    if bound is not None:
+        argv += ["--bound", str(bound)]
+    code = main(argv)
+    if digest is None:
+        assert code == EXIT_SAFE
+        assert not out.exists()
+    else:
+        assert code == EXIT_COUNTEREXAMPLE
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 class TestClassify:

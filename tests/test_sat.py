@@ -6,14 +6,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coverify.encode import encode
+from coverify.logic import conjoin
 from coverify.sat import (
+    _UNDEF,
     CnfFormula,
     DimacsError,
+    _Solver,
     brute_force_solve,
     read_dimacs,
     solve,
     write_dimacs,
 )
+from coverify.world import bundled_scenario_path, compile_scenario, load_scenario
 
 
 def cnf(num_vars, *clauses):
@@ -208,3 +213,90 @@ def test_sat_models_verified_internally():
         if result.satisfiable:
             for clause in formula.clauses:
                 assert any(result.model[abs(l)] == (l > 0) for l in clause)
+
+
+class _LinearScanSolver(_Solver):
+    """Reference decision rule: scan every variable, keep the first of highest activity."""
+
+    def _decide(self) -> int:
+        best_var = 0
+        best_act = -1.0
+        for var in range(1, self.n + 1):
+            if self.value[var] == _UNDEF and self.activity[var] > best_act:
+                best_var = var
+                best_act = self.activity[var]
+        return -best_var  # phase: false first
+
+
+def _search(solver_cls, formula, **settings):
+    solver = solver_cls(formula)
+    for name, value in settings.items():
+        setattr(solver, name, value)
+    result = solver.solve()
+    return solver, (result, solver.decisions, solver.conflicts, solver.clauses)
+
+
+def _assert_same_search(formula, **settings):
+    """The heap solver decides, conflicts and learns exactly as the linear scan does."""
+    heap_solver, heap_run = _search(_Solver, formula, **settings)
+    _, scan_run = _search(_LinearScanSolver, formula, **settings)
+    assert heap_run == scan_run
+    # At most one live order-heap entry per variable, and the stale ones stay bounded.
+    live = [var for key, var in heap_solver.heap if heap_solver.heap_key[var] == key]
+    assert len(live) == len(set(live))
+    assert len(heap_solver.heap) <= 2 * formula.num_vars
+    return heap_solver
+
+
+def _scenario_cnfs():
+    """CNFs of every bundled scenario at its own bound and at k=30, without repeats."""
+    seen = set()
+    for name in ("handover", "handover_point", "handover_mini", "handover_stop"):
+        scenario = load_scenario(bundled_scenario_path(name))
+        model = compile_scenario(scenario)
+        for bound in (scenario.bound, 30):
+            formula, _ = encode(conjoin(model.formulas), model.symbols, bound)
+            if formula not in seen:
+                seen.add(formula)
+                yield pytest.param(formula, id=f"{name}-k{bound}")
+
+
+def random_3sat(rng, num_vars, ratio=4.26):
+    clauses = []
+    for _ in range(int(num_vars * ratio)):
+        variables = rng.sample(range(1, num_vars + 1), 3)
+        clauses.append(tuple(v if rng.random() < 0.5 else -v for v in variables))
+    return CnfFormula(num_vars, tuple(clauses))
+
+
+class TestHeapMatchesLinearScan:
+    def test_random_cnfs(self):
+        rng = random.Random(31)
+        for _ in range(200):
+            _assert_same_search(random_cnf(rng, max_vars=30, max_clauses=130))
+
+    def test_random_3sat_near_the_threshold(self):
+        rng = random.Random(32)
+        for _ in range(200):
+            _assert_same_search(random_3sat(rng, rng.randint(10, 50), rng.uniform(3.8, 4.8)))
+
+    @pytest.mark.parametrize("formula", _scenario_cnfs())
+    def test_bundled_scenarios(self, formula):
+        _assert_same_search(formula)
+
+    def test_activity_rescale_rebuilds_the_heap(self, monkeypatch):
+        rescales = []
+        bump = _Solver._bump
+
+        def recording_bump(solver, var):
+            before = solver.var_inc
+            bump(solver, var)
+            if solver.var_inc < before:  # only a rescale lowers var_inc
+                rescales.append(var)
+
+        monkeypatch.setattr(_Solver, "_bump", recording_bump)
+        # var_inc grows 1e20-fold per conflict, so activities pass 1e100 every few conflicts.
+        rng = random.Random(33)
+        for _ in range(10):
+            _assert_same_search(random_3sat(rng, 40), var_decay=1e-20)
+        assert rescales

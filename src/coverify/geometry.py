@@ -21,7 +21,11 @@ __all__ = [
     "contact_probability",
 ]
 
-_MC_CHUNK = 1 << 19  # fixed chunk size keeps sampling bit-reproducible
+# Rows of uniforms drawn and processed per block.  Only the working set
+# depends on it (about 0.9 MB of buffers, sized to stay in a core's L2
+# cache); the estimate does not, because the PCG64 stream is consumed in
+# order and every sample's arithmetic is the same whatever the block size.
+_MC_BLOCK = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -74,8 +78,12 @@ def aabb_max_distance(a: Box, b: Box) -> float:
 def contact_probability(a: Box, b: Box, threshold: float, samples: int, seed: int) -> float:
     """Monte Carlo estimate of P(|X - Y| <= threshold), X uniform in a, Y in b.
 
-    Deterministic for a fixed seed and sample count: one PCG64 stream is
-    consumed in fixed-size chunks, independent of how the work is batched.
+    Deterministic for a fixed seed and sample count: sample i takes the six
+    uniforms 6i..6i+5 of one PCG64 stream, X = a.lo + u[:3] * a.edges and
+    Y = b.lo + u[3:] * b.edges, and is a hit when
+    ((x0-y0)^2 + (x1-y1)^2) + (x2-y2)^2 <= threshold^2.  The result is the
+    integer hit count over ``samples``, so it does not depend on how the
+    samples are batched.
     """
     if samples < 1:
         raise ValueError("sample count must be >= 1")
@@ -88,20 +96,31 @@ def contact_probability(a: Box, b: Box, threshold: float, samples: int, seed: in
         return 0.0
 
     rng = np.random.default_rng(seed)
-    a_lo = np.asarray(a.lo)
-    a_span = np.asarray(a.edges)
-    b_lo = np.asarray(b.lo)
-    b_span = np.asarray(b.edges)
+    # Rows 0-2 hold X, rows 3-5 hold Y: the coordinate-major layout keeps
+    # every ufunc's inner loop running along the samples of one block.
+    lo = np.array([*a.lo, *b.lo], dtype=float)[:, None]
+    span = np.array([*a.edges, *b.edges], dtype=float)[:, None]
     thr_sq = threshold * threshold
+    block = min(samples, _MC_BLOCK)
+    u = np.empty((block, 6))
+    xy = np.empty((6, block))
+    d_sq = np.empty(block)
+    hit = np.empty(block, dtype=bool)
 
     hits = 0
     remaining = samples
     while remaining > 0:
-        m = min(remaining, _MC_CHUNK)
-        u = rng.random((m, 6))
-        x = a_lo + u[:, :3] * a_span
-        y = b_lo + u[:, 3:] * b_span
-        d_sq = ((x - y) ** 2).sum(axis=1)
-        hits += int((d_sq <= thr_sq).sum())
+        m = min(remaining, block)
+        u_m, xy_m, d_m, hit_m = u[:m], xy[:, :m], d_sq[:m], hit[:m]
+        rng.random(out=u_m)
+        np.multiply(u_m.T, span, out=xy_m)
+        np.add(xy_m, lo, out=xy_m)
+        diff = xy_m[:3]
+        np.subtract(diff, xy_m[3:], out=diff)
+        np.multiply(diff, diff, out=diff)
+        np.add(diff[0], diff[1], out=d_m)
+        np.add(d_m, diff[2], out=d_m)
+        np.less_equal(d_m, thr_sq, out=hit_m)
+        hits += int(np.count_nonzero(hit_m))
         remaining -= m
     return hits / samples

@@ -33,10 +33,6 @@ __all__ = [
     "interpolate",
     "poi_path",
     "classify",
-    "aabb_min_distance",
-    "aabb_max_distance",
-    "contact_probability",
-    "Box",
 ]
 
 CONFIRMED = "CONFIRMED"

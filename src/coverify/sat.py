@@ -67,7 +67,8 @@ class SolveResult:
 
     @staticmethod
     def sat(model: dict[int, bool]) -> "SolveResult":
-        return SolveResult(dict(model))
+        """Wrap ``model`` as given; callers pass a dict they no longer use."""
+        return SolveResult(model)
 
     @staticmethod
     def unsat() -> "SolveResult":
@@ -108,6 +109,7 @@ class _Solver:
         self.qhead = 0
         self.watches: list[list[int]] = [[] for _ in range(2 * n + 1)]
         self.activity = [0.0] * (n + 1)
+        self.seen = [False] * (n + 1)  # _analyze's marks; all False between conflicts
         self.var_inc = 1.0
         self.var_decay = 0.95
         self.ok = True
@@ -225,7 +227,8 @@ class _Solver:
     def _analyze(self, conflict: int) -> tuple[list[int], int]:
         """First-UIP learned clause and the level to backjump to."""
         learned: list[int] = [0]  # slot 0 reserved for the asserting literal
-        seen = [False] * (self.n + 1)
+        seen = self.seen
+        marked: list[int] = []
         counter = 0
         lit = 0
         index = len(self.trail)
@@ -239,6 +242,7 @@ class _Solver:
                 var = abs(q)
                 if not seen[var] and self.level[var] > 0:
                     seen[var] = True
+                    marked.append(var)
                     self._bump(var)
                     if self.level[var] == current_level:
                         counter += 1
@@ -256,6 +260,8 @@ class _Solver:
             assert reason_idx is not None
             reason_clause = self.clauses[reason_idx]
         learned[0] = lit
+        for var in marked:
+            seen[var] = False
 
         if len(learned) == 1:
             back_level = 0

@@ -107,6 +107,33 @@ def test_golden_trace(tmp_path, scenario, bound, digest):
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+# SHA-256 of `classify handover <trace> --seed 7 --samples 100000` in CSV and
+# SVG, over the trace `verify` writes at the scenario's own bound and at 30.
+# 100,000 samples span several Monte Carlo blocks plus a remainder.  A change
+# that alters one of these must update it and say why in CHANGES.md.
+GOLDEN_REPORTS = [
+    (None, "csv", "b09273157e6e3f641370dc9949fbed057c80f2c7d26f750ea2ed2d0eb13a8a4f"),
+    (None, "svg", "d60bffd9e4f2daf8057a0a19e298cd23efa360113e7c6b485f84ccc66c902407"),
+    (30, "csv", "8400d3814ad901f7642b3d8d5a369f640b44df9cd00c32aa34da57cb91e05e97"),
+    (30, "svg", "0c71a55105ff4663db46d3074efa291e87d628e5566dba8b7a553df6ce9438c7"),
+]
+
+
+@pytest.mark.parametrize(
+    "bound, fmt, digest",
+    GOLDEN_REPORTS,
+    ids=[f"handover-{bound or 'own'}-{fmt}" for bound, fmt, _ in GOLDEN_REPORTS],
+)
+def test_golden_classify_report(tmp_path, bound, fmt, digest):
+    trace, report = tmp_path / "golden.trace", tmp_path / f"golden.{fmt}"
+    bound_args = [] if bound is None else ["--bound", str(bound)]
+    assert main(["verify", HANDOVER, "--out", str(trace), *bound_args]) == EXIT_COUNTEREXAMPLE
+    argv = ["classify", HANDOVER, str(trace), *bound_args, "--format", fmt,
+            "--seed", "7", "--samples", "100000", "--out", str(report)]
+    assert main(argv) == EXIT_UNCONFIRMED
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == digest
+
+
 class TestClassify:
     def test_cube_cells_report_possible_and_exit_3(self, tmp_path, trace_file):
         out = tmp_path / "report.csv"

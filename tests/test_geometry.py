@@ -6,6 +6,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from coverify import geometry
 from coverify.geometry import Box, aabb_max_distance, aabb_min_distance, contact_probability
 
 # Reference for P(|X-Y| <= 0.1), X, Y uniform in the same unit cube, frozen
@@ -20,6 +21,75 @@ def random_box(rng):
     lo = rng.uniform(-5, 5, size=3)
     hi = lo + rng.uniform(0, 4, size=3)
     return Box(tuple(lo), tuple(hi))
+
+
+def chunked_squared_distances(a: Box, b: Box, samples: int, seed: int):
+    """The sampling loop contact_probability had before its blocked kernel,
+    kept as the exact reference: row-major (m, 6) uniforms in chunks of
+    2**19, x and y per row, squared differences summed along the row.
+    Yields each chunk's squared distances."""
+    rng = np.random.default_rng(seed)
+    a_lo = np.asarray(a.lo)
+    a_span = np.asarray(a.edges)
+    b_lo = np.asarray(b.lo)
+    b_span = np.asarray(b.edges)
+    remaining = samples
+    while remaining > 0:
+        m = min(remaining, 1 << 19)
+        u = rng.random((m, 6))
+        x = a_lo + u[:, :3] * a_span
+        y = b_lo + u[:, 3:] * b_span
+        yield ((x - y) ** 2).sum(axis=1)
+        remaining -= m
+
+
+def chunked_contact_probability(a: Box, b: Box, threshold: float, samples: int, seed: int) -> float:
+    if aabb_max_distance(a, b) <= threshold:
+        return 1.0
+    if aabb_min_distance(a, b) > threshold:
+        return 0.0
+    thr_sq = threshold * threshold
+    hits = sum(int((d_sq <= thr_sq).sum()) for d_sq in chunked_squared_distances(a, b, samples, seed))
+    return hits / samples
+
+
+def threshold_squaring_to(target: float) -> float | None:
+    """A threshold t with t * t == target exactly, if one of the floats next
+    to sqrt(target) has it."""
+    root = math.sqrt(target)
+    for t in (root, math.nextafter(root, 0.0), math.nextafter(root, math.inf)):
+        if t * t == target:
+            return t
+    return None
+
+
+def uncertain_pairs(seed: int, count: int):
+    """Seeded box pairs whose threshold lies strictly inside (d_min, d_max),
+    so every pair reaches the Monte Carlo loop: same box, overlapping,
+    touching, a point box against a box, and a flat box against a box."""
+    rng = np.random.default_rng(seed)
+    kinds = ("same", "overlap", "touch", "point", "flat")
+    for i in range(count):
+        kind = kinds[i % len(kinds)]
+        a = random_box(rng)
+        if kind == "same":
+            b = a
+        elif kind == "overlap":
+            shift = rng.uniform(0, 1, size=3) * np.asarray(a.edges)
+            b = Box(tuple(np.add(a.lo, shift)), tuple(np.add(a.hi, shift)))
+        elif kind == "touch":
+            lo = list(a.lo)
+            lo[0] = a.hi[0]
+            b = Box(tuple(lo), tuple(np.add(lo, rng.uniform(0.1, 4, size=3))))
+        elif kind == "point":
+            p = tuple(rng.uniform(a.lo, a.hi))
+            b = Box(p, p)
+        else:
+            b = random_box(rng)
+            b = Box(b.lo, (b.hi[0], b.hi[1], b.lo[2]))
+        d_min, d_max = aabb_min_distance(a, b), aabb_max_distance(a, b)
+        threshold = d_min + rng.uniform(0.05, 0.6) * (d_max - d_min)
+        yield kind, a, b, threshold
 
 
 def corner_pairs_max(a: Box, b: Box) -> float:
@@ -131,6 +201,48 @@ class TestContactProbability:
         a = contact_probability(UNIT, UNIT, 0.25, 50_000, seed=1)
         b = contact_probability(UNIT, UNIT, 0.25, 50_000, seed=2)
         assert a != b  # distinct streams (equality would be a seeding bug)
+
+    def test_equals_chunked_reference_loop(self):
+        block = geometry._MC_BLOCK
+        counts = (1, block - 1, block, block + 1, 3 * block + 17)
+        for i, (kind, a, b, threshold) in enumerate(uncertain_pairs(seed=51, count=30)):
+            for samples in counts:
+                got = contact_probability(a, b, threshold, samples, seed=i)
+                want = chunked_contact_probability(a, b, threshold, samples, seed=i)
+                assert got == want, (kind, a, b, threshold, samples)
+
+    def test_equals_reference_at_thresholds_on_a_sampled_distance(self):
+        # A threshold whose square is a sampled d_sq (a hit) or the float just
+        # below it (a miss) flips that sample's verdict if the kernel's d_sq
+        # moves by one ulp, so equality here pins each d_sq, not only the count.
+        samples = geometry._MC_BLOCK + 5
+        checked = 0
+        for i, (kind, a, b, _) in enumerate(uncertain_pairs(seed=53, count=20)):
+            d_sq = np.concatenate(list(chunked_squared_distances(a, b, samples, seed=i)))
+            for target in d_sq[-8:]:
+                for thr_sq in (target, math.nextafter(target, 0.0)):
+                    threshold = threshold_squaring_to(thr_sq)
+                    if threshold is None:
+                        continue
+                    got = contact_probability(a, b, threshold, samples, seed=i)
+                    assert got == chunked_contact_probability(a, b, threshold, samples, seed=i), kind
+                    checked += 1
+        assert checked >= 100
+
+    def test_equals_reference_across_the_old_chunk_boundary(self):
+        samples = (1 << 19) + 3
+        got = contact_probability(UNIT, UNIT, 0.3, samples, seed=5)
+        assert got == chunked_contact_probability(UNIT, UNIT, 0.3, samples, seed=5)
+
+    @pytest.mark.parametrize("block", [1, 7, 1000, None])
+    def test_estimate_does_not_depend_on_block_size(self, monkeypatch, block):
+        if block is not None:
+            monkeypatch.setattr(geometry, "_MC_BLOCK", block)
+        for i, (kind, a, b, threshold) in enumerate(uncertain_pairs(seed=52, count=10)):
+            for samples in (1, 13, 2_000):
+                got = contact_probability(a, b, threshold, samples, seed=100 + i)
+                want = chunked_contact_probability(a, b, threshold, samples, seed=100 + i)
+                assert got == want, (kind, block, samples)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="sample count"):

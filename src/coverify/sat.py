@@ -11,10 +11,15 @@ Heuristic contract: each decision takes the unassigned variable of highest
 activity, the lowest index among equal activities, and assigns it false.  The
 variables sit in a binary heap keyed on (-activity, index), after MiniSat's
 order heap (Eén & Sörensson, "An Extensible SAT-solver", SAT 2003), and watch
-lists and truth values are indexed by literal.  These are data structures only: the
-decisions, conflicts, learned clauses and the returned model are the ones a
-linear scan over the variables would give, so models, and the traces decoded
-from them, do not depend on them.
+lists and truth values are indexed by literal.  A binary input clause (a, b)
+is no clause object at all: it is the entry b in a's watch list and a in b's,
+after PicoSAT's separate treatment of binary clauses (Biere, "PicoSAT
+Essentials", JSAT 2008); its reason and conflict are rebuilt from the two
+literals (see ``_Solver``).  These are data structures only: the decisions,
+conflicts, learned clauses and the returned model are the ones a linear scan
+over the variables and a list per clause would give, so models, and the
+traces decoded from them, do not depend on them.  ``solve`` re-checks every
+model against the input clauses alone.
 
 Literals are DIMACS-style signed integers: +v / -v for variable v >= 1.
 """
@@ -23,6 +28,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
+from itertools import islice
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -76,7 +83,15 @@ class SolveResult:
 
 
 def _model_satisfies(cnf: CnfFormula, model: dict[int, bool]) -> bool:
-    return all(any(model[abs(l)] == (l > 0) for l in clause) for clause in cnf.clauses)
+    """Whether model assigns exactly the variables 1..num_vars and satisfies every clause.
+
+    Reads only the input formula, never the solver's data structures, so it
+    checks the solver independently.
+    """
+    if model.keys() != set(range(1, cnf.num_vars + 1)):
+        return False
+    true = {var if holds else -var for var, holds in model.items()}
+    return not any(map(true.isdisjoint, cnf.clauses))
 
 
 _UNDEF, _TRUE, _FALSE = 0, 1, -1
@@ -91,6 +106,22 @@ class _Solver:
     and -v at 2n+1-v, which is where Python's negative indexing puts it.  So
     ``value[lit]`` is the literal's truth value and ``value[v]`` the variable's.
 
+    ``watches[lit]`` lists the clauses to visit when lit becomes false, in the
+    order they were watched.  An entry is one of two kinds:
+
+    * an int ``other``: the binary input clause (lit, other).  Binary clauses
+      exist only as these two entries, one in each literal's list, and never
+      move, since the other literal is always watched;
+    * a list: any other input clause, after ``_add_clause`` drops repeated
+      literals, or a learned clause.  Its watched literals sit in slots 0 and
+      1, and ``clauses`` holds every such list in load-then-learn order.
+
+    ``reason[var]`` is None for a decision or a level-0 unit, the clause list
+    that implied var (with var's literal in slot 0), or for a binary clause the
+    int ``other``: the clause is (implied, other).  ``_propagate`` reports a
+    binary conflict as the pair (first, falsified), in that order, and a longer
+    one as its clause list.
+
     ``heap`` holds ``(-activity, var)`` entries.  ``heap_key[var]`` is the key
     of var's one live entry, or ``_NO_ENTRY``; an entry whose key differs is
     stale (var was bumped since) and is skipped when popped.  Every unassigned
@@ -103,11 +134,11 @@ class _Solver:
         self.clauses: list[list[int]] = []
         self.value = [_UNDEF] * (2 * n + 1)
         self.level = [0] * (n + 1)
-        self.reason: list[int | None] = [None] * (n + 1)  # clause index
+        self.reason: list[list[int] | int | None] = [None] * (n + 1)
         self.trail: list[int] = []
         self.trail_lim: list[int] = []
         self.qhead = 0
-        self.watches: list[list[int]] = [[] for _ in range(2 * n + 1)]
+        self.watches: list[list[list[int] | int]] = [[] for _ in range(2 * n + 1)]
         self.activity = [0.0] * (n + 1)
         self.seen = [False] * (n + 1)  # _analyze's marks; all False between conflicts
         self.var_inc = 1.0
@@ -117,17 +148,15 @@ class _Solver:
         self.conflicts = 0
         self._rebuild_heap()
 
-        clauses, watches = self.clauses, self.watches
+        watches = self.watches
         for clause in cnf.clauses:
             if len(clause) == 2:
                 a, b = clause
                 if a != b and a != -b:
-                    idx = len(clauses)
-                    watches[a].append(idx)
-                    watches[b].append(idx)
-                    clauses.append([a, b])
+                    watches[a].append(b)
+                    watches[b].append(a)
                     continue
-            self._add_clause(list(clause))
+            self._add_clause(clause)
 
     def _rebuild_heap(self) -> None:
         """One live entry per variable, keyed on its current activity."""
@@ -136,25 +165,29 @@ class _Solver:
         self.heap = list(zip(self.heap_key[1:], range(1, self.n + 1)))
         heapify(self.heap)
 
-    def _add_clause(self, lits: list[int]) -> None:
-        seen: dict[int, int] = {}
-        out: list[int] = []
-        for lit in lits:
-            if seen.get(-lit):
-                return  # tautology, trivially satisfied
-            if not seen.get(lit):
-                seen[lit] = 1
-                out.append(lit)
-        if len(out) == 1:
-            if not self._enqueue(out[0], None):
+    def _add_clause(self, clause: tuple[int, ...]) -> None:
+        """Watch a clause as a list, or enqueue it if it is a unit."""
+        lits = list(clause)
+        if len(set(map(abs, lits))) < len(lits):
+            # A repeated variable, which is rare: drop duplicate literals in
+            # order, and the whole clause if it holds a complementary pair.
+            seen: dict[int, int] = {}
+            lits = []
+            for lit in clause:
+                if seen.get(-lit):
+                    return  # tautology, trivially satisfied
+                if not seen.get(lit):
+                    seen[lit] = 1
+                    lits.append(lit)
+        if len(lits) == 1:
+            if not self._enqueue(lits[0], None):
                 self.ok = False
             return
-        idx = len(self.clauses)
-        self.clauses.append(out)
-        self.watches[out[0]].append(idx)
-        self.watches[out[1]].append(idx)
+        self.clauses.append(lits)
+        self.watches[lits[0]].append(lits)
+        self.watches[lits[1]].append(lits)
 
-    def _enqueue(self, lit: int, reason: int | None) -> bool:
+    def _enqueue(self, lit: int, reason: list[int] | None) -> bool:
         if self.value[lit] != _UNDEF:
             return self.value[lit] == _TRUE
         self.value[lit] = _TRUE
@@ -165,9 +198,9 @@ class _Solver:
         self.trail.append(lit)
         return True
 
-    def _propagate(self) -> int | None:
-        """Unit propagation; returns a conflicting clause index or None."""
-        trail, value, watches, clauses = self.trail, self.value, self.watches, self.clauses
+    def _propagate(self) -> list[int] | tuple[int, int] | None:
+        """Unit propagation; returns the literals of a conflicting clause or None."""
+        trail, value, watches = self.trail, self.value, self.watches
         level, reason = self.level, self.reason
         current_level = len(self.trail_lim)
         qhead = self.qhead
@@ -175,12 +208,24 @@ class _Solver:
             falsified = -trail[qhead]
             qhead += 1
             watchers = watches[falsified]
-            if not watchers:
-                continue
-            kept: list[int] = []
-            conflict: int | None = None
-            for i, ci in enumerate(watchers):
-                clause = clauses[ci]
+            moved = False
+            conflict: list[int] | tuple[int, int] | None = None
+            for i, clause in enumerate(watchers):
+                if type(clause) is int:  # the binary clause (falsified, first)
+                    first = clause
+                    state = value[first]
+                    if state == _TRUE:
+                        continue
+                    if state == _FALSE:
+                        conflict = (first, falsified)
+                        break
+                    value[first] = _TRUE
+                    value[-first] = _FALSE
+                    var = first if first > 0 else -first
+                    level[var] = current_level
+                    reason[var] = falsified
+                    trail.append(first)
+                    continue
                 # Normalize so the falsified watcher sits in slot 1.
                 first = clause[0]
                 if first == falsified:
@@ -188,28 +233,28 @@ class _Solver:
                     clause[0] = first
                     clause[1] = falsified
                 if value[first] == _TRUE:
-                    kept.append(ci)
                     continue
                 for j in range(2, len(clause)):
                     lit = clause[j]
                     if value[lit] != _FALSE:
                         clause[1] = lit
                         clause[j] = falsified
-                        watches[lit].append(ci)
+                        watches[lit].append(clause)
+                        watchers[i] = None  # dropped below; entries are never falsy
+                        moved = True
                         break
                 else:
-                    kept.append(ci)
                     if value[first] == _FALSE:
-                        conflict = ci
-                        kept.extend(watchers[i + 1:])
+                        conflict = clause
                         break
                     value[first] = _TRUE
                     value[-first] = _FALSE
                     var = first if first > 0 else -first
                     level[var] = current_level
-                    reason[var] = ci
+                    reason[var] = clause
                     trail.append(first)
-            watches[falsified] = kept
+            if moved:
+                watchers[:] = filter(None, watchers)
             if conflict is not None:
                 self.qhead = qhead
                 return conflict
@@ -224,41 +269,41 @@ class _Solver:
             self.var_inc *= 1e-100
             self._rebuild_heap()
 
-    def _analyze(self, conflict: int) -> tuple[list[int], int]:
+    def _analyze(self, conflict: Sequence[int]) -> tuple[list[int], int]:
         """First-UIP learned clause and the level to backjump to."""
         learned: list[int] = [0]  # slot 0 reserved for the asserting literal
-        seen = self.seen
+        seen, level, reason, trail = self.seen, self.level, self.reason, self.trail
         marked: list[int] = []
         counter = 0
-        lit = 0
-        index = len(self.trail)
-        reason_clause: list[int] = self.clauses[conflict]
+        index = len(trail)
         current_level = len(self.trail_lim)
+        lits: Iterable[int] = conflict
 
         while True:
-            for q in reason_clause:
-                if q == lit:
-                    continue
+            for q in lits:
                 var = abs(q)
-                if not seen[var] and self.level[var] > 0:
+                if not seen[var] and level[var] > 0:
                     seen[var] = True
                     marked.append(var)
                     self._bump(var)
-                    if self.level[var] == current_level:
+                    if level[var] == current_level:
                         counter += 1
                     else:
                         learned.append(q)
             while True:
                 index -= 1
-                lit = -self.trail[index]
+                lit = -trail[index]
                 if seen[abs(lit)]:
                     break
             counter -= 1
             if counter == 0:
                 break
-            reason_idx = self.reason[abs(lit)]
-            assert reason_idx is not None
-            reason_clause = self.clauses[reason_idx]
+            # Resolve on the implied literal -lit: read its reason without it,
+            # as MiniSat does.  It sits in slot 0 of a clause list; a binary
+            # reason (-lit, other) contributes other alone.
+            implied_by = reason[abs(lit)]
+            assert implied_by is not None
+            lits = (implied_by,) if type(implied_by) is int else islice(implied_by, 1, None)
         learned[0] = lit
         for var in marked:
             seen[var] = False
@@ -269,10 +314,10 @@ class _Solver:
             # Put the second-highest-level literal in slot 1 for watching.
             best = 1
             for j in range(2, len(learned)):
-                if self.level[abs(learned[j])] > self.level[abs(learned[best])]:
+                if level[abs(learned[j])] > level[abs(learned[best])]:
                     best = j
             learned[1], learned[best] = learned[best], learned[1]
-            back_level = self.level[abs(learned[1])]
+            back_level = level[abs(learned[1])]
         return learned, back_level
 
     def _backtrack(self, target_level: int) -> None:
@@ -325,11 +370,10 @@ class _Solver:
                 if len(learned) == 1:
                     enqueued = self._enqueue(learned[0], None)
                 else:
-                    idx = len(self.clauses)
                     self.clauses.append(learned)
-                    self.watches[learned[0]].append(idx)
-                    self.watches[learned[1]].append(idx)
-                    enqueued = self._enqueue(learned[0], idx)
+                    self.watches[learned[0]].append(learned)
+                    self.watches[learned[1]].append(learned)
+                    enqueued = self._enqueue(learned[0], learned)
                 if not enqueued:
                     return SolveResult.unsat()
                 self.var_inc /= self.var_decay

@@ -1,6 +1,7 @@
 """SAT core: solver correctness against the exhaustive oracle, DIMACS I/O."""
 
 import random
+from heapq import heapify, heappop, heappush
 
 import pytest
 from hypothesis import given, settings
@@ -9,9 +10,14 @@ from hypothesis import strategies as st
 from coverify.encode import encode
 from coverify.logic import conjoin
 from coverify.sat import (
+    _FALSE,
+    _NO_ENTRY,
+    _TRUE,
     _UNDEF,
     CnfFormula,
     DimacsError,
+    SolveResult,
+    _model_satisfies,
     _Solver,
     brute_force_solve,
     read_dimacs,
@@ -300,3 +306,416 @@ class TestHeapMatchesLinearScan:
         for _ in range(10):
             _assert_same_search(random_3sat(rng, 40), var_decay=1e-20)
         assert rescales
+
+
+class _ClauseListSolver:
+    """The solver before binary clauses became watch-list entries, frozen as the reference.
+
+    Every clause is a Python list, watch lists and reasons hold clause indices,
+    and every clause longer than two literals is cleaned up by ``_add_clause``.
+    """
+
+    def __init__(self, cnf: CnfFormula):
+        n = self.n = cnf.num_vars
+        self.clauses: list[list[int]] = []
+        self.value = [_UNDEF] * (2 * n + 1)
+        self.level = [0] * (n + 1)
+        self.reason: list[int | None] = [None] * (n + 1)  # clause index
+        self.trail: list[int] = []
+        self.trail_lim: list[int] = []
+        self.qhead = 0
+        self.watches: list[list[int]] = [[] for _ in range(2 * n + 1)]
+        self.activity = [0.0] * (n + 1)
+        self.seen = [False] * (n + 1)  # _analyze's marks; all False between conflicts
+        self.var_inc = 1.0
+        self.var_decay = 0.95
+        self.ok = True
+        self.decisions = 0
+        self.conflicts = 0
+        self._rebuild_heap()
+
+        clauses, watches = self.clauses, self.watches
+        for clause in cnf.clauses:
+            if len(clause) == 2:
+                a, b = clause
+                if a != b and a != -b:
+                    idx = len(clauses)
+                    watches[a].append(idx)
+                    watches[b].append(idx)
+                    clauses.append([a, b])
+                    continue
+            self._add_clause(list(clause))
+
+    def _rebuild_heap(self) -> None:
+        """One live entry per variable, keyed on its current activity."""
+        # Activities still at 0 (all of them at the start) share one key object.
+        self.heap_key = [-a if a else -0.0 for a in self.activity]
+        self.heap = list(zip(self.heap_key[1:], range(1, self.n + 1)))
+        heapify(self.heap)
+
+    def _add_clause(self, lits: list[int]) -> None:
+        seen: dict[int, int] = {}
+        out: list[int] = []
+        for lit in lits:
+            if seen.get(-lit):
+                return  # tautology, trivially satisfied
+            if not seen.get(lit):
+                seen[lit] = 1
+                out.append(lit)
+        if len(out) == 1:
+            if not self._enqueue(out[0], None):
+                self.ok = False
+            return
+        idx = len(self.clauses)
+        self.clauses.append(out)
+        self.watches[out[0]].append(idx)
+        self.watches[out[1]].append(idx)
+
+    def _enqueue(self, lit: int, reason: int | None) -> bool:
+        if self.value[lit] != _UNDEF:
+            return self.value[lit] == _TRUE
+        self.value[lit] = _TRUE
+        self.value[-lit] = _FALSE
+        var = abs(lit)
+        self.level[var] = len(self.trail_lim)
+        self.reason[var] = reason
+        self.trail.append(lit)
+        return True
+
+    def _propagate(self) -> int | None:
+        """Unit propagation; returns a conflicting clause index or None."""
+        trail, value, watches, clauses = self.trail, self.value, self.watches, self.clauses
+        level, reason = self.level, self.reason
+        current_level = len(self.trail_lim)
+        qhead = self.qhead
+        while qhead < len(trail):
+            falsified = -trail[qhead]
+            qhead += 1
+            watchers = watches[falsified]
+            if not watchers:
+                continue
+            kept: list[int] = []
+            conflict: int | None = None
+            for i, ci in enumerate(watchers):
+                clause = clauses[ci]
+                # Normalize so the falsified watcher sits in slot 1.
+                first = clause[0]
+                if first == falsified:
+                    first = clause[1]
+                    clause[0] = first
+                    clause[1] = falsified
+                if value[first] == _TRUE:
+                    kept.append(ci)
+                    continue
+                for j in range(2, len(clause)):
+                    lit = clause[j]
+                    if value[lit] != _FALSE:
+                        clause[1] = lit
+                        clause[j] = falsified
+                        watches[lit].append(ci)
+                        break
+                else:
+                    kept.append(ci)
+                    if value[first] == _FALSE:
+                        conflict = ci
+                        kept.extend(watchers[i + 1:])
+                        break
+                    value[first] = _TRUE
+                    value[-first] = _FALSE
+                    var = first if first > 0 else -first
+                    level[var] = current_level
+                    reason[var] = ci
+                    trail.append(first)
+            watches[falsified] = kept
+            if conflict is not None:
+                self.qhead = qhead
+                return conflict
+        self.qhead = qhead
+        return None
+
+    def _bump(self, var: int) -> None:
+        self.activity[var] += self.var_inc
+        if self.activity[var] > 1e100:
+            for v in range(1, self.n + 1):
+                self.activity[v] *= 1e-100
+            self.var_inc *= 1e-100
+            self._rebuild_heap()
+
+    def _analyze(self, conflict: int) -> tuple[list[int], int]:
+        """First-UIP learned clause and the level to backjump to."""
+        learned: list[int] = [0]  # slot 0 reserved for the asserting literal
+        seen = self.seen
+        marked: list[int] = []
+        counter = 0
+        lit = 0
+        index = len(self.trail)
+        reason_clause: list[int] = self.clauses[conflict]
+        current_level = len(self.trail_lim)
+
+        while True:
+            for q in reason_clause:
+                if q == lit:
+                    continue
+                var = abs(q)
+                if not seen[var] and self.level[var] > 0:
+                    seen[var] = True
+                    marked.append(var)
+                    self._bump(var)
+                    if self.level[var] == current_level:
+                        counter += 1
+                    else:
+                        learned.append(q)
+            while True:
+                index -= 1
+                lit = -self.trail[index]
+                if seen[abs(lit)]:
+                    break
+            counter -= 1
+            if counter == 0:
+                break
+            reason_idx = self.reason[abs(lit)]
+            assert reason_idx is not None
+            reason_clause = self.clauses[reason_idx]
+        learned[0] = lit
+        for var in marked:
+            seen[var] = False
+
+        if len(learned) == 1:
+            back_level = 0
+        else:
+            # Put the second-highest-level literal in slot 1 for watching.
+            best = 1
+            for j in range(2, len(learned)):
+                if self.level[abs(learned[j])] > self.level[abs(learned[best])]:
+                    best = j
+            learned[1], learned[best] = learned[best], learned[1]
+            back_level = self.level[abs(learned[1])]
+        return learned, back_level
+
+    def _backtrack(self, target_level: int) -> None:
+        limit = self.trail_lim[target_level]
+        value, activity, heap_key, heap = self.value, self.activity, self.heap_key, self.heap
+        for lit in self.trail[limit:]:
+            value[lit] = value[-lit] = _UNDEF
+            var = lit if lit > 0 else -lit
+            key = -activity[var]
+            if heap_key[var] != key:
+                heap_key[var] = key
+                heappush(heap, (key, var))
+        del self.trail[limit:]
+        del self.trail_lim[target_level:]
+        self.qhead = len(self.trail)
+        if len(heap) > 2 * self.n:
+            self._rebuild_heap()  # drop the stale entries
+
+    def _decide(self) -> int:
+        heap, heap_key, value = self.heap, self.heap_key, self.value
+        while True:
+            key, var = heappop(heap)
+            if heap_key[var] != key:
+                continue  # stale
+            heap_key[var] = _NO_ENTRY
+            if value[var] == _UNDEF:
+                return -var  # phase: false first
+
+    def solve(self) -> SolveResult:
+        if not self.ok:
+            return SolveResult.unsat()
+        if self._propagate() is not None:
+            self.conflicts += 1
+            return SolveResult.unsat()
+
+        while len(self.trail) < self.n:
+            decision = self._decide()
+            self.decisions += 1
+            self.trail_lim.append(len(self.trail))
+            self._enqueue(decision, None)
+            while True:
+                conflict = self._propagate()
+                if conflict is None:
+                    break
+                self.conflicts += 1
+                if not self.trail_lim:
+                    return SolveResult.unsat()
+                learned, back_level = self._analyze(conflict)
+                self._backtrack(back_level)
+                if len(learned) == 1:
+                    enqueued = self._enqueue(learned[0], None)
+                else:
+                    idx = len(self.clauses)
+                    self.clauses.append(learned)
+                    self.watches[learned[0]].append(idx)
+                    self.watches[learned[1]].append(idx)
+                    enqueued = self._enqueue(learned[0], idx)
+                if not enqueued:
+                    return SolveResult.unsat()
+                self.var_inc /= self.var_decay
+
+        return SolveResult.sat({v: self.value[v] == _TRUE for v in range(1, self.n + 1)})
+
+
+
+def _learned_search(solver_cls, formula, **settings):
+    """Result, counters and the clauses learned after loading, with their slot order."""
+    solver = solver_cls(formula)
+    loaded = len(solver.clauses)
+    for name, value in settings.items():
+        setattr(solver, name, value)
+    result = solver.solve()
+    return result, solver.decisions, solver.conflicts, solver.clauses[loaded:]
+
+
+def _assert_same_as_clause_lists(formula, **settings):
+    run = _learned_search(_Solver, formula, **settings)
+    assert run == _learned_search(_ClauseListSolver, formula, **settings)
+    return run
+
+
+def binary_heavy_cnf(rng):
+    """About 70% binary clauses: AND gates in Tseitin form under random binary constraints.
+
+    Each gate e <-> (a and b) gives (-e, a), (-e, b), (e, -a, -b), as the
+    bounded encoder's conjunctions do.  A few units, (a, a) and (a, -a) are
+    mixed in, and the clause order is shuffled.
+    """
+    inputs = rng.randint(6, 16)
+    num_vars = inputs + rng.randint(10, 40)
+    sign = lambda v: v * rng.choice((1, -1))
+    clauses = []
+    for e in range(inputs + 1, num_vars + 1):
+        a, b = (sign(v) for v in rng.sample(range(1, e), 2))
+        clauses += [(-e, a), (-e, b), (e, -a, -b)]
+    for _ in range(rng.randint(num_vars // 5, 3 * num_vars // 5)):
+        clauses.append(tuple(sign(v) for v in rng.sample(range(1, num_vars + 1), 2)))
+    for _ in range(rng.randint(0, 3)):
+        a = sign(rng.randint(1, num_vars))
+        clauses.append(rng.choice([(a,), (a, a), (a, -a)]))
+    rng.shuffle(clauses)
+    return CnfFormula(num_vars, tuple(clauses))
+
+
+class TestBinaryWatchesMatchClauseLists:
+    """Binary clauses as bare watch entries search exactly as the clause-list solver did."""
+
+    def test_random_cnfs(self):
+        rng = random.Random(41)
+        for _ in range(200):
+            _assert_same_as_clause_lists(random_cnf(rng, max_vars=30, max_clauses=130))
+
+    def test_random_3sat_near_the_threshold(self):
+        rng = random.Random(42)
+        for _ in range(200):
+            _assert_same_as_clause_lists(random_3sat(rng, rng.randint(10, 50), rng.uniform(3.8, 4.8)))
+
+    def test_binary_heavy_cnfs(self):
+        rng = random.Random(43)
+        outcomes = set()
+        conflicts = 0
+        for _ in range(200):
+            result, _, conflicts_here, _ = _assert_same_as_clause_lists(binary_heavy_cnf(rng))
+            outcomes.add(result.satisfiable)
+            conflicts += conflicts_here
+        assert outcomes == {True, False}
+        assert conflicts > 100
+
+    @pytest.mark.parametrize("formula", _scenario_cnfs())
+    def test_bundled_scenarios(self, formula):
+        _assert_same_as_clause_lists(formula)
+
+    def test_activity_rescale(self, monkeypatch):
+        rescales = []
+        bump = _Solver._bump
+
+        def recording_bump(solver, var):
+            before = solver.var_inc
+            bump(solver, var)
+            if solver.var_inc < before:  # only a rescale lowers var_inc
+                rescales.append(var)
+
+        monkeypatch.setattr(_Solver, "_bump", recording_bump)
+        rng = random.Random(44)
+        for _ in range(10):
+            _assert_same_as_clause_lists(random_3sat(rng, 40), var_decay=1e-20)
+        assert rescales
+
+    @pytest.mark.parametrize(
+        "clauses",
+        [
+            [(1, 1, 2, 3), (2, -3, 2), (3, 1, 3, 1)],  # duplicates: cleaned-up clause lists
+            [(1, -1, 2), (2, 3, -2), (-4, 4), (1, 2, 3, 4)],  # tautologies are dropped
+            [(2, 2, 2), (-1, -1), (3, 3, 3, 3), (1, 2, 3)],  # deduplicated to units
+            [(1, 1), (-1, -1, -1), (2, 3)],  # contradicting units
+            [(4, 2), (1, 2, 3, 4), (-2, -2), (-4, 1, -3), (3, -1)],
+        ],
+    )
+    def test_loader_matches_clause_lists(self, clauses):
+        formula = cnf(4, *clauses)
+        new, ref = _Solver(formula), _ClauseListSolver(formula)
+        assert (new.ok, new.trail, new.value, new.level, new.reason) == (
+            ref.ok, ref.trail, ref.value, ref.level, ref.reason,
+        )
+
+        # The same clauses in the same order, with the same watched literals.
+        def watched(solver, clause_of):
+            size = len(solver.watches)
+            out = []
+            for slot, entries in enumerate(solver.watches):
+                lit = slot if slot <= solver.n else slot - size
+                row = []
+                for entry in entries:
+                    clause = clause_of(lit, entry)
+                    if len(clause) == 2:  # a binary clause reads (watched, other)
+                        clause = (lit, clause[1] if clause[0] == lit else clause[0])
+                    row.append(tuple(clause))
+                out.append(row)
+            return out
+
+        assert watched(new, lambda lit, w: (lit, w) if type(w) is int else w) == watched(
+            ref, lambda lit, ci: ref.clauses[ci]
+        )
+        assert new.solve() == ref.solve()
+
+
+def _old_model_satisfies(formula, model):
+    return all(any(model[abs(l)] == (l > 0) for l in clause) for clause in formula.clauses)
+
+
+class TestModelCheck:
+    """The witness check reads only the input formula and wants a total model."""
+
+    def test_solver_model_accepted(self):
+        formula = pigeonhole(3, 3)
+        assert _model_satisfies(formula, solve(formula).model)
+
+    def test_flipped_variable_rejected(self):
+        formula = cnf(3, (1, 2), (-1, 3), (-2, -3))
+        model = {1: True, 2: False, 3: True}
+        assert _model_satisfies(formula, model)
+        for var in model:
+            assert not _model_satisfies(formula, {**model, var: not model[var]})
+
+    def test_missing_variable_rejected(self):
+        formula = cnf(3, (1, 2))
+        assert not _model_satisfies(formula, {1: True, 2: False})
+        assert not _model_satisfies(cnf(1), {})
+
+    def test_extra_variable_rejected(self):
+        formula = cnf(2, (1, 2))
+        assert not _model_satisfies(formula, {1: True, 2: False, 3: True})
+        assert not _model_satisfies(formula, {0: True, 1: True, 2: False})
+
+    def test_agrees_with_the_clause_by_clause_check(self):
+        rng = random.Random(45)
+        answers = set()
+        for _ in range(200):
+            formula = random_cnf(rng, max_vars=8, max_clauses=12)
+            model = {v: rng.random() < 0.5 for v in range(1, formula.num_vars + 1)}
+            answer = _model_satisfies(formula, model)
+            assert answer == _old_model_satisfies(formula, model)
+            answers.add(answer)
+        assert answers == {True, False}
+
+    def test_solve_rejects_a_non_model(self, monkeypatch):
+        monkeypatch.setattr(_Solver, "solve", lambda self: SolveResult.sat({1: False}))
+        with pytest.raises(AssertionError, match="non-model"):
+            solve(cnf(1, (1,)))

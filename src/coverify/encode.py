@@ -9,15 +9,33 @@ not depend on the instant, so their instant-0 copy carries the quantifier
 definition and the other instants are chained equal to it, which keeps the
 clause count linear in k.
 
+The encoder works on whole windows: ``_Encoder.row`` gives any node its
+literals at instants 0..k as one list.  Symbols own runs of variables
+numbered up front; a composite node is defined the first time a parent asks
+for its row.  Defining it numbers its k+1 variables as one run, then asks
+for its children's rows left to right (defining them in turn), then emits
+its clauses instant by instant.  That is the numbering and the clause order
+a per-instant encoder gets by defining each node when its instant 0 is first
+asked for, so the CNF, and every model the solver returns for it, is the
+same.  Two orders follow from it: ``Dist`` emits the units of its leading
+out-of-window instants before its operand is defined, and never defines an
+operand it cannot reach (|offset| > k).  Nodes are keyed on identity, so an
+occurrence shared by object is defined once.
+
 A formula is satisfiable over bound k iff the CNF conjoined with the unit
 clause asserting the root at instant 0 is satisfiable; ``decode`` turns a
 model back into a trace and ``check`` glues encode/solve/decode together and
-re-checks every witness against the evaluator.
+re-checks every witness against the evaluator.  ``check`` pauses the
+cyclic garbage collector while it runs: the clause tuples and solver lists it
+allocates hold no reference cycles, so a collection would find nothing and
+only re-scan them.
 """
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass
+from itertools import combinations
 
 from . import sat
 from .logic import (
@@ -33,7 +51,6 @@ from .logic import (
     LeConst,
     Not,
     Or,
-    Proposition,
     Som,
     SymbolTable,
     Trace,
@@ -79,6 +96,12 @@ class CheckResult:
 
 
 class _Encoder:
+    """Whole-window encoder: ``row`` maps every node to its literals over instants 0..k.
+
+    ``node_vars`` keeps the per-instant (node key, t) entries of ``VarMap``;
+    node keys count composite nodes in the order they are defined.
+    """
+
     def __init__(self, symbols: SymbolTable, k: int):
         if k < 0:
             raise ValueError("bound must be >= 0")
@@ -89,31 +112,32 @@ class _Encoder:
         self.value_vars: dict[tuple[str, int, str], int] = {}
         self.node_vars: dict[tuple[int, int], int] = {}
         self.clauses: list[tuple[int, ...]] = []
-        self._node_ids: dict[int, int] = {}
-        self._defined: set[int] = set()
+        self._prop_rows: dict[str, list[int]] = {}
+        self._value_rows: dict[tuple[str, str], list[int]] = {}
+        # id of a composite node -> its own variables; insertion order is key order.
+        self._node_rows: dict[int, list[int]] = {}
 
+        n = k + 1
         for prop in symbols.propositions:
-            for t in range(k + 1):
-                self.prop_vars[(prop.name, t)] = self._fresh()
+            row = self._fresh_row(n)
+            self._prop_rows[prop.name] = row
+            self.prop_vars.update(zip([(prop.name, t) for t in range(n)], row))
         for var in symbols.variables:
-            for t in range(k + 1):
-                for value in var.domain:
-                    self.value_vars[(var.name, t, value)] = self._fresh()
-        self._emit_exactly_one()
-
-    def _fresh(self) -> int:
-        v = self.next_var
-        self.next_var += 1
-        return v
-
-    def _emit_exactly_one(self) -> None:
-        for var in self.symbols.variables:
-            for t in range(self.k + 1):
-                bits = [self.value_vars[(var.name, t, value)] for value in var.domain]
+            width = len(var.domain)
+            block = self._fresh_row(n * width)  # value i at instant t: block[t * width + i]
+            for t in range(n):
+                bits = block[t * width:(t + 1) * width]
+                self.value_vars.update(zip([(var.name, t, value) for value in var.domain], bits))
                 self.clauses.append(tuple(bits))
-                for i in range(len(bits)):
-                    for j in range(i + 1, len(bits)):
-                        self.clauses.append((-bits[i], -bits[j]))
+                self.clauses.extend([(-a, -b) for a, b in combinations(bits, 2)])
+            for i, value in enumerate(var.domain):
+                self._value_rows[(var.name, value)] = block[i::width]
+
+    def _fresh_row(self, n: int) -> list[int]:
+        # A list, not a range: every clause then shares the variable's int object.
+        first = self.next_var
+        self.next_var += n
+        return list(range(first, first + n))
 
     def _variable(self, name: str) -> FiniteVariable:
         symbol = self.symbols.lookup(name)
@@ -121,57 +145,54 @@ class _Encoder:
             raise ValueError(f"{name!r} is not a declared finite variable")
         return symbol
 
-    def _node_key(self, f: Formula) -> int:
-        key = self._node_ids.get(id(f))
-        if key is None:
-            key = len(self._node_ids)
-            self._node_ids[id(f)] = key
-        return key
-
-    def literal(self, f: Formula, t: int) -> int:
-        """Signed literal equivalent to 'f holds at t', defining clauses emitted once."""
+    def row(self, f: Formula) -> list[int]:
+        """Literals equivalent to 'f holds at t' for t = 0..k; defines f on first use."""
         if isinstance(f, Atom):
-            symbol = self.symbols.lookup(f.name)
-            if not isinstance(symbol, Proposition):
+            row = self._prop_rows.get(f.name)
+            if row is None:
                 raise ValueError(f"{f.name!r} is not a declared proposition")
-            return self.prop_vars[(f.name, t)]
+            return row
         if isinstance(f, Eq):
-            var = self._variable(f.var)
-            if f.value not in var.domain:
+            row = self._value_rows.get((f.var, f.value))
+            if row is None:
+                self._variable(f.var)  # raises first if f.var is no finite variable
                 raise ValueError(f"{f.value!r} is not in the domain of {f.var!r}")
-            return self.value_vars[(f.var, t, f.value)]
-        return self._node_literal(f, t)
+            return row
+        own = self._node_rows.get(id(f))
+        if own is None:
+            own = self._define(f)
+        return own
 
-    def _node_literal(self, f: Formula, t: int) -> int:
-        key = self._node_key(f)
-        if key not in self._defined:
-            self._defined.add(key)
-            for u in range(self.k + 1):
-                self.node_vars[(key, u)] = self._fresh()
-            self._define(f, key)
-        return self.node_vars[(key, t)]
-
-    def _define(self, f: Formula, key: int) -> None:
+    def _define(self, f: Formula) -> list[int]:
         k = self.k
-        own = [self.node_vars[(key, t)] for t in range(k + 1)]
+        key = len(self._node_rows)
+        own = self._fresh_row(k + 1)
+        self._node_rows[id(f)] = own
+        self.node_vars.update(zip([(key, t) for t in range(k + 1)], own))
+        clauses = self.clauses
+        append = clauses.append
 
         if isinstance(f, EqVar):
             left, right = self._variable(f.left), self._variable(f.right)
-            shared = [value for value in left.domain if value in set(right.domain)]
-            if not shared:
+            right_values = set(right.domain)
+            if right_values.isdisjoint(left.domain):
                 raise ValueError(
                     f"variables {f.left!r} and {f.right!r} have disjoint domains"
                 )
-            for t in range(k + 1):
-                e = own[t]
-                for value in left.domain:
-                    a = self.value_vars[(f.left, t, value)]
-                    if value in set(right.domain):
-                        b = self.value_vars[(f.right, t, value)]
-                        self.clauses.append((-e, -a, b))
-                        self.clauses.append((e, -a, -b))
+            pairs = [
+                (self._value_rows[(f.left, value)],
+                 self._value_rows[(f.right, value)] if value in right_values else None)
+                for value in left.domain
+            ]
+            for t, e in enumerate(own):
+                for a_row, b_row in pairs:
+                    a = a_row[t]
+                    if b_row is not None:
+                        b = b_row[t]
+                        append((-e, -a, b))
+                        append((e, -a, -b))
                     else:
-                        self.clauses.append((-e, -a))
+                        append((-e, -a))
         elif isinstance(f, LeConst):
             var = self._variable(f.var)
             try:
@@ -180,61 +201,61 @@ class _Encoder:
                 raise ValueError(
                     f"variable {f.var!r} has non-integer domain values; <= not applicable"
                 ) from None
-            for t in range(k + 1):
-                e = own[t]
-                bits = [self.value_vars[(f.var, t, value)] for value in sat_values]
-                self.clauses.append((-e, *bits))
-                for bit in bits:
-                    self.clauses.append((e, -bit))
+            rows = [self._value_rows[(f.var, value)] for value in sat_values]
+            for t, e in enumerate(own):
+                bits = [row[t] for row in rows]
+                append((-e, *bits))
+                clauses.extend([(e, -bit) for bit in bits])
         elif isinstance(f, Not):
-            for t in range(k + 1):
-                sub = self.literal(f.operand, t)
-                self.clauses.append((-own[t], -sub))
-                self.clauses.append((own[t], sub))
+            for e, a in zip(own, self.row(f.operand)):
+                append((-e, -a))
+                append((e, a))
         elif isinstance(f, And):
-            for t in range(k + 1):
-                a, b = self.literal(f.left, t), self.literal(f.right, t)
-                self.clauses.append((-own[t], a))
-                self.clauses.append((-own[t], b))
-                self.clauses.append((own[t], -a, -b))
+            lefts, rights = self.row(f.left), self.row(f.right)
+            for e, a, b in zip(own, lefts, rights):
+                append((-e, a))
+                append((-e, b))
+                append((e, -a, -b))
         elif isinstance(f, Or):
-            for t in range(k + 1):
-                a, b = self.literal(f.left, t), self.literal(f.right, t)
-                self.clauses.append((-own[t], a, b))
-                self.clauses.append((own[t], -a))
-                self.clauses.append((own[t], -b))
+            lefts, rights = self.row(f.left), self.row(f.right)
+            for e, a, b in zip(own, lefts, rights):
+                append((-e, a, b))
+                append((e, -a))
+                append((e, -b))
         elif isinstance(f, Implies):
-            for t in range(k + 1):
-                a, b = self.literal(f.left, t), self.literal(f.right, t)
-                self.clauses.append((-own[t], -a, b))
-                self.clauses.append((own[t], a))
-                self.clauses.append((own[t], -b))
+            lefts, rights = self.row(f.left), self.row(f.right)
+            for e, a, b in zip(own, lefts, rights):
+                append((-e, -a, b))
+                append((e, a))
+                append((e, -b))
         elif isinstance(f, Dist):
-            for t in range(k + 1):
-                target = t + f.offset
-                if 0 <= target <= k:
-                    sub = self.literal(f.operand, target)
-                    self.clauses.append((-own[t], sub))
-                    self.clauses.append((own[t], -sub))
-                else:
-                    self.clauses.append((-own[t],))
+            # own[t] <-> operand at t + d, for t in [first, last); outside it own[t] is false.
+            d = f.offset
+            first = min(max(-d, 0), k + 1)
+            last = max(min(k + 1 - d, k + 1), first)
+            clauses.extend([(-e,) for e in own[:first]])
+            if first < last:
+                subs = self.row(f.operand)[first + d:last + d]
+                for e, a in zip(own[first:last], subs):
+                    append((-e, a))
+                    append((e, -a))
+            clauses.extend([(-e,) for e in own[last:]])
         elif isinstance(f, (Alw, Som)):
-            subs = [self.literal(f.operand, u) for u in range(k + 1)]
+            subs = self.row(f.operand)
             head = own[0]
             if isinstance(f, Alw):
-                for sub in subs:
-                    self.clauses.append((-head, sub))
-                self.clauses.append((head, *[-sub for sub in subs]))
+                clauses.extend([(-head, sub) for sub in subs])
+                append((head, *[-sub for sub in subs]))
             else:
-                self.clauses.append((-head, *subs))
-                for sub in subs:
-                    self.clauses.append((head, -sub))
+                append((-head, *subs))
+                clauses.extend([(head, -sub) for sub in subs])
             # Quantifiers are instant-independent: chain the other copies.
-            for t in range(1, k + 1):
-                self.clauses.append((-own[t], head))
-                self.clauses.append((own[t], -head))
+            for e in own[1:]:
+                append((-e, head))
+                append((e, -head))
         else:
             raise TypeError(f"not a formula: {f!r}")
+        return own
 
 
 def encode(f: Formula, symbols: SymbolTable, k: int) -> tuple[sat.CnfFormula, VarMap]:
@@ -243,7 +264,7 @@ def encode(f: Formula, symbols: SymbolTable, k: int) -> tuple[sat.CnfFormula, Va
         if name not in symbols:
             raise ValueError(f"undeclared symbol {name!r} in formula")
     enc = _Encoder(symbols, k)
-    root = enc.literal(f, 0)
+    root = enc.row(f)[0]
     enc.clauses.append((root,))
     cnf = sat.CnfFormula(enc.next_var - 1, tuple(enc.clauses))
     vm = VarMap(k, enc.prop_vars, enc.value_vars, enc.node_vars, cnf.num_vars)
@@ -272,12 +293,20 @@ def decode(model: dict[int, bool], vm: VarMap, symbols: SymbolTable, k: int) -> 
 def check(f: Formula, symbols: SymbolTable, k: int | None = None) -> CheckResult:
     """Satisfiability of f over [0, k]; witnesses are re-validated by evaluate."""
     bound = DEFAULT_BOUND if k is None else k
-    cnf, vm = encode(f, symbols, bound)
-    result = sat.solve(cnf)
-    if not result.satisfiable:
-        return CheckResult(None)
-    assert result.model is not None
-    trace = decode(result.model, vm, symbols, bound)
-    if not evaluate(f, trace, 0):
-        raise EncodingError("decoded witness fails the evaluator; encoder and semantics disagree")
-    return CheckResult(trace)
+    # Nothing below makes a reference cycle, so the cyclic collector would only
+    # re-scan the clause tuples and solver lists; the caller's setting comes back.
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        cnf, vm = encode(f, symbols, bound)
+        result = sat.solve(cnf)
+        if not result.satisfiable:
+            return CheckResult(None)
+        assert result.model is not None
+        trace = decode(result.model, vm, symbols, bound)
+        if not evaluate(f, trace, 0):
+            raise EncodingError("decoded witness fails the evaluator; encoder and semantics disagree")
+        return CheckResult(trace)
+    finally:
+        if collecting:
+            gc.enable()

@@ -123,6 +123,12 @@ def extract_motions(tr: Trace, s: Scenario) -> list[MotionCommand]:
     return commands
 
 
+def _along(c0: tuple[float, float, float], c1: tuple[float, float, float],
+           frac: float) -> tuple[float, float, float]:
+    """The point a fraction frac of the way from center c0 to center c1."""
+    return tuple(a + frac * (b - a) for a, b in zip(c0, c1))
+
+
 def interpolate(m: MotionCommand, s: Scenario, sample_interval: float) -> ContinuousPath:
     """Linear constant-speed path between the two cell centers.
 
@@ -143,9 +149,7 @@ def interpolate(m: MotionCommand, s: Scenario, sample_interval: float) -> Contin
         time = t0 + step * sample_interval
         if time >= t1 - 1e-12:
             break
-        frac = (time - t0) / total
-        point = tuple(a + frac * (b - a) for a, b in zip(c0, c1))
-        samples.append((time, point))
+        samples.append((time, _along(c0, c1, (time - t0) / total)))
         step += 1
     samples.append((t1, c1))
     return ContinuousPath(m.poi, tuple(samples))
@@ -190,8 +194,7 @@ def poi_path(tr: Trace, s: Scenario, poi_id: str, sample_interval: float) -> Con
                     return c0
                 if time >= t1:
                     return c1
-                frac = (time - t0) / (t1 - t0)
-                return tuple(a + frac * (b - a) for a, b in zip(c0, c1))
+                return _along(c0, c1, (time - t0) / (t1 - t0))
         instant = min(int(time / s.dt + 0.5), tr.bound)
         return s.layout.location(positions[instant]).box.center
 

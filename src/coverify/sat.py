@@ -434,8 +434,7 @@ class DimacsError(ValueError):
 def write_dimacs(cnf: CnfFormula) -> str:
     """Standard DIMACS CNF text: header line, then 0-terminated clauses."""
     lines = [f"p cnf {cnf.num_vars} {len(cnf.clauses)}\n"]
-    for clause in cnf.clauses:
-        lines.append(" ".join(str(lit) for lit in clause) + " 0\n")
+    lines += [" ".join(map(str, clause)) + " 0\n" for clause in cnf.clauses]
     return "".join(lines)
 
 

@@ -134,6 +134,34 @@ def test_golden_classify_report(tmp_path, bound, fmt, digest):
     assert hashlib.sha256(report.read_bytes()).hexdigest() == digest
 
 
+# SHA-256 of the DIMACS text `export <scenario> cnf` writes, at the scenario's
+# own bound and at 30.  The encoder's variable numbering and clause order and
+# the DIMACS writer all show in it.  A change that alters one of these must
+# update it and say why in CHANGES.md.
+GOLDEN_CNFS = [
+    (HANDOVER, None, "7a88164ccc92f307053dfcd4d591f1ce5615d1a5fe15c8c7ffbf8afa130d3341"),
+    (HANDOVER, 30, "2842b7dfd69688195436201b3dd3ef00ba832f40e0d36d08428136ad7eba7d84"),
+    (HANDOVER_MINI, None, "afde2f62872ed379c6ae2fd2d52bd56695da9c1151bb4c2d5c120ab350cb0203"),
+    (HANDOVER_MINI, 30, "222063921e3a2372035e005a5863a9562dc4cabdab71a87ffa21d0dc3e987648"),
+    (HANDOVER_STOP, None, "bf675410eebc4de968abd2f6e5ea5143545dcee0a5c49cebfff32bead428dad3"),
+    (HANDOVER_STOP, 30, "404ac4eca0870f8c52514117ef9cf0a577b8e512ba5fa2efaec348874cae717a"),
+]
+
+
+@pytest.mark.parametrize(
+    "scenario, bound, digest",
+    GOLDEN_CNFS,
+    ids=[f"{Path(path).stem}-{bound or 'own'}" for path, bound, _ in GOLDEN_CNFS],
+)
+def test_golden_cnf(tmp_path, scenario, bound, digest):
+    out = tmp_path / "golden.cnf"
+    argv = ["export", scenario, "cnf", "--out", str(out)]
+    if bound is not None:
+        argv += ["--bound", str(bound)]
+    assert main(argv) == EXIT_SAFE
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 class TestClassify:
     def test_cube_cells_report_possible_and_exit_3(self, tmp_path, trace_file):
         out = tmp_path / "report.csv"

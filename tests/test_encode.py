@@ -1,8 +1,12 @@
 """Bounded encoder: structure, soundness, and agreement with enumeration."""
 
+import gc
+import importlib
+import random
+
 import pytest
 
-from coverify.encode import DEFAULT_BOUND, EncodingError, check, decode, encode
+from coverify.encode import DEFAULT_BOUND, EncodingError, VarMap, check, decode, encode
 from coverify.logic import (
     Alw,
     And,
@@ -10,17 +14,26 @@ from coverify.logic import (
     Dist,
     Eq,
     EqVar,
+    FiniteVariable,
+    Formula,
     Implies,
     LeConst,
     Not,
     Or,
+    Proposition,
     Som,
     SymbolTable,
+    conjoin,
     evaluate,
+    free_symbols,
 )
-from coverify.sat import solve
+from coverify.sat import CnfFormula, solve
+from coverify.world import bundled_scenario_path, compile_scenario, load_scenario, verify
 
-from helpers import brute_force_check, family_symbols, formula_family, signature
+from helpers import brute_force_check, family_symbols, formula_family, random_formula, signature
+
+# The package re-exports the function `encode` under the submodule's name.
+encode_module = importlib.import_module("coverify.encode")
 
 
 @pytest.fixture
@@ -200,3 +213,335 @@ class TestPredicateValuesInWitness:
         trace = decode(result.model, vm, table, 3)
         for t in range(4):
             assert result.model[vm.node_vars[(0, t)]] == evaluate(f, trace, t)
+
+
+# ---------------------------------------------------------------------------
+# The whole-window encoder against the per-instant one it replaced.
+
+
+class _ReferenceEncoder:
+    """The encoder before it defined each node over the whole window, frozen as the reference.
+
+    One recursive ``literal`` call per (node, instant); a composite node is
+    numbered and defined the first time any instant of it is asked for.
+    """
+
+    def __init__(self, symbols: SymbolTable, k: int):
+        if k < 0:
+            raise ValueError("bound must be >= 0")
+        self.symbols = symbols
+        self.k = k
+        self.next_var = 1
+        self.prop_vars: dict[tuple[str, int], int] = {}
+        self.value_vars: dict[tuple[str, int, str], int] = {}
+        self.node_vars: dict[tuple[int, int], int] = {}
+        self.clauses: list[tuple[int, ...]] = []
+        self._node_ids: dict[int, int] = {}
+        self._defined: set[int] = set()
+
+        for prop in symbols.propositions:
+            for t in range(k + 1):
+                self.prop_vars[(prop.name, t)] = self._fresh()
+        for var in symbols.variables:
+            for t in range(k + 1):
+                for value in var.domain:
+                    self.value_vars[(var.name, t, value)] = self._fresh()
+        self._emit_exactly_one()
+
+    def _fresh(self) -> int:
+        v = self.next_var
+        self.next_var += 1
+        return v
+
+    def _emit_exactly_one(self) -> None:
+        for var in self.symbols.variables:
+            for t in range(self.k + 1):
+                bits = [self.value_vars[(var.name, t, value)] for value in var.domain]
+                self.clauses.append(tuple(bits))
+                for i in range(len(bits)):
+                    for j in range(i + 1, len(bits)):
+                        self.clauses.append((-bits[i], -bits[j]))
+
+    def _variable(self, name: str) -> FiniteVariable:
+        symbol = self.symbols.lookup(name)
+        if not isinstance(symbol, FiniteVariable):
+            raise ValueError(f"{name!r} is not a declared finite variable")
+        return symbol
+
+    def _node_key(self, f: Formula) -> int:
+        key = self._node_ids.get(id(f))
+        if key is None:
+            key = len(self._node_ids)
+            self._node_ids[id(f)] = key
+        return key
+
+    def literal(self, f: Formula, t: int) -> int:
+        """Signed literal equivalent to 'f holds at t', defining clauses emitted once."""
+        if isinstance(f, Atom):
+            symbol = self.symbols.lookup(f.name)
+            if not isinstance(symbol, Proposition):
+                raise ValueError(f"{f.name!r} is not a declared proposition")
+            return self.prop_vars[(f.name, t)]
+        if isinstance(f, Eq):
+            var = self._variable(f.var)
+            if f.value not in var.domain:
+                raise ValueError(f"{f.value!r} is not in the domain of {f.var!r}")
+            return self.value_vars[(f.var, t, f.value)]
+        return self._node_literal(f, t)
+
+    def _node_literal(self, f: Formula, t: int) -> int:
+        key = self._node_key(f)
+        if key not in self._defined:
+            self._defined.add(key)
+            for u in range(self.k + 1):
+                self.node_vars[(key, u)] = self._fresh()
+            self._define(f, key)
+        return self.node_vars[(key, t)]
+
+    def _define(self, f: Formula, key: int) -> None:
+        k = self.k
+        own = [self.node_vars[(key, t)] for t in range(k + 1)]
+
+        if isinstance(f, EqVar):
+            left, right = self._variable(f.left), self._variable(f.right)
+            shared = [value for value in left.domain if value in set(right.domain)]
+            if not shared:
+                raise ValueError(
+                    f"variables {f.left!r} and {f.right!r} have disjoint domains"
+                )
+            for t in range(k + 1):
+                e = own[t]
+                for value in left.domain:
+                    a = self.value_vars[(f.left, t, value)]
+                    if value in set(right.domain):
+                        b = self.value_vars[(f.right, t, value)]
+                        self.clauses.append((-e, -a, b))
+                        self.clauses.append((e, -a, -b))
+                    else:
+                        self.clauses.append((-e, -a))
+        elif isinstance(f, LeConst):
+            var = self._variable(f.var)
+            try:
+                sat_values = [value for value in var.domain if int(value) <= f.bound]
+            except ValueError:
+                raise ValueError(
+                    f"variable {f.var!r} has non-integer domain values; <= not applicable"
+                ) from None
+            for t in range(k + 1):
+                e = own[t]
+                bits = [self.value_vars[(f.var, t, value)] for value in sat_values]
+                self.clauses.append((-e, *bits))
+                for bit in bits:
+                    self.clauses.append((e, -bit))
+        elif isinstance(f, Not):
+            for t in range(k + 1):
+                sub = self.literal(f.operand, t)
+                self.clauses.append((-own[t], -sub))
+                self.clauses.append((own[t], sub))
+        elif isinstance(f, And):
+            for t in range(k + 1):
+                a, b = self.literal(f.left, t), self.literal(f.right, t)
+                self.clauses.append((-own[t], a))
+                self.clauses.append((-own[t], b))
+                self.clauses.append((own[t], -a, -b))
+        elif isinstance(f, Or):
+            for t in range(k + 1):
+                a, b = self.literal(f.left, t), self.literal(f.right, t)
+                self.clauses.append((-own[t], a, b))
+                self.clauses.append((own[t], -a))
+                self.clauses.append((own[t], -b))
+        elif isinstance(f, Implies):
+            for t in range(k + 1):
+                a, b = self.literal(f.left, t), self.literal(f.right, t)
+                self.clauses.append((-own[t], -a, b))
+                self.clauses.append((own[t], a))
+                self.clauses.append((own[t], -b))
+        elif isinstance(f, Dist):
+            for t in range(k + 1):
+                target = t + f.offset
+                if 0 <= target <= k:
+                    sub = self.literal(f.operand, target)
+                    self.clauses.append((-own[t], sub))
+                    self.clauses.append((own[t], -sub))
+                else:
+                    self.clauses.append((-own[t],))
+        elif isinstance(f, (Alw, Som)):
+            subs = [self.literal(f.operand, u) for u in range(k + 1)]
+            head = own[0]
+            if isinstance(f, Alw):
+                for sub in subs:
+                    self.clauses.append((-head, sub))
+                self.clauses.append((head, *[-sub for sub in subs]))
+            else:
+                self.clauses.append((-head, *subs))
+                for sub in subs:
+                    self.clauses.append((head, -sub))
+            # Quantifiers are instant-independent: chain the other copies.
+            for t in range(1, k + 1):
+                self.clauses.append((-own[t], head))
+                self.clauses.append((own[t], -head))
+        else:
+            raise TypeError(f"not a formula: {f!r}")
+
+
+def _reference_encode(f: Formula, symbols: SymbolTable, k: int) -> tuple[CnfFormula, VarMap]:
+    for name in sorted(free_symbols(f)):
+        if name not in symbols:
+            raise ValueError(f"undeclared symbol {name!r} in formula")
+    enc = _ReferenceEncoder(symbols, k)
+    root = enc.literal(f, 0)
+    enc.clauses.append((root,))
+    cnf = CnfFormula(enc.next_var - 1, tuple(enc.clauses))
+    vm = VarMap(k, enc.prop_vars, enc.value_vars, enc.node_vars, cnf.num_vars)
+    return cnf, vm
+
+
+def _assert_same_encoding(f: Formula, symbols: SymbolTable, k: int) -> None:
+    """Equal CNF and VarMap, and the VarMap dicts filled in the same order."""
+    (cnf, vm), (ref_cnf, ref_vm) = encode(f, symbols, k), _reference_encode(f, symbols, k)
+    assert cnf == ref_cnf
+    assert vm == ref_vm
+    for name in ("prop_vars", "value_vars", "node_vars"):
+        assert list(getattr(vm, name).items()) == list(getattr(ref_vm, name).items())
+
+
+def _integer_symbols() -> SymbolTable:
+    table = SymbolTable()
+    table.add_proposition("p")
+    table.add_variable("x", ("0", "1", "2"))
+    table.add_variable("y", ("1", "2", "3", "a"))
+    table.add_variable("z", ("0", "4"))
+    return table
+
+
+BUNDLED = ("handover", "handover_mini", "handover_point", "handover_stop")
+
+
+class TestMatchesReferenceEncoder:
+    @pytest.mark.parametrize("k", range(5))
+    def test_random_formulas(self, k):
+        table = family_symbols()
+        rng = random.Random(5000 + k)
+        for _ in range(300):
+            _assert_same_encoding(random_formula(rng, 4), table, k)
+
+    @pytest.mark.parametrize("k", [0, 1, 3])
+    def test_shared_subformula_object(self, k):
+        table = family_symbols()
+        shared = And(Atom("p"), Dist(Eq("v", "a"), 1))
+        for f in (
+            Or(Alw(shared), Not(shared)),
+            Implies(shared, Som(shared)),
+            And(Dist(shared, -(k + 1)), Dist(shared, 1)),  # first use never defines it
+        ):
+            _assert_same_encoding(f, table, k)
+
+    @pytest.mark.parametrize("k", range(5))
+    def test_dist_at_and_past_the_window_edge(self, k):
+        table = family_symbols()
+        operand = Or(Atom("q"), Not(Atom("p")))
+        for d in (-(k + 2), -(k + 1), -k, 0, k, k + 1, k + 2):
+            _assert_same_encoding(Dist(operand, d), table, k)
+            _assert_same_encoding(And(Dist(operand, d), Som(operand)), table, k)
+        # An operand past the window is never defined, so an invalid one is never looked at.
+        _assert_same_encoding(Or(Atom("p"), Dist(Atom("v"), k + 1)), table, k)
+
+    @pytest.mark.parametrize("k", [0, 2])
+    def test_value_comparisons(self, k):
+        table = _integer_symbols()
+        for f in (
+            EqVar("x", "y"),
+            EqVar("y", "x"),
+            EqVar("x", "z"),
+            LeConst("x", 1),
+            LeConst("x", -1),  # no value satisfies it: a unit clause per instant
+            And(LeConst("z", 0), Dist(EqVar("x", "z"), -1)),
+            Implies(Eq("y", "a"), Alw(Or(Atom("p"), LeConst("z", 2)))),
+        ):
+            _assert_same_encoding(f, table, k)
+
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_bundled_scenarios(self, name):
+        scenario = load_scenario(bundled_scenario_path(name))
+        model = compile_scenario(scenario)
+        f = conjoin(model.formulas)
+        for k in (scenario.bound, 0, 30):
+            _assert_same_encoding(f, model.symbols, k)
+
+    @pytest.mark.parametrize(
+        "f, k",
+        [
+            (Atom("ghost"), 1),  # undeclared symbol
+            (And(Atom("p"), Atom("x")), 1),  # an Atom naming a variable
+            (Or(Eq("x", "7"), Atom("p")), 1),  # a value outside the domain
+            (Eq("p", "0"), 0),  # an Eq naming a proposition
+            (Not(EqVar("x", "p")), 2),
+            (EqVar("z", "y"), 1),  # disjoint domains
+            (LeConst("y", 2), 1),  # non-integer domain value
+            (LeConst("p", 2), 1),
+            (Atom("p"), -1),  # negative bound
+        ],
+    )
+    def test_same_errors(self, f, k):
+        table = _integer_symbols()
+        with pytest.raises(Exception) as ref_error:
+            _reference_encode(f, table, k)
+        with pytest.raises(Exception) as error:
+            encode(f, table, k)
+        assert type(error.value) is type(ref_error.value)
+        assert str(error.value) == str(ref_error.value)
+
+
+class TestGcPause:
+    """check pauses the cyclic collector and hands back the caller's setting."""
+
+    @pytest.fixture(autouse=True)
+    def restore_gc(self):
+        enabled = gc.isenabled()
+        yield
+        if enabled:
+            gc.enable()
+        else:
+            gc.disable()
+
+    def test_paused_during_encode_and_restored(self, pq_symbols, monkeypatch):
+        seen = []
+        real_encode = encode_module.encode
+
+        def spy(*args):
+            seen.append(gc.isenabled())
+            return real_encode(*args)
+
+        monkeypatch.setattr(encode_module, "encode", spy)
+        gc.enable()
+        assert check(And(Atom("p"), Atom("q")), pq_symbols, 2).satisfiable
+        assert seen == [False]
+        assert gc.isenabled()
+
+    def test_caller_disabled_stays_disabled(self, pq_symbols):
+        gc.disable()
+        assert check(Atom("p"), pq_symbols, 1).satisfiable
+        assert not gc.isenabled()
+
+    def test_restored_when_encode_raises(self, pq_symbols):
+        gc.enable()
+        with pytest.raises(ValueError, match="undeclared"):
+            check(Atom("ghost"), pq_symbols, 1)
+        assert gc.isenabled()
+
+    def test_restored_when_decode_raises(self, pq_symbols, monkeypatch):
+        def broken_decode(*args):
+            raise EncodingError("injected")
+
+        monkeypatch.setattr(encode_module, "decode", broken_decode)
+        gc.enable()
+        with pytest.raises(EncodingError, match="injected"):
+            check(Atom("p"), pq_symbols, 1)
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize("name, safe", [("handover", False), ("handover_stop", True)])
+    def test_verify_leaves_no_cycles(self, name, safe):
+        scenario = load_scenario(bundled_scenario_path(name))
+        gc.collect()
+        assert verify(scenario).safe is safe
+        assert gc.collect() == 0

@@ -2,25 +2,21 @@
 
 Every declared proposition gets one SAT variable per instant; every finite
 variable gets a one-hot block per instant with exactly-one constraints.
-Every composite subformula occurrence gets one definition variable per
-instant, constrained by full bi-implications, so any model assigns every
-predicate its exact truth value at every instant.  ``Alw``/``Som`` values do
-not depend on the instant, so their instant-0 copy carries the quantifier
-definition and the other instants are chained equal to it, which keeps the
-clause count linear in k.
 
 The encoder works on whole windows: ``_Encoder.row`` gives any node its
-literals at instants 0..k as one list.  Symbols own runs of variables
-numbered up front; a composite node is defined the first time a parent asks
-for its row.  Defining it numbers its k+1 variables as one run, then asks
-for its children's rows left to right (defining them in turn), then emits
-its clauses instant by instant.  That is the numbering and the clause order
-a per-instant encoder gets by defining each node when its instant 0 is first
-asked for, so the CNF, and every model the solver returns for it, is the
-same.  Two orders follow from it: ``Dist`` emits the units of its leading
-out-of-window instants before its operand is defined, and never defines an
-operand it cannot reach (|offset| > k).  Nodes are keyed on identity, so an
-occurrence shared by object is defined once.
+literals at instants 0..k as one list.  ``And``, ``Or``, ``Implies``,
+``EqVar`` and ``LeConst`` own one variable per instant; ``Alw`` and ``Som``
+own one in all, since their value does not depend on the instant, and its
+literal fills the row.  Each owned variable is bi-implied to its
+definition.  ``Not`` and ``Dist`` own none: ``Not`` negates its operand's
+row and ``Dist`` shifts it, reading one constant-false literal (a variable
+fixed by a unit clause) at instants shifted out of the window; an operand no
+instant reaches (|offset| > k) is never defined.  So in every model each
+literal of a row holds exactly when its subformula does at that instant.
+A node is defined when a parent first asks for its row: it numbers its own
+variables, asks for its children's rows left to right, then emits its
+clauses.  Nodes are keyed on identity, so an occurrence shared by object is
+defined once.
 
 A formula is satisfiable over bound k iff the CNF conjoined with the unit
 clause asserting the root at instant 0 is satisfiable; ``decode`` turns a
@@ -69,12 +65,15 @@ class EncodingError(RuntimeError):
 
 @dataclass
 class VarMap:
-    """Injective map from (symbol|subformula occurrence, instant) to SAT variables."""
+    """Injective map from (symbol, instant) to the SAT variables a trace is decoded from.
+
+    Subformulas have no entries: their literals are either variables of their
+    own or their operand's literals, and only ``_Encoder.row`` knows which.
+    """
 
     bound: int
     prop_vars: dict[tuple[str, int], int]
     value_vars: dict[tuple[str, int, str], int]
-    node_vars: dict[tuple[int, int], int]
     num_vars: int
 
     def prop_var(self, name: str, t: int) -> int:
@@ -96,11 +95,7 @@ class CheckResult:
 
 
 class _Encoder:
-    """Whole-window encoder: ``row`` maps every node to its literals over instants 0..k.
-
-    ``node_vars`` keeps the per-instant (node key, t) entries of ``VarMap``;
-    node keys count composite nodes in the order they are defined.
-    """
+    """Whole-window encoder: ``row`` maps every node to its literals over instants 0..k."""
 
     def __init__(self, symbols: SymbolTable, k: int):
         if k < 0:
@@ -110,12 +105,11 @@ class _Encoder:
         self.next_var = 1
         self.prop_vars: dict[tuple[str, int], int] = {}
         self.value_vars: dict[tuple[str, int, str], int] = {}
-        self.node_vars: dict[tuple[int, int], int] = {}
         self.clauses: list[tuple[int, ...]] = []
         self._prop_rows: dict[str, list[int]] = {}
         self._value_rows: dict[tuple[str, str], list[int]] = {}
-        # id of a composite node -> its own variables; insertion order is key order.
-        self._node_rows: dict[int, list[int]] = {}
+        self._node_rows: dict[int, list[int]] = {}  # id of a composite node -> its row
+        self._false: int | None = None
 
         n = k + 1
         for prop in symbols.propositions:
@@ -139,6 +133,13 @@ class _Encoder:
         self.next_var += n
         return list(range(first, first + n))
 
+    def _false_literal(self) -> int:
+        """The one literal fixed false by a unit clause, numbered on first use."""
+        if self._false is None:
+            self._false = self._fresh_row(1)[0]
+            self.clauses.append((-self._false,))
+        return self._false
+
     def _variable(self, name: str) -> FiniteVariable:
         symbol = self.symbols.lookup(name)
         if not isinstance(symbol, FiniteVariable):
@@ -158,20 +159,41 @@ class _Encoder:
                 self._variable(f.var)  # raises first if f.var is no finite variable
                 raise ValueError(f"{f.value!r} is not in the domain of {f.var!r}")
             return row
-        own = self._node_rows.get(id(f))
-        if own is None:
-            own = self._define(f)
-        return own
+        row = self._node_rows.get(id(f))
+        if row is None:
+            row = self._node_rows[id(f)] = self._define(f)
+        return row
 
     def _define(self, f: Formula) -> list[int]:
         k = self.k
-        key = len(self._node_rows)
-        own = self._fresh_row(k + 1)
-        self._node_rows[id(f)] = own
-        self.node_vars.update(zip([(key, t) for t in range(k + 1)], own))
+        if isinstance(f, Not):
+            return [-a for a in self.row(f.operand)]
+        if isinstance(f, Dist):
+            # Out-of-window instants read false; an operand out of reach is never defined.
+            d = f.offset
+            if d == 0:
+                return self.row(f.operand)
+            false = self._false_literal()
+            if abs(d) > k:
+                return [false] * (k + 1)
+            operand = self.row(f.operand)
+            return operand[d:] + [false] * d if d > 0 else [false] * -d + operand[:d]
+
         clauses = self.clauses
         append = clauses.append
+        if isinstance(f, (Alw, Som)):
+            # The value does not depend on the instant: one variable fills the row.
+            head = self._fresh_row(1)[0]
+            subs = self.row(f.operand)
+            if isinstance(f, Alw):
+                clauses.extend([(-head, sub) for sub in subs])
+                append((head, *[-sub for sub in subs]))
+            else:
+                append((-head, *subs))
+                clauses.extend([(head, -sub) for sub in subs])
+            return [head] * (k + 1)
 
+        own = self._fresh_row(k + 1)
         if isinstance(f, EqVar):
             left, right = self._variable(f.left), self._variable(f.right)
             right_values = set(right.domain)
@@ -206,53 +228,20 @@ class _Encoder:
                 bits = [row[t] for row in rows]
                 append((-e, *bits))
                 clauses.extend([(e, -bit) for bit in bits])
-        elif isinstance(f, Not):
-            for e, a in zip(own, self.row(f.operand)):
-                append((-e, -a))
-                append((e, a))
         elif isinstance(f, And):
             lefts, rights = self.row(f.left), self.row(f.right)
             for e, a, b in zip(own, lefts, rights):
                 append((-e, a))
                 append((-e, b))
                 append((e, -a, -b))
-        elif isinstance(f, Or):
+        elif isinstance(f, (Or, Implies)):
             lefts, rights = self.row(f.left), self.row(f.right)
+            if isinstance(f, Implies):
+                lefts = [-a for a in lefts]
             for e, a, b in zip(own, lefts, rights):
                 append((-e, a, b))
                 append((e, -a))
                 append((e, -b))
-        elif isinstance(f, Implies):
-            lefts, rights = self.row(f.left), self.row(f.right)
-            for e, a, b in zip(own, lefts, rights):
-                append((-e, -a, b))
-                append((e, a))
-                append((e, -b))
-        elif isinstance(f, Dist):
-            # own[t] <-> operand at t + d, for t in [first, last); outside it own[t] is false.
-            d = f.offset
-            first = min(max(-d, 0), k + 1)
-            last = max(min(k + 1 - d, k + 1), first)
-            clauses.extend([(-e,) for e in own[:first]])
-            if first < last:
-                subs = self.row(f.operand)[first + d:last + d]
-                for e, a in zip(own[first:last], subs):
-                    append((-e, a))
-                    append((e, -a))
-            clauses.extend([(-e,) for e in own[last:]])
-        elif isinstance(f, (Alw, Som)):
-            subs = self.row(f.operand)
-            head = own[0]
-            if isinstance(f, Alw):
-                clauses.extend([(-head, sub) for sub in subs])
-                append((head, *[-sub for sub in subs]))
-            else:
-                append((-head, *subs))
-                clauses.extend([(head, -sub) for sub in subs])
-            # Quantifiers are instant-independent: chain the other copies.
-            for e in own[1:]:
-                append((-e, head))
-                append((e, -head))
         else:
             raise TypeError(f"not a formula: {f!r}")
         return own
@@ -267,7 +256,7 @@ def encode(f: Formula, symbols: SymbolTable, k: int) -> tuple[sat.CnfFormula, Va
     root = enc.row(f)[0]
     enc.clauses.append((root,))
     cnf = sat.CnfFormula(enc.next_var - 1, tuple(enc.clauses))
-    vm = VarMap(k, enc.prop_vars, enc.value_vars, enc.node_vars, cnf.num_vars)
+    vm = VarMap(k, enc.prop_vars, enc.value_vars, cnf.num_vars)
     return cnf, vm
 
 

@@ -91,8 +91,7 @@ def render_svg(report: HazardReport, trace: Trace) -> str:
 
 def trace_table(tr: Trace) -> str:
     """Aligned per-instant table of every symbol, 0/1 for propositions."""
-    names = list(tr.propositions) + list(tr.variables)
-    header = ["t"] + names
+    header = ["t", *tr.symbol_names]
     rows = [header]
     for t in range(tr.bound + 1):
         row = [str(t)]
@@ -106,7 +105,7 @@ def trace_table(tr: Trace) -> str:
 
 def timeline_svg(tr: Trace, hazard_rows: tuple[ClassifiedHazard, ...] = ()) -> str:
     cell_w, band_h, label_w, pad = 18, 20, 130, 8
-    names = list(tr.propositions) + list(tr.variables)
+    names = tr.symbol_names
     n_inst = tr.bound + 1
     width = label_w + n_inst * cell_w + pad * 2
     height = pad * 2 + band_h * (len(names) + 1)

@@ -22,8 +22,7 @@ class TraceFormatError(ValueError):
 
 
 def write_trace(tr: Trace) -> str:
-    names = list(tr.propositions) + list(tr.variables)
-    lines = [f"# bound {tr.bound}\n", "# vars " + " ".join(names) + "\n"]
+    lines = [f"# bound {tr.bound}\n", "# vars " + " ".join(tr.symbol_names) + "\n"]
     for t in range(tr.bound + 1):
         values = ["1" if tr.propositions[n][t] else "0" for n in tr.propositions]
         values += [tr.variables[n][t] for n in tr.variables]

@@ -205,9 +205,8 @@ class Scenario:
         raise ScenarioError(f"unknown hazard {hazard_id!r}")
 
     def travel_time(self, a: str, b: str) -> int:
-        key = (a, b) if a <= b else (b, a)
         for pa, pb, t in self.travel_times:
-            if (pa, pb) == key or (pb, pa) == key:
+            if (pa, pb) == (a, b) or (pb, pa) == (a, b):
                 return t
         return 1
 

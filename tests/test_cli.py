@@ -139,12 +139,12 @@ def test_golden_classify_report(tmp_path, bound, fmt, digest):
 # the DIMACS writer all show in it.  A change that alters one of these must
 # update it and say why in CHANGES.md.
 GOLDEN_CNFS = [
-    (HANDOVER, None, "7a88164ccc92f307053dfcd4d591f1ce5615d1a5fe15c8c7ffbf8afa130d3341"),
-    (HANDOVER, 30, "2842b7dfd69688195436201b3dd3ef00ba832f40e0d36d08428136ad7eba7d84"),
-    (HANDOVER_MINI, None, "afde2f62872ed379c6ae2fd2d52bd56695da9c1151bb4c2d5c120ab350cb0203"),
-    (HANDOVER_MINI, 30, "222063921e3a2372035e005a5863a9562dc4cabdab71a87ffa21d0dc3e987648"),
-    (HANDOVER_STOP, None, "bf675410eebc4de968abd2f6e5ea5143545dcee0a5c49cebfff32bead428dad3"),
-    (HANDOVER_STOP, 30, "404ac4eca0870f8c52514117ef9cf0a577b8e512ba5fa2efaec348874cae717a"),
+    (HANDOVER, None, "f9c94e4bbd0aea63f3960e829513470e789d43eb69798c77faf861cf2b45ec20"),
+    (HANDOVER, 30, "9de35dfd68b81bee81e3ed74b7ee0ab49be41c0e0324c05c994a92d7e4e35840"),
+    (HANDOVER_MINI, None, "f899b0992fb93b5c6d3048e5160cd5b7e7a72a078311dca3a1bb678176ed9d66"),
+    (HANDOVER_MINI, 30, "5288c5407811e013b1a2fac58915ccc30a7fedd10086976aa0389bc56cf8a6c2"),
+    (HANDOVER_STOP, None, "2c13455b96aad21296595f7e4a4799488b3694548eca67d24d339b02b440f31a"),
+    (HANDOVER_STOP, 30, "e14e95a018eb42be2bf704c17baf469706826e93a3521d86acfc28996f03e874"),
 ]
 
 

@@ -6,7 +6,8 @@ import random
 
 import pytest
 
-from coverify.encode import DEFAULT_BOUND, EncodingError, VarMap, check, decode, encode
+from coverify.encode import DEFAULT_BOUND, EncodingError, VarMap, _Encoder, check, decode, encode
+from coverify.exhaustive import exhaustive_verify
 from coverify.logic import (
     Alw,
     And,
@@ -23,12 +24,19 @@ from coverify.logic import (
     Proposition,
     Som,
     SymbolTable,
+    _truth_row,
     conjoin,
     evaluate,
     free_symbols,
 )
 from coverify.sat import CnfFormula, solve
-from coverify.world import bundled_scenario_path, compile_scenario, load_scenario, verify
+from coverify.world import (
+    bundled_scenario_path,
+    compile_scenario,
+    load_scenario,
+    loads_scenario,
+    verify,
+)
 
 from helpers import brute_force_check, family_symbols, formula_family, random_formula, signature
 
@@ -66,8 +74,9 @@ class TestVarMap:
         assert (-bits0[1], -bits0[2]) in clauses
 
     def test_injective(self, pq_symbols):
-        _, vm = encode(And(Atom("p"), Atom("q")), pq_symbols, 3)
-        ids = list(vm.prop_vars.values()) + list(vm.value_vars.values()) + list(vm.node_vars.values())
+        enc = _Encoder(pq_symbols, 3)
+        row = enc.row(And(Atom("p"), Atom("q")))
+        ids = list(enc.prop_vars.values()) + list(enc.value_vars.values()) + row
         assert len(ids) == len(set(ids))
 
     def test_size_bound(self):
@@ -204,26 +213,30 @@ def _contains_alw(f):
 class TestPredicateValuesInWitness:
     def test_root_truth_matches_evaluator_at_every_instant(self):
         # Full bi-implications force exact per-instant values for composite
-        # nodes; the root (node key 0, allocated first) must mirror evaluate.
+        # nodes; the root's row must mirror evaluate.
         table = family_symbols()
         f = Implies(Som(Atom("p")), And(Atom("q"), Dist(Atom("p"), 1)))
-        cnf, vm = encode(f, table, 3)
-        result = solve(cnf)
+        enc = _Encoder(table, 3)
+        row = enc.row(f)
+        result = solve(CnfFormula(enc.next_var - 1, (*enc.clauses, (row[0],))))
         assert result.satisfiable
+        vm = VarMap(3, enc.prop_vars, enc.value_vars, enc.next_var - 1)
         trace = decode(result.model, vm, table, 3)
-        for t in range(4):
-            assert result.model[vm.node_vars[(0, t)]] == evaluate(f, trace, t)
+        for t, lit in enumerate(row):
+            assert result.model[abs(lit)] == (lit > 0) == evaluate(f, trace, t)
 
 
 # ---------------------------------------------------------------------------
-# The whole-window encoder against the per-instant one it replaced.
+# The encoder against the per-instant one with a definition per node and instant.
 
 
 class _ReferenceEncoder:
-    """The encoder before it defined each node over the whole window, frozen as the reference.
+    """The per-instant encoder with full definitions everywhere, frozen as the reference.
 
-    One recursive ``literal`` call per (node, instant); a composite node is
-    numbered and defined the first time any instant of it is asked for.
+    Every composite node, ``Not``, ``Dist`` and the quantifiers included, gets
+    one variable per instant bi-implied to its definition.  One recursive
+    ``literal`` call per (node, instant); a composite node is numbered and
+    defined the first time any instant of it is asked for.
     """
 
     def __init__(self, symbols: SymbolTable, k: int):
@@ -392,17 +405,42 @@ def _reference_encode(f: Formula, symbols: SymbolTable, k: int) -> tuple[CnfForm
     root = enc.literal(f, 0)
     enc.clauses.append((root,))
     cnf = CnfFormula(enc.next_var - 1, tuple(enc.clauses))
-    vm = VarMap(k, enc.prop_vars, enc.value_vars, enc.node_vars, cnf.num_vars)
+    vm = VarMap(k, enc.prop_vars, enc.value_vars, cnf.num_vars)
     return cnf, vm
 
 
-def _assert_same_encoding(f: Formula, symbols: SymbolTable, k: int) -> None:
-    """Equal CNF and VarMap, and the VarMap dicts filled in the same order."""
+def _assert_same_satisfiability(
+    f: Formula, symbols: SymbolTable, k: int, brute_force: bool
+) -> None:
+    """Symbols numbered as by the reference, and the same answer as its CNF (and enumeration)."""
     (cnf, vm), (ref_cnf, ref_vm) = encode(f, symbols, k), _reference_encode(f, symbols, k)
-    assert cnf == ref_cnf
-    assert vm == ref_vm
-    for name in ("prop_vars", "value_vars", "node_vars"):
+    for name in ("prop_vars", "value_vars"):
         assert list(getattr(vm, name).items()) == list(getattr(ref_vm, name).items())
+    satisfiable = solve(cnf).satisfiable
+    assert satisfiable == solve(ref_cnf).satisfiable, f"{f} at k={k}"
+    if brute_force and k <= 2:
+        assert satisfiable == brute_force_check(f, k), f"{f} at k={k}"
+
+
+def _assert_rows_mirror_evaluator(f: Formula, symbols: SymbolTable, k: int) -> None:
+    """Without the root unit the clauses only define rows, so any model gives each its truth."""
+    enc = _Encoder(symbols, k)
+    enc.row(f)
+    result = solve(CnfFormula(enc.next_var - 1, tuple(enc.clauses)))
+    assert result.satisfiable
+    model = result.model
+    trace = decode(model, VarMap(k, enc.prop_vars, enc.value_vars, enc.next_var - 1), symbols, k)
+    truth: dict[int, tuple[bool, ...]] = {}  # id of a node -> evaluate at every instant
+    _truth_row(f, trace, truth)
+    for node, row in enc._node_rows.items():
+        assert tuple(model[abs(lit)] == (lit > 0) for lit in row) == truth[node], f"{f} at k={k}"
+
+
+def _assert_matches_reference(
+    f: Formula, symbols: SymbolTable, k: int, brute_force: bool = True
+) -> None:
+    _assert_same_satisfiability(f, symbols, k, brute_force)
+    _assert_rows_mirror_evaluator(f, symbols, k)
 
 
 def _integer_symbols() -> SymbolTable:
@@ -423,7 +461,7 @@ class TestMatchesReferenceEncoder:
         table = family_symbols()
         rng = random.Random(5000 + k)
         for _ in range(300):
-            _assert_same_encoding(random_formula(rng, 4), table, k)
+            _assert_matches_reference(random_formula(rng, 4), table, k)
 
     @pytest.mark.parametrize("k", [0, 1, 3])
     def test_shared_subformula_object(self, k):
@@ -434,17 +472,18 @@ class TestMatchesReferenceEncoder:
             Implies(shared, Som(shared)),
             And(Dist(shared, -(k + 1)), Dist(shared, 1)),  # first use never defines it
         ):
-            _assert_same_encoding(f, table, k)
+            _assert_matches_reference(f, table, k)
 
     @pytest.mark.parametrize("k", range(5))
     def test_dist_at_and_past_the_window_edge(self, k):
         table = family_symbols()
         operand = Or(Atom("q"), Not(Atom("p")))
         for d in (-(k + 2), -(k + 1), -k, 0, k, k + 1, k + 2):
-            _assert_same_encoding(Dist(operand, d), table, k)
-            _assert_same_encoding(And(Dist(operand, d), Som(operand)), table, k)
+            _assert_matches_reference(Dist(operand, d), table, k)
+            _assert_matches_reference(And(Dist(operand, d), Som(operand)), table, k)
         # An operand past the window is never defined, so an invalid one is never looked at.
-        _assert_same_encoding(Or(Atom("p"), Dist(Atom("v"), k + 1)), table, k)
+        unreachable = Or(Atom("p"), Dist(Atom("v"), k + 1))
+        _assert_same_satisfiability(unreachable, table, k, brute_force=False)
 
     @pytest.mark.parametrize("k", [0, 2])
     def test_value_comparisons(self, k):
@@ -458,7 +497,7 @@ class TestMatchesReferenceEncoder:
             And(LeConst("z", 0), Dist(EqVar("x", "z"), -1)),
             Implies(Eq("y", "a"), Alw(Or(Atom("p"), LeConst("z", 2)))),
         ):
-            _assert_same_encoding(f, table, k)
+            _assert_matches_reference(f, table, k, brute_force=False)
 
     @pytest.mark.parametrize("name", BUNDLED)
     def test_bundled_scenarios(self, name):
@@ -466,7 +505,7 @@ class TestMatchesReferenceEncoder:
         model = compile_scenario(scenario)
         f = conjoin(model.formulas)
         for k in (scenario.bound, 0, 30):
-            _assert_same_encoding(f, model.symbols, k)
+            _assert_matches_reference(f, model.symbols, k, brute_force=False)
 
     @pytest.mark.parametrize(
         "f, k",
@@ -490,6 +529,54 @@ class TestMatchesReferenceEncoder:
             encode(f, table, k)
         assert type(error.value) is type(ref_error.value)
         assert str(error.value) == str(ref_error.value)
+
+
+def _random_scenario_text(rng: random.Random) -> str:
+    """A workcell small enough to enumerate: 2-4 unit cells in a row, one human, one arm."""
+    cells = [f"C{i}" for i in range(rng.randint(2, 4))]
+    lines = ["[layout]"]
+    lines += [f"loc {cell} box {i} 0 0 {i + 1} 1 1" for i, cell in enumerate(cells)]
+    lines += [f"adj {a} {b}" for a, b in zip(cells, cells[1:])]
+    if len(cells) > 2 and rng.random() < 0.5:
+        lines.append(f"adj {cells[-1]} {cells[0]}")  # closes the row into a loop
+    lines += ["[agents]", "agent op human", "agent arm robot"]
+    lines += ["poi op h radius 0.05", "poi arm g radius 0.05"]
+    lines += [f"start {poi} {rng.choice(cells)}" for poi in ("h", "g") if rng.random() < 0.5]
+    lines.append("[task]")
+    steps = rng.randint(0, 2)
+    if steps >= 1:
+        poi, kind = rng.choice(("h", "g")), rng.choice(("reach", "pick"))
+        lines.append(f"step {poi} {kind} {rng.choice(cells)}")
+    if steps == 2:
+        kind = rng.choice(("handover g h", "g place"))
+        lines.append(f"step {kind} {rng.choice(cells)}")
+    grades = " ".join(f"{name} {rng.randint(0, 2)}" for name in ("sev", "exp", "avoid"))
+    lines += ["[hazards]", f"hazard hz h g {grades}", "[mitigations]"]
+    lines += [f"mitigate {kind} hz" for kind in ("stop", "slowdown") if rng.random() < 0.4]
+    lines += ["[params]", f"bound {rng.randint(0, 5)}", f"threshold {rng.randint(0, 5)}"]
+    return "\n".join(lines) + "\n"
+
+
+class TestRandomScenarios:
+    """verify against exhaustive enumeration and the reference encoder's CNF on seeded workcells."""
+
+    SCENARIOS = 80  # the first scenarios drawn from the seed
+
+    def test_verdicts_agree(self):
+        rng = random.Random(4242)
+        verdicts = []
+        for _ in range(self.SCENARIOS):
+            text = _random_scenario_text(rng)
+            scenario = loads_scenario(text)
+            safe = verify(scenario).safe
+            assert safe == exhaustive_verify(scenario), text
+            model = compile_scenario(scenario)
+            if model.violation is not None:
+                f = conjoin(model.formulas)
+                ref_cnf, _ = _reference_encode(f, model.symbols, scenario.bound)
+                assert safe == (not solve(ref_cnf).satisfiable), text
+            verdicts.append(safe)
+        assert True in verdicts and False in verdicts
 
 
 class TestGcPause:

@@ -72,6 +72,7 @@ class TestLoad:
         assert len(robots) == 1 and len(robots[0].pois) == 1
         assert len(humans) == 1 and len(humans[0].pois) == 1
         assert handover.travel_time("L3", "L4") == 3
+        assert handover.travel_time("L4", "L3") == 3
         assert handover.travel_time("L1", "L2") == 1
         assert handover.threshold == 3
 

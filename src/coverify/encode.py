@@ -3,35 +3,54 @@
 Every declared proposition gets one SAT variable per instant; every finite
 variable gets a one-hot block per instant with exactly-one constraints.
 
-The encoder works on whole windows: ``_Encoder.row`` gives any node its
-literals at instants 0..k as one list.  ``And``, ``Or``, ``Implies``,
-``EqVar`` and ``LeConst`` own one variable per instant; ``Alw`` and ``Som``
-own one in all, since their value does not depend on the instant, and its
-literal fills the row.  Each owned variable is bi-implied to its
-definition.  ``Not`` and ``Dist`` own none: ``Not`` negates its operand's
-row and ``Dist`` shifts it, reading one constant-false literal (a variable
-fixed by a unit clause) at instants shifted out of the window; an operand no
-instant reaches (|offset| > k) is never defined.  So in every model each
-literal of a row holds exactly when its subformula does at that instant.
-A node is defined when a parent first asks for its row: it numbers its own
-variables, asks for its children's rows left to right, then emits its
-clauses.  Nodes are keyed on identity, so an occurrence shared by object is
-defined once.
+The formula becomes clauses by polarity, after Plaisted & Greenbaum ("A
+Structure-preserving Clause Form Translation", JSC 1986), one whole window
+at a time.  ``_Encoder.lits(f, pos)`` gives, for each instant 0..k, a
+fragment: a tuple of literals whose disjunction implies f (``pos``) or not-f
+(not ``pos``) at that instant, or None where that holds anyway.  A fragment
+may stand for f wherever f occurs at that polarity inside a clause.
 
-A formula is satisfiable over bound k iff the CNF conjoined with the unit
-clause asserting the root at instant 0 is satisfiable; ``decode`` turns a
-model back into a trace and ``check`` glues encode/solve/decode together and
-re-checks every witness against the evaluator.  ``check`` pauses the
-cyclic garbage collector while it runs: the clause tuples and solver lists it
-allocates hold no reference cycles, so a collection would find nothing and
-only re-scan them.
+* ``Atom`` and ``Eq`` read their symbol's literals.  ``EqVar`` and
+  ``LeConst`` own one variable per instant, bi-implied to its definition.
+* ``Not`` flips the polarity and ``Dist`` shifts the row.  Outside the
+  window ``Dist`` is false: an empty fragment at positive polarity, None at
+  negative.  An operand no instant reaches (|offset| > k) is never looked at.
+* A disjunctive shape (``Or`` positive, ``And`` negative, ``Implies``
+  positive) concatenates its parts' fragments and owns no variable.
+* A conjunctive shape (``And`` positive, ``Or`` negative, ``Implies``
+  negative) owns one variable y at each instant where two or more parts
+  remain, with one clause "not y, or this part" per part: y implies the
+  conjunction, not the reverse.
+* ``Alw``/``Som`` do not depend on the instant.  Each owns at most one
+  variable, defined one-sidedly in the same way over the whole window.
+
+Nested connectives of one shape split into one list of parts, so a balanced
+``conjoin``/``disjoin`` tree costs what a flat one would.  Nodes are keyed
+on identity and polarity, so an occurrence shared by object is encoded once
+per polarity.
+
+The root is asserted, not defined.  A conjunction splits into its
+conjuncts, ``Alw(g)`` asserts g at every instant, ``Som(g)`` is one clause,
+and anything else is one clause at instant 0.  A clause with exactly one
+conjunctive part is distributed over that part's conjuncts, so an axiom
+such as "p implies q and r" costs clauses only.  A clause left with no
+literal is made unsatisfiable with one literal fixed false.
+
+In every model of the clauses, each true literal of a fragment gives its
+subformula that fragment's polarity at that instant, and every trace that
+satisfies the root extends to a model.  So a formula is satisfiable over
+bound k iff its CNF is.  ``decode`` turns a model back into a trace and
+``check`` glues encode/solve/decode together and re-checks every witness
+against the evaluator.  ``check`` pauses the cyclic garbage collector while
+it runs: the clause tuples and solver lists it allocates hold no reference
+cycles, so a collection would find nothing and only re-scan them.
 """
 
 from __future__ import annotations
 
 import gc
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 
 from . import sat
 from .logic import (
@@ -67,8 +86,8 @@ class EncodingError(RuntimeError):
 class VarMap:
     """Injective map from (symbol, instant) to the SAT variables a trace is decoded from.
 
-    Subformulas have no entries: their literals are either variables of their
-    own or their operand's literals, and only ``_Encoder.row`` knows which.
+    Subformulas have no entries: the variables they own are implied by their
+    definition, not equal to it, so a model gives them no value to read.
     """
 
     bound: int
@@ -94,8 +113,42 @@ class CheckResult:
         return self.trace is not None
 
 
+Fragment = tuple[int, ...] | None  # literals whose disjunction implies a polarity; None: it holds
+
+
+def _conjunctive(f: Formula, pos: bool) -> bool:
+    """Whether f at this polarity is a conjunction: ``And`` true, ``Or``/``Implies`` false."""
+    return isinstance(f, And) if pos else isinstance(f, (Or, Implies))
+
+
+def _parts(f: Formula, pos: bool, conjunctive: bool) -> list[tuple[Formula, bool]]:
+    """The (part, polarity) pairs, left to right, that f at polarity pos is a
+    conjunction (or a disjunction) of, through ``Not`` and through every
+    binary connective of that shape."""
+    out = []
+    todo = [(f, pos)]
+    while todo:
+        f, pos = todo.pop()
+        while isinstance(f, Not):
+            f, pos = f.operand, not pos
+        if isinstance(f, (And, Or, Implies)) and _conjunctive(f, pos) == conjunctive:
+            todo.append((f.right, pos))
+            todo.append((f.left, not pos if isinstance(f, Implies) else pos))
+        else:
+            out.append((f, pos))
+    return out
+
+
+def _join(rows: list[list[Fragment]]) -> list[Fragment]:
+    """At each instant, the rows' fragments as one disjunction; None where one is None."""
+    joined = rows[0]
+    for row in rows[1:]:
+        joined = [None if a is None or b is None else a + b for a, b in zip(joined, row)]
+    return joined
+
+
 class _Encoder:
-    """Whole-window encoder: ``row`` maps every node to its literals over instants 0..k."""
+    """Whole-window polarity encoder: ``lits`` maps a node to its fragments over instants 0..k."""
 
     def __init__(self, symbols: SymbolTable, k: int):
         if k < 0:
@@ -108,7 +161,8 @@ class _Encoder:
         self.clauses: list[tuple[int, ...]] = []
         self._prop_rows: dict[str, list[int]] = {}
         self._value_rows: dict[tuple[str, str], list[int]] = {}
-        self._node_rows: dict[int, list[int]] = {}  # id of a composite node -> its row
+        self._exact_rows: dict[int, list[int]] = {}  # id of an EqVar/LeConst node -> its row
+        self._lits: dict[tuple[int, bool], list[Fragment]] = {}  # (id of a node, polarity)
         self._false: int | None = None
 
         n = k + 1
@@ -146,8 +200,71 @@ class _Encoder:
             raise ValueError(f"{name!r} is not a declared finite variable")
         return symbol
 
-    def row(self, f: Formula) -> list[int]:
-        """Literals equivalent to 'f holds at t' for t = 0..k; defines f on first use."""
+    # -- fragments ---------------------------------------------------------
+
+    def lits(self, f: Formula, pos: bool) -> list[Fragment]:
+        """Fragments implying f (pos) or not-f at t = 0..k; encodes f at pos on first use."""
+        key = (id(f), pos)
+        row = self._lits.get(key)
+        if row is None:
+            row = self._lits[key] = self._fragments(f, pos)
+        return row
+
+    def _fragments(self, f: Formula, pos: bool) -> list[Fragment]:
+        if isinstance(f, Not):
+            return self.lits(f.operand, not pos)
+        if isinstance(f, Dist):
+            d, n = f.offset, self.k + 1
+            outside: Fragment = () if pos else None
+            if abs(d) >= n:
+                return [outside] * n
+            row = self.lits(f.operand, pos)
+            if d >= 0:
+                return row[d:] + [outside] * d
+            return [outside] * -d + row[:d]
+        if isinstance(f, (Alw, Som)):
+            if isinstance(f, Alw) == pos:  # the operand at every instant
+                parts = self._part_rows(f.operand, pos, True)
+                return [self._conjunction(dict.fromkeys(chain.from_iterable(parts)))] * (self.k + 1)
+            frag = self._somewhere(f.operand, pos)
+            if frag is not None and len(frag) > 1:
+                head = self._fresh_row(1)[0]
+                self.clauses.append((-head, *frag))
+                frag = (head,)
+            return [frag] * (self.k + 1)
+        if isinstance(f, (And, Or, Implies)):
+            conjunctive = _conjunctive(f, pos)
+            parts = self._part_rows(f, pos, conjunctive)
+            if conjunctive:
+                return [self._conjunction(frags) for frags in zip(*parts)]
+            return _join(parts)
+        row = self._literal_row(f)
+        return [(a,) for a in row] if pos else [(-a,) for a in row]
+
+    def _part_rows(self, f: Formula, pos: bool, conjunctive: bool) -> list[list[Fragment]]:
+        return [self.lits(g, q) for g, q in _parts(f, pos, conjunctive)]
+
+    def _conjunction(self, frags) -> Fragment:
+        """A fragment implying each given one: one fresh variable if two or more remain."""
+        live = [frag for frag in frags if frag is not None]
+        if () in live:
+            return ()
+        if len(live) < 2:
+            return live[0] if live else None
+        head = self._fresh_row(1)[0]
+        not_head = -head
+        self.clauses.extend([(not_head, *frag) for frag in live])
+        return (head,)
+
+    def _somewhere(self, f: Formula, pos: bool) -> Fragment:
+        """One fragment implying that f takes polarity pos at some instant."""
+        parts = self._part_rows(f, pos, False)
+        if any(None in row for row in parts):
+            return None
+        return tuple(dict.fromkeys(chain.from_iterable(chain.from_iterable(parts))))
+
+    def _literal_row(self, f: Formula) -> list[int]:
+        """Literals equivalent to an atomic f at t = 0..k; defines EqVar/LeConst on first use."""
         if isinstance(f, Atom):
             row = self._prop_rows.get(f.name)
             if row is None:
@@ -159,41 +276,15 @@ class _Encoder:
                 self._variable(f.var)  # raises first if f.var is no finite variable
                 raise ValueError(f"{f.value!r} is not in the domain of {f.var!r}")
             return row
-        row = self._node_rows.get(id(f))
+        row = self._exact_rows.get(id(f))
         if row is None:
-            row = self._node_rows[id(f)] = self._define(f)
+            row = self._exact_rows[id(f)] = self._define(f)
         return row
 
     def _define(self, f: Formula) -> list[int]:
-        k = self.k
-        if isinstance(f, Not):
-            return [-a for a in self.row(f.operand)]
-        if isinstance(f, Dist):
-            # Out-of-window instants read false; an operand out of reach is never defined.
-            d = f.offset
-            if d == 0:
-                return self.row(f.operand)
-            false = self._false_literal()
-            if abs(d) > k:
-                return [false] * (k + 1)
-            operand = self.row(f.operand)
-            return operand[d:] + [false] * d if d > 0 else [false] * -d + operand[:d]
-
+        own = self._fresh_row(self.k + 1)
         clauses = self.clauses
         append = clauses.append
-        if isinstance(f, (Alw, Som)):
-            # The value does not depend on the instant: one variable fills the row.
-            head = self._fresh_row(1)[0]
-            subs = self.row(f.operand)
-            if isinstance(f, Alw):
-                clauses.extend([(-head, sub) for sub in subs])
-                append((head, *[-sub for sub in subs]))
-            else:
-                append((-head, *subs))
-                clauses.extend([(head, -sub) for sub in subs])
-            return [head] * (k + 1)
-
-        own = self._fresh_row(k + 1)
         if isinstance(f, EqVar):
             left, right = self._variable(f.left), self._variable(f.right)
             right_values = set(right.domain)
@@ -228,23 +319,45 @@ class _Encoder:
                 bits = [row[t] for row in rows]
                 append((-e, *bits))
                 clauses.extend([(e, -bit) for bit in bits])
-        elif isinstance(f, And):
-            lefts, rights = self.row(f.left), self.row(f.right)
-            for e, a, b in zip(own, lefts, rights):
-                append((-e, a))
-                append((-e, b))
-                append((e, -a, -b))
-        elif isinstance(f, (Or, Implies)):
-            lefts, rights = self.row(f.left), self.row(f.right)
-            if isinstance(f, Implies):
-                lefts = [-a for a in lefts]
-            for e, a, b in zip(own, lefts, rights):
-                append((-e, a, b))
-                append((e, -a))
-                append((e, -b))
         else:
             raise TypeError(f"not a formula: {f!r}")
         return own
+
+    # -- assertion ---------------------------------------------------------
+
+    def assert_formula(self, f: Formula, pos: bool = True, n: int = 1) -> None:
+        """Clauses forcing f to polarity pos at instants 0..n-1 (n is 1 or k+1)."""
+        while isinstance(f, Not):
+            f, pos = f.operand, not pos
+        if isinstance(f, (Alw, Som)):
+            if isinstance(f, Alw) == pos:
+                self.assert_formula(f.operand, pos, self.k + 1)
+            else:
+                self._emit([self._somewhere(f.operand, pos)])
+            return
+        if _conjunctive(f, pos):
+            for g, q in _parts(f, pos, True):
+                self.assert_formula(g, q, n)
+            return
+        parts = _parts(f, pos, False)
+        conjunctive = [i for i, (g, q) in enumerate(parts) if _conjunctive(g, q)]
+        if len(conjunctive) != 1:
+            self._emit(_join([self.lits(g, q)[:n] for g, q in parts]))
+            return
+        # Distribute the clause over its one conjunction: no variable for it.
+        g, q = parts.pop(conjunctive[0])
+        rest = _join([self.lits(h, r)[:n] for h, r in parts])
+        for h, r in _parts(g, q, True):
+            if (h, not r) not in parts:  # else the clause holds as "h or not h"
+                self._emit(_join([rest, self.lits(h, r)[:n]]))
+
+    def _emit(self, row: list[Fragment]) -> None:
+        """Each fragment of the row as a clause: None needs none, and () is made false."""
+        clauses = [frag for frag in row if frag is not None]
+        if () in clauses:
+            false = (self._false_literal(),)
+            clauses = [frag or false for frag in clauses]
+        self.clauses.extend(clauses)
 
 
 def encode(f: Formula, symbols: SymbolTable, k: int) -> tuple[sat.CnfFormula, VarMap]:
@@ -253,8 +366,7 @@ def encode(f: Formula, symbols: SymbolTable, k: int) -> tuple[sat.CnfFormula, Va
         if name not in symbols:
             raise ValueError(f"undeclared symbol {name!r} in formula")
     enc = _Encoder(symbols, k)
-    root = enc.row(f)[0]
-    enc.clauses.append((root,))
+    enc.assert_formula(f)
     cnf = sat.CnfFormula(enc.next_var - 1, tuple(enc.clauses))
     vm = VarMap(k, enc.prop_vars, enc.value_vars, cnf.num_vars)
     return cnf, vm

@@ -25,6 +25,7 @@ Modeling conventions baked into the compilation:
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, replace
 
@@ -234,8 +235,8 @@ def _validate_scenario(s: Scenario) -> None:
         raise ScenarioError("bound must be >= 0")
     if s.threshold < 0:
         raise ScenarioError("threshold must be >= 0")
-    if s.dt <= 0:
-        raise ScenarioError("dt must be > 0")
+    if not (math.isfinite(s.dt) and s.dt > 0):
+        raise ScenarioError("dt must be a finite number > 0")
 
     agent_ids = [a.id for a in s.agents]
     if len(set(agent_ids)) != len(agent_ids):

@@ -77,10 +77,10 @@ class TestVerify:
 # SHA-256 of the trace `verify --out` writes; None where the verdict is SAFE.
 # A change that alters one of these must update it and say why in CHANGES.md.
 GOLDEN_TRACES = [
-    (HANDOVER, None, "067058cd3a9073c579e59d8a3468be43533e8a745ea8f7b20ffdcad60adea500"),
-    (HANDOVER, 30, "4c2f9a453554a9c97ecb7690c1b97b15b061dd56b18a9b0b54a21aeac5376f38"),
-    (HANDOVER_POINT, None, "067058cd3a9073c579e59d8a3468be43533e8a745ea8f7b20ffdcad60adea500"),
-    (HANDOVER_POINT, 30, "4c2f9a453554a9c97ecb7690c1b97b15b061dd56b18a9b0b54a21aeac5376f38"),
+    (HANDOVER, None, "fecf90bf0185364007aef1901b7df0818433fa90a60aad8c878a2a99c627b0a3"),
+    (HANDOVER, 30, "39b4a88ba1be04b7c23250e86d6338fe0902ea403d3874051e8063b50d64ab94"),
+    (HANDOVER_POINT, None, "fecf90bf0185364007aef1901b7df0818433fa90a60aad8c878a2a99c627b0a3"),
+    (HANDOVER_POINT, 30, "39b4a88ba1be04b7c23250e86d6338fe0902ea403d3874051e8063b50d64ab94"),
     (HANDOVER_MINI, None, "d34d31e9e1120a93b1e099d5b8e692aa4634ba872fb1f46351287f37571ac8a5"),
     (HANDOVER_MINI, 30, "4140c2ca9e63fb93304261f06c6553c89a1c39d7a5976717d19eb902f400f30a"),
     (HANDOVER_STOP, None, None),
@@ -112,10 +112,10 @@ def test_golden_trace(tmp_path, scenario, bound, digest):
 # 100,000 samples span several Monte Carlo blocks plus a remainder.  A change
 # that alters one of these must update it and say why in CHANGES.md.
 GOLDEN_REPORTS = [
-    (None, "csv", "b09273157e6e3f641370dc9949fbed057c80f2c7d26f750ea2ed2d0eb13a8a4f"),
-    (None, "svg", "d60bffd9e4f2daf8057a0a19e298cd23efa360113e7c6b485f84ccc66c902407"),
+    (None, "csv", "25f43de93c23341d1e724a1086dd123aaf5230e91e2293c0338fd1cc810fc2c4"),
+    (None, "svg", "d80dc889a62523af959d8818d19662920a5d1dd6ea566c8b6c9ed2070dc2d0e1"),
     (30, "csv", "8400d3814ad901f7642b3d8d5a369f640b44df9cd00c32aa34da57cb91e05e97"),
-    (30, "svg", "0c71a55105ff4663db46d3074efa291e87d628e5566dba8b7a553df6ce9438c7"),
+    (30, "svg", "5a23e6d7ada4b3ed0e4625c6cd41590ade281fc9dcaea039f93dc59f99a6cc31"),
 ]
 
 
@@ -139,12 +139,12 @@ def test_golden_classify_report(tmp_path, bound, fmt, digest):
 # the DIMACS writer all show in it.  A change that alters one of these must
 # update it and say why in CHANGES.md.
 GOLDEN_CNFS = [
-    (HANDOVER, None, "f9c94e4bbd0aea63f3960e829513470e789d43eb69798c77faf861cf2b45ec20"),
-    (HANDOVER, 30, "9de35dfd68b81bee81e3ed74b7ee0ab49be41c0e0324c05c994a92d7e4e35840"),
-    (HANDOVER_MINI, None, "f899b0992fb93b5c6d3048e5160cd5b7e7a72a078311dca3a1bb678176ed9d66"),
-    (HANDOVER_MINI, 30, "5288c5407811e013b1a2fac58915ccc30a7fedd10086976aa0389bc56cf8a6c2"),
-    (HANDOVER_STOP, None, "2c13455b96aad21296595f7e4a4799488b3694548eca67d24d339b02b440f31a"),
-    (HANDOVER_STOP, 30, "e14e95a018eb42be2bf704c17baf469706826e93a3521d86acfc28996f03e874"),
+    (HANDOVER, None, "706c210c721c2389855a9c006dcd04e934d101cacd5f9d100bbb7440cb419ad0"),
+    (HANDOVER, 30, "ab3172cd27d98306846f3e610ae3a21ccc2075c68d6a7e16206cf7abf90350ea"),
+    (HANDOVER_MINI, None, "9ddb9e95653ab22289fdac5adcd227610d8cd3a3a98e764bdc00c66abc2cdeb6"),
+    (HANDOVER_MINI, 30, "fba4775869ef83a075b123384f91229d91ab9957a53b39cdbfccb4a7fd3b7f25"),
+    (HANDOVER_STOP, None, "3f95bbe83547d15bc134c6ab7bfd2181eb847ac6c844ddf1d2d359b8e56ad2e8"),
+    (HANDOVER_STOP, 30, "b998a572f65a6871261d05e861e48e3eda57b4a547bf874852a7123281e33874"),
 ]
 
 
@@ -174,6 +174,11 @@ class TestClassify:
         assert run_verify(RunConfig(scenario=HANDOVER_POINT, out=str(trace))) == EXIT_COUNTEREXAMPLE
         cfg = RunConfig(scenario=HANDOVER_POINT, out=str(tmp_path / "r.csv"), fmt="csv")
         assert run_classify(cfg, str(trace)) == EXIT_SAFE
+
+    @pytest.mark.parametrize("dt", ["nan", "inf", "0"])
+    def test_bad_dt_override_is_input_error(self, trace_file, dt, capsys):
+        assert main(["classify", HANDOVER, str(trace_file), "--dt", dt]) == EXIT_INPUT_ERROR
+        assert "dt must be" in capsys.readouterr().err
 
     def test_mismatched_trace_is_input_error(self, tmp_path, trace_file, capsys):
         cfg = RunConfig(scenario=HANDOVER_MINI)

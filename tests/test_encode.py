@@ -75,8 +75,8 @@ class TestVarMap:
 
     def test_injective(self, pq_symbols):
         enc = _Encoder(pq_symbols, 3)
-        row = enc.row(And(Atom("p"), Atom("q")))
-        ids = list(enc.prop_vars.values()) + list(enc.value_vars.values()) + row
+        row = enc.lits(And(Atom("p"), Atom("q")), True)
+        ids = list(enc.prop_vars.values()) + list(enc.value_vars.values()) + [a for (a,) in row]
         assert len(ids) == len(set(ids))
 
     def test_size_bound(self):
@@ -87,6 +87,43 @@ class TestVarMap:
             cnf, _ = encode(f, table, k)
             occurrences = _count_nodes(f)
             assert cnf.num_vars <= (k + 1) * (2 + 2 + occurrences)
+
+
+class TestClauseShape:
+    """Axiom shapes become plain clauses: no variable beyond the symbol blocks."""
+
+    @pytest.fixture
+    def pqr_symbols(self):
+        table = SymbolTable()
+        for name in ("p", "q", "r"):
+            table.add_proposition(name)
+        return table
+
+    @pytest.mark.parametrize("k", [0, 1, 4])
+    def test_implied_disjunction_is_one_clause_per_instant(self, pqr_symbols, k):
+        cnf, vm = encode(Alw(Implies(Atom("p"), Or(Atom("q"), Atom("r")))), pqr_symbols, k)
+        p, q, r = ([vm.prop_var(name, t) for t in range(k + 1)] for name in "pqr")
+        assert cnf.num_vars == 3 * (k + 1)
+        assert sorted(cnf.clauses) == sorted((-p[t], q[t], r[t]) for t in range(k + 1))
+
+    @pytest.mark.parametrize("k", [0, 1, 4])
+    def test_implied_conjunction_is_distributed(self, pqr_symbols, k):
+        f = Alw(Implies(Atom("p"), And(Atom("q"), Dist(Atom("r"), -1))))
+        cnf, vm = encode(f, pqr_symbols, k)
+        p, q, r = ([vm.prop_var(name, t) for t in range(k + 1)] for name in "pqr")
+        # At instant 0 the Dist is false, so p must be too.
+        expected = [(-p[t], q[t]) for t in range(k + 1)]
+        expected += [(-p[0],)] + [(-p[t], r[t - 1]) for t in range(1, k + 1)]
+        assert cnf.num_vars == 3 * (k + 1)
+        assert sorted(cnf.clauses) == sorted(expected)
+
+    @pytest.mark.parametrize("k", [0, 1, 3])
+    def test_asserted_dist_past_the_window_is_unsat(self, k):
+        table = family_symbols()
+        f = Dist(Atom("p"), k + 1)
+        encode(f, table, k)  # CnfFormula rejects an empty clause
+        assert check(f, table, k).satisfiable is False
+        assert brute_force_check(f, k) is False
 
 
 def _count_nodes(f):
@@ -211,19 +248,13 @@ def _contains_alw(f):
 
 
 class TestPredicateValuesInWitness:
-    def test_root_truth_matches_evaluator_at_every_instant(self):
-        # Full bi-implications force exact per-instant values for composite
-        # nodes; the root's row must mirror evaluate.
+    def test_root_fragments_sound_at_every_instant(self):
+        # One-sided definitions leave composite nodes no exact value; every
+        # fragment that holds in a model must still agree with evaluate.
         table = family_symbols()
         f = Implies(Som(Atom("p")), And(Atom("q"), Dist(Atom("p"), 1)))
-        enc = _Encoder(table, 3)
-        row = enc.row(f)
-        result = solve(CnfFormula(enc.next_var - 1, (*enc.clauses, (row[0],))))
-        assert result.satisfiable
-        vm = VarMap(3, enc.prop_vars, enc.value_vars, enc.next_var - 1)
-        trace = decode(result.model, vm, table, 3)
-        for t, lit in enumerate(row):
-            assert result.model[abs(lit)] == (lit > 0) == evaluate(f, trace, t)
+        for k in range(5):
+            assert _assert_fragments_sound(f, table, k) > 0
 
 
 # ---------------------------------------------------------------------------
@@ -422,25 +453,59 @@ def _assert_same_satisfiability(
         assert satisfiable == brute_force_check(f, k), f"{f} at k={k}"
 
 
-def _assert_rows_mirror_evaluator(f: Formula, symbols: SymbolTable, k: int) -> None:
-    """Without the root unit the clauses only define rows, so any model gives each its truth."""
+def _assert_fragments_sound(f: Formula, symbols: SymbolTable, k: int) -> int:
+    """In models of f's clauses, each fragment that holds gives its node its polarity.
+
+    A fragment of ``lits(g, pos)`` at instant t holds when one of its literals
+    is true, or when it is None.  A clause joining the root's two fragments at
+    every instant makes some of them hold.  The solver decides variables false
+    first, so a second solve flips every variable the formula owns: its model
+    sets as many of them true as it can.  Returns how many fragments held.
+    """
     enc = _Encoder(symbols, k)
-    enc.row(f)
-    result = solve(CnfFormula(enc.next_var - 1, tuple(enc.clauses)))
-    assert result.satisfiable
-    model = result.model
-    trace = decode(model, VarMap(k, enc.prop_vars, enc.value_vars, enc.next_var - 1), symbols, k)
-    truth: dict[int, tuple[bool, ...]] = {}  # id of a node -> evaluate at every instant
-    _truth_row(f, trace, truth)
-    for node, row in enc._node_rows.items():
-        assert tuple(model[abs(lit)] == (lit > 0) for lit in row) == truth[node], f"{f} at k={k}"
+    for pos_frag, neg_frag in zip(enc.lits(f, True), enc.lits(f, False)):
+        if pos_frag is not None and neg_frag is not None:
+            enc.clauses.append(pos_frag + neg_frag)
+    vm = VarMap(k, enc.prop_vars, enc.value_vars, enc.next_var - 1)
+    first_owned = len(vm.prop_vars) + len(vm.value_vars) + 1
+    held = 0
+    for flip in (1, -1):
+        def turn(lit: int) -> int:
+            return lit * flip if abs(lit) >= first_owned else lit
+
+        result = solve(CnfFormula(vm.num_vars, tuple(tuple(map(turn, c)) for c in enc.clauses)))
+        assert result.satisfiable, f"{f} at k={k}"
+        true = {turn(v if value else -v) for v, value in result.model.items()}
+        trace = decode({abs(lit): lit > 0 for lit in true}, vm, symbols, k)
+        truth: dict[int, tuple[bool, ...]] = {}  # id of a node -> evaluate at every instant
+        _truth_row(f, trace, truth)
+        for (node, pos), row in enc._lits.items():
+            for t, frag in enumerate(row):
+                if frag is None or not true.isdisjoint(frag):
+                    assert truth[node][t] == pos, f"{f} at k={k}, instant {t}"
+                    held += 1
+    return held
 
 
 def _assert_matches_reference(
     f: Formula, symbols: SymbolTable, k: int, brute_force: bool = True
 ) -> None:
     _assert_same_satisfiability(f, symbols, k, brute_force)
-    _assert_rows_mirror_evaluator(f, symbols, k)
+    _assert_fragments_sound(f, symbols, k)
+
+
+def _random_negated_formula(rng: random.Random, depth: int) -> Formula:
+    """Like ``random_formula``, but most connectives and quantifiers sit under a Not."""
+    if depth <= 0 or rng.random() < 0.2:
+        return random_formula(rng, 0)
+    kind = rng.choice((And, Or, Implies, Alw, Som, Dist))
+    if kind in (Alw, Som):
+        f = kind(_random_negated_formula(rng, depth - 1))
+    elif kind is Dist:
+        f = Dist(_random_negated_formula(rng, depth - 1), rng.randint(-2, 2))
+    else:
+        f = kind(_random_negated_formula(rng, depth - 1), _random_negated_formula(rng, depth - 1))
+    return Not(f) if rng.random() < 0.6 else f
 
 
 def _integer_symbols() -> SymbolTable:
@@ -462,6 +527,13 @@ class TestMatchesReferenceEncoder:
         rng = random.Random(5000 + k)
         for _ in range(300):
             _assert_matches_reference(random_formula(rng, 4), table, k)
+
+    @pytest.mark.parametrize("k", range(4))
+    def test_negated_shapes(self, k):
+        table = family_symbols()
+        rng = random.Random(7000 + k)
+        for _ in range(150):
+            _assert_matches_reference(_random_negated_formula(rng, 4), table, k)
 
     @pytest.mark.parametrize("k", [0, 1, 3])
     def test_shared_subformula_object(self, k):

@@ -99,6 +99,11 @@ class TestLoad:
         with pytest.raises(ScenarioError, match="out of range"):
             loads_scenario(TWO_CELLS.replace("sev 2", "sev 3"))
 
+    @pytest.mark.parametrize("dt", ["0", "-1", "nan", "inf", "-inf"])
+    def test_dt_must_be_finite_and_positive(self, dt):
+        with pytest.raises(ScenarioError, match="dt must be"):
+            loads_scenario(TWO_CELLS + f"dt {dt}\n")
+
     def test_unknown_poi_in_hazard(self):
         with pytest.raises(ScenarioError, match="unknown POI"):
             loads_scenario(TWO_CELLS.replace("hazard hz h g", "hazard hz h ghost"))

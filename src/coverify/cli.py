@@ -52,6 +52,8 @@ class RunConfig:
             raise ValueError("sample count must be >= 1")
         if self.bound is not None and self.bound < 0:
             raise ValueError("bound must be >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 def _load(cfg: RunConfig) -> Scenario:

@@ -4,12 +4,15 @@ Cells of the workcell layout are axis-aligned boxes; a point of interest is
 somewhere inside its cell, so the distance between two points of interest is
 only known up to the interval [aabb_min_distance, aabb_max_distance] of
 their cells.  ``contact_probability`` quantifies the remaining uncertainty
-by Monte Carlo over uniform placements.
+by Monte Carlo over uniform placements.  It uses every CPU in the process's
+affinity mask (``taskset -c 0`` limits it to one), and its estimate is the
+same to the bit on any machine.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,9 +25,10 @@ __all__ = [
 ]
 
 # Rows of uniforms drawn and processed per block.  Only the working set
-# depends on it (about 0.9 MB of buffers, sized to stay in a core's L2
-# cache); the estimate does not, because the PCG64 stream is consumed in
-# order and every sample's arithmetic is the same whatever the block size.
+# depends on it (about 0.9 MB of buffers per thread, sized to stay in a
+# core's L2 cache); the estimate does not, because every sample takes its
+# own six uniforms of the PCG64 stream and the same arithmetic whatever the
+# block size.
 _MC_BLOCK = 1 << 13
 
 
@@ -38,6 +42,8 @@ class Box:
     def __post_init__(self) -> None:
         if len(self.lo) != 3 or len(self.hi) != 3:
             raise ValueError("box corners must be 3-dimensional")
+        if not all(math.isfinite(c) for c in (*self.lo, *self.hi)):
+            raise ValueError(f"box corners {self.lo}, {self.hi} must be finite")
         for a, b in zip(self.lo, self.hi):
             if a > b:
                 raise ValueError(f"box min corner {self.lo} exceeds max corner {self.hi}")
@@ -75,32 +81,23 @@ def aabb_max_distance(a: Box, b: Box) -> float:
     return math.sqrt(sum(s * s for s in spans))
 
 
-def contact_probability(a: Box, b: Box, threshold: float, samples: int, seed: int) -> float:
-    """Monte Carlo estimate of P(|X - Y| <= threshold), X uniform in a, Y in b.
+def _cpu_count() -> int:
+    """Number of CPUs this process may run on (its affinity mask where the
+    platform has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
-    Deterministic for a fixed seed and sample count: sample i takes the six
-    uniforms 6i..6i+5 of one PCG64 stream, X = a.lo + u[:3] * a.edges and
-    Y = b.lo + u[3:] * b.edges, and is a hit when
-    ((x0-y0)^2 + (x1-y1)^2) + (x2-y2)^2 <= threshold^2.  The result is the
-    integer hit count over ``samples``, so it does not depend on how the
-    samples are batched.
+
+def _count_hits(
+    rng: np.random.Generator, samples: int, lo: np.ndarray, span: np.ndarray, thr_sq: float
+) -> int:
+    """Hits among the next ``samples`` samples of ``rng``, one block at a time.
+
+    Each call owns its four buffers, so calls on separate generators can run
+    side by side: ``Generator.random(out=...)`` and the ufuncs release the
+    GIL for the whole block.
     """
-    if samples < 1:
-        raise ValueError("sample count must be >= 1")
-    if threshold < 0:
-        raise ValueError("threshold must be >= 0")
-    # Shortcuts where the interval bounds already decide the answer.
-    if aabb_max_distance(a, b) <= threshold:
-        return 1.0
-    if aabb_min_distance(a, b) > threshold:
-        return 0.0
-
-    rng = np.random.default_rng(seed)
-    # Rows 0-2 hold X, rows 3-5 hold Y: the coordinate-major layout keeps
-    # every ufunc's inner loop running along the samples of one block.
-    lo = np.array([*a.lo, *b.lo], dtype=float)[:, None]
-    span = np.array([*a.edges, *b.edges], dtype=float)[:, None]
-    thr_sq = threshold * threshold
     block = min(samples, _MC_BLOCK)
     u = np.empty((block, 6))
     xy = np.empty((6, block))
@@ -123,4 +120,61 @@ def contact_probability(a: Box, b: Box, threshold: float, samples: int, seed: in
         np.less_equal(d_m, thr_sq, out=hit_m)
         hits += int(np.count_nonzero(hit_m))
         remaining -= m
+    return hits
+
+
+def contact_probability(a: Box, b: Box, threshold: float, samples: int, seed: int) -> float:
+    """Monte Carlo estimate of P(|X - Y| <= threshold), X uniform in a, Y in b.
+
+    Deterministic for a fixed seed and sample count: sample i takes the six
+    uniforms 6i..6i+5 of one PCG64 stream, X = a.lo + u[:3] * a.edges and
+    Y = b.lo + u[3:] * b.edges, and is a hit when
+    ((x0-y0)^2 + (x1-y1)^2) + (x2-y2)^2 <= threshold^2.  The result is the
+    integer hit count over ``samples``, so it does not depend on how the
+    samples are batched.
+
+    The samples are cut into contiguous runs of whole blocks, one run per
+    CPU in the process's affinity mask (``taskset -c 0`` limits it to one).
+    Each run draws from its own PCG64 advanced to the run's first sample,
+    and the runs are counted side by side on threads.  Every sample still
+    takes the same uniforms through the same float operations, so the
+    estimate is the same to the bit on any machine and any CPU count.
+    """
+    if samples < 1:
+        raise ValueError("sample count must be >= 1")
+    if not (math.isfinite(threshold) and threshold >= 0):
+        raise ValueError("threshold must be a finite number >= 0")
+    # Shortcuts where the interval bounds already decide the answer.
+    if aabb_max_distance(a, b) <= threshold:
+        return 1.0
+    if aabb_min_distance(a, b) > threshold:
+        return 0.0
+
+    # Rows 0-2 hold X, rows 3-5 hold Y: the coordinate-major layout keeps
+    # every ufunc's inner loop running along the samples of one block.
+    lo = np.array([*a.lo, *b.lo], dtype=float)[:, None]
+    span = np.array([*a.edges, *b.edges], dtype=float)[:, None]
+    thr_sq = threshold * threshold
+
+    blocks = -(-samples // _MC_BLOCK)
+    runs = min(_cpu_count(), blocks)
+    bounds = [min(samples, j * blocks // runs * _MC_BLOCK) for j in range(runs + 1)]
+    # Every generator is built here, so a bad seed raises before any thread
+    # starts.  One double is one 64-bit draw, so sample s starts at draw 6s.
+    jobs = []
+    for start, stop in zip(bounds, bounds[1:]):
+        bits = np.random.PCG64(seed)
+        bits.advance(6 * start)
+        jobs.append((np.random.Generator(bits), stop - start, lo, span, thr_sq))
+    if runs == 1:
+        return _count_hits(*jobs[0]) / samples
+    # Imported here: it loads logging and queue (about 0.6 MB), which a run
+    # that never splits an estimate, such as ``verify``, need not pay for.
+    from concurrent.futures import ThreadPoolExecutor
+
+    # A pool per call, so a forked child never inherits a module's dead threads.
+    with ThreadPoolExecutor(max_workers=runs - 1) as pool:
+        futures = [pool.submit(_count_hits, *job) for job in jobs[1:]]
+        hits = _count_hits(*jobs[0])
+        hits += sum(future.result() for future in futures)
     return hits / samples

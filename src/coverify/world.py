@@ -252,8 +252,8 @@ def _validate_scenario(s: Scenario) -> None:
         for poi in agent.pois:
             if poi.owner != agent.id:
                 raise ScenarioError(f"POI {poi.id!r} owner disagrees with its agent")
-            if poi.radius <= 0:
-                raise ScenarioError(f"POI {poi.id!r} needs a positive radius")
+            if not (math.isfinite(poi.radius) and poi.radius > 0):
+                raise ScenarioError(f"POI {poi.id!r} needs a finite radius > 0")
 
     # The radius cap keeps same-cell co-location the only contact-capable
     # configuration; zero-extent (point) cells are exempt since nothing fits

@@ -180,6 +180,32 @@ class TestClassify:
         assert main(["classify", HANDOVER, str(trace_file), "--dt", dt]) == EXIT_INPUT_ERROR
         assert "dt must be" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        ("old", "new", "message"),
+        [
+            ("poi kuka p_g radius 0.05", "poi kuka p_g radius nan", "finite radius"),
+            ("loc L3 box 2 0 0 3 1 1", "loc L3 box 2 0 0 3 nan 1", "must be finite"),
+        ],
+    )
+    def test_non_finite_geometry_is_input_error(self, tmp_path, capsys, old, new, message):
+        trace = tmp_path / "mini.trace"
+        assert run_verify(RunConfig(scenario=HANDOVER_MINI, out=str(trace))) == EXIT_COUNTEREXAMPLE
+        text = Path(HANDOVER_MINI).read_text(encoding="utf-8")
+        assert old in text
+        bad = tmp_path / "bad.scn"
+        bad.write_text(text.replace(old, new), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["classify", str(bad), str(trace)]) == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
+
+    def test_negative_seed_is_input_error(self, trace_file, capsys):
+        assert main(["classify", HANDOVER, str(trace_file), "--seed", "-1"]) == EXIT_INPUT_ERROR
+        assert "seed must be >= 0" in capsys.readouterr().err
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            RunConfig(scenario=HANDOVER, seed=-1)
+
     def test_mismatched_trace_is_input_error(self, tmp_path, trace_file, capsys):
         cfg = RunConfig(scenario=HANDOVER_MINI)
         assert run_classify(cfg, str(trace_file)) == EXIT_INPUT_ERROR

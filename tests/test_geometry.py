@@ -1,5 +1,6 @@
 """Box distance bounds against independent oracles, and Monte Carlo contact."""
 
+import concurrent.futures
 import math
 from itertools import product
 
@@ -244,17 +245,49 @@ class TestContactProbability:
                 want = chunked_contact_probability(a, b, threshold, samples, seed=100 + i)
                 assert got == want, (kind, block, samples)
 
+    @pytest.mark.parametrize("workers", [1, 2, 3, 5])
+    def test_estimate_does_not_depend_on_worker_count(self, monkeypatch, workers):
+        monkeypatch.setattr(geometry, "_cpu_count", lambda: workers)
+        block = geometry._MC_BLOCK
+        counts = (1, block - 1, block, block + 1, 2 * block - 1, 2 * block + 1, 100_000, 2_000_001)
+        shifted = Box((0.5, 0.25, 0.0), (1.5, 1.25, 1.0))
+        offset = Box((1.2, 0.0, 0.3), (2.2, 1.0, 1.3))
+        pairs = (("same", UNIT, UNIT, 0.3), ("overlap", UNIT, shifted, 0.4), ("offset", UNIT, offset, 0.6))
+        for kind, a, b, threshold in pairs:
+            assert aabb_min_distance(a, b) < threshold < aabb_max_distance(a, b)
+            for samples in counts:
+                got = contact_probability(a, b, threshold, samples, seed=workers)
+                want = chunked_contact_probability(a, b, threshold, samples, seed=workers)
+                assert got == want, (kind, workers, samples)
+
+    def test_bad_seed_raises_before_any_thread_starts(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was started")
+
+        monkeypatch.setattr(geometry, "_cpu_count", lambda: 4)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+        with pytest.raises(ValueError, match="non-negative"):
+            contact_probability(UNIT, UNIT, 0.3, 100_000, seed=-1)
+
     def test_validation(self):
         with pytest.raises(ValueError, match="sample count"):
             contact_probability(UNIT, UNIT, 0.1, 0, seed=1)
-        with pytest.raises(ValueError, match="threshold"):
-            contact_probability(UNIT, UNIT, -0.1, 10, seed=1)
+        for threshold in (-0.1, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="threshold must be a finite number"):
+                contact_probability(UNIT, UNIT, threshold, 10, seed=1)
 
 
 class TestBox:
     def test_rejects_inverted_corners(self):
         with pytest.raises(ValueError, match="exceeds"):
             Box((1.0, 0.0, 0.0), (0.0, 1.0, 1.0))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_corners(self, bad):
+        with pytest.raises(ValueError, match="must be finite"):
+            Box((0.0, 0.0, bad), (1.0, 1.0, 1.0))
+        with pytest.raises(ValueError, match="must be finite"):
+            Box((0.0, 0.0, 0.0), (1.0, bad, 1.0))
 
     def test_degenerate_allowed(self):
         point = Box((0.0, 0.0, 0.0), (0.0, 0.0, 0.0))

@@ -104,6 +104,16 @@ class TestLoad:
         with pytest.raises(ScenarioError, match="dt must be"):
             loads_scenario(TWO_CELLS + f"dt {dt}\n")
 
+    @pytest.mark.parametrize("radius", ["0", "-0.05", "nan", "inf", "-inf"])
+    def test_radius_must_be_finite_and_positive(self, radius):
+        with pytest.raises(ScenarioError, match="needs a finite radius > 0"):
+            loads_scenario(TWO_CELLS.replace("poi bot g radius 0.05", f"poi bot g radius {radius}"))
+
+    @pytest.mark.parametrize("corner", ["nan", "inf", "-inf"])
+    def test_box_corners_must_be_finite(self, corner):
+        with pytest.raises(ScenarioError, match="must be finite"):
+            loads_scenario(TWO_CELLS.replace("loc B box 1 0 0 2 1 1", f"loc B box 1 0 0 2 {corner} 1"))
+
     def test_unknown_poi_in_hazard(self):
         with pytest.raises(ScenarioError, match="unknown POI"):
             loads_scenario(TWO_CELLS.replace("hazard hz h g", "hazard hz h ghost"))

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .encode import encode
@@ -181,12 +181,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="model check a scenario")
     common(p_verify)
 
-    p_classify = sub.add_parser("classify", help="geometrically classify a counterexample")
+    # An option not given stays out of the namespace: RunConfig holds its default.
+    p_classify = sub.add_parser(
+        "classify",
+        help="geometrically classify a counterexample",
+        argument_default=argparse.SUPPRESS,
+    )
     common(p_classify)
     p_classify.add_argument("trace", help="trace file produced by verify")
-    p_classify.add_argument("--seed", type=int, default=0, help="Monte Carlo seed")
-    p_classify.add_argument("--samples", type=int, default=100_000, help="Monte Carlo samples")
-    p_classify.add_argument("--format", dest="fmt", choices=("text", "csv", "svg"), default="text")
+    p_classify.add_argument("--seed", type=int, help="Monte Carlo seed")
+    p_classify.add_argument("--samples", type=int, help="Monte Carlo samples")
+    p_classify.add_argument("--format", dest="fmt", choices=("text", "csv", "svg"))
 
     p_export = sub.add_parser("export", help="dump derived artifacts")
     common(p_export)
@@ -200,16 +205,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    options = {field.name for field in fields(RunConfig)}
     try:
-        cfg = RunConfig(
-            scenario=args.scenario,
-            bound=args.bound,
-            dt=args.dt,
-            seed=getattr(args, "seed", 0),
-            samples=getattr(args, "samples", 100_000),
-            fmt=getattr(args, "fmt", "text"),
-            out=args.out,
-        )
+        cfg = RunConfig(**{name: value for name, value in vars(args).items() if name in options})
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from itertools import product
 
-from .world import Scenario, TaskStep, risk_value
+from .world import SPEED_STATES, Scenario, TaskStep, risk_value
 
 __all__ = ["exhaustive_verify"]
 
@@ -34,7 +34,6 @@ def exhaustive_verify(s: Scenario) -> bool:
     robots = [agent.id for agent in s.agents if agent.kind == "robot"]
     locs = list(s.layout.ids)
     adjacent = {loc.id: sorted(loc.adjacent) for loc in s.layout.locations}
-    speeds = ("normal", "slow", "stopped")
     start_of = dict(s.starts)
 
     if (len(locs) ** len(pois)) * (2 ** len(pois)) * (3 ** len(robots)) > _STATE_LIMIT:
@@ -65,7 +64,7 @@ def exhaustive_verify(s: Scenario) -> bool:
 
     def required_speed(hazard_id: str) -> set[str]:
         kinds = mitigated.get(hazard_id, set())
-        out = set(speeds)
+        out = set(SPEED_STATES)
         if "slowdown" in kinds:
             out &= {"slow"}
         if "stop" in kinds:
@@ -83,7 +82,7 @@ def exhaustive_verify(s: Scenario) -> bool:
         positions = dict(zip(pois, pos_combo))
         done = done_row(None, positions)
         for transit in product((False, True), repeat=len(pois)):
-            for speed_combo in product(speeds, repeat=len(robots)):
+            for speed_combo in product(SPEED_STATES, repeat=len(robots)):
                 node = (pos_combo, transit, speed_combo, done)
                 frontier.setdefault(node, set()).add(False)
 
@@ -107,7 +106,7 @@ def exhaustive_verify(s: Scenario) -> bool:
                     ]
                 next_positions.append(options)
 
-            allowed_speeds: list[set[str]] = [set(speeds) for _ in robots]
+            allowed_speeds: list[set[str]] = [set(SPEED_STATES) for _ in robots]
             admissible = True
             for hazard in active:
                 required = required_speed(hazard.id)

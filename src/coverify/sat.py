@@ -172,10 +172,10 @@ class _Solver:
         """Watch a clause as a list, or enqueue it if it is a unit."""
         lits = list(clause)
         if len(set(map(abs, lits))) < len(lits):
-            # A repeated variable (none of the 98,648 clauses of the seed-1202
-            # counterexample benchmark has one; hand-written and DIMACS input
-            # may): drop duplicate literals in order, and the whole clause if
-            # it holds a complementary pair.
+            # A repeated variable (no clause the encoder builds for a compiled
+            # workcell has one; hand-written and DIMACS input may): drop
+            # duplicate literals in order, and the whole clause if it holds a
+            # complementary pair.
             seen: dict[int, int] = {}
             lits = []
             for lit in clause:

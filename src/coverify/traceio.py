@@ -6,8 +6,9 @@
 
 One line per instant; propositions print as 0/1, finite variables print
 their domain symbol.  Re-parsing against the scenario's symbol table
-reconstructs the trace exactly; without a table, a column is read as a
-proposition iff all of its values are 0/1.
+reconstructs the trace exactly and requires a column for every declared
+symbol; without a table, a column is read as a proposition iff all of its
+values are 0/1.
 """
 
 from __future__ import annotations
@@ -90,4 +91,8 @@ def read_trace(text: str, symbols: SymbolTable | None = None) -> Trace:
             props[name] = tuple(value == "1" for value in column)
         else:
             variables[name] = tuple(column)
+    if symbols is not None:
+        for symbol in (*symbols.propositions, *symbols.variables):
+            if symbol.name not in columns:
+                raise TraceFormatError(f"trace has no column for declared symbol {symbol.name!r}")
     return Trace(bound, props, variables)

@@ -13,6 +13,8 @@ Modeling conventions baked into the compilation:
 * Each POI is a finite variable over cell ids; moves go to adjacent cells.
   A move over an edge with travel time T holds the source cell and a
   per-POI ``transit_<poi>`` flag for T instants, then the position flips.
+  Transit persists by one rule per cell L: transit at L implies transit
+  next or not at L next (only the current cell's rule can bind).
 * Human POIs are only constrained by movement: the solver picks adversarial
   human paths.
 * Each robot has a ``speed_<agent>`` state (normal/slow/stopped) that is
@@ -317,10 +319,14 @@ def _validate_scenario(s: Scenario) -> None:
         if b not in s.layout.location(a).adjacent:
             raise ScenarioError(f"travel time given for non-adjacent pair {a!r}, {b!r}")
 
+    started: set[str] = set()
     for poi_id, loc in s.starts:
         s.poi(poi_id)
         if loc not in known_locs:
             raise ScenarioError(f"start location {loc!r} is not a layout location")
+        if poi_id in started:
+            raise ScenarioError(f"POI {poi_id!r} has more than one start")
+        started.add(poi_id)
 
 
 # ---------------------------------------------------------------------------
@@ -581,14 +587,11 @@ def _movement_axioms(s: Scenario):
                 yield Alw(
                     Implies(And(Dist(Eq(pos, loc.id), -1), Eq(pos, other)), history)
                 )
-        # A transit run persists until the position actually changes.
-        change_next = disjoin(
-            [
-                And(Eq(pos, loc.id), Not(Dist(Eq(pos, loc.id), 1)))
-                for loc in s.layout.locations
-            ]
-        )
-        yield Alw(Implies(transit, Or(Dist(transit, 1), change_next)))
+        # Transit persists until the position changes, by one clause per cell.
+        transit_next = Dist(transit, 1)  # one shared object, so one encoded row
+        for loc in s.layout.locations:
+            here = Eq(pos, loc.id)
+            yield Alw(Implies(And(transit, here), Or(transit_next, Not(Dist(here, 1)))))
 
 
 def _start_axioms(s: Scenario):

@@ -35,6 +35,16 @@ def trace_file(tmp_path):
     return out
 
 
+def _drop_column(trace_text: str, name: str) -> str:
+    """The trace text without the named symbol's column."""
+    bound, header, *rows = [line.split() for line in trace_text.splitlines()]
+    at = header.index(name)  # "# vars" is two fields, a row's instant one
+    del header[at]
+    for row in rows:
+        del row[at - 1]
+    return "".join(" ".join(fields) + "\n" for fields in (bound, header, *rows))
+
+
 class TestVerify:
     def test_unmitigated_counterexample(self, tmp_path, capsys):
         out = tmp_path / "t.trace"
@@ -77,9 +87,9 @@ class TestVerify:
 # SHA-256 of the trace `verify --out` writes; None where the verdict is SAFE.
 # A change that alters one of these must update it and say why in CHANGES.md.
 GOLDEN_TRACES = [
-    (HANDOVER, None, "fecf90bf0185364007aef1901b7df0818433fa90a60aad8c878a2a99c627b0a3"),
+    (HANDOVER, None, "fb61119c67d84984162e8d5a650726187d309b64e2e250b76460e3b7884e41ba"),
     (HANDOVER, 30, "39b4a88ba1be04b7c23250e86d6338fe0902ea403d3874051e8063b50d64ab94"),
-    (HANDOVER_POINT, None, "fecf90bf0185364007aef1901b7df0818433fa90a60aad8c878a2a99c627b0a3"),
+    (HANDOVER_POINT, None, "fb61119c67d84984162e8d5a650726187d309b64e2e250b76460e3b7884e41ba"),
     (HANDOVER_POINT, 30, "39b4a88ba1be04b7c23250e86d6338fe0902ea403d3874051e8063b50d64ab94"),
     (HANDOVER_MINI, None, "d34d31e9e1120a93b1e099d5b8e692aa4634ba872fb1f46351287f37571ac8a5"),
     (HANDOVER_MINI, 30, "4140c2ca9e63fb93304261f06c6553c89a1c39d7a5976717d19eb902f400f30a"),
@@ -113,7 +123,7 @@ def test_golden_trace(tmp_path, scenario, bound, digest):
 # that alters one of these must update it and say why in CHANGES.md.
 GOLDEN_REPORTS = [
     (None, "csv", "25f43de93c23341d1e724a1086dd123aaf5230e91e2293c0338fd1cc810fc2c4"),
-    (None, "svg", "d80dc889a62523af959d8818d19662920a5d1dd6ea566c8b6c9ed2070dc2d0e1"),
+    (None, "svg", "3ec0e065a2e15cbd5efa2d7effae7094e00cb020d61dcd12c3a585862cb3ebc5"),
     (30, "csv", "8400d3814ad901f7642b3d8d5a369f640b44df9cd00c32aa34da57cb91e05e97"),
     (30, "svg", "5a23e6d7ada4b3ed0e4625c6cd41590ade281fc9dcaea039f93dc59f99a6cc31"),
 ]
@@ -139,12 +149,12 @@ def test_golden_classify_report(tmp_path, bound, fmt, digest):
 # the DIMACS writer all show in it.  A change that alters one of these must
 # update it and say why in CHANGES.md.
 GOLDEN_CNFS = [
-    (HANDOVER, None, "706c210c721c2389855a9c006dcd04e934d101cacd5f9d100bbb7440cb419ad0"),
-    (HANDOVER, 30, "ab3172cd27d98306846f3e610ae3a21ccc2075c68d6a7e16206cf7abf90350ea"),
-    (HANDOVER_MINI, None, "9ddb9e95653ab22289fdac5adcd227610d8cd3a3a98e764bdc00c66abc2cdeb6"),
-    (HANDOVER_MINI, 30, "fba4775869ef83a075b123384f91229d91ab9957a53b39cdbfccb4a7fd3b7f25"),
-    (HANDOVER_STOP, None, "3f95bbe83547d15bc134c6ab7bfd2181eb847ac6c844ddf1d2d359b8e56ad2e8"),
-    (HANDOVER_STOP, 30, "b998a572f65a6871261d05e861e48e3eda57b4a547bf874852a7123281e33874"),
+    (HANDOVER, None, "e2f613420c9352dd9c5f8a26f21aa837db4b1e86b40ef57071c6ca3272d5c087"),
+    (HANDOVER, 30, "55ddd4c4e24f68ad844f1e216d220c8b81cd1a5d1301c96c0a7890087ddab594"),
+    (HANDOVER_MINI, None, "4d7cf762b90f3cf44b09bdafa74d4e8cd17458348786b05f73ff395b0968efd3"),
+    (HANDOVER_MINI, 30, "db1aeb731d94d023b7cc87a7164a020468884c0bc0518ee527dc66927167edd9"),
+    (HANDOVER_STOP, None, "852ee2d1ccec83648b4e3315b2ccb6466653c8280bb923d475eb08cb14fb5fb5"),
+    (HANDOVER_STOP, 30, "a2f623f39673002850ff89a5329fba62faffa5bf0af9f261be19332f0d87aea6"),
 ]
 
 
@@ -211,6 +221,18 @@ class TestClassify:
         assert run_classify(cfg, str(trace_file)) == EXIT_INPUT_ERROR
         assert "error" in capsys.readouterr().err
 
+    def test_trace_missing_a_declared_column_is_input_error(self, tmp_path, trace_file, capsys):
+        partial = tmp_path / "partial.trace"
+        partial.write_text(_drop_column(trace_file.read_text(), "risk_h1"))
+        assert main(["classify", HANDOVER, str(partial)]) == EXIT_INPUT_ERROR
+        assert "no column for declared symbol 'risk_h1'" in capsys.readouterr().err
+
+    def test_defaults_match_run_config(self, trace_file, capsys):
+        assert main(["classify", HANDOVER, str(trace_file)]) == EXIT_UNCONFIRMED
+        via_main = capsys.readouterr().out
+        assert run_classify(RunConfig(scenario=HANDOVER), str(trace_file)) == EXIT_UNCONFIRMED
+        assert capsys.readouterr().out == via_main
+
     def test_text_format_prints(self, capsys, trace_file):
         cfg = RunConfig(scenario=HANDOVER, samples=5_000)
         assert run_classify(cfg, str(trace_file)) == EXIT_UNCONFIRMED
@@ -258,6 +280,14 @@ class TestExport:
         for prop in symbols.propositions:
             assert prop.name in texts
 
+    def test_timeline_of_a_trace_missing_a_column_is_an_error(self, tmp_path, trace_file, capsys):
+        partial, out = tmp_path / "partial.trace", tmp_path / "timeline.svg"
+        partial.write_text(_drop_column(trace_file.read_text(), "risk_h1"))
+        argv = ["export", HANDOVER, "timeline", "--trace", str(partial), "--out", str(out)]
+        assert main(argv) == EXIT_INPUT_ERROR
+        assert "no column for declared symbol 'risk_h1'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_timeline_without_trace_is_an_error(self, capsys):
         assert run_export(RunConfig(scenario=HANDOVER), "timeline") == EXIT_INPUT_ERROR
         assert "needs --trace" in capsys.readouterr().err
@@ -272,6 +302,14 @@ class TestMain:
         monkeypatch.chdir(tmp_path)
         assert main(["oracle", HANDOVER_MINI]) == EXIT_COUNTEREXAMPLE
         assert "UNSAFE" in capsys.readouterr().out
+
+    def test_second_start_is_an_input_error_for_both_oracles(self, tmp_path, capsys):
+        text = Path(HANDOVER_MINI).read_text(encoding="utf-8")
+        bad = tmp_path / "two_starts.scn"
+        bad.write_text(text.replace("[task]", "start p_g L1\nstart p_g L4\n\n[task]"))
+        for command in ("verify", "oracle"):
+            assert main([command, str(bad)]) == EXIT_INPUT_ERROR
+            assert "'p_g' has more than one start" in capsys.readouterr().err
 
     def test_oracle_rejects_long_travel_times(self, capsys):
         assert main(["oracle", HANDOVER]) == EXIT_INPUT_ERROR

@@ -651,6 +651,64 @@ class TestRandomScenarios:
         assert True in verdicts and False in verdicts
 
 
+def _random_grid_text(rng: random.Random, n: int) -> str:
+    """An n x n grid of unit cells with a pick-and-handover task and random extras."""
+    cells = {(r, c): f"G{r}{c}" for r in range(n) for c in range(n)}
+    edges = [(cells[r, c], cells[r, c + 1]) for r in range(n) for c in range(n - 1)]
+    edges += [(cells[r, c], cells[r + 1, c]) for r in range(n - 1) for c in range(n)]
+    edges = [edge for edge in edges if rng.random() < 0.85]
+    lines = ["[layout]"]
+    lines += [f"loc {cell} box {c} {r} 0 {c + 1} {r + 1} 1" for (r, c), cell in cells.items()]
+    lines += [f"adj {a} {b}" for a, b in edges]
+    lines += ["[agents]", "agent op human", "agent arm robot"]
+    lines += ["poi op h radius 0.05", "poi arm g radius 0.05", f"start g {cells[0, 0]}"]
+    names = list(cells.values())
+    lines += ["[task]", f"step g pick {rng.choice(names)}", f"step handover g h {rng.choice(names)}"]
+    lines += ["[hazards]", "hazard hz h g sev 2 exp 2 avoid 1"]
+    if rng.random() < 0.5:
+        lines.append("hazard hz2 h g sev 1 exp 1 avoid 1")
+    lines += ["[mitigations]"]
+    lines += [f"mitigate {kind} hz" for kind in ("stop", "retract") if rng.random() < 0.4]
+    lines += ["[params]", f"bound {rng.randint(0, 4 * n)}"]
+    lines += [f"travel {a} {b} {rng.randint(2, 3)}" for a, b in edges if rng.random() < 0.2]
+    return "\n".join(lines) + "\n"
+
+
+class TestCompiledWorkcellSize:
+    """A compiled workcell's axioms are plain clauses: the encoder's own variables
+    are one ``EqVar`` hazard row and one ``LeConst`` threshold row per hazard."""
+
+    @staticmethod
+    def _assert_exact_count(scenario, k: int) -> None:
+        model = compile_scenario(scenario)
+        symbols = model.symbols
+        per_instant = (
+            len(symbols.propositions)
+            + sum(len(var.domain) for var in symbols.variables)
+            + 2 * len(scenario.hazards)
+        )
+        cnf, _ = encode(conjoin(model.formulas), symbols, k)
+        assert cnf.num_vars == (k + 1) * per_instant, (scenario.name, k)
+
+    @pytest.mark.parametrize("name", ["handover", "handover_stop", "handover_point", "handover_mini"])
+    def test_bundled_scenarios(self, name):
+        scenario = load_scenario(bundled_scenario_path(name))
+        for k in (0, scenario.bound, 30):
+            self._assert_exact_count(scenario, k)
+
+    def test_seeded_grids(self):
+        rng = random.Random(5150)
+        for n in (3, 3, 4, 4, 5):
+            scenario = loads_scenario(_random_grid_text(rng, n), name=f"grid{n}")
+            self._assert_exact_count(scenario, scenario.bound)
+
+    def test_random_scenario_draws(self):
+        rng = random.Random(4242)
+        for _ in range(TestRandomScenarios.SCENARIOS):
+            scenario = loads_scenario(_random_scenario_text(rng))
+            self._assert_exact_count(scenario, scenario.bound)
+
+
 class TestGcPause:
     """check pauses the cyclic collector and hands back the caller's setting."""
 

@@ -87,6 +87,10 @@ class TestErrors:
         with pytest.raises(TraceFormatError, match="outside the domain"):
             read_trace("# bound 0\n# vars p_x\n0 L9\n", symbols)
 
+    def test_missing_declared_column(self, symbols):
+        with pytest.raises(TraceFormatError, match="no column for declared symbol 'p_x'"):
+            read_trace("# bound 0\n# vars start stop\n0 1 0\n", symbols)
+
     def test_bad_proposition_value(self, symbols):
         with pytest.raises(TraceFormatError, match="non-boolean"):
             read_trace("# bound 0\n# vars start\n0 yes\n", symbols)

@@ -1,5 +1,7 @@
 """Scenario loading, compilation templates, risk scheme, and verification."""
 
+import random
+
 import pytest
 
 from coverify.exhaustive import exhaustive_verify
@@ -12,8 +14,12 @@ from coverify.logic import (
     Eq,
     EqVar,
     Implies,
+    Not,
+    Or,
     Som,
+    Trace,
     conjoin,
+    disjoin,
     evaluate,
 )
 from coverify.world import (
@@ -157,6 +163,11 @@ class TestLoad:
         with pytest.raises(ScenarioError, match="duplicate mitigation"):
             loads_scenario(text)
 
+    def test_second_start_of_a_poi_rejected(self):
+        text = TWO_CELLS.replace("[hazards]", "start g A\nstart g B\n\n[hazards]")
+        with pytest.raises(ScenarioError, match="'g' has more than one start"):
+            loads_scenario(text)
+
 
 class TestRiskValue:
     def test_normal_speed_sums_levels(self):
@@ -237,6 +248,56 @@ class TestCompile:
         model = compile_scenario(s)
         for name in ("h", "g", "transit_h", "transit_g", "speed_bot", "haz_hz", "risk_hz"):
             assert name in model.symbols
+
+
+def _old_transit_persistence(pos, cells):
+    """The transit axiom's body as it was before it was split per cell."""
+    transit = Atom(f"transit_{pos}")
+    change_next = disjoin([And(Eq(pos, c), Not(Dist(Eq(pos, c), 1))) for c in cells])
+    return Implies(transit, Or(Dist(transit, 1), change_next))
+
+
+def _transit_axioms(model, pos):
+    transit = Atom(f"transit_{pos}")
+    return [
+        a for a in model.axioms
+        if isinstance(a, Alw) and isinstance(a.operand, Implies)
+        and isinstance(a.operand.left, And) and a.operand.left.left == transit
+    ]
+
+
+class TestTransitPersistence:
+    """The per-cell transit clauses say what the old disjunction over cells said."""
+
+    def test_one_axiom_per_cell(self, handover):
+        model = compile_scenario(handover)
+        for poi in handover.pois:
+            assert len(_transit_axioms(model, poi.id)) == len(handover.layout.locations)
+
+    def test_agrees_with_the_old_disjunction_on_random_traces(self):
+        rng = random.Random(9090)
+        seen = set()
+        for n in range(2, 6):
+            cells = [f"C{i}" for i in range(n)]
+            text = "[layout]\n" + "".join(
+                f"loc {c} box {i} 0 0 {i + 1} 1 1\n" for i, c in enumerate(cells)
+            ) + "[agents]\nagent op human\npoi op h radius 0.05\n"
+            model = compile_scenario(loads_scenario(text))
+            new = conjoin([a.operand for a in _transit_axioms(model, "h")])
+            old = _old_transit_persistence("h", cells)
+            for k in range(7):
+                for _ in range(40):
+                    positions = [rng.choice(cells)]
+                    for _t in range(k):
+                        positions.append(positions[-1] if rng.random() < 0.5 else rng.choice(cells))
+                    flags = tuple(rng.random() < 0.6 for _t in range(k + 1))
+                    tr = Trace(k, {"transit_h": flags}, {"h": tuple(positions)})
+                    for t in range(k + 1):  # the last instant included
+                        holds = evaluate(old, tr, t)
+                        assert evaluate(new, tr, t) == holds, (positions, flags, t)
+                        seen.add(holds)
+                    assert evaluate(Alw(new), tr, 0) == evaluate(Alw(old), tr, 0)
+        assert seen == {True, False}
 
 
 def _or(a, b):

@@ -22,7 +22,7 @@ from pathlib import Path
 
 from .encode import encode
 from .exhaustive import exhaustive_verify
-from .logic import conjoin
+from .logic import Trace, conjoin
 from .replay import classify
 from .reports import HazardReport, render_csv, render_svg, render_text, timeline_svg, trace_table
 from .sat import write_dimacs
@@ -69,6 +69,17 @@ def _write(path: Path, content: str) -> None:
     path.write_text(content, encoding="utf-8")
 
 
+def _read_trace(scenario: Scenario, trace_path: str) -> Trace:
+    """The trace file read against the scenario's symbols; its bound must be the scenario's."""
+    model = compile_scenario(scenario)
+    trace = read_trace(Path(trace_path).read_text(encoding="utf-8"), model.symbols)
+    if trace.bound != scenario.bound:
+        raise TraceFormatError(
+            f"trace bound {trace.bound} differs from scenario bound {scenario.bound}"
+        )
+    return trace
+
+
 def run_verify(cfg: RunConfig) -> int:
     """SAFE -> 0; counterexample -> 1 plus a trace file; bad input -> 2."""
     try:
@@ -94,12 +105,7 @@ def run_classify(cfg: RunConfig, trace_path: str) -> int:
     """Write the hazard report; 0 if everything is CONFIRMED, else 3."""
     try:
         scenario = _load(cfg)
-        model = compile_scenario(scenario)
-        trace = read_trace(Path(trace_path).read_text(encoding="utf-8"), model.symbols)
-        if trace.bound != scenario.bound:
-            raise TraceFormatError(
-                f"trace bound {trace.bound} differs from scenario bound {scenario.bound}"
-            )
+        trace = _read_trace(scenario, trace_path)
         rows = classify(trace, scenario, samples=cfg.samples, seed=cfg.seed)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -134,8 +140,7 @@ def run_export(cfg: RunConfig, what: str, trace_path: str | None = None) -> int:
         elif what in ("trace-table", "timeline"):
             if trace_path is None:
                 raise ValueError(f"export {what} needs --trace <file>")
-            model = compile_scenario(scenario)
-            trace = read_trace(Path(trace_path).read_text(encoding="utf-8"), model.symbols)
+            trace = _read_trace(scenario, trace_path)
             if what == "trace-table":
                 content = trace_table(trace)
                 suffix = ".txt"

@@ -6,6 +6,19 @@ Tractable only for small scenarios; limited to unit travel times and to
 slowdown/stop mitigations (retract reactions couple three instants, which
 this per-instant walker does not track).
 
+A node is the cell of every POI, every POI's transit flag and the task's done
+flags. It maps to one bool: whether some path to it passed a hazard instant
+whose risk exceeds the threshold. No robot speed is held: no move, done flag
+or final check reads one. A hazard instant is priced against its robot's
+speed one instant later, so each step takes the worst speed that the active
+hazards' mitigations still allow; no other speed can raise the flag, and
+nothing after a step reads the flag but the final check, so one bool per
+node loses no verdict.
+
+At the final instant no reaction window remains: a node counts only if the
+task is done, a hazard with a mitigation cannot hold there, and any other
+hazard is priced at its base (``normal`` speed) value.
+
 ``exhaustive_verify`` returns True when the scenario is safe: no admissible
 trace that completes the task carries a hazard instant whose risk exceeds
 the threshold.
@@ -14,12 +27,23 @@ the threshold.
 from __future__ import annotations
 
 from itertools import product
+from typing import NamedTuple
 
-from .world import SPEED_STATES, Scenario, TaskStep, risk_value
+from .world import SPEED_STATES, Scenario, risk_value
 
 __all__ = ["exhaustive_verify"]
 
 _STATE_LIMIT = 2_000_000
+_REQUIRED_SPEED = {"slowdown": {"slow"}, "stop": {"stopped"}}
+
+
+class _Hazard(NamedTuple):
+    human: int  # index of the human POI in a node's cells
+    arm: int  # index of the robot POI
+    robot: str
+    allowed: frozenset[str]  # speeds its mitigations allow one instant after detection
+    over: frozenset[str]  # speeds at which its risk exceeds the threshold
+    mitigated: bool
 
 
 def exhaustive_verify(s: Scenario) -> bool:
@@ -33,125 +57,69 @@ def exhaustive_verify(s: Scenario) -> bool:
     pois = [poi.id for poi in s.pois]
     robots = [agent.id for agent in s.agents if agent.kind == "robot"]
     locs = list(s.layout.ids)
-    adjacent = {loc.id: sorted(loc.adjacent) for loc in s.layout.locations}
     start_of = dict(s.starts)
 
     if (len(locs) ** len(pois)) * (2 ** len(pois)) * (3 ** len(robots)) > _STATE_LIMIT:
         raise ValueError("scenario too large for exhaustive enumeration")
 
-    def achieved(step: TaskStep, positions: dict[str, str]) -> bool:
-        if positions[step.poi] != step.goal:
-            return False
-        if step.kind == "handover":
-            assert step.partner is not None
-            return positions[step.partner] == step.goal
-        return True
+    hazards = []
+    for h in s.hazards:
+        kinds = [mit.kind for mit in s.mitigations if mit.hazard == h.id]
+        allowed = frozenset(SPEED_STATES).intersection(*(_REQUIRED_SPEED[k] for k in kinds))
+        levels = (h.severity, h.exposure, h.avoidability)
+        over = frozenset(v for v in SPEED_STATES if risk_value(*levels, v) > s.threshold)
+        human, arm = pois.index(h.human_poi), pois.index(h.robot_poi)
+        robot = s.poi(h.robot_poi).owner
+        hazards.append(_Hazard(human, arm, robot, allowed, over, bool(kinds)))
 
-    def done_row(prev_done: tuple[bool, ...] | None, positions: dict[str, str]) -> tuple[bool, ...]:
+    # Per task step: its goal and the POIs that must stand on it (a handover's two).
+    steps = [(step.goal, [pois.index(p) for p in (step.poi, step.partner) if p]) for step in s.task]
+
+    def done_row(prev_done: tuple[bool, ...], cells: tuple[str, ...]) -> tuple[bool, ...]:
         row: list[bool] = []
-        for i, step in enumerate(s.task):
-            before = prev_done[i] if prev_done is not None else False
+        for i, (goal, at_goal) in enumerate(steps):
             ready = row[i - 1] if i > 0 else True
-            row.append(before or (achieved(step, positions) and ready))
+            row.append(prev_done[i] or (ready and all(cells[j] == goal for j in at_goal)))
         return tuple(row)
 
-    def hazards_at(positions: dict[str, str]) -> list:
-        return [h for h in s.hazards if positions[h.human_poi] == positions[h.robot_poi]]
+    # A POI at rest stays, raising transit or not. In transit it stays in
+    # transit or lands on a neighbor, flag either way: staying put while
+    # dropping the flag would strand the move.
+    moves: dict[tuple[str, bool], list[tuple[str, bool]]] = {}
+    for loc in s.layout.locations:
+        neighbors = sorted(loc.adjacent)
+        moves[loc.id, False] = [(loc.id, False), (loc.id, True)]
+        moves[loc.id, True] = [(loc.id, True)] + [(n, t) for t in (False, True) for n in neighbors]
 
-    mitigated: dict[str, set[str]] = {}
-    for mit in s.mitigations:
-        mitigated.setdefault(mit.hazard, set()).add(mit.kind)
-
-    def required_speed(hazard_id: str) -> set[str]:
-        kinds = mitigated.get(hazard_id, set())
-        out = set(SPEED_STATES)
-        if "slowdown" in kinds:
-            out &= {"slow"}
-        if "stop" in kinds:
-            out &= {"stopped"}
-        return out
-
-    def position_choices(poi: str) -> list[str]:
-        fixed = start_of.get(poi)
-        return [fixed] if fixed is not None else locs
-
-    # A node is (positions, transit flags, robot speeds, done flags); the
-    # frontier maps nodes to the set of violation verdicts reachable with them.
-    frontier: dict[tuple, set[bool]] = {}
-    for pos_combo in product(*(position_choices(p) for p in pois)):
-        positions = dict(zip(pois, pos_combo))
-        done = done_row(None, positions)
+    frontier: dict[tuple, bool] = {}
+    for cells in product(*([start_of[p]] if p in start_of else locs for p in pois)):
+        done = done_row((False,) * len(s.task), cells)
         for transit in product((False, True), repeat=len(pois)):
-            for speed_combo in product(SPEED_STATES, repeat=len(robots)):
-                node = (pos_combo, transit, speed_combo, done)
-                frontier.setdefault(node, set()).add(False)
+            frontier[cells, transit, done] = False
 
     for _ in range(s.bound):
-        next_frontier: dict[tuple, set[bool]] = {}
-        for (pos_combo, transit, speed_combo, done), flags in frontier.items():
-            positions = dict(zip(pois, pos_combo))
-            speed_by_robot = dict(zip(robots, speed_combo))
-            active = hazards_at(positions)
-
-            next_positions: list[list[tuple[str, bool]]] = []
-            for idx, poi in enumerate(pois):
-                here = pos_combo[idx]
-                options = [(here, False), (here, True)]  # stay; transit may idle
-                if transit[idx]:
-                    # A move may complete now; a run may also keep going only
-                    # if the position eventually changes, enforced stepwise:
-                    # staying put while dropping the flag would strand the run.
-                    options = [(here, True)] + [(nxt, False) for nxt in adjacent[here]] + [
-                        (nxt, True) for nxt in adjacent[here]
-                    ]
-                next_positions.append(options)
-
-            allowed_speeds: list[set[str]] = [set(SPEED_STATES) for _ in robots]
-            admissible = True
-            for hazard in active:
-                required = required_speed(hazard.id)
-                if not required:
-                    admissible = False
-                    break
-                robot = s.poi(hazard.robot_poi).owner
-                allowed_speeds[robots.index(robot)] &= required
-            if not admissible or any(not allowed for allowed in allowed_speeds):
-                continue
-
-            for combo in product(*next_positions):
-                new_pos = tuple(choice[0] for choice in combo)
-                new_transit = tuple(choice[1] for choice in combo)
-                new_positions = dict(zip(pois, new_pos))
-                new_done = done_row(done, new_positions)
-                for new_speed in product(*(sorted(allowed) for allowed in allowed_speeds)):
-                    new_speed_by_robot = dict(zip(robots, new_speed))
-                    step_violates = any(
-                        risk_value(
-                            h.severity, h.exposure, h.avoidability,
-                            new_speed_by_robot[s.poi(h.robot_poi).owner],
-                        )
-                        > s.threshold
-                        for h in active
-                    )
-                    node = (new_pos, new_transit, new_speed, new_done)
-                    bucket = next_frontier.setdefault(node, set())
-                    for flag in flags:
-                        bucket.add(flag or step_violates)
+        next_frontier: dict[tuple, bool] = {}
+        for (cells, transit, done), flag in frontier.items():
+            active = [h for h in hazards if cells[h.human] == cells[h.arm]]
+            speeds: dict[str, frozenset[str]] = {}
+            for h in active:
+                speeds[h.robot] = speeds.get(h.robot, h.allowed) & h.allowed
+            if not all(speeds.values()):
+                continue  # the mitigations ask one robot for two speeds
+            # The worst speed the mitigations still allow prices this instant.
+            flag = flag or any(speeds[h.robot] & h.over for h in active)
+            for moved in product(*(moves[here] for here in zip(cells, transit))):
+                new_cells = tuple(cell for cell, _ in moved)
+                node = (new_cells, tuple(moving for _, moving in moved), done_row(done, new_cells))
+                next_frontier[node] = flag or next_frontier.get(node, False)
         frontier = next_frontier
 
-    # Final instant: no reaction window remains, so hazards are priced at
-    # their base value; hazards with a reaction mitigation cannot hold here.
-    for (pos_combo, _transit, _speed, done), flags in frontier.items():
+    for (cells, _transit, done), flag in frontier.items():
         if s.task and not done[-1]:
             continue
-        positions = dict(zip(pois, pos_combo))
-        active = hazards_at(positions)
-        if any(mitigated.get(h.id) for h in active):
+        active = [h for h in hazards if cells[h.human] == cells[h.arm]]
+        if any(h.mitigated for h in active):
             continue
-        end_violates = any(
-            risk_value(h.severity, h.exposure, h.avoidability, "normal") > s.threshold
-            for h in active
-        )
-        if end_violates or True in flags:
+        if flag or any("normal" in h.over for h in active):
             return False
     return True

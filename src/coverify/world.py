@@ -313,11 +313,15 @@ def _validate_scenario(s: Scenario) -> None:
             raise ScenarioError(f"unknown mitigation kind {mit.kind!r}")
         s.hazard(mit.hazard)
 
+    timed: set[frozenset[str]] = set()
     for a, b, t in s.travel_times:
         if t < 1:
             raise ScenarioError(f"travel time {a}-{b} must be >= 1")
         if b not in s.layout.location(a).adjacent:
             raise ScenarioError(f"travel time given for non-adjacent pair {a!r}, {b!r}")
+        if frozenset((a, b)) in timed:
+            raise ScenarioError(f"edge {a!r}-{b!r} has more than one travel time")
+        timed.add(frozenset((a, b)))
 
     started: set[str] = set()
     for poi_id, loc in s.starts:

@@ -288,6 +288,19 @@ class TestExport:
         assert "no column for declared symbol 'risk_h1'" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_trace_of_another_bound_is_an_input_error(self, tmp_path, capsys):
+        trace, out = tmp_path / "mini.trace", tmp_path / "artifact"
+        assert main(["verify", HANDOVER_MINI, "--out", str(trace)]) == EXIT_COUNTEREXAMPLE
+        capsys.readouterr()
+        bound = load_scenario(HANDOVER_MINI).bound
+        for command in (["classify", HANDOVER_MINI, str(trace)],
+                        ["export", HANDOVER_MINI, "trace-table", "--trace", str(trace)],
+                        ["export", HANDOVER_MINI, "timeline", "--trace", str(trace)]):
+            assert main([*command, "--bound", str(bound + 3), "--out", str(out)]) == EXIT_INPUT_ERROR
+            message = f"trace bound {bound} differs from scenario bound {bound + 3}"
+            assert message in capsys.readouterr().err
+            assert not out.exists()
+
     def test_timeline_without_trace_is_an_error(self, capsys):
         assert run_export(RunConfig(scenario=HANDOVER), "timeline") == EXIT_INPUT_ERROR
         assert "needs --trace" in capsys.readouterr().err
@@ -310,6 +323,14 @@ class TestMain:
         for command in ("verify", "oracle"):
             assert main([command, str(bad)]) == EXIT_INPUT_ERROR
             assert "'p_g' has more than one start" in capsys.readouterr().err
+
+    def test_second_travel_time_is_an_input_error_for_both_oracles(self, tmp_path, capsys):
+        text = Path(HANDOVER_MINI).read_text(encoding="utf-8")
+        bad = tmp_path / "two_travel_times.scn"
+        bad.write_text(text + "travel L1 L2 1\ntravel L2 L1 1\n")
+        for command in ("verify", "oracle"):
+            assert main([command, str(bad)]) == EXIT_INPUT_ERROR
+            assert "edge 'L2'-'L1' has more than one travel time" in capsys.readouterr().err
 
     def test_oracle_rejects_long_travel_times(self, capsys):
         assert main(["oracle", HANDOVER]) == EXIT_INPUT_ERROR

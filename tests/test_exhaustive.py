@@ -1,0 +1,81 @@
+"""The exhaustive walker against the walker it replaced and against ``verify``."""
+
+import random
+
+from frozen_exhaustive import exhaustive_verify as frozen_exhaustive_verify
+
+from coverify.exhaustive import exhaustive_verify
+from coverify.world import loads_scenario, verify
+
+# Each shape: (agent lines, POI lines, hazard pairs (human POI, robot POI), robot POIs, human POIs).
+SHAPES = {
+    "two_robots": (
+        ["agent op human", "agent a1 robot", "agent a2 robot"],
+        ["poi op h radius 0.05", "poi a1 g radius 0.05", "poi a2 r radius 0.05"],
+        [("h", "g"), ("h", "r")], ("g", "r"), ("h",),
+    ),
+    "two_humans_one_robot": (
+        ["agent op human", "agent arm robot"],
+        ["poi op h radius 0.05", "poi op f radius 0.05", "poi arm g radius 0.05"],
+        [("h", "g"), ("f", "g")], ("g",), ("h", "f"),
+    ),
+    "two_hazards_one_pair": (
+        ["agent op human", "agent arm robot"],
+        ["poi op h radius 0.05", "poi arm g radius 0.05"],
+        [("h", "g"), ("h", "g")], ("g",), ("h",),
+    ),
+}
+
+
+def _multi_hazard_text(rng: random.Random) -> tuple[str, str]:
+    """2-3 unit cells, 2-3 POIs and two hazards: on two robots or on one robot."""
+    shape = rng.choice(sorted(SHAPES))
+    agents, pois, pairs, arms, humans = SHAPES[shape]
+    cells = [f"C{i}" for i in range(rng.randint(2, 3))]
+    lines = ["[layout]"]
+    lines += [f"loc {cell} box {i} 0 0 {i + 1} 1 1" for i, cell in enumerate(cells)]
+    lines += [f"adj {a} {b}" for a, b in zip(cells, cells[1:])]
+    if len(cells) > 2 and rng.random() < 0.5:
+        lines.append(f"adj {cells[-1]} {cells[0]}")
+    lines += ["[agents]", *agents, *pois]
+    lines += [f"start {poi} {rng.choice(cells)}" for poi in arms + humans if rng.random() < 0.5]
+    lines.append("[task]")
+    steps = rng.randint(0, 2)
+    if steps >= 1:
+        lines.append(f"step {rng.choice(arms + humans)} reach {rng.choice(cells)}")
+    if steps == 2:
+        lines.append(f"step handover {rng.choice(arms)} {rng.choice(humans)} {rng.choice(cells)}")
+    lines.append("[hazards]")
+    for i, (human, arm) in enumerate(pairs, start=1):
+        grades = " ".join(f"{name} {rng.randint(0, 2)}" for name in ("sev", "exp", "avoid"))
+        lines.append(f"hazard hz{i} {human} {arm} {grades}")
+    lines.append("[mitigations]")
+    for i in range(1, len(pairs) + 1):
+        lines += [f"mitigate {kind} hz{i}" for kind in ("stop", "slowdown") if rng.random() < 0.35]
+    lines += ["[params]", f"bound {rng.randint(0, 3)}", f"threshold {rng.randint(0, 5)}"]
+    return shape, "\n".join(lines) + "\n"
+
+
+class TestMultiHazardScenarios:
+    """Speeds of two robots, or two hazards' mitigations on one robot, meet in one step."""
+
+    SCENARIOS = 60  # the first scenarios drawn from the seed
+
+    def test_walker_matches_frozen_walker_and_verify(self):
+        rng = random.Random(2718)
+        verdicts, shapes, both_mitigations = [], set(), False
+        for _ in range(self.SCENARIOS):
+            shape, text = _multi_hazard_text(rng)
+            scenario = loads_scenario(text)
+            safe = exhaustive_verify(scenario)
+            assert safe == frozen_exhaustive_verify(scenario), text
+            assert safe == verify(scenario).safe, text
+            verdicts.append(safe)
+            shapes.add(shape)
+            kinds = {}
+            for mit in scenario.mitigations:
+                kinds.setdefault(mit.hazard, set()).add(mit.kind)
+            both_mitigations |= {"stop", "slowdown"} in kinds.values()
+        assert True in verdicts and False in verdicts
+        assert shapes == set(SHAPES)
+        assert both_mitigations

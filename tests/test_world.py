@@ -141,6 +141,12 @@ class TestLoad:
         with pytest.raises(ScenarioError, match="non-adjacent"):
             loads_scenario(TWO_CELLS.replace("adj A B", "") + "travel A B 2\n")
 
+    @pytest.mark.parametrize("second", ["travel A B 5", "travel B A 5", "travel A B 2"])
+    def test_second_travel_time_of_an_edge_rejected(self, second):
+        text = TWO_CELLS + "travel A B 2\n" + second + "\n"
+        with pytest.raises(ScenarioError, match="edge .* has more than one travel time"):
+            loads_scenario(text)
+
     def test_comments_and_blank_lines(self):
         assert loads_scenario("# header\n\n" + MINIMAL).name == "scenario"
 

@@ -1,7 +1,10 @@
 """Bounded satisfiability encoding: formula over k+1 instants -> CNF and back.
 
-Every declared proposition gets one SAT variable per instant; every finite
-variable gets a one-hot block per instant with exactly-one constraints.
+Every declared proposition the formula reads gets one SAT variable per
+instant; every finite variable it reads gets a one-hot block per instant
+with exactly-one constraints.  A declared symbol the formula never reads gets
+no variable: ``decode`` gives it its first domain value (false for a
+proposition), which satisfies the formula as well as any other value would.
 
 The formula becomes clauses by polarity, after Plaisted & Greenbaum ("A
 Structure-preserving Clause Form Translation", JSC 1986), one whole window
@@ -88,6 +91,7 @@ class VarMap:
 
     Subformulas have no entries: the variables they own are implied by their
     definition, not equal to it, so a model gives them no value to read.
+    Neither have the declared symbols the formula does not read.
     """
 
     bound: int
@@ -148,9 +152,12 @@ def _join(rows: list[list[Fragment]]) -> list[Fragment]:
 
 
 class _Encoder:
-    """Whole-window polarity encoder: ``lits`` maps a node to its fragments over instants 0..k."""
+    """Whole-window polarity encoder: ``lits`` maps a node to its fragments over instants 0..k.
 
-    def __init__(self, symbols: SymbolTable, k: int):
+    Only the symbols named in ``read`` get variables.
+    """
+
+    def __init__(self, symbols: SymbolTable, k: int, read: set[str]):
         if k < 0:
             raise ValueError("bound must be >= 0")
         self.symbols = symbols
@@ -167,10 +174,14 @@ class _Encoder:
 
         n = k + 1
         for prop in symbols.propositions:
+            if prop.name not in read:
+                continue
             row = self._fresh_row(n)
             self._prop_rows[prop.name] = row
             self.prop_vars.update(zip([(prop.name, t) for t in range(n)], row))
         for var in symbols.variables:
+            if var.name not in read:
+                continue
             width = len(var.domain)
             block = self._fresh_row(n * width)  # value i at instant t: block[t * width + i]
             for t in range(n):
@@ -362,10 +373,11 @@ class _Encoder:
 
 def encode(f: Formula, symbols: SymbolTable, k: int) -> tuple[sat.CnfFormula, VarMap]:
     """CNF equisatisfiable with 'some trace over [0, k] satisfies f at instant 0'."""
-    for name in sorted(free_symbols(f)):
+    read = free_symbols(f)
+    for name in sorted(read):
         if name not in symbols:
             raise ValueError(f"undeclared symbol {name!r} in formula")
-    enc = _Encoder(symbols, k)
+    enc = _Encoder(symbols, k, read)
     enc.assert_formula(f)
     cnf = sat.CnfFormula(enc.next_var - 1, tuple(enc.clauses))
     vm = VarMap(k, enc.prop_vars, enc.value_vars, cnf.num_vars)
@@ -373,12 +385,22 @@ def encode(f: Formula, symbols: SymbolTable, k: int) -> tuple[sat.CnfFormula, Va
 
 
 def decode(model: dict[int, bool], vm: VarMap, symbols: SymbolTable, k: int) -> Trace:
-    """Read a trace off a SAT model; one-hot violations signal an encoder bug."""
+    """Read a trace off a SAT model; one-hot violations signal an encoder bug.
+
+    A symbol without variables, one the encoded formula does not read, holds
+    its first domain value (a proposition: false) at every instant.
+    """
     props: dict[str, tuple[bool, ...]] = {}
     for prop in symbols.propositions:
+        if (prop.name, 0) not in vm.prop_vars:
+            props[prop.name] = (False,) * (k + 1)
+            continue
         props[prop.name] = tuple(model[vm.prop_var(prop.name, t)] for t in range(k + 1))
     variables: dict[str, tuple[str, ...]] = {}
     for var in symbols.variables:
+        if (var.name, 0, var.domain[0]) not in vm.value_vars:
+            variables[var.name] = (var.domain[0],) * (k + 1)
+            continue
         values = []
         for t in range(k + 1):
             hot = [value for value in var.domain if model[vm.value_var(var.name, t, value)]]

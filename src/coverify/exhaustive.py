@@ -13,7 +13,8 @@ or final check reads one. A hazard instant is priced against its robot's
 speed one instant later, so each step takes the worst speed that the active
 hazards' mitigations still allow; no other speed can raise the flag, and
 nothing after a step reads the flag but the final check, so one bool per
-node loses no verdict.
+node loses no verdict. The speeds that price an instant over the threshold
+are ``world.over_speeds``, the set the SAT model's violation reads too.
 
 At the final instant no reaction window remains: a node counts only if the
 task is done, a hazard with a mitigation cannot hold there, and any other
@@ -29,7 +30,7 @@ from __future__ import annotations
 from itertools import product
 from typing import NamedTuple
 
-from .world import SPEED_STATES, Scenario, risk_value
+from .world import SPEED_STATES, Scenario, over_speeds
 
 __all__ = ["exhaustive_verify"]
 
@@ -55,22 +56,19 @@ def exhaustive_verify(s: Scenario) -> bool:
             raise ValueError("exhaustive check does not support retract mitigations")
 
     pois = [poi.id for poi in s.pois]
-    robots = [agent.id for agent in s.agents if agent.kind == "robot"]
     locs = list(s.layout.ids)
     start_of = dict(s.starts)
 
-    if (len(locs) ** len(pois)) * (2 ** len(pois)) * (3 ** len(robots)) > _STATE_LIMIT:
+    if (len(locs) ** len(pois)) * (2 ** len(pois)) > _STATE_LIMIT:
         raise ValueError("scenario too large for exhaustive enumeration")
 
     hazards = []
     for h in s.hazards:
         kinds = [mit.kind for mit in s.mitigations if mit.hazard == h.id]
         allowed = frozenset(SPEED_STATES).intersection(*(_REQUIRED_SPEED[k] for k in kinds))
-        levels = (h.severity, h.exposure, h.avoidability)
-        over = frozenset(v for v in SPEED_STATES if risk_value(*levels, v) > s.threshold)
         human, arm = pois.index(h.human_poi), pois.index(h.robot_poi)
         robot = s.poi(h.robot_poi).owner
-        hazards.append(_Hazard(human, arm, robot, allowed, over, bool(kinds)))
+        hazards.append(_Hazard(human, arm, robot, allowed, over_speeds(h, s.threshold), bool(kinds)))
 
     # Per task step: its goal and the POIs that must stand on it (a handover's two).
     steps = [(step.goal, [pois.index(p) for p in (step.poi, step.partner) if p]) for step in s.task]

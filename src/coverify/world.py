@@ -23,6 +23,10 @@ Modeling conventions baked into the compilation:
   later, i.e. after any mandated reaction, and pessimistically against the
   unmitigated base value when no later instant exists.  A hazard instant
   with no observable reaction window therefore never looks safer than it is.
+* Risk is priced after solving, not solved for: the violation asks for a
+  hazard flag and a next speed in ``over_speeds``, and ``verify`` fills each
+  ``risk_<h>`` column of the witness from the flag and the next speed.  The
+  symbol table declares those columns for trace files; no formula reads them.
 """
 
 from __future__ import annotations
@@ -42,7 +46,6 @@ from .logic import (
     EqVar,
     Formula,
     Implies,
-    LeConst,
     Not,
     Or,
     Som,
@@ -50,7 +53,6 @@ from .logic import (
     Trace,
     conjoin,
     disjoin,
-    evaluate,
 )
 
 __all__ = [
@@ -70,6 +72,7 @@ __all__ = [
     "load_scenario",
     "loads_scenario",
     "risk_value",
+    "over_speeds",
     "compile_scenario",
     "verify",
     "extract_violations",
@@ -513,6 +516,16 @@ def risk_value(severity: int, exposure: int, avoidability: int, speed: str) -> i
     return severity + exposure + avoidability
 
 
+def over_speeds(h: Hazard, threshold: int) -> frozenset[str]:
+    """The next speeds at which a hazard instant's risk exceeds the threshold.
+
+    Risk falls as the speed falls, so the set is empty unless it holds
+    ``normal``.
+    """
+    levels = (h.severity, h.exposure, h.avoidability)
+    return frozenset(v for v in SPEED_STATES if risk_value(*levels, v) > threshold)
+
+
 # ---------------------------------------------------------------------------
 # Compilation
 
@@ -522,8 +535,10 @@ class CompiledModel:
     """Formulas of a scenario: behavioral axioms plus the negated safety property."""
 
     axioms: tuple[Formula, ...]
-    violation: Formula | None  # None when no hazard is declared (vacuously safe)
-    symbols: SymbolTable
+    # Some hazard instant whose next speed prices it over the threshold; None
+    # when no hazard's base risk exceeds it (then no trace can: safe).
+    violation: Formula | None
+    symbols: SymbolTable  # declares risk_<h> for traces; no formula reads it
 
     @property
     def formulas(self) -> tuple[Formula, ...]:
@@ -533,7 +548,7 @@ class CompiledModel:
 
 
 def compile_scenario(s: Scenario) -> CompiledModel:
-    """Movement, hazard, risk, task, and mitigation formulas plus symbols."""
+    """Movement, hazard, task, and mitigation formulas, the violation, and symbols."""
     symbols = SymbolTable()
     try:
         for poi in s.pois:
@@ -555,14 +570,19 @@ def compile_scenario(s: Scenario) -> CompiledModel:
     axioms.extend(_movement_axioms(s))
     axioms.extend(_start_axioms(s))
     axioms.extend(_hazard_axioms(s))
-    axioms.extend(_risk_axioms(s))
     axioms.extend(_task_axioms(s, done_names))
     axioms.extend(_mitigation_axioms(s))
 
-    violation: Formula | None = None
-    if s.hazards:
-        over = [Not(LeConst(s.risk_name(h.id), s.threshold)) for h in s.hazards]
-        violation = Som(disjoin(over))
+    # At t = k every Dist is false, so a term holds on the flag alone: the
+    # base value, which exceeds the threshold for every hazard with a term.
+    terms = []
+    for h in s.hazards:
+        over = over_speeds(h, s.threshold)
+        if "normal" in over:
+            speed = s.speed_name(s.poi(h.robot_poi).owner)
+            under = [Not(Dist(Eq(speed, v), 1)) for v in SPEED_STATES if v not in over]
+            terms.append(conjoin([Atom(s.hazard_flag_name(h.id))] + under))
+    violation = Som(disjoin(terms)) if terms else None
 
     return CompiledModel(tuple(axioms), violation, symbols)
 
@@ -609,27 +629,6 @@ def _hazard_axioms(s: Scenario):
         flag = Atom(s.hazard_flag_name(hazard.id))
         together = EqVar(hazard.human_poi, hazard.robot_poi)
         yield Alw(And(Implies(flag, together), Implies(together, flag)))
-
-
-def _risk_axioms(s: Scenario):
-    for hazard in s.hazards:
-        flag = Atom(s.hazard_flag_name(hazard.id))
-        risk = s.risk_name(hazard.id)
-        speed = s.speed_name(s.poi(hazard.robot_poi).owner)
-        levels = (hazard.severity, hazard.exposure, hazard.avoidability)
-
-        yield Alw(Implies(Not(flag), Eq(risk, "0")))
-        reactions = []
-        for state in SPEED_STATES:
-            reacted = Dist(Eq(speed, state), 1)
-            reactions.append(reacted)
-            value = str(risk_value(*levels, state))
-            yield Alw(Implies(And(flag, reacted), Eq(risk, value)))
-        # Past the horizon no reaction is observable: price the hazard at its
-        # unmitigated base value.
-        no_window = conjoin([Not(r) for r in reactions])
-        base = str(risk_value(*levels, "normal"))
-        yield Alw(Implies(And(flag, no_window), Eq(risk, base)))
 
 
 def _achieved(s: Scenario, step: TaskStep) -> Formula:
@@ -703,6 +702,21 @@ def extract_violations(trace: Trace, s: Scenario) -> tuple[RiskViolation, ...]:
     return tuple(found)
 
 
+def _priced(trace: Trace, s: Scenario) -> Trace:
+    """The trace with each ``risk_<h>`` column valued from its flag and the next speed."""
+    variables = dict(trace.variables)
+    for h in s.hazards:
+        flags = trace.propositions[s.hazard_flag_name(h.id)]
+        speeds = trace.variables[s.speed_name(s.poi(h.robot_poi).owner)]
+        levels = (h.severity, h.exposure, h.avoidability)
+        # No next instant after k: the unmitigated base value.
+        next_speeds = speeds[1:] + ("normal",)
+        variables[s.risk_name(h.id)] = tuple(
+            str(risk_value(*levels, v)) if flag else "0" for flag, v in zip(flags, next_speeds)
+        )
+    return replace(trace, variables=variables)
+
+
 def verify(s: Scenario) -> VerifyResult:
     """Safe iff no trace over [0, bound] satisfies the model and breaks the threshold."""
     model = compile_scenario(s)
@@ -711,10 +725,11 @@ def verify(s: Scenario) -> VerifyResult:
     result = check(conjoin(model.formulas), model.symbols, s.bound)
     if result.trace is None:
         return VerifyResult(None)
-    violations = extract_violations(result.trace, s)
+    trace = _priced(result.trace, s)
+    violations = extract_violations(trace, s)
     if not violations:
         raise EncodingError("counterexample without a violating instant")
-    return VerifyResult(result.trace, violations)
+    return VerifyResult(trace, violations)
 
 
 def apply_mitigation(s: Scenario, m: Mitigation) -> Scenario:

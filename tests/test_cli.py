@@ -19,7 +19,13 @@ from coverify.cli import (
 )
 from coverify.sat import read_dimacs, solve
 from coverify.traceio import read_trace
-from coverify.world import bundled_scenario_path, compile_scenario, load_scenario
+from coverify.world import (
+    bundled_scenario_path,
+    compile_scenario,
+    extract_violations,
+    load_scenario,
+    verify,
+)
 
 HANDOVER = str(bundled_scenario_path("handover"))
 HANDOVER_STOP = str(bundled_scenario_path("handover_stop"))
@@ -149,12 +155,12 @@ def test_golden_classify_report(tmp_path, bound, fmt, digest):
 # the DIMACS writer all show in it.  A change that alters one of these must
 # update it and say why in CHANGES.md.
 GOLDEN_CNFS = [
-    (HANDOVER, None, "e2f613420c9352dd9c5f8a26f21aa837db4b1e86b40ef57071c6ca3272d5c087"),
-    (HANDOVER, 30, "55ddd4c4e24f68ad844f1e216d220c8b81cd1a5d1301c96c0a7890087ddab594"),
-    (HANDOVER_MINI, None, "4d7cf762b90f3cf44b09bdafa74d4e8cd17458348786b05f73ff395b0968efd3"),
-    (HANDOVER_MINI, 30, "db1aeb731d94d023b7cc87a7164a020468884c0bc0518ee527dc66927167edd9"),
-    (HANDOVER_STOP, None, "852ee2d1ccec83648b4e3315b2ccb6466653c8280bb923d475eb08cb14fb5fb5"),
-    (HANDOVER_STOP, 30, "a2f623f39673002850ff89a5329fba62faffa5bf0af9f261be19332f0d87aea6"),
+    (HANDOVER, None, "62694beec8eaa4f2f88efd136c870c31e37d79102ecb333db7ddc79fe6198a37"),
+    (HANDOVER, 30, "d6453b719e415e1b8e074e453cff57c1c19eec9c45505bfae176f1b90365e59b"),
+    (HANDOVER_MINI, None, "a7a16bd57b454ce01551894c7ccba25716ac67539c998b9489ff937d4fc77053"),
+    (HANDOVER_MINI, 30, "7ebd4d3f2b7fc35c94a13bce660ed8a01a147409c2feaebc69b4a3393fc9aa90"),
+    (HANDOVER_STOP, None, "98e22317bf14331fbfb43ae93d58012fe08bae6b12c717d98b1aa6347cc51bea"),
+    (HANDOVER_STOP, 30, "bdf8d25c6b196fde86f193d320500df4b6f0007a590323e799eda90c43ff9b26"),
 ]
 
 
@@ -170,6 +176,32 @@ def test_golden_cnf(tmp_path, scenario, bound, digest):
         argv += ["--bound", str(bound)]
     assert main(argv) == EXIT_SAFE
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("scenario", [HANDOVER, HANDOVER_MINI, HANDOVER_STOP])
+def test_export_cnf_is_the_cnf_verify_solves(tmp_path, monkeypatch, scenario):
+    solved = []
+
+    def recording_solve(cnf):
+        solved.append(cnf)
+        return solve(cnf)
+
+    monkeypatch.setattr("coverify.sat.solve", recording_solve)
+    main(["verify", scenario, "--out", str(tmp_path / "t.trace")])
+    out = tmp_path / "exported.cnf"
+    assert main(["export", scenario, "cnf", "--out", str(out)]) == EXIT_SAFE
+    assert solved == [read_dimacs(out.read_text())]
+
+
+@pytest.mark.parametrize("scenario", [HANDOVER, HANDOVER_MINI])
+def test_verify_trace_round_trips_with_priced_risk(tmp_path, scenario):
+    out = tmp_path / "t.trace"
+    assert main(["verify", scenario, "--out", str(out)]) == EXIT_COUNTEREXAMPLE
+    s = load_scenario(scenario)
+    trace = read_trace(out.read_text(), compile_scenario(s).symbols)
+    assert trace == verify(s).trace
+    assert any(name.startswith("risk_") for name in trace.variables)
+    assert extract_violations(trace, s) == verify(s).violations
 
 
 class TestClassify:

@@ -35,6 +35,7 @@ from coverify.world import (
     compile_scenario,
     load_scenario,
     loads_scenario,
+    over_speeds,
     verify,
 )
 
@@ -57,9 +58,23 @@ class TestVarMap:
         _, vm = encode(Atom("p"), pq_symbols, 2)
         assert {(n, t) for (n, t) in vm.prop_vars if n == "p"} == {("p", 0), ("p", 1), ("p", 2)}
 
-    def test_covers_every_declared_symbol(self, pq_symbols):
-        _, vm = encode(Atom("p"), pq_symbols, 1)
-        assert ("q", 0) in vm.prop_vars and ("q", 1) in vm.prop_vars
+    def test_covers_every_declared_symbol(self):
+        # q and v are declared but unread: no variable, and the witness holds
+        # each at its fixed value while still satisfying the formula.
+        table = SymbolTable()
+        table.add_proposition("p")
+        table.add_proposition("q")
+        table.add_variable("v", ("b", "a"))
+        f = Not(Atom("p"))
+        cnf, vm = encode(f, table, 1)
+        assert set(vm.prop_vars) == {("p", 0), ("p", 1)}
+        assert vm.value_vars == {}
+        assert cnf.num_vars == 2
+        trace = check(f, table, 1).trace
+        assert trace.propositions["q"] == (False, False)
+        assert trace.variables["v"] == ("b", "b")
+        assert set(trace.symbol_names) == {"p", "q", "v"}
+        assert evaluate(f, trace, 0)
 
     def test_one_hot_block_shape(self):
         table = SymbolTable()
@@ -74,7 +89,7 @@ class TestVarMap:
         assert (-bits0[1], -bits0[2]) in clauses
 
     def test_injective(self, pq_symbols):
-        enc = _Encoder(pq_symbols, 3)
+        enc = _Encoder(pq_symbols, 3, {"p", "q"})
         row = enc.lits(And(Atom("p"), Atom("q")), True)
         ids = list(enc.prop_vars.values()) + list(enc.value_vars.values()) + [a for (a,) in row]
         assert len(ids) == len(set(ids))
@@ -124,6 +139,17 @@ class TestClauseShape:
         encode(f, table, k)  # CnfFormula rejects an empty clause
         assert check(f, table, k).satisfiable is False
         assert brute_force_check(f, k) is False
+
+
+def _contains(f, kind) -> bool:
+    """Whether some node of f is an instance of kind."""
+    if isinstance(f, kind):
+        return True
+    if isinstance(f, (Not, Alw, Som, Dist)):
+        return _contains(f.operand, kind)
+    if isinstance(f, (And, Or, Implies)):
+        return _contains(f.left, kind) or _contains(f.right, kind)
+    return False
 
 
 def _count_nodes(f):
@@ -264,13 +290,14 @@ class TestPredicateValuesInWitness:
 class _ReferenceEncoder:
     """The per-instant encoder with full definitions everywhere, frozen as the reference.
 
-    Every composite node, ``Not``, ``Dist`` and the quantifiers included, gets
-    one variable per instant bi-implied to its definition.  One recursive
+    Only the symbols in ``read`` are numbered, in declaration order.  Every
+    composite node, ``Not``, ``Dist`` and the quantifiers included, gets one
+    variable per instant bi-implied to its definition.  One recursive
     ``literal`` call per (node, instant); a composite node is numbered and
     defined the first time any instant of it is asked for.
     """
 
-    def __init__(self, symbols: SymbolTable, k: int):
+    def __init__(self, symbols: SymbolTable, k: int, read: set[str]):
         if k < 0:
             raise ValueError("bound must be >= 0")
         self.symbols = symbols
@@ -282,11 +309,13 @@ class _ReferenceEncoder:
         self.clauses: list[tuple[int, ...]] = []
         self._node_ids: dict[int, int] = {}
         self._defined: set[int] = set()
+        self._read_variables = [var for var in symbols.variables if var.name in read]
 
         for prop in symbols.propositions:
-            for t in range(k + 1):
-                self.prop_vars[(prop.name, t)] = self._fresh()
-        for var in symbols.variables:
+            if prop.name in read:
+                for t in range(k + 1):
+                    self.prop_vars[(prop.name, t)] = self._fresh()
+        for var in self._read_variables:
             for t in range(k + 1):
                 for value in var.domain:
                     self.value_vars[(var.name, t, value)] = self._fresh()
@@ -298,7 +327,7 @@ class _ReferenceEncoder:
         return v
 
     def _emit_exactly_one(self) -> None:
-        for var in self.symbols.variables:
+        for var in self._read_variables:
             for t in range(self.k + 1):
                 bits = [self.value_vars[(var.name, t, value)] for value in var.domain]
                 self.clauses.append(tuple(bits))
@@ -429,10 +458,11 @@ class _ReferenceEncoder:
 
 
 def _reference_encode(f: Formula, symbols: SymbolTable, k: int) -> tuple[CnfFormula, VarMap]:
-    for name in sorted(free_symbols(f)):
+    read = free_symbols(f)
+    for name in sorted(read):
         if name not in symbols:
             raise ValueError(f"undeclared symbol {name!r} in formula")
-    enc = _ReferenceEncoder(symbols, k)
+    enc = _ReferenceEncoder(symbols, k, read)
     root = enc.literal(f, 0)
     enc.clauses.append((root,))
     cnf = CnfFormula(enc.next_var - 1, tuple(enc.clauses))
@@ -462,7 +492,7 @@ def _assert_fragments_sound(f: Formula, symbols: SymbolTable, k: int) -> int:
     first, so a second solve flips every variable the formula owns: its model
     sets as many of them true as it can.  Returns how many fragments held.
     """
-    enc = _Encoder(symbols, k)
+    enc = _Encoder(symbols, k, free_symbols(f))
     for pos_frag, neg_frag in zip(enc.lits(f, True), enc.lits(f, False)):
         if pos_frag is not None and neg_frag is not None:
             enc.clauses.append(pos_frag + neg_frag)
@@ -675,20 +705,27 @@ def _random_grid_text(rng: random.Random, n: int) -> str:
 
 
 class TestCompiledWorkcellSize:
-    """A compiled workcell's axioms are plain clauses: the encoder's own variables
-    are one ``EqVar`` hazard row and one ``LeConst`` threshold row per hazard."""
+    """A compiled workcell's axioms are plain clauses.  The encoder numbers the
+    symbols the formulas read, one ``EqVar`` hazard row per hazard, and, before
+    the last instant, one conjunction per hazard in the violation: those whose
+    base risk exceeds the threshold.  No risk symbol and no ``LeConst``."""
 
     @staticmethod
     def _assert_exact_count(scenario, k: int) -> None:
         model = compile_scenario(scenario)
+        f = conjoin(model.formulas)
+        read = free_symbols(f)
         symbols = model.symbols
         per_instant = (
-            len(symbols.propositions)
-            + sum(len(var.domain) for var in symbols.variables)
-            + 2 * len(scenario.hazards)
+            sum(prop.name in read for prop in symbols.propositions)
+            + sum(len(var.domain) for var in symbols.variables if var.name in read)
+            + len(scenario.hazards)
         )
-        cnf, _ = encode(conjoin(model.formulas), symbols, k)
-        assert cnf.num_vars == (k + 1) * per_instant, (scenario.name, k)
+        over = [h for h in scenario.hazards if over_speeds(h, scenario.threshold)]
+        cnf, vm = encode(f, symbols, k)
+        assert cnf.num_vars == (k + 1) * per_instant + k * len(over), (scenario.name, k)
+        assert not any(name.startswith("risk_") for name, _, _ in vm.value_vars)
+        assert not _contains(f, LeConst)
 
     @pytest.mark.parametrize("name", ["handover", "handover_stop", "handover_point", "handover_mini"])
     def test_bundled_scenarios(self, name):

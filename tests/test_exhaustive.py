@@ -2,6 +2,8 @@
 
 import random
 
+import pytest
+
 from frozen_exhaustive import exhaustive_verify as frozen_exhaustive_verify
 
 from coverify.exhaustive import exhaustive_verify
@@ -79,3 +81,30 @@ class TestMultiHazardScenarios:
         assert True in verdicts and False in verdicts
         assert shapes == set(SHAPES)
         assert both_mitigations
+
+
+def _long_row_text(cells: int) -> str:
+    """Four POIs on two robots and one operator, all pinned, in a row of unit cells."""
+    names = [f"C{i}" for i in range(cells)]
+    lines = ["[layout]"]
+    lines += [f"loc {cell} box {i} 0 0 {i + 1} 1 1" for i, cell in enumerate(names)]
+    lines += [f"adj {a} {b}" for a, b in zip(names, names[1:])]
+    lines += ["[agents]", "agent op human", "agent a1 robot", "agent a2 robot"]
+    lines += ["poi op h radius 0.05", "poi op f radius 0.05"]
+    lines += ["poi a1 g radius 0.05", "poi a2 r radius 0.05"]
+    lines += ["start h C0", "start f C5", "start g C1", "start r C6"]
+    lines += ["[hazards]", "hazard hz1 h g sev 2 exp 2 avoid 1", "hazard hz2 f r sev 2 exp 1 avoid 1"]
+    lines += ["[mitigations]", "mitigate stop hz2", "[params]", "bound 2"]
+    return "\n".join(lines) + "\n"
+
+
+def test_state_limit_counts_only_what_a_node_holds():
+    # 12 cells and 4 POIs: 12**4 * 2**4 = 331,776 nodes at most, under the
+    # limit; the frozen walker also counted 3**2 speed states and refuses.
+    scenario = loads_scenario(_long_row_text(12))
+    with pytest.raises(ValueError, match="too large"):
+        frozen_exhaustive_verify(scenario)
+    assert exhaustive_verify(scenario) is False
+    assert verify(scenario).safe is False
+    with pytest.raises(ValueError, match="too large"):
+        exhaustive_verify(loads_scenario(_long_row_text(19)))  # 19**4 * 2**4 > 2,000,000

@@ -36,9 +36,13 @@ from coverify.world import (
     compile_scenario,
     load_scenario,
     loads_scenario,
+    over_speeds,
     risk_value,
     verify,
 )
+
+import test_encode  # modules, not classes: an imported Test class would run here again
+import test_exhaustive
 
 MINIMAL = """
 [layout]
@@ -206,6 +210,22 @@ class TestRiskValue:
                             assert risk_value(s, e + 1, a, speed) >= base
                         if a < 2:
                             assert risk_value(s, e, a + 1, speed) >= base
+
+
+class TestOverSpeeds:
+    @pytest.mark.parametrize("threshold", range(8))
+    def test_matches_risk_value_at_every_grade(self, threshold):
+        for sev in range(3):
+            for exp in range(3):
+                for avoid in range(3):
+                    over = over_speeds(Hazard("h", "a", "b", sev, exp, avoid), threshold)
+                    expected = {
+                        v for v in ("normal", "slow", "stopped")
+                        if risk_value(sev, exp, avoid, v) > threshold
+                    }
+                    assert over == expected
+                    if "normal" not in over:
+                        assert over == set()
 
 
 class TestCompile:
@@ -416,6 +436,45 @@ bound 4
         ]
         for scenario in variants:
             assert verify(scenario).safe == exhaustive_verify(scenario)
+
+
+def _assert_risk_priced(s, trace) -> None:
+    """Each risk column: 0 without the flag, else priced at the next speed (base at k)."""
+    for h in s.hazards:
+        robot = s.poi(h.robot_poi).owner
+        for t in range(trace.bound + 1):
+            expected = 0
+            if trace.prop_value(f"haz_{h.id}", t):
+                speed = "normal" if t == trace.bound else trace.var_value(f"speed_{robot}", t + 1)
+                expected = risk_value(h.severity, h.exposure, h.avoidability, speed)
+            assert int(trace.var_value(f"risk_{h.id}", t)) == expected, (h.id, t)
+
+
+class TestPricedRisk:
+    """The risk columns ``verify`` fills after solving, on the differential tests' draws."""
+
+    def test_random_scenario_draws(self):
+        rng = random.Random(4242)
+        unsafe = 0
+        for _ in range(test_encode.TestRandomScenarios.SCENARIOS):
+            scenario = loads_scenario(test_encode._random_scenario_text(rng))
+            result = verify(scenario)
+            if not result.safe:
+                _assert_risk_priced(scenario, result.trace)
+                unsafe += 1
+        assert unsafe > 0
+
+    def test_multi_hazard_draws(self):
+        rng = random.Random(2718)
+        unsafe = 0
+        for _ in range(test_exhaustive.TestMultiHazardScenarios.SCENARIOS):
+            _, text = test_exhaustive._multi_hazard_text(rng)
+            scenario = loads_scenario(text)
+            result = verify(scenario)
+            if not result.safe:
+                _assert_risk_priced(scenario, result.trace)
+                unsafe += 1
+        assert unsafe > 0
 
 
 class TestScenarioStructures:

@@ -17,7 +17,6 @@ from .logic import (
     FiniteVariable,
     Formula,
     Implies,
-    LeConst,
     Not,
     Or,
     Proposition,
@@ -47,7 +46,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Alw", "And", "Atom", "Box", "CheckResult", "ClassifiedHazard", "Dist", "Eq",
-    "EqVar", "FiniteVariable", "Formula", "Implies", "LeConst", "Mitigation",
+    "EqVar", "FiniteVariable", "Formula", "Implies", "Mitigation",
     "MotionCommand", "Not", "Or", "ParseError", "Proposition", "Scenario",
     "ScenarioError", "Som", "SymbolTable", "Trace", "VerifyResult",
     "aabb_max_distance", "aabb_min_distance", "apply_mitigation",

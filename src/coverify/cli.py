@@ -25,7 +25,7 @@ from .exhaustive import exhaustive_verify
 from .logic import Trace, conjoin
 from .replay import classify
 from .reports import HazardReport, render_csv, render_svg, render_text, timeline_svg, trace_table
-from .sat import write_dimacs
+from .sat import CnfFormula, write_dimacs
 from .traceio import TraceFormatError, read_trace, write_trace
 from .world import ScenarioError, Scenario, compile_scenario, load_scenario, verify
 
@@ -134,7 +134,10 @@ def run_export(cfg: RunConfig, what: str, trace_path: str | None = None) -> int:
         scenario = _load(cfg)
         if what == "cnf":
             model = compile_scenario(scenario)
-            cnf, _ = encode(conjoin(model.formulas), model.symbols, scenario.bound)
+            if model.violation is None:  # verify's SAFE without solving, as a CNF
+                cnf = CnfFormula(1, ((1,), (-1,)))
+            else:
+                cnf, _ = encode(conjoin(model.formulas), model.symbols, scenario.bound)
             content = write_dimacs(cnf)
             suffix = ".cnf"
         elif what in ("trace-table", "timeline"):

@@ -13,8 +13,8 @@ fragment: a tuple of literals whose disjunction implies f (``pos``) or not-f
 (not ``pos``) at that instant, or None where that holds anyway.  A fragment
 may stand for f wherever f occurs at that polarity inside a clause.
 
-* ``Atom`` and ``Eq`` read their symbol's literals.  ``EqVar`` and
-  ``LeConst`` own one variable per instant, bi-implied to its definition.
+* ``Atom`` and ``Eq`` read their symbol's literals.  ``EqVar`` owns one
+  variable per instant, bi-implied to its definition.
 * ``Not`` flips the polarity and ``Dist`` shifts the row.  Outside the
   window ``Dist`` is false: an empty fragment at positive polarity, None at
   negative.  An operand no instant reaches (|offset| > k) is never looked at.
@@ -66,7 +66,6 @@ from .logic import (
     FiniteVariable,
     Formula,
     Implies,
-    LeConst,
     Not,
     Or,
     Som,
@@ -168,7 +167,7 @@ class _Encoder:
         self.clauses: list[tuple[int, ...]] = []
         self._prop_rows: dict[str, list[int]] = {}
         self._value_rows: dict[tuple[str, str], list[int]] = {}
-        self._exact_rows: dict[int, list[int]] = {}  # id of an EqVar/LeConst node -> its row
+        self._exact_rows: dict[int, list[int]] = {}  # id of an EqVar node -> its row
         self._lits: dict[tuple[int, bool], list[Fragment]] = {}  # (id of a node, polarity)
         self._false: int | None = None
 
@@ -275,7 +274,7 @@ class _Encoder:
         return tuple(dict.fromkeys(chain.from_iterable(chain.from_iterable(parts))))
 
     def _literal_row(self, f: Formula) -> list[int]:
-        """Literals equivalent to an atomic f at t = 0..k; defines EqVar/LeConst on first use."""
+        """Literals equivalent to an atomic f at t = 0..k; defines EqVar on first use."""
         if isinstance(f, Atom):
             row = self._prop_rows.get(f.name)
             if row is None:
@@ -293,45 +292,28 @@ class _Encoder:
         return row
 
     def _define(self, f: Formula) -> list[int]:
-        own = self._fresh_row(self.k + 1)
-        clauses = self.clauses
-        append = clauses.append
-        if isinstance(f, EqVar):
-            left, right = self._variable(f.left), self._variable(f.right)
-            right_values = set(right.domain)
-            if right_values.isdisjoint(left.domain):
-                raise ValueError(
-                    f"variables {f.left!r} and {f.right!r} have disjoint domains"
-                )
-            pairs = [
-                (self._value_rows[(f.left, value)],
-                 self._value_rows[(f.right, value)] if value in right_values else None)
-                for value in left.domain
-            ]
-            for t, e in enumerate(own):
-                for a_row, b_row in pairs:
-                    a = a_row[t]
-                    if b_row is not None:
-                        b = b_row[t]
-                        append((-e, -a, b))
-                        append((e, -a, -b))
-                    else:
-                        append((-e, -a))
-        elif isinstance(f, LeConst):
-            var = self._variable(f.var)
-            try:
-                sat_values = [value for value in var.domain if int(value) <= f.bound]
-            except ValueError:
-                raise ValueError(
-                    f"variable {f.var!r} has non-integer domain values; <= not applicable"
-                ) from None
-            rows = [self._value_rows[(f.var, value)] for value in sat_values]
-            for t, e in enumerate(own):
-                bits = [row[t] for row in rows]
-                append((-e, *bits))
-                clauses.extend([(e, -bit) for bit in bits])
-        else:
+        if not isinstance(f, EqVar):
             raise TypeError(f"not a formula: {f!r}")
+        left, right = self._variable(f.left), self._variable(f.right)
+        right_values = set(right.domain)
+        if right_values.isdisjoint(left.domain):
+            raise ValueError(f"variables {f.left!r} and {f.right!r} have disjoint domains")
+        own = self._fresh_row(self.k + 1)
+        append = self.clauses.append
+        pairs = [
+            (self._value_rows[(f.left, value)],
+             self._value_rows[(f.right, value)] if value in right_values else None)
+            for value in left.domain
+        ]
+        for t, e in enumerate(own):
+            for a_row, b_row in pairs:
+                a = a_row[t]
+                if b_row is not None:
+                    b = b_row[t]
+                    append((-e, -a, b))
+                    append((e, -a, -b))
+                else:
+                    append((-e, -a))
         return own
 
     # -- assertion ---------------------------------------------------------

@@ -56,9 +56,6 @@ class Box:
     def edges(self) -> tuple[float, float, float]:
         return tuple(b - a for a, b in zip(self.lo, self.hi))
 
-    def intersects(self, other: "Box") -> bool:
-        return all(a0 <= b1 and b0 <= a1 for a0, a1, b0, b1 in zip(self.lo, self.hi, other.lo, other.hi))
-
     def interior_overlaps(self, other: "Box") -> bool:
         return all(a0 < b1 and b0 < a1 for a0, a1, b0, b1 in zip(self.lo, self.hi, other.lo, other.hi))
 

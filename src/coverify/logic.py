@@ -9,9 +9,8 @@ instants 0..k.  Its operators:
 * ``Alw(f)`` / ``Som(f)`` -- f at every / some instant of the whole window,
   regardless of the current evaluation instant.
 
-Atomic formulas are propositions, equality of a finite-domain variable with
-a constant or with another variable, and ``var <= n`` for variables whose
-domain values read as integers.  ``evaluate`` is pure and is the ground
+Atomic formulas are propositions and equality of a finite-domain variable
+with a constant or with another variable.  ``evaluate`` is pure and is the ground
 truth the bounded SAT encoding is checked against.
 """
 
@@ -29,7 +28,6 @@ __all__ = [
     "Atom",
     "Eq",
     "EqVar",
-    "LeConst",
     "Not",
     "And",
     "Or",
@@ -154,15 +152,6 @@ class EqVar(Formula):
 
     def __str__(self) -> str:
         return f"{self.left} = {self.right}"
-
-
-@dataclass(frozen=True)
-class LeConst(Formula):
-    var: str
-    bound: int
-
-    def __str__(self) -> str:
-        return f"{self.var} <= {self.bound}"
 
 
 @dataclass(frozen=True)
@@ -291,8 +280,6 @@ def _collect_symbols(f: Formula, out: set[str]) -> None:
     elif isinstance(f, EqVar):
         out.add(f.left)
         out.add(f.right)
-    elif isinstance(f, LeConst):
-        out.add(f.var)
     elif isinstance(f, (Not, Alw, Som, Dist)):
         _collect_symbols(f.operand, out)
     elif isinstance(f, (And, Or, Implies)):
@@ -331,13 +318,6 @@ def _truth_row(f: Formula, tr: Trace, memo: dict[int, tuple[bool, ...]]) -> tupl
     elif isinstance(f, EqVar):
         left, right = _var_row(tr, f.left), _var_row(tr, f.right)
         row = tuple(a == b for a, b in zip(left, right))
-    elif isinstance(f, LeConst):
-        try:
-            row = tuple(int(v) <= f.bound for v in _var_row(tr, f.var))
-        except ValueError:
-            raise ValueError(
-                f"variable {f.var!r} has non-integer domain values; <= not applicable"
-            ) from None
     elif isinstance(f, Not):
         row = tuple(not v for v in _truth_row(f.operand, tr, memo))
     elif isinstance(f, And):

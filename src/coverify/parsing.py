@@ -6,7 +6,7 @@
     and     := unary ("&" unary)*
     unary   := "!" unary | "Alw(" formula ")" | "Som(" formula ")"
              | "Dist(" formula "," int ")" | atom | "(" formula ")"
-    atom    := ident | ident "=" ident | ident "<=" int
+    atom    := ident | ident "=" ident
 
 ``Alw``, ``Som`` and ``Dist`` are reserved words.  ``ident = ident`` is
 variable/constant equality when the right side is a domain value of the left
@@ -28,7 +28,6 @@ from .logic import (
     FiniteVariable,
     Formula,
     Implies,
-    LeConst,
     Not,
     Or,
     Proposition,
@@ -84,8 +83,6 @@ def _tokenize(text: str) -> list[_Token]:
 
         if text.startswith("->", i):
             emit("ARROW", 2)
-        elif text.startswith("<=", i):
-            emit("LE", 2)
         elif ch in "!&|(),=":
             emit({"!": "NOT", "&": "AND", "|": "OR", "(": "LPAREN", ")": "RPAREN",
                   ",": "COMMA", "=": "EQ"}[ch], 1)
@@ -214,23 +211,9 @@ class _Parser:
                 rhs.line,
                 rhs.column,
             )
-        if nxt.kind == "LE":
-            if not isinstance(symbol, FiniteVariable):
-                raise ParseError(
-                    f"{name_tok.text!r} is not a finite variable", name_tok.line, name_tok.column
-                )
-            if not _integer_domain(symbol):
-                raise ParseError(
-                    f"variable {symbol.name!r} has a non-integer domain; <= not applicable",
-                    name_tok.line,
-                    name_tok.column,
-                )
-            self.advance()
-            bound = self.expect("INT", "an integer literal")
-            return LeConst(symbol.name, int(bound.text))
         if not isinstance(symbol, Proposition):
             raise ParseError(
-                f"{name_tok.text!r} is a finite variable and needs '=' or '<='",
+                f"{name_tok.text!r} is a finite variable and needs '='",
                 name_tok.line,
                 name_tok.column,
             )
@@ -241,15 +224,6 @@ class _Parser:
         if symbol is None:
             raise ParseError(f"undeclared identifier {tok.text!r}", tok.line, tok.column)
         return symbol
-
-
-def _integer_domain(var: FiniteVariable) -> bool:
-    try:
-        for value in var.domain:
-            int(value)
-    except ValueError:
-        return False
-    return True
 
 
 def parse_formula(text: str, symbols: SymbolTable) -> Formula:

@@ -5,15 +5,15 @@
     <t> <value> <value> ...
 
 One line per instant; propositions print as 0/1, finite variables print
-their domain symbol.  Re-parsing against the scenario's symbol table
-reconstructs the trace exactly and requires a column for every declared
-symbol; without a table, a column is read as a proposition iff all of its
-values are 0/1.
+their domain symbol.  Reading needs the scenario's symbol table: a column
+of 0/1 values may be a proposition or an integer-valued variable such as
+``risk_<h>``.  It reconstructs the trace exactly and requires a column for
+every declared symbol.
 """
 
 from __future__ import annotations
 
-from .logic import SymbolTable, Trace
+from .logic import FiniteVariable, SymbolTable, Trace
 
 __all__ = ["TraceFormatError", "write_trace", "read_trace"]
 
@@ -31,7 +31,7 @@ def write_trace(tr: Trace) -> str:
     return "".join(lines)
 
 
-def read_trace(text: str, symbols: SymbolTable | None = None) -> Trace:
+def read_trace(text: str, symbols: SymbolTable) -> Trace:
     bound: int | None = None
     names: list[str] | None = None
     rows: list[list[str]] = []
@@ -67,32 +67,24 @@ def read_trace(text: str, symbols: SymbolTable | None = None) -> Trace:
     if len(rows) != bound + 1:
         raise TraceFormatError(f"bound {bound} but {len(rows)} instant rows")
 
-    columns = {name: [row[i] for row in rows] for i, name in enumerate(names)}
     props: dict[str, tuple[bool, ...]] = {}
     variables: dict[str, tuple[str, ...]] = {}
-    for name, column in columns.items():
-        if symbols is not None:
-            symbol = symbols.lookup(name)
-            if symbol is None:
-                raise TraceFormatError(f"trace symbol {name!r} is not declared")
-            is_prop = not hasattr(symbol, "domain")
-            if not is_prop:
-                for value in column:
-                    if value not in symbol.domain:
-                        raise TraceFormatError(
-                            f"value {value!r} outside the domain of {name!r}"
-                        )
+    for i, name in enumerate(names):
+        column = [row[i] for row in rows]
+        symbol = symbols.lookup(name)
+        if symbol is None:
+            raise TraceFormatError(f"trace symbol {name!r} is not declared")
+        if isinstance(symbol, FiniteVariable):
+            for value in column:
+                if value not in symbol.domain:
+                    raise TraceFormatError(f"value {value!r} outside the domain of {name!r}")
+            variables[name] = tuple(column)
         else:
-            is_prop = all(value in ("0", "1") for value in column)
-        if is_prop:
             for value in column:
                 if value not in ("0", "1"):
                     raise TraceFormatError(f"proposition {name!r} has non-boolean value {value!r}")
             props[name] = tuple(value == "1" for value in column)
-        else:
-            variables[name] = tuple(column)
-    if symbols is not None:
-        for symbol in (*symbols.propositions, *symbols.variables):
-            if symbol.name not in columns:
-                raise TraceFormatError(f"trace has no column for declared symbol {symbol.name!r}")
+    for symbol in (*symbols.propositions, *symbols.variables):
+        if symbol.name not in props and symbol.name not in variables:
+            raise TraceFormatError(f"trace has no column for declared symbol {symbol.name!r}")
     return Trace(bound, props, variables)

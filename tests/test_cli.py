@@ -293,6 +293,14 @@ class TestExport:
         cnf = read_dimacs(out.read_text())
         assert solve(cnf).satisfiable  # the unmitigated model has a counterexample
 
+    def test_cnf_is_unsatisfiable_when_no_hazard_can_break_the_threshold(self, tmp_path):
+        scenario = tmp_path / "mini_threshold6.scn"
+        scenario.write_text(Path(HANDOVER_MINI).read_text() + "threshold 6\n")
+        assert main(["verify", str(scenario)]) == EXIT_SAFE
+        out = tmp_path / "model.cnf"
+        assert main(["export", str(scenario), "cnf", "--out", str(out)]) == EXIT_SAFE
+        assert not solve(read_dimacs(out.read_text())).satisfiable
+
     def test_trace_table_lists_instant_rows(self, tmp_path, trace_file):
         out = tmp_path / "table.txt"
         cfg = RunConfig(scenario=HANDOVER, out=str(out))

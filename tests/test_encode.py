@@ -18,7 +18,6 @@ from coverify.logic import (
     FiniteVariable,
     Formula,
     Implies,
-    LeConst,
     Not,
     Or,
     Proposition,
@@ -139,17 +138,6 @@ class TestClauseShape:
         encode(f, table, k)  # CnfFormula rejects an empty clause
         assert check(f, table, k).satisfiable is False
         assert brute_force_check(f, k) is False
-
-
-def _contains(f, kind) -> bool:
-    """Whether some node of f is an instance of kind."""
-    if isinstance(f, kind):
-        return True
-    if isinstance(f, (Not, Alw, Som, Dist)):
-        return _contains(f.operand, kind)
-    if isinstance(f, (And, Or, Implies)):
-        return _contains(f.left, kind) or _contains(f.right, kind)
-    return False
 
 
 def _count_nodes(f):
@@ -392,20 +380,6 @@ class _ReferenceEncoder:
                         self.clauses.append((e, -a, -b))
                     else:
                         self.clauses.append((-e, -a))
-        elif isinstance(f, LeConst):
-            var = self._variable(f.var)
-            try:
-                sat_values = [value for value in var.domain if int(value) <= f.bound]
-            except ValueError:
-                raise ValueError(
-                    f"variable {f.var!r} has non-integer domain values; <= not applicable"
-                ) from None
-            for t in range(k + 1):
-                e = own[t]
-                bits = [self.value_vars[(f.var, t, value)] for value in sat_values]
-                self.clauses.append((-e, *bits))
-                for bit in bits:
-                    self.clauses.append((e, -bit))
         elif isinstance(f, Not):
             for t in range(k + 1):
                 sub = self.literal(f.operand, t)
@@ -594,10 +568,8 @@ class TestMatchesReferenceEncoder:
             EqVar("x", "y"),
             EqVar("y", "x"),
             EqVar("x", "z"),
-            LeConst("x", 1),
-            LeConst("x", -1),  # no value satisfies it: a unit clause per instant
-            And(LeConst("z", 0), Dist(EqVar("x", "z"), -1)),
-            Implies(Eq("y", "a"), Alw(Or(Atom("p"), LeConst("z", 2)))),
+            And(Eq("z", "0"), Dist(EqVar("x", "z"), -1)),
+            Implies(Eq("y", "a"), Alw(Or(Atom("p"), EqVar("x", "z")))),
         ):
             _assert_matches_reference(f, table, k, brute_force=False)
 
@@ -618,8 +590,6 @@ class TestMatchesReferenceEncoder:
             (Eq("p", "0"), 0),  # an Eq naming a proposition
             (Not(EqVar("x", "p")), 2),
             (EqVar("z", "y"), 1),  # disjoint domains
-            (LeConst("y", 2), 1),  # non-integer domain value
-            (LeConst("p", 2), 1),
             (Atom("p"), -1),  # negative bound
         ],
     )
@@ -708,7 +678,8 @@ class TestCompiledWorkcellSize:
     """A compiled workcell's axioms are plain clauses.  The encoder numbers the
     symbols the formulas read, one ``EqVar`` hazard row per hazard, and, before
     the last instant, one conjunction per hazard in the violation: those whose
-    base risk exceeds the threshold.  No risk symbol and no ``LeConst``."""
+    base risk exceeds the threshold.  No formula reads a ``risk_<h>`` column:
+    risk is priced after solving."""
 
     @staticmethod
     def _assert_exact_count(scenario, k: int) -> None:
@@ -725,7 +696,6 @@ class TestCompiledWorkcellSize:
         cnf, vm = encode(f, symbols, k)
         assert cnf.num_vars == (k + 1) * per_instant + k * len(over), (scenario.name, k)
         assert not any(name.startswith("risk_") for name, _, _ in vm.value_vars)
-        assert not _contains(f, LeConst)
 
     @pytest.mark.parametrize("name", ["handover", "handover_stop", "handover_point", "handover_mini"])
     def test_bundled_scenarios(self, name):

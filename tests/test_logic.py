@@ -15,7 +15,6 @@ from coverify.logic import (
     EqVar,
     FiniteVariable,
     Implies,
-    LeConst,
     Not,
     Or,
     Som,
@@ -79,16 +78,6 @@ class TestEvaluate:
         assert evaluate(Eq("x", "L2"), tr, 0) is False
         assert evaluate(EqVar("x", "y"), tr, 1) is True
         assert evaluate(EqVar("x", "y"), tr, 2) is False
-
-    def test_le_const_on_integer_domains(self):
-        tr = Trace(1, {}, {"risk": ("2", "5")})
-        assert evaluate(LeConst("risk", 3), tr, 0) is True
-        assert evaluate(LeConst("risk", 3), tr, 1) is False
-
-    def test_le_const_rejects_symbolic_domains(self):
-        tr = Trace(0, {}, {"x": ("L1",)})
-        with pytest.raises(ValueError, match="non-integer"):
-            evaluate(LeConst("x", 3), tr, 0)
 
     def test_instant_out_of_range(self):
         with pytest.raises(ValueError, match="outside"):

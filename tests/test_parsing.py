@@ -10,7 +10,6 @@ from coverify.logic import (
     Eq,
     EqVar,
     Implies,
-    LeConst,
     Not,
     Or,
     Som,
@@ -46,10 +45,6 @@ def test_som_of_equality(symbols):
 
 def test_variable_equality(symbols):
     assert parse_formula("p_g = p_a", symbols) == EqVar("p_g", "p_a")
-
-
-def test_le_const(symbols):
-    assert parse_formula("risk <= 1", symbols) == LeConst("risk", 1)
 
 
 def test_negative_dist_offset(symbols):
@@ -117,12 +112,13 @@ class TestErrors:
         with pytest.raises(ParseError, match="neither a domain value"):
             parse_formula("p_g = L9", symbols)
 
-    def test_le_on_symbolic_domain(self, symbols):
-        with pytest.raises(ParseError, match="non-integer"):
-            parse_formula("p_g <= 2", symbols)
+    def test_le_is_not_an_operator(self, symbols):
+        with pytest.raises(ParseError, match="unexpected character '<'") as error:
+            parse_formula("risk <= 1", symbols)
+        assert (error.value.line, error.value.column) == (1, 6)
 
     def test_bare_variable_is_rejected(self, symbols):
-        with pytest.raises(ParseError, match="needs '=' or '<='"):
+        with pytest.raises(ParseError, match="needs '='"):
             parse_formula("p_g", symbols)
 
     def test_stray_character(self, symbols):
@@ -146,8 +142,6 @@ def test_parse_evaluate_round_trip(symbols):
     cases = [
         ("start -> Dist(stop, 3)", 0, True),
         ("Som(p_g = p_a)", 2, True),
-        ("Alw(risk <= 1)", 0, False),
-        ("Som(!(risk <= 1))", 0, True),
     ]
     for text, t, expected in cases:
         assert evaluate(parse_formula(text, symbols), tr, t) is expected

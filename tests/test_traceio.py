@@ -39,11 +39,6 @@ def test_round_trip_with_symbols(trace, symbols):
     assert read_trace(write_trace(trace), symbols) == trace
 
 
-def test_round_trip_without_symbols_on_boolean_free_domains(trace):
-    # L1/L2 values are not 0/1, so column inference reconstructs this exactly
-    assert read_trace(write_trace(trace)) == trace
-
-
 def test_round_trip_of_a_real_counterexample(handover_mini):
     result = verify(handover_mini)
     symbols = compile_scenario(handover_mini).symbols
@@ -51,33 +46,30 @@ def test_round_trip_of_a_real_counterexample(handover_mini):
 
 
 def test_numeric_domain_needs_symbols():
-    # an all-0/1 numeric variable column is indistinguishable from a
-    # proposition without the table; with it, the kind is exact
+    # an all-0/1 numeric variable column looks like a proposition; the table
+    # makes the kind exact
     table = SymbolTable()
     table.add_variable("risk", ("0", "1", "2"))
     tr = Trace(1, {}, {"risk": ("0", "1")})
-    text = write_trace(tr)
-    assert read_trace(text, table) == tr
-    bare = read_trace(text)
-    assert "risk" in bare.propositions  # documented inference fallback
+    assert read_trace(write_trace(tr), table) == tr
 
 
 class TestErrors:
-    def test_missing_headers(self):
+    def test_missing_headers(self, symbols):
         with pytest.raises(TraceFormatError, match="header"):
-            read_trace("0 1\n")
+            read_trace("0 1\n", symbols)
 
-    def test_bound_row_mismatch(self):
+    def test_bound_row_mismatch(self, symbols):
         with pytest.raises(TraceFormatError, match="instant rows"):
-            read_trace("# bound 2\n# vars p\n0 1\n1 0\n")
+            read_trace("# bound 2\n# vars start\n0 1\n1 0\n", symbols)
 
-    def test_non_consecutive_instants(self):
+    def test_non_consecutive_instants(self, symbols):
         with pytest.raises(TraceFormatError, match="consecutive"):
-            read_trace("# bound 1\n# vars p\n0 1\n2 0\n")
+            read_trace("# bound 1\n# vars start\n0 1\n2 0\n", symbols)
 
-    def test_field_count(self):
+    def test_field_count(self, symbols):
         with pytest.raises(TraceFormatError, match="fields"):
-            read_trace("# bound 0\n# vars p q\n0 1\n")
+            read_trace("# bound 0\n# vars start stop\n0 1\n", symbols)
 
     def test_undeclared_symbol(self, symbols):
         with pytest.raises(TraceFormatError, match="not declared"):

@@ -27,7 +27,7 @@ from .replay import classify
 from .reports import HazardReport, render_csv, render_svg, render_text, timeline_svg, trace_table
 from .sat import CnfFormula, write_dimacs
 from .traceio import TraceFormatError, read_trace, write_trace
-from .world import ScenarioError, Scenario, compile_scenario, load_scenario, verify
+from .world import Scenario, compile_scenario, load_scenario, verify
 
 __all__ = ["RunConfig", "run_verify", "run_classify", "run_export", "run_oracle", "main"]
 

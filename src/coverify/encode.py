@@ -42,9 +42,15 @@ literal is made unsatisfiable with one literal fixed false.
 In every model of the clauses, each true literal of a fragment gives its
 subformula that fragment's polarity at that instant, and every trace that
 satisfies the root extends to a model.  So a formula is satisfiable over
-bound k iff its CNF is.  ``decode`` turns a model back into a trace and
-``check`` glues encode/solve/decode together and re-checks every witness
-against the evaluator.  ``check`` pauses the cyclic garbage collector while
+bound k iff its CNF is.
+
+The encoder numbers every literal itself, so ``encode`` hands its CNF over
+without the literal checks of the public ``CnfFormula`` constructor; those
+checks validate CNFs built by hand and those ``sat.read_dimacs`` reads.
+
+``decode`` turns a model back into a trace and ``check`` glues
+encode/solve/decode together and re-checks every witness against the
+evaluator.  ``check`` pauses the cyclic garbage collector while
 it runs: the clause tuples and solver lists it allocates hold no reference
 cycles, so a collection would find nothing and only re-scan them.
 """
@@ -187,7 +193,7 @@ class _Encoder:
                 bits = block[t * width:(t + 1) * width]
                 self.value_vars.update(zip([(var.name, t, value) for value in var.domain], bits))
                 self.clauses.append(tuple(bits))
-                self.clauses.extend([(-a, -b) for a, b in combinations(bits, 2)])
+                self.clauses.extend(combinations([-a for a in bits], 2))
             for i, value in enumerate(var.domain):
                 self._value_rows[(var.name, value)] = block[i::width]
 
@@ -361,7 +367,7 @@ def encode(f: Formula, symbols: SymbolTable, k: int) -> tuple[sat.CnfFormula, Va
             raise ValueError(f"undeclared symbol {name!r} in formula")
     enc = _Encoder(symbols, k, read)
     enc.assert_formula(f)
-    cnf = sat.CnfFormula(enc.next_var - 1, tuple(enc.clauses))
+    cnf = sat.CnfFormula._numbered(enc.next_var - 1, tuple(enc.clauses))
     vm = VarMap(k, enc.prop_vars, enc.value_vars, cnf.num_vars)
     return cnf, vm
 

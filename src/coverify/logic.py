@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import Callable
 
 __all__ = [
     "IDENT_RE",
@@ -266,27 +267,37 @@ class Trace:
 
 
 def free_symbols(f: Formula) -> set[str]:
-    """Names of propositions and finite variables occurring in f (not constants)."""
+    """Names of propositions and finite variables occurring in f (not constants).
+
+    A connective shared by object is walked once, so the walk is linear in
+    the distinct nodes of f, as the evaluator and the encoder are.
+    """
     out: set[str] = set()
-    _collect_symbols(f, out)
+    seen: set[int] = set()  # ids of the connectives walked
+
+    def walk(f: Formula) -> None:
+        cls = type(f)
+        if cls is Eq:
+            out.add(f.var)
+        elif cls is Atom:
+            out.add(f.name)
+        elif cls is EqVar:
+            out.add(f.left)
+            out.add(f.right)
+        elif id(f) in seen:
+            return
+        elif cls is And or cls is Or or cls is Implies:
+            seen.add(id(f))
+            walk(f.left)
+            walk(f.right)
+        elif cls is Dist or cls is Alw or cls is Not or cls is Som:
+            seen.add(id(f))
+            walk(f.operand)
+        else:
+            raise TypeError(f"not a formula: {f!r}")
+
+    walk(f)
     return out
-
-
-def _collect_symbols(f: Formula, out: set[str]) -> None:
-    if isinstance(f, Atom):
-        out.add(f.name)
-    elif isinstance(f, Eq):
-        out.add(f.var)
-    elif isinstance(f, EqVar):
-        out.add(f.left)
-        out.add(f.right)
-    elif isinstance(f, (Not, Alw, Som, Dist)):
-        _collect_symbols(f.operand, out)
-    elif isinstance(f, (And, Or, Implies)):
-        _collect_symbols(f.left, out)
-        _collect_symbols(f.right, out)
-    else:
-        raise TypeError(f"not a formula: {f!r}")
 
 
 def evaluate(f: Formula, tr: Trace, t: int) -> bool:
@@ -294,57 +305,74 @@ def evaluate(f: Formula, tr: Trace, t: int) -> bool:
 
     Dist(f, d) at t is true iff 0 <= t+d <= bound and f holds at t+d;
     Alw/Som quantify over the whole window 0..bound independent of t.
+
+    Each subformula's truth row over the whole window is one int bitset, bit
+    t for instant t, so a node costs one integer operation.  The evaluator
+    shares no code with the encoder, which is checked against it.
     """
     if not 0 <= t <= tr.bound:
         raise ValueError(f"instant {t} outside trace window [0, {tr.bound}]")
-    return _truth_row(f, tr, {})[t]
+    return bool(_truth_rows(tr, {})(f) >> t & 1)
 
 
-def _truth_row(f: Formula, tr: Trace, memo: dict[int, tuple[bool, ...]]) -> tuple[bool, ...]:
-    """Truth value of f at every instant, computed bottom-up with sharing."""
-    key = id(f)
-    cached = memo.get(key)
-    if cached is not None:
-        return cached
+def _truth_rows(tr: Trace, memo: dict[int, int]) -> Callable[[Formula], int]:
+    """A function giving a formula's truth row on tr as an int: bit t is instant t.
 
-    n = tr.bound + 1
-    if isinstance(f, Atom):
-        try:
-            row = tr.propositions[f.name]
-        except KeyError:
-            raise ValueError(f"proposition {f.name!r} missing from trace") from None
-    elif isinstance(f, Eq):
-        row = tuple(v == f.value for v in _var_row(tr, f.var))
-    elif isinstance(f, EqVar):
-        left, right = _var_row(tr, f.left), _var_row(tr, f.right)
-        row = tuple(a == b for a, b in zip(left, right))
-    elif isinstance(f, Not):
-        row = tuple(not v for v in _truth_row(f.operand, tr, memo))
-    elif isinstance(f, And):
-        row = tuple(a and b for a, b in zip(_truth_row(f.left, tr, memo), _truth_row(f.right, tr, memo)))
-    elif isinstance(f, Or):
-        row = tuple(a or b for a, b in zip(_truth_row(f.left, tr, memo), _truth_row(f.right, tr, memo)))
-    elif isinstance(f, Implies):
-        row = tuple(
-            (not a) or b
-            for a, b in zip(_truth_row(f.left, tr, memo), _truth_row(f.right, tr, memo))
-        )
-    elif isinstance(f, Alw):
-        row = (all(_truth_row(f.operand, tr, memo)),) * n
-    elif isinstance(f, Som):
-        row = (any(_truth_row(f.operand, tr, memo)),) * n
-    elif isinstance(f, Dist):
-        sub = _truth_row(f.operand, tr, memo)
-        row = tuple(sub[t + f.offset] if 0 <= t + f.offset <= tr.bound else False for t in range(n))
-    else:
-        raise TypeError(f"not a formula: {f!r}")
+    It stores the row of every node it evaluates in memo, keyed on the node's
+    id, so a node shared by object is evaluated once.  A variable's rows of
+    "equals this value" are built on its first use.
+    """
+    full = (1 << (tr.bound + 1)) - 1
+    value_rows: dict[str, dict[str, int]] = {}
 
-    memo[key] = row
+    def values(name: str) -> dict[str, int]:
+        rows = value_rows.get(name)
+        if rows is None:
+            try:
+                column = tr.variables[name]
+            except KeyError:
+                raise ValueError(f"variable {name!r} missing from trace") from None
+            rows = value_rows[name] = {}
+            for t, value in enumerate(column):
+                rows[value] = rows.get(value, 0) | 1 << t
+        return rows
+
+    def row(f: Formula) -> int:
+        key = id(f)
+        bits = memo.get(key)
+        if bits is not None:
+            return bits
+        cls = type(f)  # most frequent kinds first
+        if cls is And:
+            bits = row(f.left) & row(f.right)
+        elif cls is Eq:
+            bits = values(f.var).get(f.value, 0)
+        elif cls is Dist:
+            sub, d = row(f.operand), f.offset
+            bits = sub >> d if d >= 0 else (sub << -d) & full
+        elif cls is Implies:
+            bits = (full ^ row(f.left)) | row(f.right)
+        elif cls is Alw:
+            bits = full if row(f.operand) == full else 0
+        elif cls is Or:
+            bits = row(f.left) | row(f.right)
+        elif cls is Not:
+            bits = full ^ row(f.operand)
+        elif cls is Atom:
+            try:
+                column = tr.propositions[f.name]
+            except KeyError:
+                raise ValueError(f"proposition {f.name!r} missing from trace") from None
+            bits = sum(1 << t for t, holds in enumerate(column) if holds)
+        elif cls is Som:
+            bits = full if row(f.operand) else 0
+        elif cls is EqVar:
+            left, right = values(f.left), values(f.right)
+            # The instants of distinct values are disjoint, so the sum is their union.
+            bits = sum(instants & right.get(value, 0) for value, instants in left.items())
+        else:
+            raise TypeError(f"not a formula: {f!r}")
+        memo[key] = bits
+        return bits
+
     return row
-
-
-def _var_row(tr: Trace, name: str) -> tuple[str, ...]:
-    try:
-        return tr.variables[name]
-    except KeyError:
-        raise ValueError(f"variable {name!r} missing from trace") from None

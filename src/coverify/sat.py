@@ -64,6 +64,14 @@ class CnfFormula:
         if abs(worst) > self.num_vars:
             raise ValueError(f"literal {worst} out of range for {self.num_vars} variables")
 
+    @classmethod
+    def _numbered(cls, num_vars: int, clauses: tuple[tuple[int, ...], ...]) -> "CnfFormula":
+        """A CNF whose literals the caller numbered itself, so already in range: no check."""
+        cnf = object.__new__(cls)
+        object.__setattr__(cnf, "num_vars", num_vars)
+        object.__setattr__(cnf, "clauses", clauses)
+        return cnf
+
 
 @dataclass(frozen=True)
 class SolveResult:
@@ -115,8 +123,8 @@ class _Solver:
     * an int ``other``: the binary input clause (lit, other).  Binary clauses
       exist only as these two entries, one in each literal's list, and never
       move, since the other literal is always watched;
-    * a list: any other input clause, after ``_add_clause`` drops repeated
-      literals, or a learned clause.  Its watched literals sit in slots 0 and
+    * a list: any other input clause, with repeated literals dropped, or a
+      learned clause.  Its watched literals sit in slots 0 and
       1, and ``clauses`` holds every such list in load-then-learn order.
 
     ``reason[var]`` is None for a decision or a level-0 unit, the clause list
@@ -151,14 +159,23 @@ class _Solver:
         self.conflicts = 0
         self._rebuild_heap()
 
-        watches = self.watches
+        # What _add_clause would do, inline for the common shapes: a binary
+        # clause of two variables, and a longer one with no repeated variable.
+        clauses, watches = self.clauses, self.watches
         for clause in cnf.clauses:
-            if len(clause) == 2:
+            size = len(clause)
+            if size == 2:
                 a, b = clause
                 if a != b and a != -b:
                     watches[a].append(b)
                     watches[b].append(a)
                     continue
+            elif size > 2 and len(set(map(abs, clause))) == size:
+                lits = list(clause)
+                clauses.append(lits)
+                watches[lits[0]].append(lits)
+                watches[lits[1]].append(lits)
+                continue
             self._add_clause(clause)
 
     def _rebuild_heap(self) -> None:

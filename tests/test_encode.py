@@ -3,6 +3,7 @@
 import gc
 import importlib
 import random
+from itertools import chain
 
 import pytest
 
@@ -23,7 +24,7 @@ from coverify.logic import (
     Proposition,
     Som,
     SymbolTable,
-    _truth_row,
+    _truth_rows,
     conjoin,
     evaluate,
     free_symbols,
@@ -38,7 +39,7 @@ from coverify.world import (
     verify,
 )
 
-from helpers import brute_force_check, family_symbols, formula_family, random_formula, signature
+from helpers import brute_force_check, family_symbols, formula_family, random_formula
 
 # The package re-exports the function `encode` under the submodule's name.
 encode_module = importlib.import_module("coverify.encode")
@@ -135,9 +136,38 @@ class TestClauseShape:
     def test_asserted_dist_past_the_window_is_unsat(self, k):
         table = family_symbols()
         f = Dist(Atom("p"), k + 1)
-        encode(f, table, k)  # CnfFormula rejects an empty clause
+        _assert_cnf_invariants(encode(f, table, k)[0])  # no empty clause either
         assert check(f, table, k).satisfiable is False
         assert brute_force_check(f, k) is False
+
+
+def _assert_cnf_invariants(cnf: CnfFormula) -> None:
+    """What the public CnfFormula constructor checks, which encode's hand-over skips."""
+    assert type(cnf.clauses) is tuple
+    assert all(type(clause) is tuple and clause for clause in cnf.clauses)
+    literals = set(chain.from_iterable(cnf.clauses))
+    assert all(type(lit) is int for lit in literals)
+    assert 0 not in literals
+    assert max(map(abs, literals), default=0) <= cnf.num_vars
+    assert CnfFormula(cnf.num_vars, cnf.clauses) == cnf
+
+
+class TestEncodedCnfInvariants:
+    """encode numbers every literal itself and hands its CNF over unchecked."""
+
+    @pytest.mark.parametrize("name", ["handover", "handover_mini", "handover_point", "handover_stop"])
+    def test_bundled_scenarios_at_bounds_0_to_30(self, name):
+        scenario = load_scenario(bundled_scenario_path(name))
+        model = compile_scenario(scenario)
+        f = conjoin(model.formulas)
+        for k in range(31):
+            _assert_cnf_invariants(encode(f, model.symbols, k)[0])
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    def test_generated_family(self, k):
+        table = family_symbols()
+        for f in formula_family():
+            _assert_cnf_invariants(encode(f, table, k)[0])
 
 
 def _count_nodes(f):
@@ -481,12 +511,12 @@ def _assert_fragments_sound(f: Formula, symbols: SymbolTable, k: int) -> int:
         assert result.satisfiable, f"{f} at k={k}"
         true = {turn(v if value else -v) for v, value in result.model.items()}
         trace = decode({abs(lit): lit > 0 for lit in true}, vm, symbols, k)
-        truth: dict[int, tuple[bool, ...]] = {}  # id of a node -> evaluate at every instant
-        _truth_row(f, trace, truth)
+        truth: dict[int, int] = {}  # id of a node -> evaluate at every instant, bit t for t
+        _truth_rows(trace, truth)(f)
         for (node, pos), row in enc._lits.items():
             for t, frag in enumerate(row):
                 if frag is None or not true.isdisjoint(frag):
-                    assert truth[node][t] == pos, f"{f} at k={k}, instant {t}"
+                    assert (truth[node] >> t & 1) == pos, f"{f} at k={k}, instant {t}"
                     held += 1
     return held
 

@@ -1,6 +1,7 @@
 """Evaluation semantics of the temporal core."""
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -22,10 +23,14 @@ from coverify.logic import (
     Trace,
     conjoin,
     disjoin,
+    _truth_rows,
     evaluate,
     free_symbols,
 )
+from coverify.encode import check
+from coverify.world import bundled_scenario_path, compile_scenario, load_scenario, verify
 
+import frozen_evaluate
 from helpers import random_formula, random_trace
 
 
@@ -104,6 +109,94 @@ class TestFreeSymbols:
 
     def test_eqvar_contributes_both_sides(self):
         assert free_symbols(EqVar("a", "b")) == {"a", "b"}
+
+    def test_shared_nodes_are_walked_once(self):
+        # 2**200 paths from the root, 201 distinct nodes.
+        f = Or(Atom("p"), Eq("v", "a"))
+        for _ in range(200):
+            f = And(f, Dist(f, 1))
+        assert free_symbols(f) == {"p", "v"}
+
+    def test_non_formula_is_a_type_error(self):
+        with pytest.raises(TypeError, match="not a formula"):
+            free_symbols(And(Atom("p"), "q"))
+
+
+def _outcome(fn, *args):
+    """What a call returns, or the type and message of what it raises."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # noqa: BLE001 - the exception is the outcome compared
+        return type(exc), str(exc)
+
+
+def _random_shared_formula(rng, depth):
+    """A random formula in which one subformula object occurs twice, or an EqVar row."""
+    shared = random_formula(rng, depth)
+    op = rng.choice((And, Or, Implies))
+    kind = rng.randrange(3)
+    if kind == 0:
+        return op(shared, Dist(shared, rng.randint(-3, 3)))
+    if kind == 1:
+        return op(Not(shared), Som(And(shared, EqVar("v", "w"))))
+    return shared
+
+
+class TestMatchesFrozenEvaluator:
+    """The bit-row evaluator agrees with the tuple-row one it replaced (tests/frozen_evaluate.py)."""
+
+    def test_random_formulas_at_every_instant(self):
+        rng = random.Random(2024)
+        compared = 0
+        for draw in range(2400):
+            f = random_formula(rng, 4) if draw % 2 else _random_shared_formula(rng, 3)
+            k = rng.randint(0, 8)
+            tr = random_trace(rng, k)
+            # A second variable, with a value v never takes, for the EqVar rows.
+            w = tuple(rng.choice(("a", "b", "c")) for _ in range(k + 1))
+            tr = replace(tr, variables={**tr.variables, "w": w})
+            for t in range(k + 1):
+                assert evaluate(f, tr, t) is frozen_evaluate.evaluate(f, tr, t), (f, tr, t)
+                compared += 1
+        assert compared > 10_000
+
+    @pytest.mark.parametrize("name", ["handover", "handover_mini", "handover_point", "handover_stop"])
+    @pytest.mark.parametrize("k", [14, 30])
+    def test_compiled_axioms_and_violation_on_witnesses(self, name, k):
+        scenario = replace(load_scenario(bundled_scenario_path(name)), bound=k)
+        model = compile_scenario(scenario)
+        trace = verify(scenario).trace
+        if trace is None:  # SAFE: a trace of the axioms alone stands in for the witness
+            trace = check(conjoin(model.axioms), model.symbols, k).trace
+        assert trace is not None
+        formulas = [*model.axioms, conjoin(model.formulas)]
+        if model.violation is not None:
+            formulas.append(model.violation)
+        rows = _truth_rows(trace, {})
+        for f in formulas:
+            old = frozen_evaluate._truth_row(f, trace, {})
+            assert [bool(rows(f) >> t & 1) for t in range(k + 1)] == [bool(v) for v in old], str(f)
+
+    def test_same_errors(self):
+        tr = random_trace(random.Random(5), 3)
+        cases = [
+            (Atom("ghost"), 0),
+            (And(Atom("p"), Atom("ghost")), 1),
+            (Eq("ghost", "a"), 0),
+            (EqVar("v", "ghost"), 2),
+            (EqVar("ghost", "v"), 0),
+            (Som(Dist(Eq("ghost", "a"), 2)), 0),
+            ("p", 0),
+            (And(Atom("p"), 3), 0),
+            (Not(None), 1),
+            (Atom("p"), 4),
+            (Atom("p"), -1),
+            (Atom("ghost"), 9),
+        ]
+        for f, t in cases:
+            expected = _outcome(frozen_evaluate.evaluate, f, tr, t)
+            assert isinstance(expected, tuple), (f, t)
+            assert _outcome(evaluate, f, tr, t) == expected, (f, t)
 
 
 class TestProperties:

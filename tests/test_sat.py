@@ -676,6 +676,70 @@ class TestBinaryWatchesMatchClauseLists:
         assert new.solve() == ref.solve()
 
 
+def _loaded_per_clause(formula):
+    """A solver loaded as _Solver.__init__ did before it watched long clauses inline."""
+    solver = _Solver(CnfFormula(formula.num_vars, ()))
+    watches = solver.watches
+    for clause in formula.clauses:
+        if len(clause) == 2:
+            a, b = clause
+            if a != b and a != -b:
+                watches[a].append(b)
+                watches[b].append(a)
+                continue
+        solver._add_clause(clause)
+    return solver
+
+
+def _loaded_state(solver):
+    """Clauses, watch lists (a clause entry by its index in ``clauses``) and the level-0 state."""
+    index = {id(clause): i for i, clause in enumerate(solver.clauses)}
+    watches = [
+        [entry if type(entry) is int else ("clause", index[id(entry)]) for entry in entries]
+        for entries in solver.watches
+    ]
+    return (solver.ok, solver.clauses, watches, solver.trail, solver.value, solver.level,
+            solver.reason, solver.qhead)
+
+
+def _assert_same_load(formula):
+    assert _loaded_state(_Solver(formula)) == _loaded_state(_loaded_per_clause(formula))
+
+
+class TestLoaderMatchesPerClauseLoop:
+    """Watching long clauses inline loads what calling _add_clause for each one did."""
+
+    def test_random_cnfs(self):
+        rng = random.Random(31)
+        for _ in range(200):
+            _assert_same_load(random_cnf(rng, max_vars=30, max_clauses=130))
+
+    def test_random_3sat_near_the_threshold(self):
+        rng = random.Random(32)
+        for _ in range(200):
+            _assert_same_load(random_3sat(rng, rng.randint(10, 50), rng.uniform(3.8, 4.8)))
+
+    def test_repeated_and_complementary_literals(self):
+        rng = random.Random(45)
+        for _ in range(200):
+            formula = random_cnf(rng, max_vars=8, max_clauses=40)
+            # Widen some clauses with a repeated or a complementary literal of their own.
+            clauses = [
+                clause + (rng.choice(clause) * rng.choice((1, -1)),) if rng.random() < 0.3 else clause
+                for clause in formula.clauses
+            ]
+            _assert_same_load(CnfFormula(formula.num_vars, tuple(clauses)))
+
+    def test_binary_heavy_cnfs(self):
+        rng = random.Random(43)
+        for _ in range(200):
+            _assert_same_load(binary_heavy_cnf(rng))
+
+    @pytest.mark.parametrize("formula", _scenario_cnfs())
+    def test_bundled_scenarios(self, formula):
+        _assert_same_load(formula)
+
+
 def _old_model_satisfies(formula, model):
     return all(any(model[abs(l)] == (l > 0) for l in clause) for clause in formula.clauses)
 

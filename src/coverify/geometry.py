@@ -7,6 +7,11 @@ their cells.  ``contact_probability`` quantifies the remaining uncertainty
 by Monte Carlo over uniform placements.  It uses every CPU in the process's
 affinity mask (``taskset -c 0`` limits it to one), and its estimate is the
 same to the bit on any machine.
+
+numpy is imported inside ``contact_probability`` and ``_count_hits``, on the
+first estimate that the interval bounds do not decide.  It is the slowest
+import of the package by far, and ``verify``, ``export`` and ``oracle`` never
+draw a sample, so they never load it.
 """
 
 from __future__ import annotations
@@ -14,8 +19,10 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "Box",
@@ -95,6 +102,8 @@ def _count_hits(
     side by side: ``Generator.random(out=...)`` and the ufuncs release the
     GIL for the whole block.
     """
+    import numpy as np
+
     block = min(samples, _MC_BLOCK)
     u = np.empty((block, 6))
     xy = np.empty((6, block))
@@ -146,6 +155,8 @@ def contact_probability(a: Box, b: Box, threshold: float, samples: int, seed: in
         return 1.0
     if aabb_min_distance(a, b) > threshold:
         return 0.0
+
+    import numpy as np
 
     # Rows 0-2 hold X, rows 3-5 hold Y: the coordinate-major layout keeps
     # every ufunc's inner loop running along the samples of one block.

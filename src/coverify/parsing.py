@@ -12,6 +12,12 @@
 variable/constant equality when the right side is a domain value of the left
 variable, and variable/variable equality when it names another declared
 variable.  Every identifier must be declared in the symbol table.
+
+A chain of one operator, ``p & q & r & s``, parses to the balanced tree that
+``conjoin`` (``disjoin`` for ``|``) builds, not a left-nested one, so a long
+chain stays shallow enough for the recursive walks of ``evaluate``,
+``free_symbols`` and ``check``.  Chains of two or three operands nest the
+same either way.
 """
 
 from __future__ import annotations
@@ -20,7 +26,6 @@ from dataclasses import dataclass
 
 from .logic import (
     Alw,
-    And,
     Atom,
     Dist,
     Eq,
@@ -29,10 +34,11 @@ from .logic import (
     Formula,
     Implies,
     Not,
-    Or,
     Proposition,
     Som,
     SymbolTable,
+    conjoin,
+    disjoin,
 )
 
 __all__ = ["ParseError", "parse_formula"]
@@ -142,18 +148,18 @@ class _Parser:
         return left
 
     def or_expr(self) -> Formula:
-        node = self.and_expr()
+        operands = [self.and_expr()]
         while self.peek().kind == "OR":
             self.advance()
-            node = Or(node, self.and_expr())
-        return node
+            operands.append(self.and_expr())
+        return disjoin(operands)
 
     def and_expr(self) -> Formula:
-        node = self.unary()
+        operands = [self.unary()]
         while self.peek().kind == "AND":
             self.advance()
-            node = And(node, self.unary())
-        return node
+            operands.append(self.unary())
+        return conjoin(operands)
 
     def unary(self) -> Formula:
         tok = self.peek()

@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from xml.sax.saxutils import escape
 
 from .logic import Trace
 from .replay import CONFIRMED, POSSIBLE, SPURIOUS, ClassifiedHazard
@@ -46,6 +45,16 @@ class HazardReport:
     @property
     def all_confirmed(self) -> bool:
         return all(row.verdict == CONFIRMED for row in self.rows)
+
+
+def escape(text: str) -> str:
+    """``text`` with ``&``, ``<`` and ``>`` as XML entities.
+
+    The same string ``xml.sax.saxutils.escape`` returns, ``&`` first so no
+    entity is escaped twice; that module's import loads ``urllib.request``
+    and the HTTP and e-mail packages behind it.
+    """
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
 def render_text(report: HazardReport) -> str:

@@ -6,6 +6,8 @@ tie-breaking.  No restarts: instances produced by the bounded encoder stay
 small, and reproducible runs matter more than raw speed here.
 ``brute_force_solve`` is the independent exhaustive oracle for small
 instances, and DIMACS read/write lets an external solver be swapped in.
+Only ``brute_force_solve`` uses numpy, and it imports it on its first call,
+so ``solve`` and the commands built on it never load numpy.
 
 Heuristic contract: each decision takes the unassigned variable of highest
 activity, the lowest index among equal activities, and assigns it false.  The
@@ -30,8 +32,6 @@ from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from itertools import chain, islice
 from typing import Iterable, Sequence
-
-import numpy as np
 
 __all__ = [
     "CnfFormula",
@@ -428,6 +428,8 @@ def brute_force_solve(cnf: CnfFormula) -> SolveResult:
         if cnf.clauses:
             raise AssertionError("clauses without variables cannot be well-formed")
         return SolveResult.sat({})
+
+    import numpy as np
 
     total = 1 << cnf.num_vars
     for start in range(0, total, _BRUTE_CHUNK):

@@ -1,11 +1,16 @@
 """CLI: exit-code contract, artifact files, determinism."""
 
 import hashlib
+import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
 
+import coverify
 from coverify.cli import (
     EXIT_COUNTEREXAMPLE,
     EXIT_INPUT_ERROR,
@@ -391,3 +396,37 @@ class TestMain:
             main(["classify", HANDOVER, "t.trace", "--samples", "2000"]),
         }
         assert codes == {EXIT_SAFE, EXIT_COUNTEREXAMPLE, EXIT_INPUT_ERROR, EXIT_UNCONFIRMED}
+
+
+# Run in a fresh interpreter: the test process has loaded numpy long before.
+_IMPORT_PROBE = """
+import json, sys
+import coverify
+from coverify.cli import main
+
+heavy = {"numpy", "xml.sax.saxutils", "urllib.request"}
+mini = sys.argv[1]
+codes = [
+    main(["verify", mini, "--out", "mini.trace"]),
+    main(["export", mini, "trace-table", "--trace", "mini.trace"]),
+    main(["oracle", mini]),
+]
+loaded = sorted(heavy & sys.modules.keys())
+codes.append(main(["classify", mini, "mini.trace", "--samples", "2000"]))
+print(json.dumps({"codes": codes, "loaded": loaded, "numpy": "numpy" in sys.modules}))
+"""
+
+
+def test_verify_export_and_oracle_never_import_numpy_or_urllib(tmp_path):
+    src = str(Path(coverify.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, HANDOVER_MINI],
+        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    probe = json.loads(run.stdout.splitlines()[-1])
+    assert probe["codes"] == [EXIT_COUNTEREXAMPLE, EXIT_SAFE, EXIT_COUNTEREXAMPLE, EXIT_UNCONFIRMED]
+    assert probe["loaded"] == []
+    # A POSSIBLE row runs the Monte Carlo, which must load numpy: the probe can see it.
+    assert probe["numpy"]

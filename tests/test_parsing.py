@@ -14,6 +14,8 @@ from coverify.logic import (
     Or,
     Som,
     SymbolTable,
+    conjoin,
+    disjoin,
 )
 from coverify.parsing import ParseError, parse_formula
 
@@ -145,3 +147,37 @@ def test_parse_evaluate_round_trip(symbols):
     ]
     for text, t, expected in cases:
         assert evaluate(parse_formula(text, symbols), tr, t) is expected
+
+
+def _depth(f) -> int:
+    children = [getattr(f, name) for name in ("left", "right", "operand") if hasattr(f, name)]
+    return 1 + max((_depth(c) for c in children), default=0)
+
+
+class TestLongChains:
+    """A chain of one operator parses to the balanced tree of conjoin/disjoin."""
+
+    def test_chain_parses_to_the_balanced_fold(self, symbols):
+        names = ["start", "stop", "start", "stop", "start"]
+        start, stop = Atom("start"), Atom("stop")
+        assert parse_formula(" & ".join(names), symbols) == conjoin(Atom(n) for n in names)
+        assert parse_formula(" | ".join(names), symbols) == disjoin(Atom(n) for n in names)
+        # Up to three operands the balanced and the left-nested tree are the same.
+        assert parse_formula("start & stop & start", symbols) == And(And(start, stop), start)
+        assert parse_formula("start | stop & start | stop", symbols) == Or(
+            Or(start, And(stop, start)), stop
+        )
+
+    @pytest.mark.parametrize("op", ["&", "|"])
+    def test_two_thousand_operands_evaluate_and_check(self, symbols, op):
+        from coverify.encode import check
+        from coverify.logic import Trace, evaluate, free_symbols
+
+        f = parse_formula(f" {op} ".join(["start"] * 2000), symbols)
+        assert _depth(f) == 12  # eleven levels of connectives over the atoms, not 1,999
+        tr = Trace(2, {"start": (True, False, True)}, {})
+        assert [evaluate(f, tr, t) for t in range(3)] == [True, False, True]
+        assert free_symbols(f) == {"start"}
+        witness = check(Not(f) if op == "&" else f, symbols, 2).trace
+        assert witness is not None
+        assert witness.propositions["start"][0] is (op == "|")

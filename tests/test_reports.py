@@ -3,6 +3,7 @@
 import csv
 import io
 import math
+import random
 import xml.etree.ElementTree as ET
 
 from coverify.logic import Trace
@@ -10,6 +11,7 @@ from coverify.replay import CONFIRMED, POSSIBLE, SPURIOUS, ClassifiedHazard
 from coverify.reports import (
     CSV_COLUMNS,
     HazardReport,
+    escape,
     render_csv,
     render_svg,
     render_text,
@@ -111,3 +113,15 @@ class TestSvg:
 
     def test_deterministic(self):
         assert timeline_svg(fig1_trace()) == timeline_svg(fig1_trace())
+
+
+class TestEscape:
+    def test_matches_saxutils_on_random_strings(self):
+        from xml.sax.saxutils import escape as sax_escape
+
+        rng = random.Random(1729)
+        alphabet = ["&", "<", ">", '"', "'", "&amp;", "&lt;", "a", "Z", "0", " ", ";", "#"]
+        alphabet += ["é", "→", "日", "\n"]
+        for _ in range(2000):
+            text = "".join(rng.choice(alphabet) for _ in range(rng.randrange(0, 24)))
+            assert escape(text) == sax_escape(text), text

@@ -7,14 +7,22 @@ slowdown/stop mitigations (retract reactions couple three instants, which
 this per-instant walker does not track).
 
 A node is the cell of every POI, every POI's transit flag and the task's done
-flags. It maps to one bool: whether some path to it passed a hazard instant
-whose risk exceeds the threshold. No robot speed is held: no move, done flag
-or final check reads one. A hazard instant is priced against its robot's
-speed one instant later, so each step takes the worst speed that the active
-hazards' mitigations still allow; no other speed can raise the flag, and
-nothing after a step reads the flag but the final check, so one bool per
-node loses no verdict. The speeds that price an instant over the threshold
-are ``world.over_speeds``, the set the SAT model's violation reads too.
+flags; it gets an int id the first time it is seen.  A layer is two sets of
+ids: ``hot`` holds the nodes that some path reaches through a hazard instant
+whose risk exceeds the threshold, ``cold`` those that only unflagged paths
+reach.  No robot speed is held: no move, done flag or final check reads one.
+A hazard instant is priced against its robot's speed one instant later, so
+each step takes the worst speed that the active hazards' mitigations still
+allow; no other speed can raise the flag, and nothing after a step reads the
+flag but the final check, so one flag per node loses no verdict.  The speeds
+that price an instant over the threshold are ``world.over_speeds``, the set
+the SAT model's violation reads too.
+
+Each node is expanded once: its successors are kept as a tuple of ids, and
+the pricing of an instant is kept per tuple of cells, the only thing it
+reads.  A step is then set unions of those tuples, and a node that both sets
+reach stays hot only.  Memory therefore grows with the reachable state graph
+(its nodes times their successors), not with one layer.
 
 At the final instant no reaction window remains: a node counts only if the
 task is done, a hazard with a mitigation cannot hold there, and any other
@@ -89,35 +97,73 @@ def exhaustive_verify(s: Scenario) -> bool:
         moves[loc.id, False] = [(loc.id, False), (loc.id, True)]
         moves[loc.id, True] = [(loc.id, True)] + [(n, t) for t in (False, True) for n in neighbors]
 
-    frontier: dict[tuple, bool] = {}
+    node_ids: dict[tuple, int] = {}
+    nodes: list[tuple] = []
+
+    def intern(node: tuple) -> int:
+        i = node_ids.get(node)
+        if i is None:
+            i = node_ids[node] = len(nodes)
+            nodes.append(node)
+        return i
+
+    pricing: dict[tuple[str, ...], bool | None] = {}
+
+    def price(cells: tuple[str, ...]) -> bool | None:
+        """Whether an instant at these cells raises the flag; None if no speed is admissible."""
+        if cells in pricing:
+            return pricing[cells]
+        active = [h for h in hazards if cells[h.human] == cells[h.arm]]
+        speeds: dict[str, frozenset[str]] = {}
+        for h in active:
+            speeds[h.robot] = speeds.get(h.robot, h.allowed) & h.allowed
+        raises = None  # the mitigations ask one robot for two speeds
+        if all(speeds.values()):  # the worst speed the mitigations still allow prices this instant
+            raises = any(speeds[h.robot] & h.over for h in active)
+        pricing[cells] = raises
+        return raises
+
+    successors: dict[int, tuple[int, ...]] = {}
+
+    def expand(i: int) -> tuple[int, ...]:
+        row = successors.get(i)
+        if row is None:
+            cells, transit, done = nodes[i]
+            ids = []
+            for moved in product(*(moves[here] for here in zip(cells, transit))):
+                new_cells = tuple(cell for cell, _ in moved)
+                new_transit = tuple(moving for _, moving in moved)
+                ids.append(intern((new_cells, new_transit, done_row(done, new_cells))))
+            row = successors[i] = tuple(ids)
+        return row
+
+    # hot and cold, as in the module docstring; they never share a node.
+    hot: set[int] = set()
+    cold: set[int] = set()
     for cells in product(*([start_of[p]] if p in start_of else locs for p in pois)):
         done = done_row((False,) * len(s.task), cells)
         for transit in product((False, True), repeat=len(pois)):
-            frontier[cells, transit, done] = False
+            cold.add(intern((cells, transit, done)))
 
     for _ in range(s.bound):
-        next_frontier: dict[tuple, bool] = {}
-        for (cells, transit, done), flag in frontier.items():
-            active = [h for h in hazards if cells[h.human] == cells[h.arm]]
-            speeds: dict[str, frozenset[str]] = {}
-            for h in active:
-                speeds[h.robot] = speeds.get(h.robot, h.allowed) & h.allowed
-            if not all(speeds.values()):
-                continue  # the mitigations ask one robot for two speeds
-            # The worst speed the mitigations still allow prices this instant.
-            flag = flag or any(speeds[h.robot] & h.over for h in active)
-            for moved in product(*(moves[here] for here in zip(cells, transit))):
-                new_cells = tuple(cell for cell, _ in moved)
-                node = (new_cells, tuple(moving for _, moving in moved), done_row(done, new_cells))
-                next_frontier[node] = flag or next_frontier.get(node, False)
-        frontier = next_frontier
+        next_hot: set[int] = set()
+        next_cold: set[int] = set()
+        for flagged, layer in ((True, hot), (False, cold)):
+            for i in layer:
+                raises = price(nodes[i][0])
+                if raises is not None:
+                    (next_hot if flagged or raises else next_cold).update(expand(i))
+        next_cold -= next_hot
+        hot, cold = next_hot, next_cold
 
-    for (cells, _transit, done), flag in frontier.items():
-        if s.task and not done[-1]:
-            continue
-        active = [h for h in hazards if cells[h.human] == cells[h.arm]]
-        if any(h.mitigated for h in active):
-            continue
-        if flag or any("normal" in h.over for h in active):
-            return False
+    for flagged, layer in ((True, hot), (False, cold)):
+        for i in layer:
+            cells, _transit, done = nodes[i]
+            if s.task and not done[-1]:
+                continue
+            active = [h for h in hazards if cells[h.human] == cells[h.arm]]
+            if any(h.mitigated for h in active):
+                continue
+            if flagged or any("normal" in h.over for h in active):
+                return False
     return True

@@ -18,6 +18,12 @@ A chain of one operator, ``p & q & r & s``, parses to the balanced tree that
 chain stays shallow enough for the recursive walks of ``evaluate``,
 ``free_symbols`` and ``check``.  Chains of two or three operands nest the
 same either way.
+
+Nesting is bounded: each parenthesis, ``!``, temporal operator and ``->``
+opens one level, and a formula more than ``MAX_DEPTH`` levels deep is a
+``ParseError`` at the token that opens the level too many.  The bound keeps
+the parser's own recursion, and the recursive walks of the formula it
+returns, well inside the interpreter's default recursion limit.
 """
 
 from __future__ import annotations
@@ -41,9 +47,16 @@ from .logic import (
     disjoin,
 )
 
-__all__ = ["ParseError", "parse_formula"]
+__all__ = ["MAX_DEPTH", "ParseError", "parse_formula"]
 
 _RESERVED = ("Alw", "Som", "Dist")
+
+# The parser takes up to five frames per level (a temporal operator's body
+# goes through temporal, formula, or_expr, and_expr and unary), and so does
+# ``check`` on nested ``Som``; ``evaluate`` and ``free_symbols`` take one.
+# 100 levels leave about half of the interpreter's default limit of 1,000
+# frames to the caller.
+MAX_DEPTH = 100
 
 
 class ParseError(ValueError):
@@ -118,6 +131,7 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.symbols = symbols
+        self.depth = 0  # levels open at the current token
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -134,6 +148,14 @@ class _Parser:
             raise ParseError(f"expected {what}, found {shown!r}", tok.line, tok.column)
         return self.advance()
 
+    def open_level(self) -> _Token:
+        """Consume the token that opens a nesting level; refuse one level too many."""
+        tok = self.advance()
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise ParseError(f"formula nested deeper than {MAX_DEPTH} levels", tok.line, tok.column)
+        return tok
+
     def fail(self, message: str) -> ParseError:
         tok = self.peek()
         return ParseError(message, tok.line, tok.column)
@@ -143,8 +165,10 @@ class _Parser:
     def formula(self) -> Formula:
         left = self.or_expr()
         if self.peek().kind == "ARROW":
-            self.advance()
-            return Implies(left, self.formula())
+            self.open_level()
+            node = Implies(left, self.formula())
+            self.depth -= 1
+            return node
         return left
 
     def or_expr(self) -> Formula:
@@ -164,12 +188,15 @@ class _Parser:
     def unary(self) -> Formula:
         tok = self.peek()
         if tok.kind == "NOT":
-            self.advance()
-            return Not(self.unary())
+            self.open_level()
+            node = Not(self.unary())
+            self.depth -= 1
+            return node
         if tok.kind == "LPAREN":
-            self.advance()
+            self.open_level()
             node = self.formula()
             self.expect("RPAREN", "')'")
+            self.depth -= 1
             return node
         if tok.kind == "IDENT" and tok.text in _RESERVED:
             return self.temporal()
@@ -178,9 +205,10 @@ class _Parser:
         raise self.fail(f"expected a formula, found {tok.text or 'end of input'!r}")
 
     def temporal(self) -> Formula:
-        op = self.advance()
+        op = self.open_level()
         self.expect("LPAREN", "'('")
         body = self.formula()
+        self.depth -= 1
         if op.text == "Dist":
             self.expect("COMMA", "','")
             offset_tok = self.peek()

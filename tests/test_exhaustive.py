@@ -83,6 +83,56 @@ class TestMultiHazardScenarios:
         assert both_mitigations
 
 
+def _grid_text(rng: random.Random, n: int, kind: str | None, margin: int) -> str:
+    """An n x n grid of unit cells, a pick-and-handover task and one hazard.
+
+    The hazard's base risk is ``margin`` over the threshold, so a slowdown
+    (``kind``) prices it at the threshold for margin 1 and over it for 2.
+
+    Bounds run past the grid's diameter, so most nodes of a layer were
+    already reached by an earlier one.  3x3 grids stop at bound 9: the frozen
+    walker, which also holds speeds, takes seconds on one at bound 12.
+    """
+    names = [[f"R{r}C{c}" for c in range(n)] for r in range(n)]
+    cells = [name for row in names for name in row]
+    lines = ["[layout]"]
+    lines += [f"loc {names[r][c]} box {c} {r} 0 {c + 1} {r + 1} 1" for r in range(n) for c in range(n)]
+    lines += [f"adj {names[r][c]} {names[r][c + 1]}" for r in range(n) for c in range(n - 1)]
+    lines += [f"adj {names[r][c]} {names[r + 1][c]}" for r in range(n - 1) for c in range(n)]
+    lines += ["[agents]", "agent op human", "agent arm robot"]
+    lines += ["poi op h radius 0.05", "poi arm g radius 0.05"]
+    lines += [f"start {poi} {rng.choice(cells)}" for poi in ("g", "h") if rng.random() < 0.6]
+    lines += ["[task]", f"step g pick {rng.choice(cells)}", f"step handover g h {rng.choice(cells)}"]
+    grades = [rng.randint(1, 2), rng.randint(0, 2), rng.randint(1, 2)]  # base risk 2 or more
+    lines += ["[hazards]", "hazard hz1 h g sev {} exp {} avoid {}".format(*grades), "[mitigations]"]
+    lines += [f"mitigate {kind} hz1"] if kind else []
+    threshold = sum(grades) - margin
+    bound = rng.randint(6, 12 if n == 2 else 9)
+    lines += ["[params]", f"bound {bound}", f"threshold {threshold}"]
+    return "\n".join(lines) + "\n"
+
+
+class TestGridScenarios:
+    """Grids at bounds where the walker meets the same node on many layers."""
+
+    # (grid size, mitigation, margin of the base risk over the threshold)
+    CASES = [(2, None, 1), (2, "stop", 2), (2, "slowdown", 1), (2, "slowdown", 2), (3, "slowdown", 2)]
+
+    def test_walker_matches_frozen_walker_and_verify(self):
+        rng = random.Random(1414)
+        verdicts = []
+        for n, kind, margin in self.CASES:
+            text = _grid_text(rng, n, kind, margin)
+            scenario = loads_scenario(text)
+            safe = exhaustive_verify(scenario)
+            assert safe == frozen_exhaustive_verify(scenario), text
+            assert safe == verify(scenario).safe, text
+            verdicts.append((safe, bool(scenario.mitigations)))
+        assert (True, True) in verdicts and (False, False) in verdicts
+        # Only a flag carried from an earlier instant can make a mitigated scenario unsafe.
+        assert (False, True) in verdicts
+
+
 def _long_row_text(cells: int) -> str:
     """Four POIs on two robots and one operator, all pinned, in a row of unit cells."""
     names = [f"C{i}" for i in range(cells)]

@@ -17,7 +17,7 @@ from coverify.logic import (
     conjoin,
     disjoin,
 )
-from coverify.parsing import ParseError, parse_formula
+from coverify.parsing import MAX_DEPTH, ParseError, parse_formula
 
 
 @pytest.fixture
@@ -181,3 +181,42 @@ class TestLongChains:
         witness = check(Not(f) if op == "&" else f, symbols, 2).trace
         assert witness is not None
         assert witness.propositions["start"][0] is (op == "|")
+
+
+class TestNestingLimit:
+    """Nesting past MAX_DEPTH is a ParseError at the token that opens the level too many."""
+
+    @pytest.mark.parametrize(
+        "text, column",
+        [
+            ("!" * 2000 + "start", MAX_DEPTH + 1),
+            (" -> ".join(["start"] * 2001), len("start -> ") * MAX_DEPTH + len("start ") + 1),
+            ("(" * 400 + "start" + ")" * 400, MAX_DEPTH + 1),
+        ],
+        ids=["not", "implies", "parentheses"],
+    )
+    def test_deep_nesting_is_a_parse_error(self, symbols, text, column):
+        with pytest.raises(ParseError, match=f"nested deeper than {MAX_DEPTH}") as error:
+            parse_formula(text, symbols)
+        assert (error.value.line, error.value.column) == (1, column)
+
+    def test_temporal_operators_and_levels_on_later_lines_count(self, symbols):
+        text = "Alw(\n" * (MAX_DEPTH + 1) + "start" + ")" * (MAX_DEPTH + 1)
+        with pytest.raises(ParseError) as error:
+            parse_formula(text, symbols)
+        assert (error.value.line, error.value.column) == (MAX_DEPTH + 1, 1)
+
+    def test_the_deepest_formula_parses_evaluates_and_checks(self, symbols):
+        from coverify.encode import check
+        from coverify.logic import Trace, evaluate, free_symbols
+
+        # Every kind of level, MAX_DEPTH in all; each closed level frees its depth again.
+        quarter = MAX_DEPTH // 4
+        inner = "(" * quarter + "!" * quarter + "start" + ")" * quarter
+        text = "Som(" * quarter + "start -> " * quarter + inner + ")" * quarter
+        f = parse_formula(f"{text} & {text}", symbols)
+        tr = Trace(2, {"start": (True, False, True)}, {})
+        assert evaluate(f, tr, 0) is True
+        assert free_symbols(f) == {"start"}
+        witness = check(f, symbols, 2).trace
+        assert witness is not None and evaluate(f, witness, 0) is True

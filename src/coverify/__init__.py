@@ -13,7 +13,6 @@ from .logic import (
     Atom,
     Dist,
     Eq,
-    EqVar,
     FiniteVariable,
     Formula,
     Implies,
@@ -46,9 +45,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Alw", "And", "Atom", "Box", "CheckResult", "ClassifiedHazard", "Dist", "Eq",
-    "EqVar", "FiniteVariable", "Formula", "Implies", "Mitigation",
-    "MotionCommand", "Not", "Or", "ParseError", "Proposition", "Scenario",
-    "ScenarioError", "Som", "SymbolTable", "Trace", "VerifyResult",
+    "FiniteVariable", "Formula", "Implies", "Mitigation", "MotionCommand",
+    "Not", "Or", "ParseError", "Proposition", "Scenario", "ScenarioError",
+    "Som", "SymbolTable", "Trace", "VerifyResult",
     "aabb_max_distance", "aabb_min_distance", "apply_mitigation",
     "bundled_scenario_path", "check", "classify", "compile_scenario",
     "contact_probability", "decode", "encode", "evaluate", "extract_motions",

@@ -180,10 +180,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def scenario(p: argparse.ArgumentParser) -> None:
         p.add_argument("scenario", help="scenario file (.scn)")
         p.add_argument("--bound", type=int, default=None, help="override the trace bound")
         p.add_argument("--dt", type=float, default=None, help="override seconds per instant")
+
+    def common(p: argparse.ArgumentParser) -> None:
+        scenario(p)
         p.add_argument("--out", default=None, help="output file path")
 
     p_verify = sub.add_parser("verify", help="model check a scenario")
@@ -206,8 +209,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_export.add_argument("what", choices=("cnf", "trace-table", "timeline"))
     p_export.add_argument("--trace", default=None, help="trace file for trace-table/timeline")
 
-    p_oracle = sub.add_parser("oracle", help="dev-only exhaustive cross-check")
-    common(p_oracle)
+    # The oracle writes no file, so it takes no --out.
+    scenario(sub.add_parser("oracle", help="dev-only exhaustive cross-check"))
     return parser
 
 

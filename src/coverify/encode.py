@@ -13,8 +13,7 @@ fragment: a tuple of literals whose disjunction implies f (``pos``) or not-f
 (not ``pos``) at that instant, or None where that holds anyway.  A fragment
 may stand for f wherever f occurs at that polarity inside a clause.
 
-* ``Atom`` and ``Eq`` read their symbol's literals.  ``EqVar`` owns one
-  variable per instant, bi-implied to its definition.
+* ``Atom`` and ``Eq`` read their symbol's literals and own no variable.
 * ``Not`` flips the polarity and ``Dist`` shifts the row.  Outside the
   window ``Dist`` is false: an empty fragment at positive polarity, None at
   negative.  An operand no instant reaches (|offset| > k) is never looked at.
@@ -28,9 +27,10 @@ may stand for f wherever f occurs at that polarity inside a clause.
   variable, defined one-sidedly in the same way over the whole window.
 
 Nested connectives of one shape split into one list of parts, so a balanced
-``conjoin``/``disjoin`` tree costs what a flat one would.  Nodes are keyed
-on identity and polarity, so an occurrence shared by object is encoded once
-per polarity.
+``conjoin``/``disjoin`` tree costs what a flat one would.  Atoms are keyed
+on value and polarity, so equal atoms built as separate objects share one
+row; every other node is keyed on identity and polarity, so an occurrence
+shared by object is encoded once per polarity.
 
 The root is asserted, not defined.  A conjunction splits into its
 conjuncts, ``Alw(g)`` asserts g at every instant, ``Som(g)`` is one clause,
@@ -68,7 +68,6 @@ from .logic import (
     Atom,
     Dist,
     Eq,
-    EqVar,
     FiniteVariable,
     Formula,
     Implies,
@@ -173,8 +172,8 @@ class _Encoder:
         self.clauses: list[tuple[int, ...]] = []
         self._prop_rows: dict[str, list[int]] = {}
         self._value_rows: dict[tuple[str, str], list[int]] = {}
-        self._exact_rows: dict[int, list[int]] = {}  # id of an EqVar node -> its row
-        self._lits: dict[tuple[int, bool], list[Fragment]] = {}  # (id of a node, polarity)
+        # (atom, polarity) or (id of any other node, polarity) -> its fragments
+        self._lits: dict[tuple[Formula | int, bool], list[Fragment]] = {}
         self._false: int | None = None
 
         n = k + 1
@@ -210,17 +209,12 @@ class _Encoder:
             self.clauses.append((-self._false,))
         return self._false
 
-    def _variable(self, name: str) -> FiniteVariable:
-        symbol = self.symbols.lookup(name)
-        if not isinstance(symbol, FiniteVariable):
-            raise ValueError(f"{name!r} is not a declared finite variable")
-        return symbol
-
     # -- fragments ---------------------------------------------------------
 
     def lits(self, f: Formula, pos: bool) -> list[Fragment]:
         """Fragments implying f (pos) or not-f at t = 0..k; encodes f at pos on first use."""
-        key = (id(f), pos)
+        cls = type(f)
+        key = (f, pos) if cls is Eq or cls is Atom else (id(f), pos)
         row = self._lits.get(key)
         if row is None:
             row = self._lits[key] = self._fragments(f, pos)
@@ -280,7 +274,7 @@ class _Encoder:
         return tuple(dict.fromkeys(chain.from_iterable(chain.from_iterable(parts))))
 
     def _literal_row(self, f: Formula) -> list[int]:
-        """Literals equivalent to an atomic f at t = 0..k; defines EqVar on first use."""
+        """Literals equivalent to an atomic f at t = 0..k."""
         if isinstance(f, Atom):
             row = self._prop_rows.get(f.name)
             if row is None:
@@ -289,38 +283,11 @@ class _Encoder:
         if isinstance(f, Eq):
             row = self._value_rows.get((f.var, f.value))
             if row is None:
-                self._variable(f.var)  # raises first if f.var is no finite variable
+                if not isinstance(self.symbols.lookup(f.var), FiniteVariable):
+                    raise ValueError(f"{f.var!r} is not a declared finite variable")
                 raise ValueError(f"{f.value!r} is not in the domain of {f.var!r}")
             return row
-        row = self._exact_rows.get(id(f))
-        if row is None:
-            row = self._exact_rows[id(f)] = self._define(f)
-        return row
-
-    def _define(self, f: Formula) -> list[int]:
-        if not isinstance(f, EqVar):
-            raise TypeError(f"not a formula: {f!r}")
-        left, right = self._variable(f.left), self._variable(f.right)
-        right_values = set(right.domain)
-        if right_values.isdisjoint(left.domain):
-            raise ValueError(f"variables {f.left!r} and {f.right!r} have disjoint domains")
-        own = self._fresh_row(self.k + 1)
-        append = self.clauses.append
-        pairs = [
-            (self._value_rows[(f.left, value)],
-             self._value_rows[(f.right, value)] if value in right_values else None)
-            for value in left.domain
-        ]
-        for t, e in enumerate(own):
-            for a_row, b_row in pairs:
-                a = a_row[t]
-                if b_row is not None:
-                    b = b_row[t]
-                    append((-e, -a, b))
-                    append((e, -a, -b))
-                else:
-                    append((-e, -a))
-        return own
+        raise TypeError(f"not a formula: {f!r}")
 
     # -- assertion ---------------------------------------------------------
 

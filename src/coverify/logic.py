@@ -10,8 +10,8 @@ instants 0..k.  Its operators:
   regardless of the current evaluation instant.
 
 Atomic formulas are propositions and equality of a finite-domain variable
-with a constant or with another variable.  ``evaluate`` is pure and is the ground
-truth the bounded SAT encoding is checked against.
+with a constant.  ``evaluate`` is pure and is the ground truth the bounded
+SAT encoding is checked against.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ __all__ = [
     "Formula",
     "Atom",
     "Eq",
-    "EqVar",
     "Not",
     "And",
     "Or",
@@ -144,15 +143,6 @@ class Eq(Formula):
 
     def __str__(self) -> str:
         return f"{self.var} = {self.value}"
-
-
-@dataclass(frozen=True)
-class EqVar(Formula):
-    left: str
-    right: str
-
-    def __str__(self) -> str:
-        return f"{self.left} = {self.right}"
 
 
 @dataclass(frozen=True)
@@ -281,9 +271,6 @@ def free_symbols(f: Formula) -> set[str]:
             out.add(f.var)
         elif cls is Atom:
             out.add(f.name)
-        elif cls is EqVar:
-            out.add(f.left)
-            out.add(f.right)
         elif id(f) in seen:
             return
         elif cls is And or cls is Or or cls is Implies:
@@ -366,10 +353,6 @@ def _truth_rows(tr: Trace, memo: dict[int, int]) -> Callable[[Formula], int]:
             bits = sum(1 << t for t, holds in enumerate(column) if holds)
         elif cls is Som:
             bits = full if row(f.operand) else 0
-        elif cls is EqVar:
-            left, right = values(f.left), values(f.right)
-            # The instants of distinct values are disjoint, so the sum is their union.
-            bits = sum(instants & right.get(value, 0) for value, instants in left.items())
         else:
             raise TypeError(f"not a formula: {f!r}")
         memo[key] = bits

@@ -9,9 +9,9 @@
     atom    := ident | ident "=" ident
 
 ``Alw``, ``Som`` and ``Dist`` are reserved words.  ``ident = ident`` is
-variable/constant equality when the right side is a domain value of the left
-variable, and variable/variable equality when it names another declared
-variable.  Every identifier must be declared in the symbol table.
+variable/constant equality: the right side must be a domain value of the
+left variable, even if it also names a declared symbol.  Every other
+identifier must be declared in the symbol table.
 
 A chain of one operator, ``p & q & r & s``, parses to the balanced tree that
 ``conjoin`` (``disjoin`` for ``|``) builds, not a left-nested one, so a long
@@ -35,7 +35,6 @@ from .logic import (
     Atom,
     Dist,
     Eq,
-    EqVar,
     FiniteVariable,
     Formula,
     Implies,
@@ -234,16 +233,11 @@ class _Parser:
                     f"{name_tok.text!r} is not a finite variable", name_tok.line, name_tok.column
                 )
             self.advance()
-            rhs = self.expect("IDENT", "a domain value or variable name")
-            other = self.symbols.lookup(rhs.text)
-            if isinstance(other, FiniteVariable):
-                return EqVar(symbol.name, other.name)
+            rhs = self.expect("IDENT", "a domain value")
             if rhs.text in symbol.domain:
                 return Eq(symbol.name, rhs.text)
             raise ParseError(
-                f"{rhs.text!r} is neither a domain value of {symbol.name!r} nor a declared variable",
-                rhs.line,
-                rhs.column,
+                f"{rhs.text!r} is not a domain value of {symbol.name!r}", rhs.line, rhs.column
             )
         if not isinstance(symbol, Proposition):
             raise ParseError(

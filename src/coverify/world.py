@@ -19,10 +19,15 @@ Modeling conventions baked into the compilation:
   human paths.
 * Each robot has a ``speed_<agent>`` state (normal/slow/stopped) that is
   free unless a mitigation reacts to a hazard one instant after detection.
+* A hazard flag ``haz_<h>`` holds exactly when the hazard's human and robot
+  POIs share a cell, stated cell by cell on their position values.
 * The risk of a hazard instant is valued against the speed one instant
   later, i.e. after any mandated reaction, and pessimistically against the
-  unmitigated base value when no later instant exists.  A hazard instant
-  with no observable reaction window therefore never looks safer than it is.
+  unmitigated base value when no later instant exists.  So an unmitigated
+  hazard at the last instant never looks safer than it is.  A mitigated
+  hazard cannot hold at the last instant at all (a ``retract`` one only
+  when that instant is 0): its reaction would fall outside the window,
+  where ``Dist`` is false.
 * Risk is priced after solving, not solved for: the violation asks for a
   hazard flag and a next speed in ``over_speeds``, and ``verify`` fills each
   ``risk_<h>`` column of the witness from the flag and the next speed.  The
@@ -43,7 +48,6 @@ from .logic import (
     Atom,
     Dist,
     Eq,
-    EqVar,
     Formula,
     Implies,
     Not,
@@ -340,6 +344,10 @@ def _validate_scenario(s: Scenario) -> None:
 # Scenario file format (.scn)
 
 
+# Each [params] keyword that takes one number, and how the README names it.
+_PARAM_VALUES = {"bound": "<k>", "threshold": "<n>", "dt": "<seconds>"}
+
+
 def load_scenario(path) -> Scenario:
     """Load and validate a scenario file."""
     with open(path, "r", encoding="utf-8") as handle:
@@ -451,10 +459,10 @@ def loads_scenario(text: str, name: str = "scenario") -> Scenario:
                 if len(fields) != 3 or fields[1] not in ("slowdown", "retract", "stop"):
                     raise fail("expected: mitigate slowdown|retract|stop <hazard>")
                 mitigations.append(Mitigation(fields[1], fields[2]))
-            elif section == "params" and kw in ("bound", "threshold"):
-                params[kw] = int(fields[1])
-            elif section == "params" and kw == "dt":
-                params["dt"] = float(fields[1])
+            elif section == "params" and kw in _PARAM_VALUES:
+                if len(fields) != 2:
+                    raise fail(f"expected: {kw} {_PARAM_VALUES[kw]}")
+                params[kw] = float(fields[1]) if kw == "dt" else int(fields[1])
             elif section == "params" and kw == "travel":
                 if len(fields) != 4:
                     raise fail("expected: travel <locA> <locB> <instants>")
@@ -625,10 +633,14 @@ def _start_axioms(s: Scenario):
 
 
 def _hazard_axioms(s: Scenario):
+    # The flag holds iff both POIs share a cell, by two clauses per cell: sharing
+    # L raises the flag, and a raised flag puts the robot POI where the human's is.
     for hazard in s.hazards:
         flag = Atom(s.hazard_flag_name(hazard.id))
-        together = EqVar(hazard.human_poi, hazard.robot_poi)
-        yield Alw(And(Implies(flag, together), Implies(together, flag)))
+        for loc in s.layout.ids:
+            human, robot = Eq(hazard.human_poi, loc), Eq(hazard.robot_poi, loc)
+            yield Alw(Implies(And(human, robot), flag))
+            yield Alw(Implies(And(flag, human), robot))
 
 
 def _achieved(s: Scenario, step: TaskStep) -> Formula:

@@ -3,7 +3,9 @@
 Each node's truth row is a tuple of bools, one per instant. The current
 evaluator keeps each row as one int bitset; ``test_logic.py`` checks that the
 two agree at every instant and raise the same errors. Only this docstring,
-``__all__`` and the import from ``coverify.logic`` differ from the original code.
+``__all__`` and the import from ``coverify.logic`` differ from the original code,
+and the branch for the variable-equality atom ``EqVar``, which the logic no
+longer has, is gone.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from coverify.logic import (
     Atom,
     Dist,
     Eq,
-    EqVar,
     Formula,
     Implies,
     Not,
@@ -52,9 +53,6 @@ def _truth_row(f: Formula, tr: Trace, memo: dict[int, tuple[bool, ...]]) -> tupl
             raise ValueError(f"proposition {f.name!r} missing from trace") from None
     elif isinstance(f, Eq):
         row = tuple(v == f.value for v in _var_row(tr, f.var))
-    elif isinstance(f, EqVar):
-        left, right = _var_row(tr, f.left), _var_row(tr, f.right)
-        row = tuple(a == b for a, b in zip(left, right))
     elif isinstance(f, Not):
         row = tuple(not v for v in _truth_row(f.operand, tr, memo))
     elif isinstance(f, And):

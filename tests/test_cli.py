@@ -160,12 +160,12 @@ def test_golden_classify_report(tmp_path, bound, fmt, digest):
 # the DIMACS writer all show in it.  A change that alters one of these must
 # update it and say why in CHANGES.md.
 GOLDEN_CNFS = [
-    (HANDOVER, None, "62694beec8eaa4f2f88efd136c870c31e37d79102ecb333db7ddc79fe6198a37"),
-    (HANDOVER, 30, "d6453b719e415e1b8e074e453cff57c1c19eec9c45505bfae176f1b90365e59b"),
-    (HANDOVER_MINI, None, "a7a16bd57b454ce01551894c7ccba25716ac67539c998b9489ff937d4fc77053"),
-    (HANDOVER_MINI, 30, "7ebd4d3f2b7fc35c94a13bce660ed8a01a147409c2feaebc69b4a3393fc9aa90"),
-    (HANDOVER_STOP, None, "98e22317bf14331fbfb43ae93d58012fe08bae6b12c717d98b1aa6347cc51bea"),
-    (HANDOVER_STOP, 30, "bdf8d25c6b196fde86f193d320500df4b6f0007a590323e799eda90c43ff9b26"),
+    (HANDOVER, None, "6d079c84bdb9b54964716baecd887a5907efa3fb8ca63043116bf54667c53c48"),
+    (HANDOVER, 30, "59f7785122c7d9bc5e59e70db3f9a1eb2f5cd1871bcde787c9a4879b159062b2"),
+    (HANDOVER_MINI, None, "671222fbb155b904b6e8b9e796e744c341b02445accb82ea64ca60d4d800a4d9"),
+    (HANDOVER_MINI, 30, "b98fa2e1d2e132eb11a1a1ce1bf8155e37c9ff1fd2eb2af6c39e8da1d0dd6ea7"),
+    (HANDOVER_STOP, None, "1a581c56659467f0ec7fab6b562a0e40f98a532d19f2e0d80eff03e0dbdcff78"),
+    (HANDOVER_STOP, 30, "0e543abac960da97609e2b035d9d057c4718ed7a6d7c5021c7933fbf16bd2b88"),
 ]
 
 
@@ -376,6 +376,22 @@ class TestMain:
         for command in ("verify", "oracle"):
             assert main([command, str(bad)]) == EXIT_INPUT_ERROR
             assert "edge 'L2'-'L1' has more than one travel time" in capsys.readouterr().err
+
+    def test_oracle_takes_no_out_option(self, tmp_path, capsys):
+        # The oracle writes no file, so --out is a usage error, not silently ignored.
+        out = tmp_path / "mini.trace"
+        with pytest.raises(SystemExit) as error:
+            main(["oracle", HANDOVER_MINI, "--out", str(out)])
+        assert error.value.code == EXIT_INPUT_ERROR
+        assert "unrecognized arguments: --out" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line", ["bound", "bound 5 junk", "threshold", "dt"])
+    def test_param_without_one_value_is_an_input_error(self, tmp_path, capsys, line):
+        bad = tmp_path / "bad_param.scn"
+        bad.write_text(Path(HANDOVER_MINI).read_text(encoding="utf-8") + line + "\n")
+        assert main(["verify", str(bad)]) == EXIT_INPUT_ERROR
+        assert f"expected: {line.split()[0]} <" in capsys.readouterr().err
 
     def test_oracle_rejects_long_travel_times(self, capsys):
         assert main(["oracle", HANDOVER]) == EXIT_INPUT_ERROR

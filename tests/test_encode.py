@@ -15,7 +15,6 @@ from coverify.logic import (
     Atom,
     Dist,
     Eq,
-    EqVar,
     FiniteVariable,
     Formula,
     Implies,
@@ -216,13 +215,6 @@ class TestCheck:
         with pytest.raises(ValueError, match="undeclared"):
             check(Atom("ghost"), pq_symbols, 2)
 
-    def test_eqvar_with_disjoint_domains_rejected(self):
-        table = SymbolTable()
-        table.add_variable("x", ("a",))
-        table.add_variable("y", ("b",))
-        with pytest.raises(ValueError, match="disjoint"):
-            check(EqVar("x", "y"), table, 1)
-
     def test_witnesses_satisfy_evaluator(self):
         # soundness assertion of check on a spread of satisfiable formulas
         table = family_symbols()
@@ -393,24 +385,7 @@ class _ReferenceEncoder:
         k = self.k
         own = [self.node_vars[(key, t)] for t in range(k + 1)]
 
-        if isinstance(f, EqVar):
-            left, right = self._variable(f.left), self._variable(f.right)
-            shared = [value for value in left.domain if value in set(right.domain)]
-            if not shared:
-                raise ValueError(
-                    f"variables {f.left!r} and {f.right!r} have disjoint domains"
-                )
-            for t in range(k + 1):
-                e = own[t]
-                for value in left.domain:
-                    a = self.value_vars[(f.left, t, value)]
-                    if value in set(right.domain):
-                        b = self.value_vars[(f.right, t, value)]
-                        self.clauses.append((-e, -a, b))
-                        self.clauses.append((e, -a, -b))
-                    else:
-                        self.clauses.append((-e, -a))
-        elif isinstance(f, Not):
+        if isinstance(f, Not):
             for t in range(k + 1):
                 sub = self.literal(f.operand, t)
                 self.clauses.append((-own[t], -sub))
@@ -514,9 +489,10 @@ def _assert_fragments_sound(f: Formula, symbols: SymbolTable, k: int) -> int:
         truth: dict[int, int] = {}  # id of a node -> evaluate at every instant, bit t for t
         _truth_rows(trace, truth)(f)
         for (node, pos), row in enc._lits.items():
+            bits = truth[node if type(node) is int else id(node)]  # an atom is keyed on itself
             for t, frag in enumerate(row):
                 if frag is None or not true.isdisjoint(frag):
-                    assert (truth[node] >> t & 1) == pos, f"{f} at k={k}, instant {t}"
+                    assert (bits >> t & 1) == pos, f"{f} at k={k}, instant {t}"
                     held += 1
     return held
 
@@ -593,13 +569,27 @@ class TestMatchesReferenceEncoder:
 
     @pytest.mark.parametrize("k", [0, 2])
     def test_value_comparisons(self, k):
+        """p holds iff two variables are equal, stated value by value as the hazard axioms do."""
         table = _integer_symbols()
+
+        def same(a: str, b: str) -> Formula:
+            other = table.lookup(b).domain
+            clauses = []
+            for value in table.lookup(a).domain:
+                here = Eq(a, value)
+                if value in other:
+                    clauses.append(Implies(And(here, Eq(b, value)), Atom("p")))
+                    clauses.append(Implies(And(Atom("p"), here), Eq(b, value)))
+                else:
+                    clauses.append(Not(And(Atom("p"), here)))
+            return Alw(conjoin(clauses))
+
         for f in (
-            EqVar("x", "y"),
-            EqVar("y", "x"),
-            EqVar("x", "z"),
-            And(Eq("z", "0"), Dist(EqVar("x", "z"), -1)),
-            Implies(Eq("y", "a"), Alw(Or(Atom("p"), EqVar("x", "z")))),
+            same("x", "y"),
+            And(same("y", "x"), Som(Atom("p"))),
+            And(same("x", "z"), Dist(Eq("z", "0"), -1)),
+            And(same("z", "y"), Som(Atom("p"))),  # disjoint domains: unsatisfiable
+            Implies(Eq("y", "a"), And(same("x", "z"), Alw(Atom("p")))),
         ):
             _assert_matches_reference(f, table, k, brute_force=False)
 
@@ -618,8 +608,8 @@ class TestMatchesReferenceEncoder:
             (And(Atom("p"), Atom("x")), 1),  # an Atom naming a variable
             (Or(Eq("x", "7"), Atom("p")), 1),  # a value outside the domain
             (Eq("p", "0"), 0),  # an Eq naming a proposition
-            (Not(EqVar("x", "p")), 2),
-            (EqVar("z", "y"), 1),  # disjoint domains
+            (Not(Or(Atom("p"), "q")), 2),  # a non-formula
+            (Eq("x", "y"), 1),  # a variable's name is no value of another
             (Atom("p"), -1),  # negative bound
         ],
     )
@@ -706,10 +696,9 @@ def _random_grid_text(rng: random.Random, n: int) -> str:
 
 class TestCompiledWorkcellSize:
     """A compiled workcell's axioms are plain clauses.  The encoder numbers the
-    symbols the formulas read, one ``EqVar`` hazard row per hazard, and, before
-    the last instant, one conjunction per hazard in the violation: those whose
-    base risk exceeds the threshold.  No formula reads a ``risk_<h>`` column:
-    risk is priced after solving."""
+    symbols the formulas read and, before the last instant, one conjunction
+    per hazard in the violation: those whose base risk exceeds the threshold.
+    No formula reads a ``risk_<h>`` column: risk is priced after solving."""
 
     @staticmethod
     def _assert_exact_count(scenario, k: int) -> None:
@@ -720,7 +709,6 @@ class TestCompiledWorkcellSize:
         per_instant = (
             sum(prop.name in read for prop in symbols.propositions)
             + sum(len(var.domain) for var in symbols.variables if var.name in read)
-            + len(scenario.hazards)
         )
         over = [h for h in scenario.hazards if over_speeds(h, scenario.threshold)]
         cnf, vm = encode(f, symbols, k)

@@ -13,7 +13,6 @@ from coverify.logic import (
     Atom,
     Dist,
     Eq,
-    EqVar,
     FiniteVariable,
     Implies,
     Not,
@@ -81,8 +80,7 @@ class TestEvaluate:
         tr = Trace(2, {}, {"x": ("L1", "L2", "L2"), "y": ("L2", "L2", "L1")})
         assert evaluate(Eq("x", "L2"), tr, 1) is True
         assert evaluate(Eq("x", "L2"), tr, 0) is False
-        assert evaluate(EqVar("x", "y"), tr, 1) is True
-        assert evaluate(EqVar("x", "y"), tr, 2) is False
+        assert evaluate(Eq("y", "L2"), tr, 2) is False
 
     def test_instant_out_of_range(self):
         with pytest.raises(ValueError, match="outside"):
@@ -107,9 +105,6 @@ class TestFreeSymbols:
     def test_constants_are_not_symbols(self):
         assert free_symbols(Som(Eq("p_g", "L3"))) == {"p_g"}
 
-    def test_eqvar_contributes_both_sides(self):
-        assert free_symbols(EqVar("a", "b")) == {"a", "b"}
-
     def test_shared_nodes_are_walked_once(self):
         # 2**200 paths from the root, 201 distinct nodes.
         f = Or(Atom("p"), Eq("v", "a"))
@@ -131,14 +126,14 @@ def _outcome(fn, *args):
 
 
 def _random_shared_formula(rng, depth):
-    """A random formula in which one subformula object occurs twice, or an EqVar row."""
+    """A random formula in which, two draws in three, one subformula object occurs twice."""
     shared = random_formula(rng, depth)
     op = rng.choice((And, Or, Implies))
     kind = rng.randrange(3)
     if kind == 0:
         return op(shared, Dist(shared, rng.randint(-3, 3)))
     if kind == 1:
-        return op(Not(shared), Som(And(shared, EqVar("v", "w"))))
+        return op(Not(shared), Som(shared))
     return shared
 
 
@@ -152,9 +147,6 @@ class TestMatchesFrozenEvaluator:
             f = random_formula(rng, 4) if draw % 2 else _random_shared_formula(rng, 3)
             k = rng.randint(0, 8)
             tr = random_trace(rng, k)
-            # A second variable, with a value v never takes, for the EqVar rows.
-            w = tuple(rng.choice(("a", "b", "c")) for _ in range(k + 1))
-            tr = replace(tr, variables={**tr.variables, "w": w})
             for t in range(k + 1):
                 assert evaluate(f, tr, t) is frozen_evaluate.evaluate(f, tr, t), (f, tr, t)
                 compared += 1
@@ -183,8 +175,6 @@ class TestMatchesFrozenEvaluator:
             (Atom("ghost"), 0),
             (And(Atom("p"), Atom("ghost")), 1),
             (Eq("ghost", "a"), 0),
-            (EqVar("v", "ghost"), 2),
-            (EqVar("ghost", "v"), 0),
             (Som(Dist(Eq("ghost", "a"), 2)), 0),
             ("p", 0),
             (And(Atom("p"), 3), 0),

@@ -8,7 +8,6 @@ from coverify.logic import (
     Atom,
     Dist,
     Eq,
-    EqVar,
     Implies,
     Not,
     Or,
@@ -46,7 +45,10 @@ def test_som_of_equality(symbols):
 
 
 def test_variable_equality(symbols):
-    assert parse_formula("p_g = p_a", symbols) == EqVar("p_g", "p_a")
+    # Only a constant may follow '=': a variable's name is no domain value.
+    with pytest.raises(ParseError, match="'p_a' is not a domain value of 'p_g'") as error:
+        parse_formula("start &\n  p_g = p_a", symbols)
+    assert (error.value.line, error.value.column) == (2, 9)
 
 
 def test_negative_dist_offset(symbols):
@@ -111,7 +113,7 @@ class TestErrors:
             parse_formula("start = L1", symbols)
 
     def test_value_outside_domain(self, symbols):
-        with pytest.raises(ParseError, match="neither a domain value"):
+        with pytest.raises(ParseError, match="not a domain value"):
             parse_formula("p_g = L9", symbols)
 
     def test_le_is_not_an_operator(self, symbols):
@@ -143,7 +145,8 @@ def test_parse_evaluate_round_trip(symbols):
     )
     cases = [
         ("start -> Dist(stop, 3)", 0, True),
-        ("Som(p_g = p_a)", 2, True),
+        ("Som(p_g = L2 & p_a = L2)", 2, True),
+        ("Som(p_g = L1 & p_a = L1)", 2, False),
     ]
     for text, t, expected in cases:
         assert evaluate(parse_formula(text, symbols), tr, t) is expected

@@ -1,6 +1,7 @@
 """Scenario loading, compilation templates, risk scheme, and verification."""
 
 import random
+from itertools import product
 
 import pytest
 
@@ -12,7 +13,6 @@ from coverify.logic import (
     Atom,
     Dist,
     Eq,
-    EqVar,
     Implies,
     Not,
     Or,
@@ -32,6 +32,7 @@ from coverify.world import (
     Scenario,
     ScenarioError,
     TaskStep,
+    _hazard_axioms,
     apply_mitigation,
     compile_scenario,
     load_scenario,
@@ -113,6 +114,23 @@ class TestLoad:
     def test_dt_must_be_finite_and_positive(self, dt):
         with pytest.raises(ScenarioError, match="dt must be"):
             loads_scenario(TWO_CELLS + f"dt {dt}\n")
+
+    @pytest.mark.parametrize(
+        "line, expected",
+        [
+            ("bound", "bound <k>"),
+            ("bound 5 junk", "bound <k>"),
+            ("threshold", "threshold <n>"),
+            ("threshold 3 4", "threshold <n>"),
+            ("dt", "dt <seconds>"),
+            ("dt 0.5 0.5", "dt <seconds>"),
+        ],
+    )
+    def test_param_takes_exactly_one_value(self, line, expected):
+        lineno = len(TWO_CELLS.splitlines()) + 1
+        with pytest.raises(ScenarioError) as error:
+            loads_scenario(TWO_CELLS + line + "\n")
+        assert str(error.value) == f"line {lineno}: expected: {expected}"
 
     @pytest.mark.parametrize("radius", ["0", "-0.05", "nan", "inf", "-inf"])
     def test_radius_must_be_finite_and_positive(self, radius):
@@ -256,12 +274,12 @@ class TestCompile:
         )
         assert expected in model.axioms
 
-    def test_hazard_definition_template(self):
-        s = loads_scenario(TWO_CELLS)
-        model = compile_scenario(s)
-        together = EqVar("h", "g")
-        expected = Alw(And(Implies(Atom("haz_hz"), together), Implies(together, Atom("haz_hz"))))
-        assert expected in model.axioms
+    def test_hazard_axioms_define_colocation(self):
+        # At one instant, for every cell of each POI and every flag value.
+        axioms = conjoin(list(_hazard_axioms(loads_scenario(TWO_CELLS))))
+        for h, g, flag in product("AB", "AB", (False, True)):
+            trace = Trace(0, {"haz_hz": (flag,)}, {"h": (h,), "g": (g,)})
+            assert evaluate(axioms, trace, 0) is (flag == (h == g)), (h, g, flag)
 
     def test_violation_shape(self):
         s = loads_scenario(TWO_CELLS)

@@ -41,7 +41,6 @@ EXIT_UNCONFIRMED = 3
 class RunConfig:
     scenario: str
     bound: int | None = None
-    dt: float | None = None
     seed: int = 0
     samples: int = 100_000
     fmt: str = "text"
@@ -60,8 +59,6 @@ def _load(cfg: RunConfig) -> Scenario:
     scenario = load_scenario(cfg.scenario)
     if cfg.bound is not None:
         scenario = replace(scenario, bound=cfg.bound)
-    if cfg.dt is not None:
-        scenario = replace(scenario, dt=cfg.dt)
     return scenario
 
 
@@ -183,7 +180,6 @@ def build_parser() -> argparse.ArgumentParser:
     def scenario(p: argparse.ArgumentParser) -> None:
         p.add_argument("scenario", help="scenario file (.scn)")
         p.add_argument("--bound", type=int, default=None, help="override the trace bound")
-        p.add_argument("--dt", type=float, default=None, help="override seconds per instant")
 
     def common(p: argparse.ArgumentParser) -> None:
         scenario(p)

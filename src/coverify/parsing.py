@@ -6,12 +6,13 @@
     and     := unary ("&" unary)*
     unary   := "!" unary | "Alw(" formula ")" | "Som(" formula ")"
              | "Dist(" formula "," int ")" | atom | "(" formula ")"
-    atom    := ident | ident "=" ident
+    atom    := ident | ident "=" (ident | int)
 
-``Alw``, ``Som`` and ``Dist`` are reserved words.  ``ident = ident`` is
-variable/constant equality: the right side must be a domain value of the
-left variable, even if it also names a declared symbol.  Every other
-identifier must be declared in the symbol table.
+``Alw``, ``Som`` and ``Dist`` are reserved words.  ``ident = value`` is
+variable/constant equality: the right side, a name or an integer literal
+such as a risk level, must be a domain value of the left variable, even if
+it also names a declared symbol.  Every other identifier must be declared in
+the symbol table.
 
 A chain of one operator, ``p & q & r & s``, parses to the balanced tree that
 ``conjoin`` (``disjoin`` for ``|``) builds, not a left-nested one, so a long
@@ -233,7 +234,10 @@ class _Parser:
                     f"{name_tok.text!r} is not a finite variable", name_tok.line, name_tok.column
                 )
             self.advance()
-            rhs = self.expect("IDENT", "a domain value")
+            if self.peek().kind == "INT":
+                rhs = self.advance()
+            else:
+                rhs = self.expect("IDENT", "a domain value")
             if rhs.text in symbol.domain:
                 return Eq(symbol.name, rhs.text)
             raise ParseError(

@@ -223,9 +223,12 @@ class TestClassify:
         assert run_classify(cfg, str(trace)) == EXIT_SAFE
 
     @pytest.mark.parametrize("dt", ["nan", "inf", "0"])
-    def test_bad_dt_override_is_input_error(self, trace_file, dt, capsys):
-        assert main(["classify", HANDOVER, str(trace_file), "--dt", dt]) == EXIT_INPUT_ERROR
-        assert "dt must be" in capsys.readouterr().err
+    def test_bad_dt_override_is_input_error(self, tmp_path, dt, capsys):
+        # The scenario's dt line is the only source of seconds per instant; --dt is a usage error.
+        with pytest.raises(SystemExit) as error:
+            main(["classify", HANDOVER_MINI, str(tmp_path / "mini.trace"), "--dt", dt])
+        assert error.value.code == EXIT_INPUT_ERROR
+        assert "unrecognized arguments: --dt" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         ("old", "new", "message"),
@@ -385,6 +388,19 @@ class TestMain:
         assert error.value.code == EXIT_INPUT_ERROR
         assert "unrecognized arguments: --out" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_dt_is_not_an_option(self, capsys):
+        # Seconds per instant come from the scenario's dt line; no command reads an override.
+        # TestClassify.test_bad_dt_override_is_input_error covers classify.
+        for argv in (
+            ["verify", HANDOVER_MINI],
+            ["export", HANDOVER_MINI, "cnf"],
+            ["oracle", HANDOVER_MINI],
+        ):
+            with pytest.raises(SystemExit) as error:
+                main([*argv, "--dt", "0.5"])
+            assert error.value.code == EXIT_INPUT_ERROR
+            assert "unrecognized arguments: --dt" in capsys.readouterr().err
 
     @pytest.mark.parametrize("line", ["bound", "bound 5 junk", "threshold", "dt"])
     def test_param_without_one_value_is_an_input_error(self, tmp_path, capsys, line):

@@ -133,6 +133,48 @@ class TestGridScenarios:
         assert (False, True) in verdicts
 
 
+def _row_text(rng: random.Random) -> str:
+    """A row of 4-6 unit cells, both POIs pinned, and a slowdown too weak for its hazard.
+
+    The hazard's risk is 5 at normal speed and 4 at slow, over threshold 3, so
+    every hazard instant before the last raises the flag, and a mitigated
+    hazard cannot hold at the final instant.  A scenario is then unsafe only
+    through a flag raised before the last instant and carried to the end.
+    """
+    cells = [f"C{i}" for i in range(rng.randint(4, 6))]
+    lines = ["[layout]"]
+    lines += [f"loc {cell} box {i} 0 0 {i + 1} 1 1" for i, cell in enumerate(cells)]
+    lines += [f"adj {a} {b}" for a, b in zip(cells, cells[1:])]
+    lines += ["[agents]", "agent op human", "agent arm robot"]
+    lines += ["poi op h radius 0.05", "poi arm g radius 0.05"]
+    lines += [f"start {poi} {rng.choice(cells)}" for poi in ("h", "g")]
+    lines.append("[task]")
+    for _ in range(rng.randint(1, 3)):
+        lines.append(rng.choice(["step g pick {}", "step h reach {}"]).format(rng.choice(cells)))
+    lines += ["[hazards]", "hazard hz1 h g sev 2 exp 2 avoid 1"]
+    lines += ["[mitigations]", "mitigate slowdown hz1"]
+    lines += ["[params]", f"bound {rng.randint(2, 8)}", "threshold 3"]
+    return "\n".join(lines) + "\n"
+
+
+class TestRowScenarios:
+    """Ordered steps on a row, where a flag raised early decides the verdict."""
+
+    SCENARIOS = 60  # the first scenarios drawn from the seed
+
+    def test_walker_matches_frozen_walker_and_verify(self):
+        rng = random.Random(3141)
+        verdicts = []
+        for _ in range(self.SCENARIOS):
+            text = _row_text(rng)
+            scenario = loads_scenario(text)
+            safe = exhaustive_verify(scenario)
+            assert safe == frozen_exhaustive_verify(scenario), text
+            assert safe == verify(scenario).safe, text
+            verdicts.append(safe)
+        assert True in verdicts and False in verdicts
+
+
 def _long_row_text(cells: int) -> str:
     """Four POIs on two robots and one operator, all pinned, in a row of unit cells."""
     names = [f"C{i}" for i in range(cells)]
@@ -149,12 +191,12 @@ def _long_row_text(cells: int) -> str:
 
 
 def test_state_limit_counts_only_what_a_node_holds():
-    # 12 cells and 4 POIs: 12**4 * 2**4 = 331,776 nodes at most, under the
-    # limit; the frozen walker also counted 3**2 speed states and refuses.
+    # 12 cells and 4 POIs: 12**4 = 20,736 tuples of cells, under the limit;
+    # the frozen walker also counted 2**4 transit and 3**2 speed states and refuses.
     scenario = loads_scenario(_long_row_text(12))
     with pytest.raises(ValueError, match="too large"):
         frozen_exhaustive_verify(scenario)
     assert exhaustive_verify(scenario) is False
     assert verify(scenario).safe is False
     with pytest.raises(ValueError, match="too large"):
-        exhaustive_verify(loads_scenario(_long_row_text(19)))  # 19**4 * 2**4 > 2,000,000
+        exhaustive_verify(loads_scenario(_long_row_text(38)))  # 38**4 > 2,000,000

@@ -51,6 +51,15 @@ def test_variable_equality(symbols):
     assert (error.value.line, error.value.column) == (2, 9)
 
 
+def test_integer_domain_value(symbols):
+    assert parse_formula("risk = 1", symbols) == Eq("risk", "1")
+    with pytest.raises(ParseError, match="'3' is not a domain value of 'risk'") as error:
+        parse_formula("start &\n  risk = 3", symbols)
+    assert (error.value.line, error.value.column) == (2, 10)
+    with pytest.raises(ParseError, match="'-1' is not a domain value of 'risk'"):
+        parse_formula("risk = -1", symbols)
+
+
 def test_negative_dist_offset(symbols):
     assert parse_formula("Dist(start, -2)", symbols) == Dist(Atom("start"), -2)
 

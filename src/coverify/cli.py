@@ -196,8 +196,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common(p_classify)
     p_classify.add_argument("trace", help="trace file produced by verify")
-    p_classify.add_argument("--seed", type=int, help="Monte Carlo seed")
-    p_classify.add_argument("--samples", type=int, help="Monte Carlo samples")
+    p_classify.add_argument("--seed", type=int, help="Monte Carlo seed (rows with no closed form)")
+    p_classify.add_argument("--samples", type=int, help="Monte Carlo samples (rows with no closed form)")
     p_classify.add_argument("--format", dest="fmt", choices=("text", "csv", "svg"))
 
     p_export = sub.add_parser("export", help="dump derived artifacts")

@@ -4,14 +4,16 @@ Cells of the workcell layout are axis-aligned boxes; a point of interest is
 somewhere inside its cell, so the distance between two points of interest is
 only known up to the interval [aabb_min_distance, aabb_max_distance] of
 their cells.  ``contact_probability`` quantifies the remaining uncertainty
-by Monte Carlo over uniform placements.  It uses every CPU in the process's
-affinity mask (``taskset -c 0`` limits it to one), and its estimate is the
-same to the bit on any machine.
+for uniform placements.  Two points in the same box with a threshold no
+longer than its shortest edge have a closed form; every other pair goes to
+``sample_contact_probability``, a seeded Monte Carlo estimate.  The sampler
+uses every CPU in the process's affinity mask (``taskset -c 0`` limits it to
+one), and its estimate is the same to the bit on any machine.
 
-numpy is imported inside ``contact_probability`` and ``_count_hits``, on the
-first estimate that the interval bounds do not decide.  It is the slowest
-import of the package by far, and ``verify``, ``export`` and ``oracle`` never
-draw a sample, so they never load it.
+numpy is imported inside ``sample_contact_probability`` and ``_count_hits``,
+on the first estimate that neither the interval bounds nor the closed form
+decide.  It is the slowest import of the package by far, and ``verify``,
+``export`` and ``oracle`` never draw a sample, so they never load it.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ __all__ = [
     "aabb_min_distance",
     "aabb_max_distance",
     "contact_probability",
+    "sample_contact_probability",
 ]
 
 # Rows of uniforms drawn and processed per block.  Only the working set
@@ -129,8 +132,58 @@ def _count_hits(
     return hits
 
 
+def _same_box_contact(box: Box, r: float) -> float:
+    """P(|X - Y| <= r) for X, Y uniform in one box with edges a, b, c > 0 and
+    r <= min(a, b, c): the volume of {(x, y): |x - y| <= r} over (abc)^2,
+
+        [abc (4 pi/3) r^3 - (ab + bc + ca) (pi/2) r^4
+         + (a + b + c) (8/15) r^5 - r^6/6] / (abc)^2.
+
+    On the unit cube it is the distance CDF of ``tools/mc_reference.py``.
+    """
+    a, b, c = box.edges
+    volume = a * b * c
+    return (
+        volume * (4 * math.pi / 3) * r**3
+        - (a * b + b * c + c * a) * (math.pi / 2) * r**4
+        + (a + b + c) * (8 / 15) * r**5
+        - r**6 / 6
+    ) / (volume * volume)
+
+
+def _check_arguments(threshold: float, samples: int) -> None:
+    if samples < 1:
+        raise ValueError("sample count must be >= 1")
+    if not (math.isfinite(threshold) and threshold >= 0):
+        raise ValueError("threshold must be a finite number >= 0")
+
+
 def contact_probability(a: Box, b: Box, threshold: float, samples: int, seed: int) -> float:
+    """P(|X - Y| <= threshold), X uniform in a and Y uniform in b.
+
+    Exact where the geometry decides it: 1.0 when the boxes' largest
+    distance is within the threshold, 0.0 when their smallest distance is
+    beyond it, and the closed form of ``_same_box_contact`` when a == b, every
+    edge is > 0 and the threshold is at most the shortest edge.  Every other
+    pair returns ``sample_contact_probability(a, b, threshold, samples,
+    seed)``, so ``samples`` and ``seed`` matter only there.  The arguments
+    are checked first, whichever answer follows.
+    """
+    _check_arguments(threshold, samples)
+    if aabb_max_distance(a, b) <= threshold:
+        return 1.0
+    if aabb_min_distance(a, b) > threshold:
+        return 0.0
+    if a == b and 0 < min(a.edges) and threshold <= min(a.edges):
+        return _same_box_contact(a, threshold)
+    return sample_contact_probability(a, b, threshold, samples, seed)
+
+
+def sample_contact_probability(a: Box, b: Box, threshold: float, samples: int, seed: int) -> float:
     """Monte Carlo estimate of P(|X - Y| <= threshold), X uniform in a, Y in b.
+
+    It takes no shortcut: every call draws ``samples`` samples, even where
+    ``contact_probability`` would answer exactly.
 
     Deterministic for a fixed seed and sample count: sample i takes the six
     uniforms 6i..6i+5 of one PCG64 stream, X = a.lo + u[:3] * a.edges and
@@ -146,16 +199,7 @@ def contact_probability(a: Box, b: Box, threshold: float, samples: int, seed: in
     takes the same uniforms through the same float operations, so the
     estimate is the same to the bit on any machine and any CPU count.
     """
-    if samples < 1:
-        raise ValueError("sample count must be >= 1")
-    if not (math.isfinite(threshold) and threshold >= 0):
-        raise ValueError("threshold must be a finite number >= 0")
-    # Shortcuts where the interval bounds already decide the answer.
-    if aabb_max_distance(a, b) <= threshold:
-        return 1.0
-    if aabb_min_distance(a, b) > threshold:
-        return 0.0
-
+    _check_arguments(threshold, samples)
     import numpy as np
 
     # Rows 0-2 hold X, rows 3-5 hold Y: the coordinate-major layout keeps

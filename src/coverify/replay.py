@@ -11,7 +11,9 @@ radii) the verdict is
 * CONFIRMED  when d_max <= th: contact is certain wherever they sit,
 * SPURIOUS   when d_min > th: contact is impossible, a discretization
   artifact of the checker,
-* POSSIBLE   otherwise, with a Monte Carlo contact probability.
+* POSSIBLE   otherwise, with a contact probability: exact for two POIs in
+  the same cell within its shortest edge of each other, else a seeded Monte
+  Carlo estimate.
 """
 
 from __future__ import annotations
@@ -211,8 +213,11 @@ def classify(
     """Geometric verdict for every hazard instant whose risk exceeds the threshold.
 
     CONFIRMED and SPURIOUS verdicts follow from the exact distance bounds of
-    the occupied cells and carry probability 1 and 0; POSSIBLE verdicts get a
-    seeded Monte Carlo contact probability.
+    the occupied cells and carry probability 1 and 0.  POSSIBLE verdicts get
+    ``geometry.contact_probability``: the closed form when both POIs share a
+    cell whose shortest edge is at least the threshold, else a Monte Carlo
+    estimate from ``samples`` placements seeded with ``seed``, which are used
+    for those rows only.
     """
     rows: list[ClassifiedHazard] = []
     for violation in extract_violations(tr, s):

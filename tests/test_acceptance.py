@@ -12,7 +12,7 @@ import numpy as np
 
 from coverify.encode import check
 from coverify.exhaustive import exhaustive_verify
-from coverify.geometry import Box, aabb_max_distance, aabb_min_distance, contact_probability
+from coverify.geometry import Box, aabb_max_distance, aabb_min_distance, sample_contact_probability
 from coverify.logic import SymbolTable, Trace, conjoin, evaluate
 from coverify.parsing import parse_formula
 from coverify.replay import CONFIRMED, POSSIBLE, classify, extract_motions, poi_path
@@ -179,8 +179,8 @@ def test_criterion_6_geometry_oracles():
 def test_criterion_7_monte_carlo_reference():
     unit = Box((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))
     n = 1_000_000
-    p1 = contact_probability(unit, unit, 0.1, n, seed=20240801)
-    p2 = contact_probability(unit, unit, 0.1, n, seed=20240801)
+    p1 = sample_contact_probability(unit, unit, 0.1, n, seed=20240801)
+    p2 = sample_contact_probability(unit, unit, 0.1, n, seed=20240801)
     se = math.sqrt(SAME_CUBE_CONTACT_P * (1 - SAME_CUBE_CONTACT_P) / n)
     deviation = abs(p1 - SAME_CUBE_CONTACT_P)
     ok = deviation <= 3 * se and p1 == p2

@@ -130,12 +130,13 @@ def test_golden_trace(tmp_path, scenario, bound, digest):
 
 # SHA-256 of `classify handover <trace> --seed 7 --samples 100000` in CSV and
 # SVG, over the trace `verify` writes at the scenario's own bound and at 30.
-# 100,000 samples span several Monte Carlo blocks plus a remainder.  A change
-# that alters one of these must update it and say why in CHANGES.md.
+# Every POSSIBLE row of these reports is a same-cell contact with the closed
+# form, so seed and samples do not show in them.  A change that alters one of
+# these must update it and say why in CHANGES.md.
 GOLDEN_REPORTS = [
-    (None, "csv", "25f43de93c23341d1e724a1086dd123aaf5230e91e2293c0338fd1cc810fc2c4"),
+    (None, "csv", "c390f9980adfbc2e98e66ea56aae502430a8bfc866516bcfc353da88772008d9"),
     (None, "svg", "3ec0e065a2e15cbd5efa2d7effae7094e00cb020d61dcd12c3a585862cb3ebc5"),
-    (30, "csv", "8400d3814ad901f7642b3d8d5a369f640b44df9cd00c32aa34da57cb91e05e97"),
+    (30, "csv", "37672a4a35452f16481d9bc8d05f4fe0f7e61e21d76cb71a7605522b4879428d"),
     (30, "svg", "5a23e6d7ada4b3ed0e4625c6cd41590ade281fc9dcaea039f93dc59f99a6cc31"),
 ]
 
@@ -444,8 +445,14 @@ codes = [
     main(["oracle", mini]),
 ]
 loaded = sorted(heavy & sys.modules.keys())
+# Every POSSIBLE row of the mini trace is a same-cell contact: the closed form.
 codes.append(main(["classify", mini, "mini.trace", "--samples", "2000"]))
-print(json.dumps({"codes": codes, "loaded": loaded, "numpy": "numpy" in sys.modules}))
+classify_loaded = sorted(heavy & sys.modules.keys())
+from coverify.geometry import Box, sample_contact_probability
+cube = Box((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))
+sample_contact_probability(cube, cube, 0.1, 2000, 0)
+print(json.dumps({"codes": codes, "loaded": loaded, "classify_loaded": classify_loaded,
+                  "numpy": "numpy" in sys.modules}))
 """
 
 
@@ -460,5 +467,6 @@ def test_verify_export_and_oracle_never_import_numpy_or_urllib(tmp_path):
     probe = json.loads(run.stdout.splitlines()[-1])
     assert probe["codes"] == [EXIT_COUNTEREXAMPLE, EXIT_SAFE, EXIT_COUNTEREXAMPLE, EXIT_UNCONFIRMED]
     assert probe["loaded"] == []
-    # A POSSIBLE row runs the Monte Carlo, which must load numpy: the probe can see it.
+    assert probe["classify_loaded"] == []
+    # The Monte Carlo sampler must load numpy: the probe can see it.
     assert probe["numpy"]

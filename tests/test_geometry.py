@@ -1,14 +1,23 @@
-"""Box distance bounds against independent oracles, and Monte Carlo contact."""
+"""Box distance bounds against independent oracles, and contact probability:
+its closed form and its Monte Carlo sampler."""
 
 import concurrent.futures
+import importlib.util
 import math
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from coverify import geometry
-from coverify.geometry import Box, aabb_max_distance, aabb_min_distance, contact_probability
+from coverify.geometry import (
+    Box,
+    aabb_max_distance,
+    aabb_min_distance,
+    contact_probability,
+    sample_contact_probability,
+)
 
 # Reference for P(|X-Y| <= 0.1), X, Y uniform in the same unit cube, frozen
 # from a 1e8-sample run (tools/mc_reference.py, seed 987654321); it agrees
@@ -16,6 +25,14 @@ from coverify.geometry import Box, aabb_max_distance, aabb_min_distance, contact
 SAME_CUBE_CONTACT_P = 3.74081e-3
 
 UNIT = Box((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))
+
+
+def load_mc_reference():
+    path = Path(__file__).resolve().parents[1] / "tools" / "mc_reference.py"
+    spec = importlib.util.spec_from_file_location("mc_reference", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def random_box(rng):
@@ -189,18 +206,18 @@ class TestContactProbability:
 
     def test_same_unit_cube_matches_frozen_oracle(self):
         n = 1_000_000
-        p = contact_probability(UNIT, UNIT, 0.1, n, seed=20240801)
+        p = sample_contact_probability(UNIT, UNIT, 0.1, n, seed=20240801)
         se = math.sqrt(SAME_CUBE_CONTACT_P * (1 - SAME_CUBE_CONTACT_P) / n)
         assert abs(p - SAME_CUBE_CONTACT_P) <= 3 * se
 
     def test_bit_reproducible_for_fixed_seed(self):
-        first = contact_probability(UNIT, UNIT, 0.1, 300_000, seed=99)
-        second = contact_probability(UNIT, UNIT, 0.1, 300_000, seed=99)
+        first = sample_contact_probability(UNIT, UNIT, 0.1, 300_000, seed=99)
+        second = sample_contact_probability(UNIT, UNIT, 0.1, 300_000, seed=99)
         assert first == second
 
     def test_seed_changes_the_estimate(self):
-        a = contact_probability(UNIT, UNIT, 0.25, 50_000, seed=1)
-        b = contact_probability(UNIT, UNIT, 0.25, 50_000, seed=2)
+        a = sample_contact_probability(UNIT, UNIT, 0.25, 50_000, seed=1)
+        b = sample_contact_probability(UNIT, UNIT, 0.25, 50_000, seed=2)
         assert a != b  # distinct streams (equality would be a seeding bug)
 
     def test_equals_chunked_reference_loop(self):
@@ -208,7 +225,7 @@ class TestContactProbability:
         counts = (1, block - 1, block, block + 1, 3 * block + 17)
         for i, (kind, a, b, threshold) in enumerate(uncertain_pairs(seed=51, count=30)):
             for samples in counts:
-                got = contact_probability(a, b, threshold, samples, seed=i)
+                got = sample_contact_probability(a, b, threshold, samples, seed=i)
                 want = chunked_contact_probability(a, b, threshold, samples, seed=i)
                 assert got == want, (kind, a, b, threshold, samples)
 
@@ -225,14 +242,14 @@ class TestContactProbability:
                     threshold = threshold_squaring_to(thr_sq)
                     if threshold is None:
                         continue
-                    got = contact_probability(a, b, threshold, samples, seed=i)
+                    got = sample_contact_probability(a, b, threshold, samples, seed=i)
                     assert got == chunked_contact_probability(a, b, threshold, samples, seed=i), kind
                     checked += 1
         assert checked >= 100
 
     def test_equals_reference_across_the_old_chunk_boundary(self):
         samples = (1 << 19) + 3
-        got = contact_probability(UNIT, UNIT, 0.3, samples, seed=5)
+        got = sample_contact_probability(UNIT, UNIT, 0.3, samples, seed=5)
         assert got == chunked_contact_probability(UNIT, UNIT, 0.3, samples, seed=5)
 
     @pytest.mark.parametrize("block", [1, 7, 1000, None])
@@ -241,7 +258,7 @@ class TestContactProbability:
             monkeypatch.setattr(geometry, "_MC_BLOCK", block)
         for i, (kind, a, b, threshold) in enumerate(uncertain_pairs(seed=52, count=10)):
             for samples in (1, 13, 2_000):
-                got = contact_probability(a, b, threshold, samples, seed=100 + i)
+                got = sample_contact_probability(a, b, threshold, samples, seed=100 + i)
                 want = chunked_contact_probability(a, b, threshold, samples, seed=100 + i)
                 assert got == want, (kind, block, samples)
 
@@ -256,7 +273,7 @@ class TestContactProbability:
         for kind, a, b, threshold in pairs:
             assert aabb_min_distance(a, b) < threshold < aabb_max_distance(a, b)
             for samples in counts:
-                got = contact_probability(a, b, threshold, samples, seed=workers)
+                got = sample_contact_probability(a, b, threshold, samples, seed=workers)
                 want = chunked_contact_probability(a, b, threshold, samples, seed=workers)
                 assert got == want, (kind, workers, samples)
 
@@ -267,14 +284,82 @@ class TestContactProbability:
         monkeypatch.setattr(geometry, "_cpu_count", lambda: 4)
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
         with pytest.raises(ValueError, match="non-negative"):
-            contact_probability(UNIT, UNIT, 0.3, 100_000, seed=-1)
+            sample_contact_probability(UNIT, UNIT, 0.3, 100_000, seed=-1)
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="sample count"):
-            contact_probability(UNIT, UNIT, 0.1, 0, seed=1)
-        for threshold in (-0.1, math.nan, math.inf, -math.inf):
-            with pytest.raises(ValueError, match="threshold must be a finite number"):
-                contact_probability(UNIT, UNIT, threshold, 10, seed=1)
+        # Each pair has a shortcut for a good threshold: the interval bounds
+        # (a point box, distant cubes) or the closed form (the unit cube).
+        point = Box((1.0, 2.0, 3.0), (1.0, 2.0, 3.0))
+        far = Box((10.0, 0.0, 0.0), (11.0, 1.0, 1.0))
+        for probability in (contact_probability, sample_contact_probability):
+            for a, b in ((UNIT, UNIT), (point, point), (UNIT, far)):
+                with pytest.raises(ValueError, match="sample count"):
+                    probability(a, b, 0.1, 0, seed=1)
+                for threshold in (-0.1, math.nan, math.inf, -math.inf):
+                    with pytest.raises(ValueError, match="threshold must be a finite number"):
+                        probability(a, b, threshold, 10, seed=1)
+
+
+class TestSameBoxClosedForm:
+    """Two points in one box, threshold at most its shortest edge."""
+
+    @pytest.fixture
+    def sampler_calls(self, monkeypatch):
+        """Arguments of every call contact_probability hands to the sampler."""
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return sample_contact_probability(*args)
+
+        monkeypatch.setattr(geometry, "sample_contact_probability", spy)
+        return calls
+
+    def test_matches_exact_cdf_on_the_unit_cube(self, sampler_calls):
+        exact_cdf = load_mc_reference().exact_cdf
+        for r in (0.0, 1e-3, 0.05, 0.1, 0.25, 0.5, 0.75, 0.999, 1.0):
+            assert abs(contact_probability(UNIT, UNIT, r, 10, seed=1) - exact_cdf(r)) <= 1e-15, r
+        assert sampler_calls == []
+
+    def test_sampler_agrees_on_random_boxes(self):
+        rng = np.random.default_rng(61)
+        samples = 200_000
+        for i in range(20):
+            lo = rng.uniform(-5, 5, size=3)
+            box = Box(tuple(lo), tuple(lo + rng.uniform(0.2, 3, size=3)))
+            r = rng.uniform(0.1, 1.0) * min(box.edges)
+            exact = contact_probability(box, box, r, samples, seed=i)
+            estimate = sample_contact_probability(box, box, r, samples, seed=i)
+            se = math.sqrt(exact * (1 - exact) / samples)
+            assert abs(estimate - exact) <= 4 * se, (box, r, estimate, exact)
+
+    def test_threshold_equal_to_shortest_edge_is_exact(self, sampler_calls):
+        box = Box((0.0, -1.0, 2.0), (2.0, 0.5, 2.75))
+        r = min(box.edges)
+        assert r == 0.75
+        p = contact_probability(box, box, r, 10, seed=1)
+        assert sampler_calls == []
+        assert p == geometry._same_box_contact(box, r)
+        assert 0.0 < p < 1.0
+
+    def test_other_pairs_go_to_the_sampler(self, sampler_calls):
+        box = Box((0.0, -1.0, 2.0), (2.0, 0.5, 2.75))
+        shifted = Box((0.5, -0.5, 2.0), (2.5, 1.0, 2.75))
+        flat = Box((0.0, 0.0, 1.0), (1.0, 2.0, 1.0))
+        cases = (
+            (box, box, math.nextafter(min(box.edges), math.inf)),
+            (box, shifted, 0.5),
+            # A zero-width edge: no division by zero, even at threshold 0,
+            # which is not above the shortest edge.
+            (flat, flat, 0.5),
+            (flat, flat, 0.0),
+        )
+        for i, (a, b, threshold) in enumerate(cases):
+            assert aabb_min_distance(a, b) <= threshold < aabb_max_distance(a, b)
+            got = contact_probability(a, b, threshold, 5_000, seed=i)
+            assert sampler_calls[-1] == (a, b, threshold, 5_000, i)
+            assert got == sample_contact_probability(a, b, threshold, 5_000, seed=i)
+        assert len(sampler_calls) == len(cases)
 
 
 class TestBox:

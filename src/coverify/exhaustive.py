@@ -8,12 +8,10 @@ this per-instant walker does not track).
 
 A node is the cell of every POI and the task's progress, the number of steps
 done (steps complete in order, so the done flags are always a prefix); it
-gets an int id the first time it is seen.  No transit flag is held: under
-unit travel, a sequence of cells where each POI stays or steps to a neighbor
-is admissible with transit raised exactly at the instant before each move,
-which satisfies both the arrival and the persistence rule, and no hazard,
-task step or mitigation reads transit.  No robot speed is held either: no
-move, progress or final check reads one.
+gets an int id the first time it is seen.  Under unit travel the model's
+only movement rule is adjacency, so a sequence of cells where each POI stays
+or steps to a neighbor is admissible and a node needs no dwell count.  No
+robot speed is held either: no move, progress or final check reads one.
 
 A layer is two sets of ids: ``hot`` holds the nodes that some path reaches
 through a hazard instant whose risk exceeds the threshold, ``cold`` those

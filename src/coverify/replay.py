@@ -1,9 +1,9 @@
 """Counterexample replay: discrete traces to continuous motion and verdicts.
 
-A trace fixes, per instant, which cell each point of interest occupies and
-whether it is in transit.  Replay turns the per-instant diffs into motion
-commands, renders them as piecewise-linear constant-speed paths through cell
-centers, and re-examines every reported hazard instant geometrically: the
+A trace fixes, per instant, which cell each point of interest occupies.
+Replay turns each change of cell into a motion command that lasts the edge's
+travel time, renders them as piecewise-linear constant-speed paths through
+cell centers, and re-examines every reported hazard instant geometrically: the
 two POIs are somewhere inside their cells, so their distance lies in
 [d_min, d_max] of the cell pair.  With contact threshold th (sum of the POI
 radii) the verdict is
@@ -95,17 +95,16 @@ class ClassifiedHazard:
 def extract_motions(tr: Trace, s: Scenario) -> list[MotionCommand]:
     """One command per completed move, in POI declaration order.
 
-    The duration of a move is the length of the consecutive transit-true run
-    that ends right before the position change (at least 1: a change without
-    a transit flag counts as an instantaneous unit move).
+    A move arriving at instant t over an edge of travel time T starts at
+    t - T; the trace must hold the source cell over [t - T, t), as the
+    model's dwell rule does, or it is rejected as corrupted.
     """
     commands: list[MotionCommand] = []
     for poi in s.pois:
         try:
             positions = tr.variables[poi.id]
-            transit = tr.propositions[Scenario.transit_name(poi.id)]
-        except KeyError as missing:
-            raise ValueError(f"trace lacks symbol {missing.args[0]!r} for POI {poi.id!r}") from None
+        except KeyError:
+            raise ValueError(f"trace lacks symbol {poi.id!r}") from None
         for t in range(1, tr.bound + 1):
             if positions[t] == positions[t - 1]:
                 continue
@@ -115,12 +114,15 @@ def extract_motions(tr: Trace, s: Scenario) -> list[MotionCommand]:
                     f"corrupted trace: {poi.id!r} jumps {source!r} -> {dest!r} "
                     f"between non-adjacent cells at instant {t}"
                 )
-            run = 0
-            while t - 1 - run >= 0 and transit[t - 1 - run] and positions[t - 1 - run] == source:
-                run += 1
-            duration = max(run, 1)
+            duration = s.travel_time(source, dest)
+            start = t - duration
+            if start < 0 or any(cell != source for cell in positions[start:t]):
+                raise ValueError(
+                    f"corrupted trace: {poi.id!r} reaches {dest!r} at instant {t} without "
+                    f"holding {source!r} for the edge's travel time {duration}"
+                )
             commands.append(
-                MotionCommand(poi.id, source, dest, start=t - duration, arrival=t, duration=duration)
+                MotionCommand(poi.id, source, dest, start=start, arrival=t, duration=duration)
             )
     return commands
 
@@ -160,8 +162,8 @@ def interpolate(m: MotionCommand, s: Scenario, sample_interval: float) -> Contin
 def poi_path(tr: Trace, s: Scenario, poi_id: str, sample_interval: float) -> ContinuousPath:
     """Full-window trajectory of one POI: held cell centers joined by its moves.
 
-    At any whole instant outside a transit run the sampled point is exactly
-    the center of the occupied cell.
+    At any whole instant outside a move the sampled point is exactly the
+    center of the occupied cell.
     """
     if sample_interval <= 0:
         raise ValueError("sample interval must be > 0")

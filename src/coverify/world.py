@@ -11,10 +11,9 @@ instants whose risk exceeds the threshold.
 Modeling conventions baked into the compilation:
 
 * Each POI is a finite variable over cell ids; moves go to adjacent cells.
-  A move over an edge with travel time T holds the source cell and a
-  per-POI ``transit_<poi>`` flag for T instants, then the position flips.
-  Transit persists by one rule per cell L: transit at L implies transit
-  next or not at L next (only the current cell's rule can bind).
+  A move over an edge with travel time T holds the source cell for the T
+  instants before the position flips.  A unit edge needs no rule beyond
+  adjacency; a longer one needs one dwell rule per direction.
 * Human POIs are only constrained by movement: the solver picks adversarial
   human paths.
 * Each robot has a ``speed_<agent>`` state (normal/slow/stopped) that is
@@ -221,10 +220,6 @@ class Scenario:
         return 1
 
     # Derived symbol names used by the compiled model ----------------------
-
-    @staticmethod
-    def transit_name(poi_id: str) -> str:
-        return f"transit_{poi_id}"
 
     @staticmethod
     def speed_name(agent_id: str) -> str:
@@ -561,7 +556,6 @@ def compile_scenario(s: Scenario) -> CompiledModel:
     try:
         for poi in s.pois:
             symbols.add_variable(poi.id, s.layout.ids)
-            symbols.add_proposition(s.transit_name(poi.id))
         for agent in s.agents:
             if agent.kind == "robot":
                 symbols.add_variable(s.speed_name(agent.id), SPEED_STATES)
@@ -598,32 +592,21 @@ def compile_scenario(s: Scenario) -> CompiledModel:
 def _movement_axioms(s: Scenario):
     for poi in s.pois:
         pos = poi.id
-        transit = Atom(s.transit_name(pos))
         # Adjacency: stepping away from a cell may only land on a neighbor.
         for loc in s.layout.locations:
             stay_or_neighbor = disjoin(
                 [Eq(pos, loc.id)] + [Eq(pos, other) for other in sorted(loc.adjacent)]
             )
             yield Alw(Implies(Dist(Eq(pos, loc.id), -1), stay_or_neighbor))
-        # Arrival discipline: reaching a neighbor requires having sat in the
-        # source cell, in transit, for the edge's whole travel time.
-        for loc in s.layout.locations:
-            for other in sorted(loc.adjacent):
-                duration = s.travel_time(loc.id, other)
-                history = conjoin(
-                    [
-                        And(Dist(Eq(pos, loc.id), -j), Dist(transit, -j))
-                        for j in range(1, duration + 1)
-                    ]
-                )
-                yield Alw(
-                    Implies(And(Dist(Eq(pos, loc.id), -1), Eq(pos, other)), history)
-                )
-        # Transit persists until the position changes, by one clause per cell.
-        transit_next = Dist(transit, 1)  # one shared object, so one encoded row
-        for loc in s.layout.locations:
-            here = Eq(pos, loc.id)
-            yield Alw(Implies(And(transit, here), Or(transit_next, Not(Dist(here, 1)))))
+        # Dwell: arriving over an edge of travel time T >= 2 requires having
+        # sat in the source cell for the T instants before; the last of them
+        # is the arrival's own antecedent.
+        for a, b, duration in s.travel_times:
+            if duration == 1:
+                continue
+            for source, dest in ((a, b), (b, a)):
+                history = conjoin([Dist(Eq(pos, source), -j) for j in range(2, duration + 1)])
+                yield Alw(Implies(And(Dist(Eq(pos, source), -1), Eq(pos, dest)), history))
 
 
 def _start_axioms(s: Scenario):

@@ -201,28 +201,26 @@ def test_criterion_8_trace_replay_agreement(handover, handover_point, handover_m
         trace = result.trace
         commands = extract_motions(trace, scenario)
 
-        # every command's duration equals its transit-run length
+        # every command lasts its edge's travel time, over which the source is held
         for command in commands:
-            transit = trace.propositions[scenario.transit_name(command.poi)]
             positions = trace.variables[command.poi]
-            run = 0
-            t = command.arrival - 1
-            while t >= 0 and transit[t] and positions[t] == command.source:
-                run += 1
-                t -= 1
-            assert command.duration == max(run, 1)
+            assert command.duration == scenario.travel_time(command.source, command.dest)
+            assert command.start >= 0
+            assert set(positions[command.start:command.arrival]) == {command.source}
+            assert positions[command.arrival] == command.dest
             if command.duration == 3:
                 duration3_seen += 1
 
-        # outside transit runs, whole instants sample exactly onto cell centers
+        # outside moves, whole instants sample exactly onto cell centers
         for poi in scenario.pois:
             path = poi_path(trace, scenario, poi.id, sample_interval=scenario.dt)
             by_time = dict(path.samples)
-            transit = trace.propositions[scenario.transit_name(poi.id)]
-            for t in range(trace.bound + 1):
-                if not transit[t]:
-                    center = scenario.layout.location(trace.var_value(poi.id, t)).box.center
-                    assert by_time[t * scenario.dt] == center
+            moving = {
+                t for c in commands if c.poi == poi.id for t in range(c.start + 1, c.arrival)
+            }
+            for t in sorted(set(range(trace.bound + 1)) - moving):
+                center = scenario.layout.location(trace.var_value(poi.id, t)).box.center
+                assert by_time[t * scenario.dt] == center
 
     # the long aisle forces at least one three-instant crossing per layout run
     ok = duration3_seen >= 2  # handover and handover_point both cross L3-L4
@@ -230,5 +228,6 @@ def test_criterion_8_trace_replay_agreement(handover, handover_point, handover_m
         8,
         ok,
         f"{duration3_seen} duration-3 commands across {len(scenarios)} counterexamples; "
-        f"non-transit instants sit exactly on cell centers",
+        "each move lasts its travel time in its source cell; instants outside moves "
+        "sit exactly on cell centers",
     )

@@ -98,12 +98,12 @@ class TestVerify:
 # SHA-256 of the trace `verify --out` writes; None where the verdict is SAFE.
 # A change that alters one of these must update it and say why in CHANGES.md.
 GOLDEN_TRACES = [
-    (HANDOVER, None, "fb61119c67d84984162e8d5a650726187d309b64e2e250b76460e3b7884e41ba"),
-    (HANDOVER, 30, "39b4a88ba1be04b7c23250e86d6338fe0902ea403d3874051e8063b50d64ab94"),
-    (HANDOVER_POINT, None, "fb61119c67d84984162e8d5a650726187d309b64e2e250b76460e3b7884e41ba"),
-    (HANDOVER_POINT, 30, "39b4a88ba1be04b7c23250e86d6338fe0902ea403d3874051e8063b50d64ab94"),
-    (HANDOVER_MINI, None, "d34d31e9e1120a93b1e099d5b8e692aa4634ba872fb1f46351287f37571ac8a5"),
-    (HANDOVER_MINI, 30, "4140c2ca9e63fb93304261f06c6553c89a1c39d7a5976717d19eb902f400f30a"),
+    (HANDOVER, None, "898de8e76893f9dfbf018fd351328ad54ea84af5f011c51f3e81d6fffd0f7a56"),
+    (HANDOVER, 30, "5e1ee299f321b544b248475216b263471017572f7b1c549da6e7dd97de88a54a"),
+    (HANDOVER_POINT, None, "898de8e76893f9dfbf018fd351328ad54ea84af5f011c51f3e81d6fffd0f7a56"),
+    (HANDOVER_POINT, 30, "5e1ee299f321b544b248475216b263471017572f7b1c549da6e7dd97de88a54a"),
+    (HANDOVER_MINI, None, "a39f072b05a0e49e13216df37a2a5a46471e0fa267f29bc372c764a81beb99eb"),
+    (HANDOVER_MINI, 30, "d731d71807e6ab2f56362b270fceba7239c4cbab5d00cccbb87197895621e305"),
     (HANDOVER_STOP, None, None),
     (HANDOVER_STOP, 30, None),
 ]
@@ -134,10 +134,10 @@ def test_golden_trace(tmp_path, scenario, bound, digest):
 # form, so seed and samples do not show in them.  A change that alters one of
 # these must update it and say why in CHANGES.md.
 GOLDEN_REPORTS = [
-    (None, "csv", "c390f9980adfbc2e98e66ea56aae502430a8bfc866516bcfc353da88772008d9"),
-    (None, "svg", "3ec0e065a2e15cbd5efa2d7effae7094e00cb020d61dcd12c3a585862cb3ebc5"),
+    (None, "csv", "b1fe30314b2403c2e257bdb49d6f3bf877da95ddc09d7e882a5f287edc39c212"),
+    (None, "svg", "aecc3b67ca89fe5d84d59767b447c7792062b033cb5967c7a307a2e69dc42680"),
     (30, "csv", "37672a4a35452f16481d9bc8d05f4fe0f7e61e21d76cb71a7605522b4879428d"),
-    (30, "svg", "5a23e6d7ada4b3ed0e4625c6cd41590ade281fc9dcaea039f93dc59f99a6cc31"),
+    (30, "svg", "d6c0eb73619a4238f37d9f583df7746897ffaf8a97f2a10d630c55bae44c39f2"),
 ]
 
 
@@ -161,12 +161,12 @@ def test_golden_classify_report(tmp_path, bound, fmt, digest):
 # the DIMACS writer all show in it.  A change that alters one of these must
 # update it and say why in CHANGES.md.
 GOLDEN_CNFS = [
-    (HANDOVER, None, "6d079c84bdb9b54964716baecd887a5907efa3fb8ca63043116bf54667c53c48"),
-    (HANDOVER, 30, "59f7785122c7d9bc5e59e70db3f9a1eb2f5cd1871bcde787c9a4879b159062b2"),
-    (HANDOVER_MINI, None, "671222fbb155b904b6e8b9e796e744c341b02445accb82ea64ca60d4d800a4d9"),
-    (HANDOVER_MINI, 30, "b98fa2e1d2e132eb11a1a1ce1bf8155e37c9ff1fd2eb2af6c39e8da1d0dd6ea7"),
-    (HANDOVER_STOP, None, "1a581c56659467f0ec7fab6b562a0e40f98a532d19f2e0d80eff03e0dbdcff78"),
-    (HANDOVER_STOP, 30, "0e543abac960da97609e2b035d9d057c4718ed7a6d7c5021c7933fbf16bd2b88"),
+    (HANDOVER, None, "3ca45c22530736408f08e86a423103f9d60c9e0cb454a65f03f0e9b99b0b8678"),
+    (HANDOVER, 30, "f6584f2efab443ba362d5e1f21bf401b10e8f0a618236b482aabf975d2c0ef61"),
+    (HANDOVER_MINI, None, "138f7c3ce77b53f1a8610bb69a7e3f3922945ae6c0dc72b2e2fd8df81f6c8c04"),
+    (HANDOVER_MINI, 30, "376bb85e0f45e91f967b9cbd4e1a57793c490bff5b6e0febfd7e9f392200551a"),
+    (HANDOVER_STOP, None, "1d3c757dbf7c1723d22f18f3fa688f4664ef67a831dc5187f5d0a42db51ea87e"),
+    (HANDOVER_STOP, 30, "780cfc6f262af5941f4ca1ea32381d2974e4b9d68586fcfd2d2069499781a7e8"),
 ]
 
 
@@ -222,6 +222,22 @@ class TestClassify:
         assert run_verify(RunConfig(scenario=HANDOVER_POINT, out=str(trace))) == EXIT_COUNTEREXAMPLE
         cfg = RunConfig(scenario=HANDOVER_POINT, out=str(tmp_path / "r.csv"), fmt="csv")
         assert run_classify(cfg, str(trace)) == EXIT_SAFE
+
+    def test_trace_with_transit_columns_is_input_error(self, tmp_path, capsys):
+        # Transit columns name symbols the model does not declare, so such a trace is rejected.
+        trace = tmp_path / "mini.trace"
+        assert run_verify(RunConfig(scenario=HANDOVER_MINI, out=str(trace))) == EXIT_COUNTEREXAMPLE
+        bound, names, *rows = trace.read_text().splitlines()
+        assert names.startswith("# vars ") and "transit_" not in names
+        old = [bound, names.replace("# vars ", "# vars transit_p_a transit_p_g ")]
+        old += [row.replace(" ", " 0 1 ", 1) for row in rows]
+        trace.write_text("\n".join(old) + "\n")
+        capsys.readouterr()
+        for argv in (["classify", HANDOVER_MINI, str(trace)],
+                     ["export", HANDOVER_MINI, "timeline", "--trace", str(trace),
+                      "--out", str(tmp_path / "t.svg")]):
+            assert main(argv) == EXIT_INPUT_ERROR
+            assert "trace symbol 'transit_p_a' is not declared" in capsys.readouterr().err
 
     @pytest.mark.parametrize("dt", ["nan", "inf", "0"])
     def test_bad_dt_override_is_input_error(self, tmp_path, dt, capsys):

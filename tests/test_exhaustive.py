@@ -174,6 +174,45 @@ class TestRowScenarios:
             verdicts.append(safe)
         assert True in verdicts and False in verdicts
 
+    def test_conflicting_mitigations_on_one_robot(self):
+        rng = random.Random(1618)
+        verdicts, conflict_at_start = [], False
+        for _ in range(self.SCENARIOS):
+            text = _conflict_text(rng)
+            scenario = loads_scenario(text)
+            # Not the frozen walker: it also holds 2**3 transit flags and takes seconds here.
+            safe = exhaustive_verify(scenario)
+            assert safe == verify(scenario).safe, text
+            verdicts.append(safe)
+            conflict_at_start |= len(set(dict(scenario.starts).values())) == 1
+        assert True in verdicts and False in verdicts
+        assert conflict_at_start
+
+
+def _conflict_text(rng: random.Random) -> str:
+    """A row of 2-4 unit cells where a stop and a slowdown bind one robot POI.
+
+    hz1 (human POI h) is stopped and hz2 (human POI f) slowed, both on the
+    arm's g, so an instant where h, f and g share a cell leaves the arm no
+    admissible speed and no trace passes it.  The slowdown still prices hz2
+    at 4, over threshold 3.  Every POI is pinned, so some draws start all
+    three in one cell and have no admissible trace at all.
+    """
+    cells = [f"C{i}" for i in range(rng.randint(2, 4))]
+    lines = ["[layout]"]
+    lines += [f"loc {cell} box {i} 0 0 {i + 1} 1 1" for i, cell in enumerate(cells)]
+    lines += [f"adj {a} {b}" for a, b in zip(cells, cells[1:])]
+    lines += ["[agents]", "agent op human", "agent arm robot"]
+    lines += ["poi op h radius 0.05", "poi op f radius 0.05", "poi arm g radius 0.05"]
+    lines += [f"start {poi} {rng.choice(cells)}" for poi in ("h", "f", "g")]
+    lines.append("[task]")
+    for _ in range(rng.randint(0, 2)):
+        lines.append(f"step {rng.choice('hfg')} reach {rng.choice(cells)}")
+    lines += ["[hazards]", "hazard hz1 h g sev 2 exp 2 avoid 1", "hazard hz2 f g sev 2 exp 2 avoid 1"]
+    lines += ["[mitigations]", "mitigate stop hz1", "mitigate slowdown hz2"]
+    lines += ["[params]", f"bound {rng.randint(1, 5)}", "threshold 3"]
+    return "\n".join(lines) + "\n"
+
 
 def _long_row_text(cells: int) -> str:
     """Four POIs on two robots and one operator, all pinned, in a row of unit cells."""

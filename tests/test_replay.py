@@ -46,19 +46,20 @@ def corridor():
     return loads_scenario(CORRIDOR)
 
 
-def make_trace(corridor_s, p_g, transit_g, p_a=None, transit_a=None, haz=None, risk=None):
+@pytest.fixture
+def timed_corridor():
+    """The corridor with a 3-instant L1-L2 edge."""
+    return loads_scenario(CORRIDOR + "travel L1 L2 3\n")
+
+
+def make_trace(corridor_s, p_g, p_a=None, haz=None, risk=None):
     k = len(p_g) - 1
     p_a = p_a or ["L3"] * (k + 1)
-    transit_a = transit_a or [False] * (k + 1)
     haz = haz if haz is not None else [a == b for a, b in zip(p_a, p_g)]
     risk = risk or ["5" if h else "0" for h in haz]
     return Trace(
         k,
-        {
-            "transit_p_a": tuple(transit_a),
-            "transit_p_g": tuple(transit_g),
-            "haz_h1": tuple(haz),
-        },
+        {"haz_h1": tuple(haz)},
         {
             "p_a": tuple(p_a),
             "p_g": tuple(p_g),
@@ -70,29 +71,26 @@ def make_trace(corridor_s, p_g, transit_g, p_a=None, transit_a=None, haz=None, r
 
 class TestExtractMotions:
     def test_unit_move(self, corridor):
-        tr = make_trace(corridor, ["L1", "L1", "L2", "L2", "L2", "L2", "L2"],
-                        [False, True, False, False, False, False, False])
+        tr = make_trace(corridor, ["L1", "L1", "L2", "L2", "L2", "L2", "L2"])
         commands = [c for c in extract_motions(tr, corridor) if c.poi == "p_g"]
         assert commands == [MotionCommand("p_g", "L1", "L2", start=1, arrival=2, duration=1)]
 
-    def test_three_instant_move(self, corridor):
-        tr = make_trace(corridor, ["L1", "L1", "L1", "L1", "L2", "L2", "L2"],
-                        [False, True, True, True, False, False, False])
-        commands = [c for c in extract_motions(tr, corridor) if c.poi == "p_g"]
+    def test_three_instant_move(self, timed_corridor):
+        tr = make_trace(timed_corridor, ["L1", "L1", "L1", "L1", "L2", "L2", "L2"])
+        commands = [c for c in extract_motions(tr, timed_corridor) if c.poi == "p_g"]
         assert commands == [MotionCommand("p_g", "L1", "L2", start=1, arrival=4, duration=3)]
 
     def test_no_change_no_commands(self, corridor):
-        tr = make_trace(corridor, ["L1"] * 7, [False] * 7)
+        tr = make_trace(corridor, ["L1"] * 7)
         assert [c for c in extract_motions(tr, corridor) if c.poi == "p_g"] == []
 
     def test_instantaneous_change_gets_duration_one(self, corridor):
-        tr = make_trace(corridor, ["L1", "L2", "L2", "L2", "L2", "L2", "L2"], [False] * 7)
+        tr = make_trace(corridor, ["L1", "L2", "L2", "L2", "L2", "L2", "L2"])
         commands = [c for c in extract_motions(tr, corridor) if c.poi == "p_g"]
         assert commands == [MotionCommand("p_g", "L1", "L2", start=0, arrival=1, duration=1)]
 
     def test_back_to_back_moves_split(self, corridor):
-        tr = make_trace(corridor, ["L1", "L2", "L3", "L3", "L3", "L3", "L3"],
-                        [True, True, False, False, False, False, False])
+        tr = make_trace(corridor, ["L1", "L2", "L3", "L3", "L3", "L3", "L3"])
         commands = [c for c in extract_motions(tr, corridor) if c.poi == "p_g"]
         assert commands == [
             MotionCommand("p_g", "L1", "L2", start=0, arrival=1, duration=1),
@@ -100,14 +98,30 @@ class TestExtractMotions:
         ]
 
     def test_non_adjacent_jump_is_corrupted(self, corridor):
-        tr = make_trace(corridor, ["L1", "L3", "L3", "L3", "L3", "L3", "L3"], [True] + [False] * 6)
+        tr = make_trace(corridor, ["L1", "L3", "L3", "L3", "L3", "L3", "L3"])
         with pytest.raises(ValueError, match="non-adjacent"):
             extract_motions(tr, corridor)
 
-    def test_missing_transit_symbol(self, corridor):
-        tr = Trace(0, {}, {"p_g": ("L1",), "p_a": ("L1",)})
-        with pytest.raises(ValueError, match="lacks symbol"):
-            extract_motions(tr, corridor)
+    def test_arrival_before_the_travel_time_is_corrupted(self, timed_corridor):
+        # L1 -> L2 at instant 2 would have started at instant -1.
+        tr = make_trace(timed_corridor, ["L1", "L1", "L2", "L2", "L2", "L2", "L2"])
+        with pytest.raises(ValueError, match="corrupted trace: 'p_g' reaches 'L2' at instant 2"):
+            extract_motions(tr, timed_corridor)
+
+    def test_source_not_held_for_the_travel_time_is_corrupted(self, timed_corridor):
+        # L2 -> L1 at instant 4 needs L2 over instants 1..3; p_g is still at L3 at 1.
+        tr = make_trace(timed_corridor, ["L3", "L3", "L2", "L2", "L1", "L1", "L1"])
+        with pytest.raises(ValueError, match="without holding 'L2' for the edge's travel time 3"):
+            extract_motions(tr, timed_corridor)
+
+    def test_dwell_is_checked_per_edge(self, timed_corridor):
+        # The unit L2-L3 edge needs no dwell right after the 3-instant arrival.
+        tr = make_trace(timed_corridor, ["L1", "L1", "L1", "L2", "L3", "L3", "L3"])
+        commands = [c for c in extract_motions(tr, timed_corridor) if c.poi == "p_g"]
+        assert commands == [
+            MotionCommand("p_g", "L1", "L2", start=0, arrival=3, duration=3),
+            MotionCommand("p_g", "L2", "L3", start=3, arrival=4, duration=1),
+        ]
 
 
 class TestInterpolate:
@@ -163,26 +177,26 @@ poi bot g radius 0.5
 
 class TestPoiPath:
     def test_stationary_poi_holds_center(self, corridor):
-        tr = make_trace(corridor, ["L1"] * 7, [False] * 7)
+        tr = make_trace(corridor, ["L1"] * 7)
         path = poi_path(tr, corridor, "p_g", sample_interval=1.0)
         assert all(point == (0.5, 0.5, 0.5) for _, point in path.samples)
         assert len(path.samples) == 7
 
-    def test_non_transit_instants_sit_exactly_on_centers(self, corridor):
-        tr = make_trace(corridor, ["L1", "L1", "L1", "L1", "L2", "L2", "L3"],
-                        [False, True, True, True, False, True, False])
-        path = poi_path(tr, corridor, "p_g", sample_interval=1.0)
+    def test_non_transit_instants_sit_exactly_on_centers(self, timed_corridor):
+        tr = make_trace(timed_corridor, ["L1", "L1", "L1", "L1", "L2", "L2", "L3"])
+        path = poi_path(tr, timed_corridor, "p_g", sample_interval=1.0)
         by_time = dict(path.samples)
         centers = {"L1": (0.5, 0.5, 0.5), "L2": (1.5, 0.5, 0.5), "L3": (2.5, 0.5, 0.5)}
-        transit = tr.propositions["transit_p_g"]
-        for t in range(7):
-            if not transit[t]:
-                assert by_time[float(t)] == centers[tr.var_value("p_g", t)]
+        moving = {
+            t for m in extract_motions(tr, timed_corridor) for t in range(m.start + 1, m.arrival)
+        }
+        assert moving == {2, 3}  # strictly inside the 3-instant L1 -> L2 move
+        for t in sorted(set(range(7)) - moving):
+            assert by_time[float(t)] == centers[tr.var_value("p_g", t)]
 
-    def test_speed_bounded_between_samples(self, corridor):
-        tr = make_trace(corridor, ["L1", "L1", "L1", "L1", "L2", "L2", "L3"],
-                        [False, True, True, True, False, True, False])
-        path = poi_path(tr, corridor, "p_g", sample_interval=0.3)
+    def test_speed_bounded_between_samples(self, timed_corridor):
+        tr = make_trace(timed_corridor, ["L1", "L1", "L1", "L1", "L2", "L2", "L3"])
+        path = poi_path(tr, timed_corridor, "p_g", sample_interval=0.3)
         # fastest commanded move: one meter per instant
         for (t0, a), (t1, b) in zip(path.samples, path.samples[1:]):
             assert math.dist(a, b) <= 1.0 * (t1 - t0) + 1e-9
@@ -190,7 +204,7 @@ class TestPoiPath:
 
 class TestClassify:
     def test_same_unit_cell_is_possible(self, corridor):
-        tr = make_trace(corridor, ["L3"] * 7, [False] * 7)  # p_a also parked at L3
+        tr = make_trace(corridor, ["L3"] * 7)  # p_a also parked at L3
         rows = classify(tr, corridor, samples=20_000, seed=5)
         assert rows and all(row.verdict == POSSIBLE for row in rows)
         row = rows[0]
@@ -204,7 +218,6 @@ class TestClassify:
         tr = make_trace(
             corridor,
             ["L1"] * 7,
-            [False] * 7,
             p_a=["L3"] * 7,
             haz=[True] + [False] * 6,
             risk=["5"] + ["0"] * 6,
@@ -219,7 +232,7 @@ class TestClassify:
         text = text.replace("loc L2 box 1 0 0 2 1 1", "loc L2 box 1.5 0.5 0.5 1.5 0.5 0.5")
         text = text.replace("loc L3 box 2 0 0 3 1 1", "loc L3 box 2.5 0.5 0.5 2.5 0.5 0.5")
         s = loads_scenario(text)
-        tr = make_trace(s, ["L3"] * 7, [False] * 7)
+        tr = make_trace(s, ["L3"] * 7)
         rows = classify(tr, s, samples=1000, seed=5)
         assert rows and all(row.verdict == CONFIRMED for row in rows)
         assert all(row.contact_probability == 1.0 for row in rows)

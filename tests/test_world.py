@@ -1,10 +1,12 @@
 """Scenario loading, compilation templates, risk scheme, and verification."""
 
 import random
+from dataclasses import replace
 from itertools import product
 
 import pytest
 
+from coverify.encode import check
 from coverify.exhaustive import exhaustive_verify
 from coverify.geometry import Box
 from coverify.logic import (
@@ -14,12 +16,10 @@ from coverify.logic import (
     Dist,
     Eq,
     Implies,
-    Not,
-    Or,
     Som,
+    SymbolTable,
     Trace,
     conjoin,
-    disjoin,
     evaluate,
 )
 from coverify.world import (
@@ -33,6 +33,7 @@ from coverify.world import (
     ScenarioError,
     TaskStep,
     _hazard_axioms,
+    _movement_axioms,
     apply_mitigation,
     compile_scenario,
     load_scenario,
@@ -42,6 +43,7 @@ from coverify.world import (
     verify,
 )
 
+import frozen_movement
 import test_encode  # modules, not classes: an imported Test class would run here again
 import test_exhaustive
 
@@ -290,58 +292,66 @@ class TestCompile:
     def test_symbols_cover_generated_names(self):
         s = loads_scenario(TWO_CELLS)
         model = compile_scenario(s)
-        for name in ("h", "g", "transit_h", "transit_g", "speed_bot", "haz_hz", "risk_hz"):
+        for name in ("h", "g", "speed_bot", "haz_hz", "risk_hz"):
             assert name in model.symbols
+        names = [sym.name for sym in (*model.symbols.propositions, *model.symbols.variables)]
+        assert not [name for name in names if name.startswith("transit_")]
 
 
-def _old_transit_persistence(pos, cells):
-    """The transit axiom's body as it was before it was split per cell."""
-    transit = Atom(f"transit_{pos}")
-    change_next = disjoin([And(Eq(pos, c), Not(Dist(Eq(pos, c), 1))) for c in cells])
-    return Implies(transit, Or(Dist(transit, 1), change_next))
+class TestDwellRule:
+    """The dwell rule against the frozen model with transit flags, on grids with long edges."""
 
+    DRAWS = 30  # the first 3x3 grids of the seed with a travel line
 
-def _transit_axioms(model, pos):
-    transit = Atom(f"transit_{pos}")
-    return [
-        a for a in model.axioms
-        if isinstance(a, Alw) and isinstance(a.operand, Implies)
-        and isinstance(a.operand.left, And) and a.operand.left.left == transit
-    ]
+    @staticmethod
+    def _frozen(s):
+        """The frozen model's formulas and symbols: transit flags and their three rules."""
+        model = compile_scenario(s)
+        symbols = SymbolTable()
+        for prop in model.symbols.propositions:
+            symbols.add_proposition(prop.name)
+        for var in model.symbols.variables:
+            symbols.add_variable(var.name, var.domain)
+        for poi in s.pois:
+            symbols.add_proposition(frozen_movement.transit_name(poi.id))
+        # compile_scenario yields the movement axioms first.
+        rest = model.axioms[len(tuple(_movement_axioms(s))):]
+        axioms = (*frozen_movement.movement_axioms(s), *rest)
+        return axioms, model.violation, symbols
 
+    def test_verdicts_and_witnesses_match_the_transit_model(self):
+        rng = random.Random(777)
+        drawn, pairs, verdicts = 0, 0, set()
+        while drawn < self.DRAWS:
+            text = test_encode._random_grid_text(rng, 3)
+            scenario = loads_scenario(text, name="grid3")
+            if not scenario.travel_times:
+                continue
+            drawn += 1
+            axioms, violation, symbols = self._frozen(scenario)
+            for k in range(3 * 3 + 4):
+                s = replace(scenario, bound=k)
+                result = verify(s)
+                frozen_safe = violation is None or not check(
+                    conjoin(axioms + (violation,)), symbols, k
+                ).satisfiable
+                assert result.safe == frozen_safe, (text, k)
+                verdicts.add(result.safe)
+                pairs += 1
+                if result.trace is not None:
+                    tr = result.trace
+                    flags = {frozen_movement.transit_name(p.id): (True,) * (k + 1) for p in s.pois}
+                    raised = Trace(k, {**tr.propositions, **flags}, tr.variables)
+                    assert evaluate(conjoin(axioms), raised, 0), (text, k)
+        assert pairs == self.DRAWS * 13 and verdicts == {True, False}
 
-class TestTransitPersistence:
-    """The per-cell transit clauses say what the old disjunction over cells said."""
-
-    def test_one_axiom_per_cell(self, handover):
+    def test_handover_needs_the_dwell_to_finish_at_bound_5(self, handover):
+        # p_g must reach L2, then meet p_a at L5 across the 3-instant L3-L4
+        # aisle; without the dwell it could finish at bound 3.
         model = compile_scenario(handover)
-        for poi in handover.pois:
-            assert len(_transit_axioms(model, poi.id)) == len(handover.layout.locations)
-
-    def test_agrees_with_the_old_disjunction_on_random_traces(self):
-        rng = random.Random(9090)
-        seen = set()
-        for n in range(2, 6):
-            cells = [f"C{i}" for i in range(n)]
-            text = "[layout]\n" + "".join(
-                f"loc {c} box {i} 0 0 {i + 1} 1 1\n" for i, c in enumerate(cells)
-            ) + "[agents]\nagent op human\npoi op h radius 0.05\n"
-            model = compile_scenario(loads_scenario(text))
-            new = conjoin([a.operand for a in _transit_axioms(model, "h")])
-            old = _old_transit_persistence("h", cells)
-            for k in range(7):
-                for _ in range(40):
-                    positions = [rng.choice(cells)]
-                    for _t in range(k):
-                        positions.append(positions[-1] if rng.random() < 0.5 else rng.choice(cells))
-                    flags = tuple(rng.random() < 0.6 for _t in range(k + 1))
-                    tr = Trace(k, {"transit_h": flags}, {"h": tuple(positions)})
-                    for t in range(k + 1):  # the last instant included
-                        holds = evaluate(old, tr, t)
-                        assert evaluate(new, tr, t) == holds, (positions, flags, t)
-                        seen.add(holds)
-                    assert evaluate(Alw(new), tr, 0) == evaluate(Alw(old), tr, 0)
-        assert seen == {True, False}
+        axioms = conjoin(model.axioms)
+        assert not check(axioms, model.symbols, 4).satisfiable
+        assert check(axioms, model.symbols, 5).satisfiable
 
 
 def _or(a, b):

@@ -6,25 +6,19 @@ only known up to the interval [aabb_min_distance, aabb_max_distance] of
 their cells.  ``contact_probability`` quantifies the remaining uncertainty
 for uniform placements.  Two points in the same box with a threshold no
 longer than its shortest edge have a closed form; every other pair goes to
-``sample_contact_probability``, a seeded Monte Carlo estimate.  The sampler
-uses every CPU in the process's affinity mask (``taskset -c 0`` limits it to
-one), and its estimate is the same to the bit on any machine.
+``sample_contact_probability``, a seeded Monte Carlo estimate drawn from one
+PCG64 stream, the same to the bit on any machine.
 
-numpy is imported inside ``sample_contact_probability`` and ``_count_hits``,
-on the first estimate that neither the interval bounds nor the closed form
-decide.  It is the slowest import of the package by far, and ``verify``,
-``export`` and ``oracle`` never draw a sample, so they never load it.
+numpy is imported inside ``sample_contact_probability``, on the first
+estimate that neither the interval bounds nor the closed form decide.  It
+is the slowest import of the package by far, and ``verify``, ``export`` and
+``oracle`` never draw a sample, so they never load it.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "Box",
@@ -35,10 +29,10 @@ __all__ = [
 ]
 
 # Rows of uniforms drawn and processed per block.  Only the working set
-# depends on it (about 0.9 MB of buffers per thread, sized to stay in a
-# core's L2 cache); the estimate does not, because every sample takes its
-# own six uniforms of the PCG64 stream and the same arithmetic whatever the
-# block size.
+# depends on it (about 0.9 MB of buffers, sized to stay in a core's L2
+# cache); the estimate does not, because every sample takes its own six
+# uniforms of the PCG64 stream and the same arithmetic whatever the block
+# size.
 _MC_BLOCK = 1 << 13
 
 
@@ -86,50 +80,6 @@ def aabb_max_distance(a: Box, b: Box) -> float:
         for a_lo, a_hi, b_lo, b_hi in zip(a.lo, a.hi, b.lo, b.hi)
     ]
     return math.sqrt(sum(s * s for s in spans))
-
-
-def _cpu_count() -> int:
-    """Number of CPUs this process may run on (its affinity mask where the
-    platform has one)."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _count_hits(
-    rng: np.random.Generator, samples: int, lo: np.ndarray, span: np.ndarray, thr_sq: float
-) -> int:
-    """Hits among the next ``samples`` samples of ``rng``, one block at a time.
-
-    Each call owns its four buffers, so calls on separate generators can run
-    side by side: ``Generator.random(out=...)`` and the ufuncs release the
-    GIL for the whole block.
-    """
-    import numpy as np
-
-    block = min(samples, _MC_BLOCK)
-    u = np.empty((block, 6))
-    xy = np.empty((6, block))
-    d_sq = np.empty(block)
-    hit = np.empty(block, dtype=bool)
-
-    hits = 0
-    remaining = samples
-    while remaining > 0:
-        m = min(remaining, block)
-        u_m, xy_m, d_m, hit_m = u[:m], xy[:, :m], d_sq[:m], hit[:m]
-        rng.random(out=u_m)
-        np.multiply(u_m.T, span, out=xy_m)
-        np.add(xy_m, lo, out=xy_m)
-        diff = xy_m[:3]
-        np.subtract(diff, xy_m[3:], out=diff)
-        np.multiply(diff, diff, out=diff)
-        np.add(diff[0], diff[1], out=d_m)
-        np.add(d_m, diff[2], out=d_m)
-        np.less_equal(d_m, thr_sq, out=hit_m)
-        hits += int(np.count_nonzero(hit_m))
-        remaining -= m
-    return hits
 
 
 def _same_box_contact(box: Box, r: float) -> float:
@@ -186,47 +136,43 @@ def sample_contact_probability(a: Box, b: Box, threshold: float, samples: int, s
     ``contact_probability`` would answer exactly.
 
     Deterministic for a fixed seed and sample count: sample i takes the six
-    uniforms 6i..6i+5 of one PCG64 stream, X = a.lo + u[:3] * a.edges and
-    Y = b.lo + u[3:] * b.edges, and is a hit when
-    ((x0-y0)^2 + (x1-y1)^2) + (x2-y2)^2 <= threshold^2.  The result is the
-    integer hit count over ``samples``, so it does not depend on how the
-    samples are batched.
-
-    The samples are cut into contiguous runs of whole blocks, one run per
-    CPU in the process's affinity mask (``taskset -c 0`` limits it to one).
-    Each run draws from its own PCG64 advanced to the run's first sample,
-    and the runs are counted side by side on threads.  Every sample still
-    takes the same uniforms through the same float operations, so the
-    estimate is the same to the bit on any machine and any CPU count.
+    uniforms 6i..6i+5 of one PCG64 stream seeded with ``seed``,
+    X = a.lo + u[:3] * a.edges and Y = b.lo + u[3:] * b.edges, and is a hit
+    when ((x0-y0)^2 + (x1-y1)^2) + (x2-y2)^2 <= threshold^2.  The result is
+    the integer hit count over ``samples``, so it does not depend on how the
+    samples are batched.  They are drawn and counted ``_MC_BLOCK`` at a time
+    into buffers allocated once, so memory stays bounded for any count.
     """
     _check_arguments(threshold, samples)
     import numpy as np
 
+    rng = np.random.Generator(np.random.PCG64(seed))
     # Rows 0-2 hold X, rows 3-5 hold Y: the coordinate-major layout keeps
     # every ufunc's inner loop running along the samples of one block.
     lo = np.array([*a.lo, *b.lo], dtype=float)[:, None]
     span = np.array([*a.edges, *b.edges], dtype=float)[:, None]
     thr_sq = threshold * threshold
 
-    blocks = -(-samples // _MC_BLOCK)
-    runs = min(_cpu_count(), blocks)
-    bounds = [min(samples, j * blocks // runs * _MC_BLOCK) for j in range(runs + 1)]
-    # Every generator is built here, so a bad seed raises before any thread
-    # starts.  One double is one 64-bit draw, so sample s starts at draw 6s.
-    jobs = []
-    for start, stop in zip(bounds, bounds[1:]):
-        bits = np.random.PCG64(seed)
-        bits.advance(6 * start)
-        jobs.append((np.random.Generator(bits), stop - start, lo, span, thr_sq))
-    if runs == 1:
-        return _count_hits(*jobs[0]) / samples
-    # Imported here: it loads logging and queue (about 0.6 MB), which a run
-    # that never splits an estimate, such as ``verify``, need not pay for.
-    from concurrent.futures import ThreadPoolExecutor
+    block = min(samples, _MC_BLOCK)
+    u = np.empty((block, 6))
+    xy = np.empty((6, block))
+    d_sq = np.empty(block)
+    hit = np.empty(block, dtype=bool)
 
-    # A pool per call, so a forked child never inherits a module's dead threads.
-    with ThreadPoolExecutor(max_workers=runs - 1) as pool:
-        futures = [pool.submit(_count_hits, *job) for job in jobs[1:]]
-        hits = _count_hits(*jobs[0])
-        hits += sum(future.result() for future in futures)
+    hits = 0
+    remaining = samples
+    while remaining > 0:
+        m = min(remaining, block)
+        u_m, xy_m, d_m, hit_m = u[:m], xy[:, :m], d_sq[:m], hit[:m]
+        rng.random(out=u_m)
+        np.multiply(u_m.T, span, out=xy_m)
+        np.add(xy_m, lo, out=xy_m)
+        diff = xy_m[:3]
+        np.subtract(diff, xy_m[3:], out=diff)
+        np.multiply(diff, diff, out=diff)
+        np.add(diff[0], diff[1], out=d_m)
+        np.add(d_m, diff[2], out=d_m)
+        np.less_equal(d_m, thr_sq, out=hit_m)
+        hits += int(np.count_nonzero(hit_m))
+        remaining -= m
     return hits / samples

@@ -4,7 +4,7 @@ All output is deterministic: identical inputs produce byte-identical text.
 The timeline draws one horizontal band per trace symbol with shaded cells
 where a proposition is true and value labels for finite variables, instants
 along the x axis; classified hazard instants are flagged with a marker
-colored by verdict.
+colored by the instant's most severe verdict.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ __all__ = [
 CSV_COLUMNS = ("hazard", "instant", "verdict", "d_min", "d_max", "probability", "threshold")
 
 _VERDICT_COLORS = {CONFIRMED: "#c0392b", POSSIBLE: "#e67e22", SPURIOUS: "#7f8c8d"}
+_VERDICT_SEVERITY = {SPURIOUS: 0, POSSIBLE: 1, CONFIRMED: 2}
 
 
 @dataclass(frozen=True)
@@ -125,7 +126,10 @@ def timeline_svg(tr: Trace, hazard_rows: tuple[ClassifiedHazard, ...] = ()) -> s
         '<style>text{font-family:monospace;font-size:11px}</style>',
         f'<rect width="{width}" height="{height}" fill="#ffffff"/>',
     ]
-    marks = {(row.instant): row.verdict for row in hazard_rows}
+    # Least severe first, so an instant that several hazards share keeps its
+    # most severe verdict.
+    by_severity = sorted(hazard_rows, key=lambda row: _VERDICT_SEVERITY[row.verdict])
+    marks = {row.instant: row.verdict for row in by_severity}
 
     for band, name in enumerate(names):
         y = pad + band * band_h

@@ -4,11 +4,12 @@
     # vars <name> <name> ...
     <t> <value> <value> ...
 
-One line per instant; propositions print as 0/1, finite variables print
-their domain symbol.  Reading needs the scenario's symbol table: a column
-of 0/1 values may be a proposition or an integer-valued variable such as
-``risk_<h>``.  It reconstructs the trace exactly and requires a column for
-every declared symbol.
+Each header comes once, before the first instant row.  One line per
+instant; propositions print as 0/1, finite variables print their domain
+symbol.  Reading needs the scenario's symbol table: a column of 0/1 values
+may be a proposition or an integer-valued variable such as ``risk_<h>``.
+It reconstructs the trace exactly and requires a column for every declared
+symbol.
 """
 
 from __future__ import annotations
@@ -42,6 +43,11 @@ def read_trace(text: str, symbols: SymbolTable) -> Trace:
             continue
         if line.startswith("#"):
             fields = line[1:].split()
+            # An instant row needs both headers, so this also rejects any
+            # header after the first row.
+            if (fields[:1] == ["bound"] and bound is not None
+                    or fields[:1] == ["vars"] and names is not None):
+                raise TraceFormatError(f"line {lineno}: repeated '# {fields[0]}' header")
             if fields[:1] == ["bound"]:
                 if len(fields) != 2 or not fields[1].isdigit():
                     raise TraceFormatError(f"line {lineno}: malformed bound header")

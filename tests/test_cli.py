@@ -46,6 +46,20 @@ def trace_file(tmp_path):
     return out
 
 
+@pytest.fixture
+def sampled_case(tmp_path):
+    """handover_mini with both POIs at radius 0.6: the threshold 1.2 is longer
+    than the unit cell's edge, so the hazard row has no closed form and
+    classify samples it.  Returns the scenario and the trace verify writes."""
+    text = Path(HANDOVER_MINI).read_text(encoding="utf-8")
+    assert text.count("radius 0.05") == 2
+    scenario = tmp_path / "mini_r06.scn"
+    scenario.write_text(text.replace("radius 0.05", "radius 0.6"), encoding="utf-8")
+    trace = tmp_path / "mini_r06.trace"
+    assert main(["verify", str(scenario), "--out", str(trace)]) == EXIT_COUNTEREXAMPLE
+    return str(scenario), str(trace)
+
+
 def _drop_column(trace_text: str, name: str) -> str:
     """The trace text without the named symbol's column."""
     bound, header, *rows = [line.split() for line in trace_text.splitlines()]
@@ -154,6 +168,22 @@ def test_golden_classify_report(tmp_path, bound, fmt, digest):
             "--seed", "7", "--samples", "100000", "--out", str(report)]
     assert main(argv) == EXIT_UNCONFIRMED
     assert hashlib.sha256(report.read_bytes()).hexdigest() == digest
+
+
+# SHA-256 of `classify <sampled_case> --format csv --seed 1` at the default
+# 100,000 samples: one POSSIBLE row, h1 at instant 6 with probability 0.98739,
+# drawn by the Monte Carlo sampler.  A change to the sampler's stream, its
+# arithmetic or the CSV writer shows here.
+GOLDEN_SAMPLED_CSV = "2e3543e89a53e58bc42a97c53ce5e914d5c3ce73a601d4684ea3e1bb0f91c266"
+
+
+def test_golden_sampled_classify_csv(tmp_path, sampled_case):
+    scenario, trace = sampled_case
+    report = tmp_path / "sampled.csv"
+    argv = ["classify", scenario, trace, "--format", "csv", "--seed", "1", "--out", str(report)]
+    assert main(argv) == EXIT_UNCONFIRMED
+    assert "h1,6,POSSIBLE," in report.read_text()
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == GOLDEN_SAMPLED_CSV
 
 
 # SHA-256 of the DIMACS text `export <scenario> cnf` writes, at the scenario's
@@ -278,6 +308,18 @@ class TestClassify:
         assert run_classify(cfg, str(trace_file)) == EXIT_INPUT_ERROR
         assert "error" in capsys.readouterr().err
 
+    def test_repeated_vars_header_is_input_error(self, tmp_path, capsys):
+        # Were the second, longer "# vars" to win, row 0 would be one field
+        # short: the reader must reject the header, not index past the row.
+        trace = tmp_path / "mini.trace"
+        assert main(["verify", HANDOVER_MINI, "--out", str(trace)]) == EXIT_COUNTEREXAMPLE
+        bound, names, first, *rows = trace.read_text().splitlines()
+        lines = [bound, names, first, names + " extra", *(row + " 0" for row in rows)]
+        trace.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["classify", HANDOVER_MINI, str(trace)]) == EXIT_INPUT_ERROR
+        assert "line 4: repeated '# vars' header" in capsys.readouterr().err
+
     def test_trace_missing_a_declared_column_is_input_error(self, tmp_path, trace_file, capsys):
         partial = tmp_path / "partial.trace"
         partial.write_text(_drop_column(trace_file.read_text(), "risk_h1"))
@@ -301,14 +343,16 @@ class TestClassify:
         run_classify(cfg, str(trace_file))
         ET.fromstring(out.read_text())
 
-    def test_csv_deterministic_for_fixed_seed(self, tmp_path, trace_file):
+    def test_csv_deterministic_for_fixed_seed(self, tmp_path, sampled_case):
+        scenario, trace = sampled_case
         outs = []
-        for name in ("x.csv", "y.csv"):
+        for name, seed in (("x.csv", 3), ("y.csv", 3), ("z.csv", 2)):
             out = tmp_path / name
-            cfg = RunConfig(scenario=HANDOVER, fmt="csv", out=str(out), samples=10_000, seed=3)
-            run_classify(cfg, str(trace_file))
+            cfg = RunConfig(scenario=scenario, fmt="csv", out=str(out), samples=10_000, seed=seed)
+            assert run_classify(cfg, trace) == EXIT_UNCONFIRMED
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+        assert outs[0] != outs[2]
 
 
 class TestExport:

@@ -1,7 +1,6 @@
 """Box distance bounds against independent oracles, and contact probability:
 its closed form and its Monte Carlo sampler."""
 
-import concurrent.futures
 import importlib.util
 import math
 from itertools import product
@@ -228,6 +227,18 @@ class TestContactProbability:
                 got = sample_contact_probability(a, b, threshold, samples, seed=i)
                 want = chunked_contact_probability(a, b, threshold, samples, seed=i)
                 assert got == want, (kind, a, b, threshold, samples)
+        # Large counts, which run many blocks and end on a partial one, on
+        # three fixed pairs: the same cube, overlapping cubes, offset cubes.
+        counts = (2 * block - 1, 2 * block + 1, 100_000, 2_000_001)
+        shifted = Box((0.5, 0.25, 0.0), (1.5, 1.25, 1.0))
+        offset = Box((1.2, 0.0, 0.3), (2.2, 1.0, 1.3))
+        pairs = (("same", UNIT, UNIT, 0.3), ("overlap", UNIT, shifted, 0.4), ("offset", UNIT, offset, 0.6))
+        for i, (kind, a, b, threshold) in enumerate(pairs):
+            assert aabb_min_distance(a, b) < threshold < aabb_max_distance(a, b)
+            for samples in counts:
+                got = sample_contact_probability(a, b, threshold, samples, seed=i)
+                want = chunked_contact_probability(a, b, threshold, samples, seed=i)
+                assert got == want, (kind, samples)
 
     def test_equals_reference_at_thresholds_on_a_sampled_distance(self):
         # A threshold whose square is a sampled d_sq (a hit) or the float just
@@ -262,27 +273,7 @@ class TestContactProbability:
                 want = chunked_contact_probability(a, b, threshold, samples, seed=100 + i)
                 assert got == want, (kind, block, samples)
 
-    @pytest.mark.parametrize("workers", [1, 2, 3, 5])
-    def test_estimate_does_not_depend_on_worker_count(self, monkeypatch, workers):
-        monkeypatch.setattr(geometry, "_cpu_count", lambda: workers)
-        block = geometry._MC_BLOCK
-        counts = (1, block - 1, block, block + 1, 2 * block - 1, 2 * block + 1, 100_000, 2_000_001)
-        shifted = Box((0.5, 0.25, 0.0), (1.5, 1.25, 1.0))
-        offset = Box((1.2, 0.0, 0.3), (2.2, 1.0, 1.3))
-        pairs = (("same", UNIT, UNIT, 0.3), ("overlap", UNIT, shifted, 0.4), ("offset", UNIT, offset, 0.6))
-        for kind, a, b, threshold in pairs:
-            assert aabb_min_distance(a, b) < threshold < aabb_max_distance(a, b)
-            for samples in counts:
-                got = sample_contact_probability(a, b, threshold, samples, seed=workers)
-                want = chunked_contact_probability(a, b, threshold, samples, seed=workers)
-                assert got == want, (kind, workers, samples)
-
-    def test_bad_seed_raises_before_any_thread_starts(self, monkeypatch):
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a pool was started")
-
-        monkeypatch.setattr(geometry, "_cpu_count", lambda: 4)
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+    def test_bad_seed_raises(self):
         with pytest.raises(ValueError, match="non-negative"):
             sample_contact_probability(UNIT, UNIT, 0.3, 100_000, seed=-1)
 

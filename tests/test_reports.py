@@ -6,6 +6,8 @@ import math
 import random
 import xml.etree.ElementTree as ET
 
+import pytest
+
 from coverify.logic import Trace
 from coverify.replay import CONFIRMED, POSSIBLE, SPURIOUS, ClassifiedHazard
 from coverify.reports import (
@@ -110,6 +112,27 @@ class TestSvg:
         svg = render_svg(HazardReport("demo", ROWS), fig1_trace())
         assert svg.count("<circle") == 2  # instants 3 and 5
         ET.fromstring(svg)
+
+    @pytest.mark.parametrize(
+        "verdicts, color",
+        [
+            ((CONFIRMED, SPURIOUS), "#c0392b"),
+            ((SPURIOUS, CONFIRMED), "#c0392b"),
+            ((SPURIOUS, POSSIBLE), "#e67e22"),
+            ((POSSIBLE, SPURIOUS), "#e67e22"),
+            ((POSSIBLE, CONFIRMED), "#c0392b"),
+        ],
+        ids=["confirmed-spurious", "spurious-confirmed", "spurious-possible", "possible-spurious",
+             "possible-confirmed"],
+    )
+    def test_shared_instant_marker_shows_most_severe_verdict(self, verdicts, color):
+        rows = tuple(
+            ClassifiedHazard(hazard, 0, verdict, 0.0, 1.0, 0.5, 0.1)
+            for hazard, verdict in zip(("h1", "h2"), verdicts)
+        )
+        circles = [el for el in ET.fromstring(timeline_svg(fig1_trace(), rows)).iter()
+                   if el.tag.endswith("circle")]
+        assert [el.get("fill") for el in circles] == [color]
 
     def test_deterministic(self):
         assert timeline_svg(fig1_trace()) == timeline_svg(fig1_trace())

@@ -63,6 +63,20 @@ class TestErrors:
         with pytest.raises(TraceFormatError, match="instant rows"):
             read_trace("# bound 2\n# vars start\n0 1\n1 0\n", symbols)
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "# bound 1\n# bound 1\n# vars start\n0 1\n1 0\n",
+            "# bound 1\n# vars start\n# vars start\n0 1\n1 0\n",
+            "# bound 1\n# vars start\n0 1\n# vars start\n1 0\n",
+            "# bound 1\n# vars start\n0 1\n1 0\n# bound 1\n",
+        ],
+        ids=["bound-twice", "vars-twice", "vars-after-row", "bound-after-rows"],
+    )
+    def test_repeated_header(self, symbols, text):
+        with pytest.raises(TraceFormatError, match="repeated '# (bound|vars)' header"):
+            read_trace(text, symbols)
+
     def test_non_consecutive_instants(self, symbols):
         with pytest.raises(TraceFormatError, match="consecutive"):
             read_trace("# bound 1\n# vars start\n0 1\n2 0\n", symbols)

@@ -10,12 +10,18 @@ Subcommands:
 * ``export <scenario.scn> cnf|trace-table|timeline`` -- artifact dumps
 * ``oracle <scenario.scn>``      -- dev-only exhaustive cross-check
 
-Exit code 2 signals unreadable or invalid input everywhere.
+Exit code 2 signals unreadable or invalid input everywhere, and an output
+file that cannot be written.
+
+``main(argv)`` may be called any number of times in one process: every call
+parses with the same parser, built on the first call, and keeps no state
+between calls.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -62,8 +68,14 @@ def _load(cfg: RunConfig) -> Scenario:
     return scenario
 
 
-def _write(path: Path, content: str) -> None:
-    path.write_text(content, encoding="utf-8")
+def _write(path: Path, content: str) -> bool:
+    """Write the output file; if it cannot be written, say why and return False."""
+    try:
+        path.write_text(content, encoding="utf-8")
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return False
+    return True
 
 
 def _read_trace(scenario: Scenario, trace_path: str) -> Trace:
@@ -89,7 +101,8 @@ def run_verify(cfg: RunConfig) -> int:
         print("SAFE")
         return EXIT_SAFE
     out = Path(cfg.out) if cfg.out else Path(cfg.scenario).with_suffix(".trace").name
-    _write(Path(out), write_trace(result.trace))
+    if not _write(Path(out), write_trace(result.trace)):
+        return EXIT_INPUT_ERROR
     worst = max(v.risk for v in result.violations)
     print(
         f"UNSAFE: {len(result.violations)} hazard instant(s) exceed threshold "
@@ -117,12 +130,11 @@ def run_classify(cfg: RunConfig, trace_path: str) -> int:
     else:
         rendered = render_text(report)
         default_name = None
-    if cfg.out:
-        _write(Path(cfg.out), rendered)
-    elif default_name:
-        _write(Path(default_name), rendered)
-    else:
+    out = cfg.out or default_name
+    if not out:
         print(rendered, end="")
+    elif not _write(Path(out), rendered):
+        return EXIT_INPUT_ERROR
     return EXIT_SAFE if report.all_confirmed else EXIT_UNCONFIRMED
 
 
@@ -153,7 +165,8 @@ def run_export(cfg: RunConfig, what: str, trace_path: str | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     out = Path(cfg.out) if cfg.out else Path(f"{scenario.name}_{what.replace('-', '_')}{suffix}")
-    _write(out, content)
+    if not _write(out, content):
+        return EXIT_INPUT_ERROR
     print(f"wrote {out}")
     return EXIT_SAFE
 
@@ -170,7 +183,10 @@ def run_oracle(cfg: RunConfig) -> int:
     return EXIT_SAFE if safe else EXIT_COUNTEREXAMPLE
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: ``parse_args`` leaves no state on it, so
+    every ``main`` call shares it and none pays to build it again."""
     parser = argparse.ArgumentParser(
         prog="coverify",
         description="Bounded model checking of workcell scenarios with geometric trace replay.",

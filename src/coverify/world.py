@@ -101,6 +101,18 @@ class Location:
 
 @dataclass(frozen=True)
 class Layout:
+    """The workcell's cells.  Ids are unique, adjacency is symmetric, and no two
+    boxes share interior points (touching faces are fine).
+
+    The overlap check sorts and sweeps the x axis (Cohen, Lin, Manocha &
+    Ponamgi, "I-COLLIDE", I3D 1995).  With the cells sorted by ``box.lo[0]``,
+    each box is compared only with the later ones that start before its
+    ``hi[0]``: the first that starts at or past it, and every box after that
+    one, cannot share interior points with it.  Of the clashing pairs it
+    raises for the one with the lowest declaration indices, the pair an
+    all-pairs scan in declaration order meets first.
+    """
+
     locations: tuple[Location, ...]
 
     def __post_init__(self) -> None:
@@ -117,10 +129,19 @@ class Layout:
                     raise ScenarioError(f"adjacency {loc.id!r} -> undeclared location {other!r}")
                 if loc.id not in by_id[other].adjacent:
                     raise ScenarioError(f"asymmetric adjacency between {loc.id!r} and {other!r}")
-        for i, a in enumerate(self.locations):
-            for b in self.locations[i + 1 :]:
-                if a.box.interior_overlaps(b.box):
-                    raise ScenarioError(f"cells {a.id!r} and {b.id!r} overlap")
+        boxes = [loc.box for loc in self.locations]
+        order = sorted(range(len(boxes)), key=lambda i: boxes[i].lo[0])
+        clashes = []
+        for n, i in enumerate(order):
+            for j in order[n + 1 :]:
+                if boxes[j].lo[0] >= boxes[i].hi[0]:
+                    break
+                if boxes[i].interior_overlaps(boxes[j]):
+                    clashes.append((min(i, j), max(i, j)))
+        if clashes:
+            i, j = min(clashes)
+            a, b = self.locations[i], self.locations[j]
+            raise ScenarioError(f"cells {a.id!r} and {b.id!r} overlap")
 
     def location(self, loc_id: str) -> Location:
         for loc in self.locations:

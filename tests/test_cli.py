@@ -11,12 +11,14 @@ from pathlib import Path
 import pytest
 
 import coverify
+from coverify import cli
 from coverify.cli import (
     EXIT_COUNTEREXAMPLE,
     EXIT_INPUT_ERROR,
     EXIT_SAFE,
     EXIT_UNCONFIRMED,
     RunConfig,
+    build_parser,
     main,
     run_classify,
     run_export,
@@ -489,6 +491,58 @@ class TestMain:
             main(["classify", HANDOVER, "t.trace", "--samples", "2000"]),
         }
         assert codes == {EXIT_SAFE, EXIT_COUNTEREXAMPLE, EXIT_INPUT_ERROR, EXIT_UNCONFIRMED}
+
+    @pytest.mark.parametrize("command", ["verify", "classify", "export"])
+    def test_unwritable_out_is_an_input_error(self, tmp_path, capsys, command):
+        trace = tmp_path / "mini.trace"
+        assert main(["verify", HANDOVER_MINI, "--out", str(trace)]) == EXIT_COUNTEREXAMPLE
+        capsys.readouterr()
+        out = tmp_path / "missing" / "artifact"
+        argv = {
+            "verify": ["verify", HANDOVER_MINI],
+            "classify": ["classify", HANDOVER_MINI, str(trace), "--format", "csv"],
+            "export": ["export", HANDOVER_MINI, "cnf"],
+        }[command]
+        assert main([*argv, "--out", str(out)]) == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and str(out) in captured.err
+
+
+class TestSharedParser:
+    """Every main call parses with one parser; no call may leave state on it."""
+
+    def test_one_parser_per_process(self):
+        assert build_parser() is build_parser()
+
+    def test_options_of_one_call_do_not_reach_the_next(self, tmp_path, monkeypatch):
+        configs = []
+        monkeypatch.setattr(cli, "run_classify", lambda cfg, trace: configs.append(cfg) or EXIT_SAFE)
+        trace, out = str(tmp_path / "t.trace"), str(tmp_path / "f.csv")
+        argv = ["classify", HANDOVER, trace, "--seed", "3", "--samples", "7", "--format", "csv"]
+        assert main([*argv, "--out", out]) == EXIT_SAFE
+        assert main(["classify", HANDOVER, trace]) == EXIT_SAFE
+        assert configs == [
+            RunConfig(scenario=HANDOVER, seed=3, samples=7, fmt="csv", out=out),
+            RunConfig(scenario=HANDOVER),
+        ]
+
+    def test_usage_error_between_calls_changes_nothing(self, tmp_path, sampled_case, capsys):
+        scenario, trace = sampled_case
+        out = tmp_path / "sampled.csv"
+        argv = ["classify", scenario, trace, "--format", "csv", "--seed", "3", "--samples", "2000",
+                "--out", str(out)]
+
+        def run():
+            assert main(argv) == EXIT_UNCONFIRMED
+            return out.read_bytes(), capsys.readouterr().out
+
+        first = run()
+        with pytest.raises(SystemExit) as error:
+            main(["classify", scenario])  # no trace: a usage error
+        assert error.value.code == EXIT_INPUT_ERROR
+        capsys.readouterr()
+        assert run() == first
 
 
 # Run in a fresh interpreter: the test process has loaded numpy long before.

@@ -188,6 +188,37 @@ class TestLoad:
         with pytest.raises(ScenarioError, match="asymmetric"):
             Layout((a, b))
 
+    def test_overlap_check_names_the_pair_an_all_pairs_scan_meets_first(self):
+        """The sweep against the nested loop it replaced, on layouts with small
+        integer corners: touching faces, equal x-spans and flat boxes are common."""
+
+        def all_pairs(locations):
+            for i, a in enumerate(locations):
+                for b in locations[i + 1 :]:
+                    if a.box.interior_overlaps(b.box):
+                        return f"cells {a.id!r} and {b.id!r} overlap"
+            return None
+
+        def corners(rng):
+            spans = [sorted(rng.randint(0, 3) for _ in range(2)) for _ in range(3)]
+            return tuple(lo for lo, _ in spans), tuple(hi for _, hi in spans)
+
+        rng = random.Random(20261019)
+        outcomes = set()
+        for _ in range(400):
+            locations = tuple(
+                Location(f"C{n}", Box(*corners(rng)), frozenset()) for n in range(rng.randint(2, 7))
+            )
+            expected = all_pairs(locations)
+            try:
+                Layout(locations)
+                message = None
+            except ScenarioError as exc:
+                message = str(exc)
+            assert message == expected, locations
+            outcomes.add(message is None)
+        assert outcomes == {True, False}  # both accepted and rejected layouts were drawn
+
     def test_duplicate_mitigation_rejected(self):
         text = TWO_CELLS + "\n[mitigations]\nmitigate stop hz\nmitigate stop hz\n"
         with pytest.raises(ScenarioError, match="duplicate mitigation"):

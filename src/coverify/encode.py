@@ -1,9 +1,12 @@
 """Bounded satisfiability encoding: formula over k+1 instants -> CNF and back.
 
 Every declared proposition the formula reads gets one SAT variable per
-instant; every finite variable it reads gets a one-hot block per instant
-with exactly-one constraints.  A declared symbol the formula never reads gets
-no variable: ``decode`` gives it its first domain value (false for a
+instant; every finite variable it reads gets a one-hot block per instant.
+The encoder hands each block over as one exactly-one block
+(``CnfFormula.one_hot``), not as its at-least-one clause and pairwise
+at-most-one clauses; ``CnfFormula.clauses`` still spells those out, ahead of
+the other clauses.  A declared symbol the formula never reads gets no
+variable: ``decode`` gives it its first domain value (false for a
 proposition), which satisfies the formula as well as any other value would.
 
 The formula becomes clauses by polarity, after Plaisted & Greenbaum ("A
@@ -59,7 +62,7 @@ from __future__ import annotations
 
 import gc
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import chain
 
 from . import sat
 from .logic import (
@@ -169,7 +172,8 @@ class _Encoder:
         self.next_var = 1
         self.prop_vars: dict[tuple[str, int], int] = {}
         self.value_vars: dict[tuple[str, int, str], int] = {}
-        self.clauses: list[tuple[int, ...]] = []
+        self.one_hot: list[tuple[int, ...]] = []
+        self.clauses: list[tuple[int, ...]] = []  # every clause after the one-hot blocks
         self._prop_rows: dict[str, list[int]] = {}
         self._value_rows: dict[tuple[str, str], list[int]] = {}
         # (atom, polarity) or (id of any other node, polarity) -> its fragments
@@ -191,8 +195,7 @@ class _Encoder:
             for t in range(n):
                 bits = block[t * width:(t + 1) * width]
                 self.value_vars.update(zip([(var.name, t, value) for value in var.domain], bits))
-                self.clauses.append(tuple(bits))
-                self.clauses.extend(combinations([-a for a in bits], 2))
+                self.one_hot.append(tuple(bits))
             for i, value in enumerate(var.domain):
                 self._value_rows[(var.name, value)] = block[i::width]
 
@@ -334,7 +337,7 @@ def encode(f: Formula, symbols: SymbolTable, k: int) -> tuple[sat.CnfFormula, Va
             raise ValueError(f"undeclared symbol {name!r} in formula")
     enc = _Encoder(symbols, k, read)
     enc.assert_formula(f)
-    cnf = sat.CnfFormula._numbered(enc.next_var - 1, tuple(enc.clauses))
+    cnf = sat.CnfFormula._numbered(enc.next_var - 1, tuple(enc.clauses), tuple(enc.one_hot))
     vm = VarMap(k, enc.prop_vars, enc.value_vars, cnf.num_vars)
     return cnf, vm
 

@@ -260,30 +260,30 @@ def free_symbols(f: Formula) -> set[str]:
     """Names of propositions and finite variables occurring in f (not constants).
 
     A connective shared by object is walked once, so the walk is linear in
-    the distinct nodes of f, as the evaluator and the encoder are.
+    the distinct nodes of f, as the evaluator and the encoder are.  The walk
+    keeps its own stack, so no nesting depth is too deep for it.
     """
     out: set[str] = set()
     seen: set[int] = set()  # ids of the connectives walked
-
-    def walk(f: Formula) -> None:
+    todo = [f]
+    while todo:
+        f = todo.pop()
         cls = type(f)
         if cls is Eq:
             out.add(f.var)
         elif cls is Atom:
             out.add(f.name)
         elif id(f) in seen:
-            return
+            continue
         elif cls is And or cls is Or or cls is Implies:
             seen.add(id(f))
-            walk(f.left)
-            walk(f.right)
+            todo.append(f.right)
+            todo.append(f.left)
         elif cls is Dist or cls is Alw or cls is Not or cls is Som:
             seen.add(id(f))
-            walk(f.operand)
+            todo.append(f.operand)
         else:
             raise TypeError(f"not a formula: {f!r}")
-
-    walk(f)
     return out
 
 
@@ -324,6 +324,31 @@ def _truth_rows(tr: Trace, memo: dict[int, int]) -> Callable[[Formula], int]:
                 rows[value] = rows.get(value, 0) | 1 << t
         return rows
 
+    def chain(f: And | Or) -> int:
+        """The row of f, with the nested nodes of f's kind on an explicit stack.
+
+        Operands are evaluated left to right and every node is memoised, as
+        the recursion in ``row`` would do, so no chain is too deep.
+        """
+        cls = type(f)
+        todo: list[tuple[Formula, bool]] = [(f, False)]
+        done: list[int] = []  # rows of the operands evaluated, innermost last
+        while todo:
+            g, expanded = todo.pop()
+            if expanded:
+                right, left = done.pop(), done.pop()
+            elif type(g) is not cls or id(g) in memo:
+                done.append(row(g))
+                continue
+            elif type(g.left) is cls or type(g.right) is cls:
+                todo += (g, True), (g.right, False), (g.left, False)
+                continue
+            else:
+                left, right = row(g.left), row(g.right)
+            bits = memo[id(g)] = left & right if cls is And else left | right
+            done.append(bits)
+        return done[0]
+
     def row(f: Formula) -> int:
         key = id(f)
         bits = memo.get(key)
@@ -331,7 +356,11 @@ def _truth_rows(tr: Trace, memo: dict[int, int]) -> Callable[[Formula], int]:
             return bits
         cls = type(f)  # most frequent kinds first
         if cls is And:
-            bits = row(f.left) & row(f.right)
+            left, right = f.left, f.right
+            if type(left) is And or type(right) is And:
+                bits = chain(f)
+            else:
+                bits = row(left) & row(right)
         elif cls is Eq:
             bits = values(f.var).get(f.value, 0)
         elif cls is Dist:
@@ -342,7 +371,11 @@ def _truth_rows(tr: Trace, memo: dict[int, int]) -> Callable[[Formula], int]:
         elif cls is Alw:
             bits = full if row(f.operand) == full else 0
         elif cls is Or:
-            bits = row(f.left) | row(f.right)
+            left, right = f.left, f.right
+            if type(left) is Or or type(right) is Or:
+                bits = chain(f)
+            else:
+                bits = row(left) | row(right)
         elif cls is Not:
             bits = full ^ row(f.operand)
         elif cls is Atom:

@@ -17,11 +17,17 @@ lists and truth values are indexed by literal.  A binary input clause (a, b)
 is no clause object at all: it is the entry b in a's watch list and a in b's,
 after PicoSAT's separate treatment of binary clauses (Biere, "PicoSAT
 Essentials", JSAT 2008); its reason and conflict are rebuilt from the two
-literals (see ``_Solver``).  These are data structures only: the decisions,
-conflicts, learned clauses and the returned model are the ones a linear scan
-over the variables and a list per clause would give, so models, and the
-traces decoded from them, do not depend on them.  ``solve`` re-checks every
-model against the input clauses alone.
+literals (see ``_Solver``).  An exactly-one block of the input is not even
+that: its pairwise at-most-one clauses are one literal-indexed table entry per
+member, the constraint-in-the-solver idea of MiniCARD (Liffiton & Maglalang,
+"A Cardinality Solver: More Expressive Constraints for Free", SAT 2012), and
+only its at-least-one clause is loaded.  These are data structures only: the
+decisions, conflicts, learned clauses and the returned model are the ones a
+linear scan over the variables and a list per clause of the full CNF
+(``CnfFormula.clauses``) would give, so models, and the traces decoded from
+them, do not depend on them.  ``solve`` re-checks every model against the
+input formula alone: each block for exactly one true variable, and each other
+clause.
 
 Literals are DIMACS-style signed integers: +v / -v for variable v >= 1.
 """
@@ -30,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from itertools import chain, islice
+from itertools import chain, combinations, islice
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -44,33 +50,81 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class CnfFormula:
-    """Immutable CNF: clause literals are nonzero ints with |lit| <= num_vars."""
+    """Immutable CNF: clause literals are nonzero ints with |lit| <= num_vars.
 
-    num_vars: int
-    clauses: tuple[tuple[int, ...], ...]
+    A CNF the encoder builds keeps its exactly-one blocks apart in
+    ``one_hot``: each block is a tuple of distinct variables, no variable is
+    in two blocks, and a block stands for its at-least-one clause (the block
+    itself) followed by the pairwise at-most-one clauses ``combinations``
+    gives over its negated literals.
+    ``clauses`` spells the blocks out that way, ahead of the other clauses,
+    on first access; equality and hashing see only ``num_vars`` and
+    ``clauses``.  The solver and the model check read the blocks as they are.
+    """
 
-    def __post_init__(self) -> None:
-        if self.num_vars < 0:
+    __slots__ = ("num_vars", "one_hot", "_rest", "_clauses")
+
+    def __init__(self, num_vars: int, clauses: tuple[tuple[int, ...], ...]):
+        if num_vars < 0:
             raise ValueError("num_vars must be >= 0")
-        if not all(self.clauses):
+        if not all(clauses):
             raise ValueError("empty clause not representable; formula is trivially unsat")
         # Range-check each distinct literal once.
-        literals = set(chain.from_iterable(self.clauses))
+        literals = set(chain.from_iterable(clauses))
         if 0 in literals:
-            raise ValueError(f"literal 0 out of range for {self.num_vars} variables")
+            raise ValueError(f"literal 0 out of range for {num_vars} variables")
         worst = max(literals, key=abs, default=0)
-        if abs(worst) > self.num_vars:
-            raise ValueError(f"literal {worst} out of range for {self.num_vars} variables")
+        if abs(worst) > num_vars:
+            raise ValueError(f"literal {worst} out of range for {num_vars} variables")
+        self._set(num_vars, (), clauses, clauses)
 
     @classmethod
-    def _numbered(cls, num_vars: int, clauses: tuple[tuple[int, ...], ...]) -> "CnfFormula":
-        """A CNF whose literals the caller numbered itself, so already in range: no check."""
+    def _numbered(
+        cls,
+        num_vars: int,
+        clauses: tuple[tuple[int, ...], ...],
+        one_hot: tuple[tuple[int, ...], ...] = (),
+    ) -> "CnfFormula":
+        """A CNF whose literals the caller numbered itself, so already in range: no check.
+
+        ``clauses`` are the clauses after the ``one_hot`` blocks.
+        """
         cnf = object.__new__(cls)
-        object.__setattr__(cnf, "num_vars", num_vars)
-        object.__setattr__(cnf, "clauses", clauses)
+        cnf._set(num_vars, one_hot, clauses, None if one_hot else clauses)
         return cnf
+
+    def _set(self, num_vars, one_hot, rest, spelled) -> None:
+        """Fill the slots; ``spelled`` is None until ``clauses`` is first read."""
+        object.__setattr__(self, "num_vars", num_vars)
+        object.__setattr__(self, "one_hot", one_hot)
+        object.__setattr__(self, "_rest", rest)
+        object.__setattr__(self, "_clauses", spelled)
+
+    @property
+    def clauses(self) -> tuple[tuple[int, ...], ...]:
+        """Every clause: each block's at-least-one clause and its pairs, then the rest."""
+        if self._clauses is None:
+            spelled: list[tuple[int, ...]] = []
+            for block in self.one_hot:
+                spelled.append(block)
+                spelled.extend(combinations([-var for var in block], 2))
+            object.__setattr__(self, "_clauses", (*spelled, *self._rest))
+        return self._clauses
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"CnfFormula is immutable: cannot set {name!r}")
+
+    def __eq__(self, other):
+        if not isinstance(other, CnfFormula):
+            return NotImplemented
+        return self.num_vars == other.num_vars and self.clauses == other.clauses
+
+    def __hash__(self) -> int:
+        return hash((self.num_vars, self.clauses))
+
+    def __repr__(self) -> str:
+        return f"CnfFormula(num_vars={self.num_vars!r}, clauses={self.clauses!r})"
 
 
 @dataclass(frozen=True)
@@ -97,12 +151,17 @@ def _model_satisfies(cnf: CnfFormula, model: dict[int, bool]) -> bool:
     """Whether model assigns exactly the variables 1..num_vars and satisfies every clause.
 
     Reads only the input formula, never the solver's data structures, so it
-    checks the solver independently.
+    checks the solver independently.  A block of ``one_hot`` is satisfied by
+    exactly one true variable, which is what its spelled-out clauses say; the
+    check never spells them out.
     """
     if model.keys() != set(range(1, cnf.num_vars + 1)):
         return False
+    hot = model.__getitem__
+    if any(sum(map(hot, block)) != 1 for block in cnf.one_hot):
+        return False
     true = {var if holds else -var for var, holds in model.items()}
-    return not any(map(true.isdisjoint, cnf.clauses))
+    return not any(map(true.isdisjoint, cnf._rest))
 
 
 _UNDEF, _TRUE, _FALSE = 0, 1, -1
@@ -127,11 +186,23 @@ class _Solver:
       learned clause.  Its watched literals sit in slots 0 and
       1, and ``clauses`` holds every such list in load-then-learn order.
 
+    An exactly-one block's pairwise at-most-one clauses are not watched at
+    all.  ``amo[-x]`` is the block of x as negated literals, in block order,
+    and ``_propagate`` reads it, less -x itself, before ``watches[-x]``.  The
+    pairs would be exactly those ints at the head of ``watches[-x]``: every
+    block is loaded before any other clause, and int entries never move.  Only
+    the block's at-least-one clause is loaded as an input clause.
+
     ``reason[var]`` is None for a decision or a level-0 unit, the clause list
     that implied var (with var's literal in slot 0), or for a binary clause the
     int ``other``: the clause is (implied, other).  ``_propagate`` reports a
     binary conflict as the pair (first, falsified), in that order, and a longer
     one as its clause list.
+
+    ``decisions``, ``conflicts``, ``propagations`` (literals taken off the
+    trail by ``_propagate``), ``learned`` (learned clauses of two or more
+    literals, so ``clauses[-learned:]``) and ``max_level`` (the deepest
+    decision level) count the search.
 
     ``heap`` holds ``(-activity, var)`` entries.  ``heap_key[var]`` is the key
     of var's one live entry, or ``_NO_ENTRY``; an entry whose key differs is
@@ -157,12 +228,22 @@ class _Solver:
         self.ok = True
         self.decisions = 0
         self.conflicts = 0
+        self.propagations = 0
+        self.learned = 0
+        self.max_level = 0
         self._rebuild_heap()
+
+        amo: list[tuple[int, ...]] = [()] * (2 * n + 1)
+        for block in cnf.one_hot:
+            negated = tuple([-var for var in block])
+            for lit in negated:
+                amo[lit] = negated
+        self.amo = amo
 
         # What _add_clause would do, inline for the common shapes: a binary
         # clause of two variables, and a longer one with no repeated variable.
         clauses, watches = self.clauses, self.watches
-        for clause in cnf.clauses:
+        for clause in chain(cnf.one_hot, cnf._rest):
             size = len(clause)
             if size == 2:
                 a, b = clause
@@ -222,16 +303,30 @@ class _Solver:
 
     def _propagate(self) -> list[int] | tuple[int, int] | None:
         """Unit propagation; returns the literals of a conflicting clause or None."""
-        trail, value, watches = self.trail, self.value, self.watches
+        trail, value, watches, amo = self.trail, self.value, self.watches, self.amo
         level, reason = self.level, self.reason
         current_level = len(self.trail_lim)
-        qhead = self.qhead
+        start = qhead = self.qhead
+        conflict: list[int] | tuple[int, int] | None = None
         while qhead < len(trail):
             falsified = -trail[qhead]
             qhead += 1
+            for first in amo[falsified]:  # the block's pairs (falsified, first)
+                state = value[first]
+                if state == _UNDEF:
+                    value[first] = _TRUE
+                    value[-first] = _FALSE
+                    var = first if first > 0 else -first
+                    level[var] = current_level
+                    reason[var] = falsified
+                    trail.append(first)
+                elif state == _FALSE and first != falsified:
+                    conflict = (first, falsified)
+                    break
+            if conflict is not None:
+                break
             watchers = watches[falsified]
             moved = False
-            conflict: list[int] | tuple[int, int] | None = None
             for i, clause in enumerate(watchers):
                 if type(clause) is int:  # the binary clause (falsified, first)
                     first = clause
@@ -278,10 +373,10 @@ class _Solver:
             if moved:
                 watchers[:] = filter(None, watchers)
             if conflict is not None:
-                self.qhead = qhead
-                return conflict
+                break
         self.qhead = qhead
-        return None
+        self.propagations += qhead - start
+        return conflict
 
     def _bump(self, var: int) -> None:
         self.activity[var] += self.var_inc
@@ -379,6 +474,7 @@ class _Solver:
             decision = self._decide()
             self.decisions += 1
             self.trail_lim.append(len(self.trail))
+            self.max_level = max(self.max_level, len(self.trail_lim))
             self._enqueue(decision, None)
             while True:
                 conflict = self._propagate()
@@ -392,6 +488,7 @@ class _Solver:
                 if len(learned) == 1:
                     enqueued = self._enqueue(learned[0], None)
                 else:
+                    self.learned += 1
                     self.clauses.append(learned)
                     self.watches[learned[0]].append(learned)
                     self.watches[learned[1]].append(learned)

@@ -482,7 +482,9 @@ def _assert_fragments_sound(f: Formula, symbols: SymbolTable, k: int) -> int:
         def turn(lit: int) -> int:
             return lit * flip if abs(lit) >= first_owned else lit
 
-        result = solve(CnfFormula(vm.num_vars, tuple(tuple(map(turn, c)) for c in enc.clauses)))
+        # The one-hot blocks read only symbol variables, which no flip turns.
+        clauses = tuple(tuple(map(turn, c)) for c in enc.clauses)
+        result = solve(CnfFormula._numbered(vm.num_vars, clauses, tuple(enc.one_hot)))
         assert result.satisfiable, f"{f} at k={k}"
         true = {turn(v if value else -v) for v, value in result.model.items()}
         trace = decode({abs(lit): lit > 0 for lit in true}, vm, symbols, k)

@@ -182,11 +182,58 @@ class TestMatchesFrozenEvaluator:
             (Atom("p"), 4),
             (Atom("p"), -1),
             (Atom("ghost"), 9),
+            # Two bad operands in one chain: the leftmost one raises, as in the recursion.
+            (And(Atom("ghost"), And(Atom("p"), 3)), 0),
+            (Or(Or(Atom("p"), 3), Atom("ghost")), 0),
+            (And(And(Atom("p"), Not(None)), And(Atom("ghost"), Atom("p"))), 0),
         ]
         for f, t in cases:
             expected = _outcome(frozen_evaluate.evaluate, f, tr, t)
             assert isinstance(expected, tuple), (f, t)
             assert _outcome(evaluate, f, tr, t) == expected, (f, t)
+
+
+def _chain(op, depth, side):
+    """A ``depth``-long chain of ``op`` built through the API: nested on one side, or zigzag."""
+    f = Atom("p")
+    for i in range(depth):
+        operand = Atom("q") if i % 2 else Eq("v", "a")
+        if side == "left" or (side == "zigzag" and i % 2):
+            f = op(f, operand)
+        else:
+            f = op(operand, f)
+    return f
+
+
+class TestDeepChains:
+    """API-built And/Or chains deeper than the recursion limit walk, evaluate and check."""
+
+    @pytest.mark.parametrize("op", [And, Or])
+    @pytest.mark.parametrize("side", ["left", "right", "zigzag"])
+    def test_three_thousand_deep(self, op, side):
+        f = _chain(op, 3000, side)
+        assert free_symbols(f) == {"p", "q", "v"}
+        tr = Trace(2, {"p": (True, True, False), "q": (True, False, True)}, {"v": ("a", "a", "b")})
+        combine = all if op is And else any
+        expected = [combine((p, q, v == "a")) for p, q, v in zip(*tr.propositions.values(), tr.variables["v"])]
+        assert [evaluate(f, tr, t) for t in range(3)] == expected
+        table = SymbolTable()
+        table.add_proposition("p")
+        table.add_proposition("q")
+        table.add_variable("v", ("a", "b"))
+        witness = check(f, table, 2).trace
+        assert witness is not None and evaluate(f, witness, 0)
+
+    def test_shared_spine_nodes_are_evaluated_once(self):
+        # Each node of the And spine is also under a Dist: 2**200 paths, 201 distinct rows.
+        f = Or(Atom("p"), Eq("v", "a"))
+        for _ in range(200):
+            f = And(f, Dist(f, 1))
+        rng = random.Random(11)
+        for _ in range(20):
+            tr = random_trace(rng, rng.randint(0, 6))
+            for t in range(tr.bound + 1):
+                assert evaluate(f, tr, t) is frozen_evaluate.evaluate(f, tr, t)
 
 
 class TestProperties:

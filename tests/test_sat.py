@@ -24,7 +24,8 @@ from coverify.sat import (
     solve,
     write_dimacs,
 )
-from coverify.world import bundled_scenario_path, compile_scenario, load_scenario
+from coverify.world import bundled_scenario_path, compile_scenario, load_scenario, loads_scenario
+from test_exhaustive import _grid_text
 
 
 def cnf(num_vars, *clauses):
@@ -677,7 +678,11 @@ class TestBinaryWatchesMatchClauseLists:
 
 
 def _loaded_per_clause(formula):
-    """A solver loaded as _Solver.__init__ did before it watched long clauses inline."""
+    """A solver loaded as _Solver.__init__ did before it watched long clauses inline.
+
+    It loads every clause of ``formula.clauses``, the pairwise at-most-one
+    clauses of the exactly-one blocks included.
+    """
     solver = _Solver(CnfFormula(formula.num_vars, ()))
     watches = solver.watches
     for clause in formula.clauses:
@@ -703,11 +708,27 @@ def _loaded_state(solver):
 
 
 def _assert_same_load(formula):
-    assert _loaded_state(_Solver(formula)) == _loaded_state(_loaded_per_clause(formula))
+    """The per-clause loader's state, with each block's pairs as the ``amo`` table.
+
+    The pairs of the block of x are the ints at the head of the per-clause
+    loader's ``watches[-x]``, in the order ``amo[-x]`` lists them without -x.
+    """
+    solver, per_clause = _Solver(formula), _loaded_per_clause(formula)
+    amo = [()] * (2 * formula.num_vars + 1)
+    for block in formula.one_hot:
+        for var in block:
+            amo[-var] = tuple(-v for v in block)
+            pairs = [lit for lit in amo[-var] if lit != -var]
+            head = per_clause.watches[-var][:len(pairs)]
+            assert head == pairs
+            del per_clause.watches[-var][:len(pairs)]
+    assert solver.amo == amo
+    assert _loaded_state(solver) == _loaded_state(per_clause)
 
 
 class TestLoaderMatchesPerClauseLoop:
-    """Watching long clauses inline loads what calling _add_clause for each one did."""
+    """Watching long clauses inline loads what calling _add_clause for each one did,
+    less the exactly-one blocks' pairs, which the ``amo`` table holds instead."""
 
     def test_random_cnfs(self):
         rng = random.Random(31)
@@ -735,9 +756,123 @@ class TestLoaderMatchesPerClauseLoop:
         for _ in range(200):
             _assert_same_load(binary_heavy_cnf(rng))
 
+    def test_random_exactly_one_blocks(self):
+        rng = random.Random(46)
+        for _ in range(200):
+            _assert_same_load(random_one_hot_cnf(rng))
+
     @pytest.mark.parametrize("formula", _scenario_cnfs())
     def test_bundled_scenarios(self, formula):
         _assert_same_load(formula)
+
+
+def random_one_hot_cnf(rng, max_vars=30):
+    """Disjoint exactly-one blocks of width 1 to 5, each in a random variable order, then random clauses."""
+    num_vars = rng.randint(4, max_vars)
+    free = rng.sample(range(1, num_vars + 1), num_vars)
+    blocks = []
+    while free and (not blocks or rng.random() < 0.8):
+        width = rng.choice((1, 2, 2, 3, 4, 5))
+        blocks.append(tuple(free[:width]))
+        del free[:width]
+    rest = []
+    for _ in range(rng.randint(1, 4 * num_vars)):
+        variables = rng.sample(range(1, num_vars + 1), rng.choice((2, 3, 3, 3, 4)))
+        rest.append(tuple(v if rng.random() < 0.5 else -v for v in variables))
+    return CnfFormula._numbered(num_vars, tuple(rest), tuple(blocks))
+
+
+def _grid_cnfs(count):
+    """CNFs of seeded grid workcells (``test_exhaustive._grid_text``) at their own bound."""
+    rng = random.Random(47)
+    for _ in range(count):
+        n = rng.choice((2, 3))
+        text = _grid_text(rng, n, rng.choice((None, "stop", "slowdown")), rng.randint(1, 2))
+        scenario = loads_scenario(text)
+        model = compile_scenario(scenario)
+        yield encode(conjoin(model.formulas), model.symbols, scenario.bound)[0]
+
+
+def _counted_search(formula):
+    """Result, search counters and learned clauses of _Solver on formula."""
+    solver = _Solver(formula)
+    loaded = len(solver.clauses)
+    result = solver.solve()
+    assert solver.learned == len(solver.clauses) - loaded
+    counters = (solver.decisions, solver.conflicts, solver.propagations, solver.learned,
+                solver.max_level)
+    return result, counters, solver.clauses[loaded:]
+
+
+def _assert_blocks_search_as_clauses(formula):
+    """Exactly-one blocks search as their spelled-out clauses do, and as the clause-list solver does."""
+    assert formula.one_hot
+    plain = CnfFormula(formula.num_vars, formula.clauses)
+    assert not plain.one_hot and plain == formula
+    run = _counted_search(formula)
+    assert run == _counted_search(plain)
+    result, (decisions, conflicts, *_), learned = run
+    assert (result, decisions, conflicts, learned) == _learned_search(_ClauseListSolver, formula)
+    if result.satisfiable:
+        assert _model_satisfies(formula, result.model) and _model_satisfies(plain, result.model)
+    return result, conflicts
+
+
+class TestExactlyOneBlocksMatchClauses:
+    """The block-native solver decides, conflicts, learns and answers as the full CNF does."""
+
+    def test_random_cnfs_with_blocks(self):
+        rng = random.Random(48)
+        outcomes = set()
+        widths = set()
+        conflicts = 0
+        for _ in range(300):
+            formula = random_one_hot_cnf(rng)
+            widths.update(map(len, formula.one_hot))
+            result, conflicts_here = _assert_blocks_search_as_clauses(formula)
+            outcomes.add(result.satisfiable)
+            conflicts += conflicts_here
+        assert outcomes == {True, False}
+        assert {1, 2, 5} <= widths
+        assert conflicts > 100
+
+    def test_grid_workcells(self):
+        outcomes = set()
+        for formula in _grid_cnfs(12):
+            result, _ = _assert_blocks_search_as_clauses(formula)
+            outcomes.add(result.satisfiable)
+        assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("formula", _scenario_cnfs())
+    def test_bundled_scenarios(self, formula):
+        _assert_blocks_search_as_clauses(formula)
+
+
+class TestSearchCounters:
+    def test_decisions_only(self):
+        solver = _Solver(cnf(3))
+        solver.solve()
+        assert (solver.decisions, solver.propagations, solver.max_level, solver.learned) == (3, 3, 3, 0)
+
+    def test_level_zero_units(self):
+        solver = _Solver(cnf(3, (1,), (-1, 2), (-2, 3)))
+        assert solver.solve().satisfiable
+        assert (solver.decisions, solver.propagations, solver.max_level, solver.learned) == (0, 3, 0, 0)
+
+    def test_learned_counts_the_clauses_added_after_loading(self):
+        rng = random.Random(49)
+        learned = 0
+        for _ in range(100):
+            solver = _Solver(random_3sat(rng, rng.randint(10, 40)))
+            loaded = len(solver.clauses)
+            result = solver.solve()
+            assert solver.learned == len(solver.clauses) - loaded
+            assert solver.learned <= solver.conflicts
+            assert solver.max_level <= solver.decisions
+            if result.satisfiable:
+                assert solver.propagations >= solver.n
+            learned += solver.learned
+        assert learned > 0
 
 
 def _old_model_satisfies(formula, model):
@@ -778,6 +913,19 @@ class TestModelCheck:
             assert answer == _old_model_satisfies(formula, model)
             answers.add(answer)
         assert answers == {True, False}
+
+    def test_block_needs_exactly_one_hot_bit(self):
+        formula = CnfFormula._numbered(5, ((4, 5),), ((1, 2, 3),))
+        model = {1: False, 2: True, 3: False, 4: True, 5: False}
+        assert _model_satisfies(formula, model)
+        assert not _model_satisfies(formula, {**model, 2: False})  # no hot bit
+        assert not _model_satisfies(formula, {**model, 3: True})  # two hot bits
+        assert not _model_satisfies(formula, {**model, 1: True, 3: True})  # three
+
+    def test_reads_blocks_without_spelling_them_out(self, monkeypatch):
+        formula = CnfFormula._numbered(3, ((-1, 3),), ((1, 2),))
+        monkeypatch.setattr(CnfFormula, "clauses", property(lambda self: pytest.fail("spelled out")))
+        assert _model_satisfies(formula, solve(formula).model)
 
     def test_solve_rejects_a_non_model(self, monkeypatch):
         monkeypatch.setattr(_Solver, "solve", lambda self: SolveResult.sat({1: False}))

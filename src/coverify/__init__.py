@@ -26,7 +26,7 @@ from .logic import (
     free_symbols,
 )
 from .parsing import ParseError, parse_formula
-from .replay import ClassifiedHazard, MotionCommand, classify, extract_motions, interpolate
+from .replay import ClassifiedHazard, Segment, classify, segments
 from .world import (
     Mitigation,
     Scenario,
@@ -45,12 +45,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Alw", "And", "Atom", "Box", "CheckResult", "ClassifiedHazard", "Dist", "Eq",
-    "FiniteVariable", "Formula", "Implies", "Mitigation", "MotionCommand",
-    "Not", "Or", "ParseError", "Proposition", "Scenario", "ScenarioError",
+    "FiniteVariable", "Formula", "Implies", "Mitigation", "Not", "Or",
+    "ParseError", "Proposition", "Scenario", "ScenarioError", "Segment",
     "Som", "SymbolTable", "Trace", "VerifyResult",
     "aabb_max_distance", "aabb_min_distance", "apply_mitigation",
     "bundled_scenario_path", "check", "classify", "compile_scenario",
-    "contact_probability", "decode", "encode", "evaluate", "extract_motions",
-    "free_symbols", "interpolate", "load_scenario", "loads_scenario",
-    "parse_formula", "risk_value", "verify",
+    "contact_probability", "decode", "encode", "evaluate", "free_symbols",
+    "load_scenario", "loads_scenario", "parse_formula", "risk_value",
+    "segments", "verify",
 ]

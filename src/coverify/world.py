@@ -202,7 +202,7 @@ class Scenario:
     mitigations: tuple[Mitigation, ...]
     bound: int = DEFAULT_BOUND
     threshold: int = DEFAULT_THRESHOLD
-    dt: float = 1.0
+    dt: float = 1.0  # seconds per instant, the time unit of a replay segment
     travel_times: tuple[tuple[str, str, int], ...] = ()
     starts: tuple[tuple[str, str], ...] = ()
 
@@ -621,12 +621,14 @@ def _movement_axioms(s: Scenario):
             yield Alw(Implies(Dist(Eq(pos, loc.id), -1), stay_or_neighbor))
         # Dwell: arriving over an edge of travel time T >= 2 requires having
         # sat in the source cell for the T instants before; the last of them
-        # is the arrival's own antecedent.
+        # is the arrival's own antecedent.  Looking back past the bound is
+        # false at every instant, so one such look stands for all of them.
         for a, b, duration in s.travel_times:
             if duration == 1:
                 continue
+            lookback = min(duration, max(s.bound + 1, 2))
             for source, dest in ((a, b), (b, a)):
-                history = conjoin([Dist(Eq(pos, source), -j) for j in range(2, duration + 1)])
+                history = conjoin([Dist(Eq(pos, source), -j) for j in range(2, lookback + 1)])
                 yield Alw(Implies(And(Dist(Eq(pos, source), -1), Eq(pos, dest)), history))
 
 

@@ -15,7 +15,7 @@ from coverify.exhaustive import exhaustive_verify
 from coverify.geometry import Box, aabb_max_distance, aabb_min_distance, sample_contact_probability
 from coverify.logic import SymbolTable, Trace, conjoin, evaluate
 from coverify.parsing import parse_formula
-from coverify.replay import CONFIRMED, POSSIBLE, classify, extract_motions, poi_path
+from coverify.replay import CONFIRMED, POSSIBLE, classify, segments
 from coverify.sat import brute_force_solve, read_dimacs, solve, write_dimacs
 from coverify.world import Mitigation, apply_mitigation, compile_scenario, verify
 
@@ -199,35 +199,29 @@ def test_criterion_8_trace_replay_agreement(handover, handover_point, handover_m
         result = verify(scenario)
         assert not result.safe
         trace = result.trace
-        commands = extract_motions(trace, scenario)
-
-        # every command lasts its edge's travel time, over which the source is held
-        for command in commands:
-            positions = trace.variables[command.poi]
-            assert command.duration == scenario.travel_time(command.source, command.dest)
-            assert command.start >= 0
-            assert set(positions[command.start:command.arrival]) == {command.source}
-            assert positions[command.arrival] == command.dest
-            if command.duration == 3:
-                duration3_seen += 1
-
-        # outside moves, whole instants sample exactly onto cell centers
         for poi in scenario.pois:
-            path = poi_path(trace, scenario, poi.id, sample_interval=scenario.dt)
-            by_time = dict(path.samples)
-            moving = {
-                t for c in commands if c.poi == poi.id for t in range(c.start + 1, c.arrival)
-            }
-            for t in sorted(set(range(trace.bound + 1)) - moving):
-                center = scenario.layout.location(trace.var_value(poi.id, t)).box.center
-                assert by_time[t * scenario.dt] == center
+            positions = trace.variables[poi.id]
+            runs = segments(trace, scenario, poi.id)
+
+            # the segments cover [0, bound] in order, each starting where the last ended
+            assert runs[0].start == 0 and runs[-1].end == trace.bound
+            assert all(a.end == b.start and a.dest == b.source for a, b in zip(runs, runs[1:]))
+
+            for run in runs:
+                # a hold sits in its cell; a move holds its source for the edge's travel time
+                assert set(positions[run.start:run.end]) == {run.source}
+                assert positions[run.end] == run.dest
+                if run.source != run.dest:
+                    duration = run.end - run.start
+                    assert duration == scenario.travel_time(run.source, run.dest)
+                    duration3_seen += duration == 3
 
     # the long aisle forces at least one three-instant crossing per layout run
     ok = duration3_seen >= 2  # handover and handover_point both cross L3-L4
     _report(
         8,
         ok,
-        f"{duration3_seen} duration-3 commands across {len(scenarios)} counterexamples; "
-        "each move lasts its travel time in its source cell; instants outside moves "
-        "sit exactly on cell centers",
+        f"{duration3_seen} duration-3 moves across {len(scenarios)} counterexamples; "
+        "each move lasts its travel time in its source cell; holds and moves cover "
+        "the window without gaps",
     )

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -229,6 +230,24 @@ def test_export_cnf_is_the_cnf_verify_solves(tmp_path, monkeypatch, scenario):
     out = tmp_path / "exported.cnf"
     assert main(["export", scenario, "cnf", "--out", str(out)]) == EXIT_SAFE
     assert solved == [read_dimacs(out.read_text())]
+
+
+def test_travel_time_far_past_the_bound_compiles_as_bound_plus_one(tmp_path):
+    # A dwell looking back further than the bound is false at every instant, so an
+    # edge of a billion instants costs what one of bound + 1 = 7 instants does.
+    text = Path(HANDOVER_MINI).read_text(encoding="utf-8")
+    verdicts, cnfs = [], []
+    for travel in (7, 10**9):
+        scenario = tmp_path / f"mini_{travel}.scn"
+        scenario.write_text(f"{text}travel L2 L3 {travel}\n", encoding="utf-8")
+        t0 = time.perf_counter()
+        verdicts.append(main(["verify", str(scenario)]))
+        assert time.perf_counter() - t0 < 1.0
+        out = tmp_path / f"mini_{travel}.cnf"
+        assert main(["export", str(scenario), "cnf", "--out", str(out)]) == EXIT_SAFE
+        cnfs.append(out.read_bytes())
+    assert verdicts[0] == verdicts[1]
+    assert cnfs[0] == cnfs[1]
 
 
 @pytest.mark.parametrize("scenario", [HANDOVER, HANDOVER_MINI])

@@ -385,6 +385,18 @@ class TestDwellRule:
         assert check(axioms, model.symbols, 5).satisfiable
 
 
+    @pytest.mark.parametrize("travel", [2, 3, 5, 10**9])
+    def test_an_edge_is_crossed_no_sooner_than_its_travel_time(self, travel):
+        # The lookback stops past the bound; each bound still rules out every early arrival.
+        text = TWO_CELLS + f"travel A B {travel}\n"
+        text = text.replace("poi bot g radius 0.05", "poi bot g radius 0.05\nstart g A")
+        for k in range(8):
+            s = replace(loads_scenario(text), bound=k)
+            model = compile_scenario(s)
+            arrives = conjoin(model.axioms + (Som(Eq("g", "B")),))
+            assert check(arrives, model.symbols, k).satisfiable == (k >= travel), k
+
+
 def _or(a, b):
     from coverify.logic import Or
 

@@ -25,6 +25,7 @@ import functools
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
+from typing import Callable
 
 from .encode import encode
 from .exhaustive import exhaustive_verify
@@ -68,14 +69,18 @@ def _load(cfg: RunConfig) -> Scenario:
     return scenario
 
 
-def _write(path: Path, content: str) -> bool:
-    """Write the output file; if it cannot be written, say why and return False."""
-    try:
-        path.write_text(content, encoding="utf-8")
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return False
-    return True
+def _input_errors_exit_2(run: Callable[..., int]) -> Callable[..., int]:
+    """``run``, reporting bad input and an unwritable output on stderr as exit 2."""
+
+    @functools.wraps(run)
+    def guarded(*args, **kwargs) -> int:
+        try:
+            return run(*args, **kwargs)
+        except (OSError, ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_INPUT_ERROR
+
+    return guarded
 
 
 def _read_trace(scenario: Scenario, trace_path: str) -> Trace:
@@ -89,20 +94,16 @@ def _read_trace(scenario: Scenario, trace_path: str) -> Trace:
     return trace
 
 
+@_input_errors_exit_2
 def run_verify(cfg: RunConfig) -> int:
     """SAFE -> 0; counterexample -> 1 plus a trace file; bad input -> 2."""
-    try:
-        scenario = _load(cfg)
-        result = verify(scenario)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+    scenario = _load(cfg)
+    result = verify(scenario)
     if result.safe:
         print("SAFE")
         return EXIT_SAFE
-    out = Path(cfg.out) if cfg.out else Path(cfg.scenario).with_suffix(".trace").name
-    if not _write(Path(out), write_trace(result.trace)):
-        return EXIT_INPUT_ERROR
+    out = Path(cfg.out or Path(cfg.scenario).with_suffix(".trace").name)
+    out.write_text(write_trace(result.trace), encoding="utf-8")
     worst = max(v.risk for v in result.violations)
     print(
         f"UNSAFE: {len(result.violations)} hazard instant(s) exceed threshold "
@@ -111,15 +112,12 @@ def run_verify(cfg: RunConfig) -> int:
     return EXIT_COUNTEREXAMPLE
 
 
+@_input_errors_exit_2
 def run_classify(cfg: RunConfig, trace_path: str) -> int:
     """Write the hazard report; 0 if everything is CONFIRMED, else 3."""
-    try:
-        scenario = _load(cfg)
-        trace = _read_trace(scenario, trace_path)
-        rows = classify(trace, scenario, samples=cfg.samples, seed=cfg.seed)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+    scenario = _load(cfg)
+    trace = _read_trace(scenario, trace_path)
+    rows = classify(trace, scenario, samples=cfg.samples, seed=cfg.seed)
     report = HazardReport(scenario.name, tuple(rows))
     if cfg.fmt == "csv":
         rendered = render_csv(report)
@@ -131,54 +129,46 @@ def run_classify(cfg: RunConfig, trace_path: str) -> int:
         rendered = render_text(report)
         default_name = None
     out = cfg.out or default_name
-    if not out:
+    if out:
+        Path(out).write_text(rendered, encoding="utf-8")
+    else:
         print(rendered, end="")
-    elif not _write(Path(out), rendered):
-        return EXIT_INPUT_ERROR
     return EXIT_SAFE if report.all_confirmed else EXIT_UNCONFIRMED
 
 
+@_input_errors_exit_2
 def run_export(cfg: RunConfig, what: str, trace_path: str | None = None) -> int:
-    try:
-        scenario = _load(cfg)
-        if what == "cnf":
-            model = compile_scenario(scenario)
-            if model.violation is None:  # verify's SAFE without solving, as a CNF
-                cnf = CnfFormula(1, ((1,), (-1,)))
-            else:
-                cnf, _ = encode(conjoin(model.formulas), model.symbols, scenario.bound)
-            content = write_dimacs(cnf)
-            suffix = ".cnf"
-        elif what in ("trace-table", "timeline"):
-            if trace_path is None:
-                raise ValueError(f"export {what} needs --trace <file>")
-            trace = _read_trace(scenario, trace_path)
-            if what == "trace-table":
-                content = trace_table(trace)
-                suffix = ".txt"
-            else:
-                content = timeline_svg(trace)
-                suffix = ".svg"
+    scenario = _load(cfg)
+    if what == "cnf":
+        model = compile_scenario(scenario)
+        if model.violation is None:  # verify's SAFE without solving, as a CNF
+            cnf = CnfFormula(1, ((1,), (-1,)))
         else:
-            raise ValueError(f"unknown export kind {what!r}")
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    out = Path(cfg.out) if cfg.out else Path(f"{scenario.name}_{what.replace('-', '_')}{suffix}")
-    if not _write(out, content):
-        return EXIT_INPUT_ERROR
+            cnf, _ = encode(conjoin(model.formulas), model.symbols, scenario.bound)
+        content = write_dimacs(cnf)
+        suffix = ".cnf"
+    elif what in ("trace-table", "timeline"):
+        if trace_path is None:
+            raise ValueError(f"export {what} needs --trace <file>")
+        trace = _read_trace(scenario, trace_path)
+        if what == "trace-table":
+            content = trace_table(trace)
+            suffix = ".txt"
+        else:
+            content = timeline_svg(trace)
+            suffix = ".svg"
+    else:
+        raise ValueError(f"unknown export kind {what!r}")
+    out = Path(cfg.out or f"{scenario.name}_{what.replace('-', '_')}{suffix}")
+    out.write_text(content, encoding="utf-8")
     print(f"wrote {out}")
     return EXIT_SAFE
 
 
+@_input_errors_exit_2
 def run_oracle(cfg: RunConfig) -> int:
     """Exhaustive verdict (small scenarios only); mirrors verify's exit codes."""
-    try:
-        scenario = _load(cfg)
-        safe = exhaustive_verify(scenario)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+    safe = exhaustive_verify(_load(cfg))
     print("SAFE" if safe else "UNSAFE")
     return EXIT_SAFE if safe else EXIT_COUNTEREXAMPLE
 
@@ -226,14 +216,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@_input_errors_exit_2
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     options = {field.name for field in fields(RunConfig)}
-    try:
-        cfg = RunConfig(**{name: value for name, value in vars(args).items() if name in options})
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+    cfg = RunConfig(**{name: value for name, value in vars(args).items() if name in options})
     if args.command == "verify":
         return run_verify(cfg)
     if args.command == "classify":

@@ -21,7 +21,12 @@ from dataclasses import dataclass
 from typing import Callable
 
 __all__ = [
+    "NAME",
+    "DIGITS",
+    "INTEGER",
     "IDENT_RE",
+    "check_ident",
+    "check_value",
     "Proposition",
     "FiniteVariable",
     "SymbolTable",
@@ -42,18 +47,25 @@ __all__ = [
     "free_symbols",
 ]
 
-IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
-_VALUE_RE = re.compile(r"(-?[0-9]+|[A-Za-z_][A-Za-z0-9_]*)\Z")
+# What a name and an integer are, written once and ASCII only: the formula
+# scanner, the trace reader and the scenario loader build on these patterns.
+NAME = r"[A-Za-z_][A-Za-z0-9_]*"
+DIGITS = r"[0-9]+"
+INTEGER = rf"-?{DIGITS}"
+
+IDENT_RE = re.compile(rf"{NAME}\Z")
+_VALUE_RE = re.compile(rf"(?:{INTEGER}|{NAME})\Z")
 
 
-def _check_ident(name: str) -> str:
+def check_ident(name: str) -> str:
+    """The name, if a symbol may bear it; else ``ValueError``."""
     if not IDENT_RE.match(name):
         raise ValueError(f"invalid identifier: {name!r}")
     return name
 
 
-def _check_value(value: str) -> str:
-    # Domain constants may be identifiers or integer literals (risk levels).
+def check_value(value: str) -> str:
+    """The constant, if a domain may hold it (a name or an integer such as a risk level)."""
     if not _VALUE_RE.match(value):
         raise ValueError(f"invalid domain value: {value!r}")
     return value
@@ -66,7 +78,7 @@ class Proposition:
     name: str
 
     def __post_init__(self) -> None:
-        _check_ident(self.name)
+        check_ident(self.name)
 
 
 @dataclass(frozen=True)
@@ -77,13 +89,13 @@ class FiniteVariable:
     domain: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        _check_ident(self.name)
+        check_ident(self.name)
         if not self.domain:
             raise ValueError(f"variable {self.name!r} has an empty domain")
         if len(set(self.domain)) != len(self.domain):
             raise ValueError(f"variable {self.name!r} has duplicate domain values")
         for value in self.domain:
-            _check_value(value)
+            check_value(value)
 
 
 class SymbolTable:

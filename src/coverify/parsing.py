@@ -14,11 +14,16 @@ such as a risk level, must be a domain value of the left variable, even if
 it also names a declared symbol.  Every other identifier must be declared in
 the symbol table.
 
+Names and integers are ASCII: a name is ``[A-Za-z_][A-Za-z0-9_]*`` and an
+integer an optional ``-`` and ``[0-9]+``, as ``coverify.logic`` defines them.
+Any other character is a ``ParseError`` at its line and column.
+
 A chain of one operator, ``p & q & r & s``, parses to the balanced tree that
-``conjoin`` (``disjoin`` for ``|``) builds, not a left-nested one, so a long
-chain stays shallow enough for the recursive walks of ``evaluate``,
-``free_symbols`` and ``check``.  Chains of two or three operands nest the
-same either way.
+``conjoin`` (``disjoin`` for ``|``) builds, not a left-nested one.  A parsed
+formula then equals the one built from the same operands through the API,
+and a long chain stays shallow for the node methods that recurse: ``==``,
+``hash``, ``repr`` and ``str``.  Chains of two or three operands nest the same
+either way.
 
 Nesting is bounded: each parenthesis, ``!``, temporal operator and ``->``
 opens one level, and a formula more than ``MAX_DEPTH`` levels deep is a
@@ -29,9 +34,12 @@ returns, well inside the interpreter's default recursion limit.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .logic import (
+    INTEGER,
+    NAME,
     Alw,
     Atom,
     Dist,
@@ -53,9 +61,9 @@ _RESERVED = ("Alw", "Som", "Dist")
 
 # The parser takes up to five frames per level (a temporal operator's body
 # goes through temporal, formula, or_expr, and_expr and unary), and so does
-# ``check`` on nested ``Som``; ``evaluate`` and ``free_symbols`` take one.
-# 100 levels leave about half of the interpreter's default limit of 1,000
-# frames to the caller.
+# ``check`` on nested ``Som``; ``str`` and ``==`` take three, ``evaluate``
+# one, and ``free_symbols`` keeps its own stack.  100 levels leave about half
+# of the interpreter's default limit of 1,000 frames to the caller.
 MAX_DEPTH = 100
 
 
@@ -75,54 +83,31 @@ class _Token:
     line: int
     column: int
 
+    def error(self, message: str) -> ParseError:
+        return ParseError(message, self.line, self.column)
+
+
+# One alternative per token kind, tried in order; a character that starts
+# no token is matched, one at a time, by ERROR.
+_TOKEN_RE = re.compile(
+    rf"(?P<ARROW>->)|(?P<INT>{INTEGER})|(?P<IDENT>{NAME})"
+    r"|(?P<NOT>!)|(?P<AND>&)|(?P<OR>\|)|(?P<LPAREN>\()|(?P<RPAREN>\))|(?P<COMMA>,)|(?P<EQ>=)"
+    r"|(?P<NEWLINE>\n)|(?P<BLANK>[ \t\r]+)|(?P<ERROR>.)"
+)
+
 
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        start_col = col
-
-        def emit(kind: str, length: int) -> None:
-            nonlocal i, col
-            tokens.append(_Token(kind, text[i : i + length], line, start_col))
-            i += length
-            col += length
-
-        if text.startswith("->", i):
-            emit("ARROW", 2)
-        elif ch in "!&|(),=":
-            emit({"!": "NOT", "&": "AND", "|": "OR", "(": "LPAREN", ")": "RPAREN",
-                  ",": "COMMA", "=": "EQ"}[ch], 1)
-        elif ch == "-" and i + 1 < n and text[i + 1].isdigit():
-            j = i + 1
-            while j < n and text[j].isdigit():
-                j += 1
-            emit("INT", j - i)
-        elif ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            emit("INT", j - i)
-        elif ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            emit("IDENT", j - i)
-        else:
-            raise ParseError(f"unexpected character {ch!r}", line, start_col)
-    tokens.append(_Token("EOF", "", line, col))
+    line, line_start = 1, 0
+    for match in _TOKEN_RE.finditer(text):
+        kind, column = match.lastgroup, match.start() - line_start + 1
+        if kind == "NEWLINE":
+            line, line_start = line + 1, match.end()
+        elif kind == "ERROR":
+            raise ParseError(f"unexpected character {match.group()!r}", line, column)
+        elif kind != "BLANK":
+            tokens.append(_Token(kind, match.group(), line, column))
+    tokens.append(_Token("EOF", "", line, len(text) - line_start + 1))
     return tokens
 
 
@@ -145,7 +130,7 @@ class _Parser:
         tok = self.peek()
         if tok.kind != kind:
             shown = tok.text or "end of input"
-            raise ParseError(f"expected {what}, found {shown!r}", tok.line, tok.column)
+            raise tok.error(f"expected {what}, found {shown!r}")
         return self.advance()
 
     def open_level(self) -> _Token:
@@ -153,12 +138,8 @@ class _Parser:
         tok = self.advance()
         self.depth += 1
         if self.depth > MAX_DEPTH:
-            raise ParseError(f"formula nested deeper than {MAX_DEPTH} levels", tok.line, tok.column)
+            raise tok.error(f"formula nested deeper than {MAX_DEPTH} levels")
         return tok
-
-    def fail(self, message: str) -> ParseError:
-        tok = self.peek()
-        return ParseError(message, tok.line, tok.column)
 
     # Grammar productions, lowest precedence first.
 
@@ -202,7 +183,7 @@ class _Parser:
             return self.temporal()
         if tok.kind == "IDENT":
             return self.atom()
-        raise self.fail(f"expected a formula, found {tok.text or 'end of input'!r}")
+        raise tok.error(f"expected a formula, found {tok.text or 'end of input'!r}")
 
     def temporal(self) -> Formula:
         op = self.open_level()
@@ -211,16 +192,11 @@ class _Parser:
         self.depth -= 1
         if op.text == "Dist":
             self.expect("COMMA", "','")
-            offset_tok = self.peek()
-            if offset_tok.kind != "INT":
-                raise ParseError(
-                    f"Dist offset must be an integer literal, found {offset_tok.text!r}",
-                    offset_tok.line,
-                    offset_tok.column,
-                )
-            self.advance()
+            offset = self.advance()
+            if offset.kind != "INT":
+                raise offset.error(f"Dist offset must be an integer literal, found {offset.text!r}")
             self.expect("RPAREN", "')'")
-            return Dist(body, int(offset_tok.text))
+            return Dist(body, int(offset.text))
         self.expect("RPAREN", "')'")
         return Alw(body) if op.text == "Alw" else Som(body)
 
@@ -230,9 +206,7 @@ class _Parser:
         nxt = self.peek()
         if nxt.kind == "EQ":
             if not isinstance(symbol, FiniteVariable):
-                raise ParseError(
-                    f"{name_tok.text!r} is not a finite variable", name_tok.line, name_tok.column
-                )
+                raise name_tok.error(f"{name_tok.text!r} is not a finite variable")
             self.advance()
             if self.peek().kind == "INT":
                 rhs = self.advance()
@@ -240,21 +214,15 @@ class _Parser:
                 rhs = self.expect("IDENT", "a domain value")
             if rhs.text in symbol.domain:
                 return Eq(symbol.name, rhs.text)
-            raise ParseError(
-                f"{rhs.text!r} is not a domain value of {symbol.name!r}", rhs.line, rhs.column
-            )
+            raise rhs.error(f"{rhs.text!r} is not a domain value of {symbol.name!r}")
         if not isinstance(symbol, Proposition):
-            raise ParseError(
-                f"{name_tok.text!r} is a finite variable and needs '='",
-                name_tok.line,
-                name_tok.column,
-            )
+            raise name_tok.error(f"{name_tok.text!r} is a finite variable and needs '='")
         return Atom(symbol.name)
 
     def _resolve(self, tok: _Token) -> Proposition | FiniteVariable:
         symbol = self.symbols.lookup(tok.text)
         if symbol is None:
-            raise ParseError(f"undeclared identifier {tok.text!r}", tok.line, tok.column)
+            raise tok.error(f"undeclared identifier {tok.text!r}")
         return symbol
 
 
@@ -264,5 +232,5 @@ def parse_formula(text: str, symbols: SymbolTable) -> Formula:
     node = parser.formula()
     tail = parser.peek()
     if tail.kind != "EOF":
-        raise ParseError(f"unexpected trailing input {tail.text!r}", tail.line, tail.column)
+        raise tail.error(f"unexpected trailing input {tail.text!r}")
     return node

@@ -6,17 +6,21 @@
 
 Each header comes once, before the first instant row.  One line per
 instant; propositions print as 0/1, finite variables print their domain
-symbol.  Reading needs the scenario's symbol table: a column of 0/1 values
-may be a proposition or an integer-valued variable such as ``risk_<h>``.
-It reconstructs the trace exactly and requires a column for every declared
-symbol.
+symbol; the bound and each instant index are ASCII digits.  Reading needs
+the scenario's symbol table: a column of 0/1 values may be a proposition or
+an integer-valued variable such as ``risk_<h>``.  It reconstructs the trace
+exactly and requires a column for every declared symbol.
 """
 
 from __future__ import annotations
 
-from .logic import FiniteVariable, SymbolTable, Trace
+import re
+
+from .logic import DIGITS, FiniteVariable, SymbolTable, Trace
 
 __all__ = ["TraceFormatError", "write_trace", "read_trace"]
+
+_NATURAL_RE = re.compile(rf"{DIGITS}\Z")
 
 
 class TraceFormatError(ValueError):
@@ -49,7 +53,7 @@ def read_trace(text: str, symbols: SymbolTable) -> Trace:
                     or fields[:1] == ["vars"] and names is not None):
                 raise TraceFormatError(f"line {lineno}: repeated '# {fields[0]}' header")
             if fields[:1] == ["bound"]:
-                if len(fields) != 2 or not fields[1].isdigit():
+                if len(fields) != 2 or not _NATURAL_RE.match(fields[1]):
                     raise TraceFormatError(f"line {lineno}: malformed bound header")
                 bound = int(fields[1])
             elif fields[:1] == ["vars"]:
@@ -64,7 +68,7 @@ def read_trace(text: str, symbols: SymbolTable) -> Trace:
             raise TraceFormatError(
                 f"line {lineno}: expected {len(names) + 1} fields, found {len(fields)}"
             )
-        if not fields[0].isdigit() or int(fields[0]) != len(rows):
+        if not _NATURAL_RE.match(fields[0]) or int(fields[0]) != len(rows):
             raise TraceFormatError(f"line {lineno}: instants must be consecutive from 0")
         rows.append(fields[1:])
 

@@ -54,6 +54,8 @@ from .logic import (
     Som,
     SymbolTable,
     Trace,
+    check_ident,
+    check_value,
     conjoin,
     disjoin,
 )
@@ -408,7 +410,7 @@ def loads_scenario(text: str, name: str = "scenario") -> Scenario:
             if section == "layout" and kw == "loc":
                 if len(fields) != 9 or fields[2] != "box":
                     raise fail("expected: loc <id> box <x0> <y0> <z0> <x1> <y1> <z1>")
-                loc_id = fields[1]
+                loc_id = check_value(fields[1])
                 if loc_id in loc_boxes:
                     raise fail(f"duplicate location {loc_id!r}")
                 nums = [float(v) for v in fields[3:9]]
@@ -431,12 +433,14 @@ def loads_scenario(text: str, name: str = "scenario") -> Scenario:
                 agent_id, kind = fields[1], fields[2]
                 if agent_id in agent_kinds:
                     raise fail(f"duplicate agent {agent_id!r}")
+                if kind == "robot":  # a human agent names no symbol
+                    check_ident(Scenario.speed_name(agent_id))
                 agent_kinds[agent_id] = kind
                 agent_pois[agent_id] = []
             elif section == "agents" and kw == "poi":
                 if len(fields) != 5 or fields[3] != "radius":
                     raise fail("expected: poi <agent> <id> radius <m>")
-                agent_id, poi_id = fields[1], fields[2]
+                agent_id, poi_id = fields[1], check_ident(fields[2])
                 if agent_id not in agent_kinds:
                     raise fail(f"POI for undeclared agent {agent_id!r}")
                 agent_pois[agent_id].append(
@@ -467,6 +471,8 @@ def loads_scenario(text: str, name: str = "scenario") -> Scenario:
                         "expected: hazard <id> <human-poi> <robot-poi> "
                         "sev <0-2> exp <0-2> avoid <0-2>"
                     )
+                check_ident(Scenario.hazard_flag_name(fields[1]))
+                check_ident(Scenario.risk_name(fields[1]))
                 hazards.append(
                     Hazard(fields[1], fields[2], fields[3],
                            int(fields[5]), int(fields[7]), int(fields[9]))
@@ -587,7 +593,7 @@ def compile_scenario(s: Scenario) -> CompiledModel:
         for name in done_names:
             symbols.add_proposition(name)
     except ValueError as exc:
-        raise ScenarioError(f"symbol clash while compiling: {exc}") from None
+        raise ScenarioError(f"cannot declare the model's symbols: {exc}") from None
 
     axioms: list[Formula] = []
     axioms.extend(_movement_axioms(s))

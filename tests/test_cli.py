@@ -1,5 +1,6 @@
 """CLI: exit-code contract, artifact files, determinism."""
 
+import errno
 import hashlib
 import json
 import os
@@ -526,6 +527,69 @@ class TestMain:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and str(out) in captured.err
+
+
+class _Unwritable:
+    """A stdout that refuses every write, as a full disk does."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    def flush(self):
+        pass
+
+
+class TestOneErrorPath:
+    """Every command reports a bad input, and an output it cannot write, as exit 2."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["verify", HANDOVER_STOP], ["oracle", HANDOVER_MINI], ["export", HANDOVER_MINI, "cnf"]],
+        ids=["verify", "oracle", "export"],
+    )
+    def test_unwritable_stdout_is_an_input_error(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(sys, "stdout", _Unwritable())
+        assert main(argv) == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+
+
+def _mini_trace(tmp_path) -> Path:
+    trace = tmp_path / "mini.trace"
+    assert main(["verify", HANDOVER_MINI, "--out", str(trace)]) == EXIT_COUNTEREXAMPLE
+    return trace
+
+
+class TestAsciiNumeralsInTraces:
+    """The bound and the instant indices of a trace file are ASCII digits."""
+
+    @pytest.mark.parametrize(
+        "old, new, line",
+        [("# bound 6", "# bound \u00b2", 1), ("# bound 6", "# bound \u0666", 1),
+         ("\n0 ", "\n\u0660 ", 3)],
+        ids=["superscript-bound", "arabic-indic-bound", "arabic-indic-instant"],
+    )
+    def test_non_ascii_numeral_exits_2_naming_its_line(self, tmp_path, capsys, old, new, line):
+        trace = _mini_trace(tmp_path)
+        text = trace.read_text(encoding="utf-8")
+        assert text.count(old) == 1
+        trace.write_text(text.replace(old, new), encoding="utf-8")
+        capsys.readouterr()
+        for argv in (["classify", HANDOVER_MINI, str(trace)],
+                     ["export", HANDOVER_MINI, "timeline", "--trace", str(trace),
+                      "--out", str(tmp_path / "timeline.svg")]):
+            assert main(argv) == EXIT_INPUT_ERROR
+            assert capsys.readouterr().err.startswith(f"error: line {line}: ")
+
+
+def test_an_id_that_cannot_name_its_symbol_fails_on_its_line_for_both_oracles(tmp_path, capsys):
+    # The oracle never compiles the model; the loader checks each id on its own line.
+    # test_world.py covers the poi, robot and hazard ids.
+    bad = tmp_path / "dash.scn"
+    bad.write_text(Path(HANDOVER_MINI).read_text(encoding="utf-8").replace("L3", "L-3"))
+    for command in ("verify", "oracle"):
+        assert main([command, str(bad)]) == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err == "error: line 8: invalid domain value: 'L-3'\n"
 
 
 class TestSharedParser:

@@ -1,5 +1,8 @@
 """Formula grammar: structure, precedence, and error positions."""
 
+import random
+import string
+
 import pytest
 
 from coverify.logic import (
@@ -16,7 +19,10 @@ from coverify.logic import (
     conjoin,
     disjoin,
 )
-from coverify.parsing import MAX_DEPTH, ParseError, parse_formula
+from coverify.parsing import MAX_DEPTH, ParseError, _tokenize, parse_formula
+
+import frozen_tokenize
+from helpers import formula_family, random_formula
 
 
 @pytest.fixture
@@ -232,3 +238,84 @@ class TestNestingLimit:
         assert free_symbols(f) == {"start"}
         witness = check(f, symbols, 2).trace
         assert witness is not None and evaluate(f, witness, 0) is True
+
+
+def _scan(tokenize, text):
+    """The tokens of text, or the ParseError's message, line and column."""
+    try:
+        return tokenize(text)
+    except ParseError as error:
+        return str(error), error.line, error.column
+
+
+# Whole tokens, blanks, and the characters that start no token.
+_PUNCTUATION = ("->", "!", "&", "|", "(", ")", ",", "=")
+_BLANKS = (" ", "  ", "\t", "\r", "\n", "\r\n")
+_STRAY = ("<", "-", "#", ".")
+_WORD_CHARS = string.ascii_letters + string.digits + "_"
+
+
+def _random_ascii_text(rng: random.Random) -> str:
+    pieces = []
+    for _ in range(rng.randrange(40)):
+        roll = rng.random()
+        if roll < 0.35:  # a name, a digit run, or both run together
+            pieces.append("".join(rng.choice(_WORD_CHARS) for _ in range(rng.randint(1, 4))))
+        elif roll < 0.45:
+            pieces.append("-" + "".join(rng.choice(string.digits) for _ in range(rng.randint(1, 3))))
+        elif roll < 0.7:
+            pieces.append(rng.choice(_PUNCTUATION))
+        elif roll < 0.97:
+            pieces.append(rng.choice(_BLANKS))
+        else:
+            pieces.append(rng.choice(_STRAY))
+    return "".join(pieces)
+
+
+class TestScannerAgainstFrozen:
+    """The regular-expression scanner against the per-character one it replaced:
+    on ASCII text both give the same tokens, or the same error at the same place."""
+
+    def test_seeded_random_ascii_texts(self):
+        rng = random.Random(20240)
+        outcomes = {"tokens": 0, "error": 0}
+        for _ in range(3000):
+            text = _random_ascii_text(rng)
+            current = _scan(_tokenize, text)
+            assert current == _scan(frozen_tokenize._tokenize, text), repr(text)
+            outcomes["error" if isinstance(current, tuple) else "tokens"] += 1
+        assert min(outcomes.values()) > 500, outcomes  # both paths well exercised
+
+    def test_formula_family_text(self):
+        family = formula_family()
+        rng = random.Random(7)
+        family += [random_formula(rng, 5) for _ in range(200)]
+        texts = [str(f) for f in family]
+        texts.append("\n".join(texts))  # positions on later lines too
+        for text in texts:
+            tokens = _tokenize(text)
+            assert tokens == frozen_tokenize._tokenize(text), text
+
+
+class TestNonAsciiCharacters:
+    """Names and integers are ASCII: any other letter or digit is an unexpected
+    character at its own position, before any symbol is looked up."""
+
+    @pytest.mark.parametrize(
+        "text, character, line, column",
+        [
+            ("Dist(start, \u00b2)", "\u00b2", 1, 13),  # superscript two
+            ("Dist(start, \u0661)", "\u0661", 1, 13),  # Arabic-Indic one
+            ("Dist(start,\n -\u00b2)", "-", 2, 2),  # a minus starts no token of its own
+            ("start &\n  \u00e9", "\u00e9", 2, 3),
+            ("risk = \u0662", "\u0662", 1, 8),
+            ("p_g\u00e9 = L1", "\u00e9", 1, 4),
+        ],
+        ids=["superscript", "arabic-indic", "minus-superscript", "letter", "value", "name-tail"],
+    )
+    def test_rejected_at_its_position(self, symbols, text, character, line, column):
+        with pytest.raises(ParseError) as error:
+            parse_formula(text, symbols)
+        assert str(error.value) == (
+            f"unexpected character {character!r} (line {line}, column {column})"
+        )

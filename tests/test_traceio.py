@@ -100,3 +100,23 @@ class TestErrors:
     def test_bad_proposition_value(self, symbols):
         with pytest.raises(TraceFormatError, match="non-boolean"):
             read_trace("# bound 0\n# vars start\n0 yes\n", symbols)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("# bound ²\n# vars start\n0 1\n1 0\n", "line 1: malformed bound header"),
+            ("# bound ٦\n# vars start\n0 1\n", "line 1: malformed bound header"),
+            ("# vars start\n# bound 1\n٠ 1\n1 0\n", "line 3: instants must be consecutive from 0"),
+            ("# bound 1\n# vars start\n0 1\n١ 0\n", "line 4: instants must be consecutive from 0"),
+        ],
+        ids=["superscript-bound", "arabic-indic-bound", "arabic-indic-zero", "arabic-indic-one"],
+    )
+    def test_numerals_are_ascii_digits(self, symbols, text, message):
+        # str.isdigit accepts each of these, and int() reads all but the superscript.
+        with pytest.raises(TraceFormatError) as error:
+            read_trace(text, symbols)
+        assert str(error.value) == message
+
+    def test_leading_zeros_still_read(self, symbols):
+        tr = read_trace("# bound 01\n# vars start stop p_x\n00 1 0 L1\n01 0 1 L2\n", symbols)
+        assert tr == Trace(1, {"start": (True, False), "stop": (False, True)}, {"p_x": ("L1", "L2")})

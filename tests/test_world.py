@@ -328,6 +328,38 @@ class TestCompile:
         names = [sym.name for sym in (*model.symbols.propositions, *model.symbols.variables)]
         assert not [name for name in names if name.startswith("transit_")]
 
+    def test_only_a_real_clash_is_called_one(self):
+        # The loader rejects a bad id on its line; a scenario built through the API
+        # meets the same check when its symbols are declared.
+        s = loads_scenario(MINIMAL)
+        bad = replace(s, agents=(Agent("solo", "human", (PointOfInterest("ha-nd", "solo", 0.1),)),))
+        with pytest.raises(ScenarioError) as error:
+            compile_scenario(bad)
+        assert str(error.value) == "cannot declare the model's symbols: invalid identifier: 'ha-nd'"
+        clash = loads_scenario(TWO_CELLS.replace(" g ", " speed_bot "))
+        with pytest.raises(ScenarioError, match="symbol 'speed_bot' already declared"):
+            compile_scenario(clash)
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("loc A box", "loc A.1 box", "line 3: invalid domain value: 'A.1'"),
+            ("poi bot g", "poi bot 9g", "line 11: invalid identifier: '9g'"),
+            ("agent bot robot", "agent b/t robot", "line 9: invalid identifier: 'speed_b/t'"),
+            ("hazard hz", "hazard h-z", "line 14: invalid identifier: 'haz_h-z'"),
+        ],
+        ids=["loc", "poi", "robot", "hazard"],
+    )
+    def test_an_id_that_cannot_name_its_symbol_fails_on_its_line(self, old, new, message):
+        with pytest.raises(ScenarioError) as error:
+            loads_scenario(TWO_CELLS.replace(old, new))
+        assert str(error.value) == message
+
+    def test_ids_that_name_no_symbol_stay_free(self):
+        s = loads_scenario(TWO_CELLS.replace("human_op", "human-op"))
+        assert s.agent("human-op").kind == "human"
+        assert "risk_hz" in compile_scenario(s).symbols
+
 
 class TestDwellRule:
     """The dwell rule against the frozen model with transit flags, on grids with long edges."""

@@ -13,17 +13,14 @@ Heuristic contract: each decision takes the unassigned variable of highest
 activity, the lowest index among equal activities, and assigns it false.  The
 variables sit in a binary heap keyed on (-activity, index), after MiniSat's
 order heap (Eén & Sörensson, "An Extensible SAT-solver", SAT 2003), and watch
-lists and truth values are indexed by literal.  A binary input clause (a, b)
-is no clause object at all: it is the entry b in a's watch list and a in b's,
-after PicoSAT's separate treatment of binary clauses (Biere, "PicoSAT
-Essentials", JSAT 2008); its reason and conflict are rebuilt from the two
-literals (see ``_Solver``).  An exactly-one block of the input is not even
-that: its pairwise at-most-one clauses are one literal-indexed table entry per
-member, the constraint-in-the-solver idea of MiniCARD (Liffiton & Maglalang,
-"A Cardinality Solver: More Expressive Constraints for Free", SAT 2012), and
-only its at-least-one clause is loaded.  These are data structures only: the
-decisions, conflicts, learned clauses and the returned model are the ones a
-linear scan over the variables and a list per clause of the full CNF
+lists and truth values are indexed by literal.  An exactly-one block of the
+input is no clause object at all: its pairwise at-most-one clauses are one
+literal-indexed table entry per member, the constraint-in-the-solver idea of
+MiniCARD (Liffiton & Maglalang, "A Cardinality Solver: More Expressive
+Constraints for Free", SAT 2012), and only its at-least-one clause is loaded;
+every other clause is a list.  These are data structures only: the decisions,
+conflicts, learned clauses and the returned model are the ones a linear scan
+over the variables and a list per clause of the full CNF
 (``CnfFormula.clauses``) would give, so models, and the traces decoded from
 them, do not depend on them.  ``solve`` re-checks every model against the
 input formula alone: each block for exactly one true variable, and each other
@@ -177,27 +174,23 @@ class _Solver:
     ``value[lit]`` is the literal's truth value and ``value[v]`` the variable's.
 
     ``watches[lit]`` lists the clauses to visit when lit becomes false, in the
-    order they were watched.  An entry is one of two kinds:
-
-    * an int ``other``: the binary input clause (lit, other).  Binary clauses
-      exist only as these two entries, one in each literal's list, and never
-      move, since the other literal is always watched;
-    * a list: any other input clause, with repeated literals dropped, or a
-      learned clause.  Its watched literals sit in slots 0 and
-      1, and ``clauses`` holds every such list in load-then-learn order.
+    order they were watched.  Each is a list: an input clause with repeated
+    literals dropped, or a learned clause.  Its watched literals sit in slots
+    0 and 1, and ``clauses`` holds every such list in load-then-learn order.
 
     An exactly-one block's pairwise at-most-one clauses are not watched at
     all.  ``amo[-x]`` is the block of x as negated literals, in block order,
     and ``_propagate`` reads it, less -x itself, before ``watches[-x]``.  The
-    pairs would be exactly those ints at the head of ``watches[-x]``: every
-    block is loaded before any other clause, and int entries never move.  Only
-    the block's at-least-one clause is loaded as an input clause.
+    pairs would be exactly the two-literal lists at the head of
+    ``watches[-x]``: every block is loaded before any other clause, and a
+    two-literal list never moves.  Only the block's at-least-one clause is
+    loaded as an input clause.
 
     ``reason[var]`` is None for a decision or a level-0 unit, the clause list
-    that implied var (with var's literal in slot 0), or for a binary clause the
-    int ``other``: the clause is (implied, other).  ``_propagate`` reports a
-    binary conflict as the pair (first, falsified), in that order, and a longer
-    one as its clause list.
+    that implied var (with var's literal in slot 0), or for a block's pair the
+    int ``falsified``: the pair is (implied, falsified).  ``_propagate``
+    reports a pair's conflict as (first, falsified), in that order, and any
+    other as its clause list.
 
     ``decisions``, ``conflicts``, ``propagations`` (literals taken off the
     trail by ``_propagate``), ``learned`` (learned clauses of two or more
@@ -220,7 +213,7 @@ class _Solver:
         self.trail: list[int] = []
         self.trail_lim: list[int] = []
         self.qhead = 0
-        self.watches: list[list[list[int] | int]] = [[] for _ in range(2 * n + 1)]
+        self.watches: list[list[list[int]]] = [[] for _ in range(2 * n + 1)]
         self.activity = [0.0] * (n + 1)
         self.seen = [False] * (n + 1)  # _analyze's marks; all False between conflicts
         self.var_inc = 1.0
@@ -240,24 +233,18 @@ class _Solver:
                 amo[lit] = negated
         self.amo = amo
 
-        # What _add_clause would do, inline for the common shapes: a binary
-        # clause of two variables, and a longer one with no repeated variable.
+        # What _add_clause would do, inline for the common shape: two or more
+        # literals with no repeated variable.
         clauses, watches = self.clauses, self.watches
         for clause in chain(cnf.one_hot, cnf._rest):
             size = len(clause)
-            if size == 2:
-                a, b = clause
-                if a != b and a != -b:
-                    watches[a].append(b)
-                    watches[b].append(a)
-                    continue
-            elif size > 2 and len(set(map(abs, clause))) == size:
+            if size > 1 and len(set(map(abs, clause))) == size:
                 lits = list(clause)
                 clauses.append(lits)
                 watches[lits[0]].append(lits)
                 watches[lits[1]].append(lits)
-                continue
-            self._add_clause(clause)
+            else:
+                self._add_clause(clause)
 
     def _rebuild_heap(self) -> None:
         """One live entry per variable, keyed on its current activity."""
@@ -328,21 +315,6 @@ class _Solver:
             watchers = watches[falsified]
             moved = False
             for i, clause in enumerate(watchers):
-                if type(clause) is int:  # the binary clause (falsified, first)
-                    first = clause
-                    state = value[first]
-                    if state == _TRUE:
-                        continue
-                    if state == _FALSE:
-                        conflict = (first, falsified)
-                        break
-                    value[first] = _TRUE
-                    value[-first] = _FALSE
-                    var = first if first > 0 else -first
-                    level[var] = current_level
-                    reason[var] = falsified
-                    trail.append(first)
-                    continue
                 # Normalize so the falsified watcher sits in slot 1.
                 first = clause[0]
                 if first == falsified:
@@ -416,8 +388,8 @@ class _Solver:
             if counter == 0:
                 break
             # Resolve on the implied literal -lit: read its reason without it,
-            # as MiniSat does.  It sits in slot 0 of a clause list; a binary
-            # reason (-lit, other) contributes other alone.
+            # as MiniSat does.  It sits in slot 0 of a clause list; a block's
+            # pair (-lit, other) contributes other alone.
             implied_by = reason[abs(lit)]
             assert implied_by is not None
             lits = (implied_by,) if type(implied_by) is int else islice(implied_by, 1, None)

@@ -256,6 +256,10 @@ class Scenario:
     def risk_name(hazard_id: str) -> str:
         return f"risk_{hazard_id}"
 
+    @staticmethod
+    def done_name(step: int) -> str:
+        return f"done_{step}"
+
 
 def _validate_scenario(s: Scenario) -> None:
     if s.bound < 0:
@@ -387,14 +391,22 @@ def loads_scenario(text: str, name: str = "scenario") -> Scenario:
     starts: list[tuple[str, str]] = []
     travel: list[tuple[str, str, int]] = []
     params: dict[str, float | int] = {}
+    declared: dict[str, int] = {}  # each model symbol a line names, and that line
+
+    def fail(message: str) -> ScenarioError:
+        return ScenarioError(f"line {lineno}: {message}")
+
+    def declare(symbol: str) -> str:
+        """``symbol``, checked as a name and recorded on this line; a repeat fails here."""
+        if check_ident(symbol) in declared:
+            raise fail(f"symbol {symbol!r} already declared on line {declared[symbol]}")
+        declared[symbol] = lineno
+        return symbol
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-
-        def fail(message: str) -> ScenarioError:
-            return ScenarioError(f"line {lineno}: {message}")
 
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1].strip().lower()
@@ -434,13 +446,13 @@ def loads_scenario(text: str, name: str = "scenario") -> Scenario:
                 if agent_id in agent_kinds:
                     raise fail(f"duplicate agent {agent_id!r}")
                 if kind == "robot":  # a human agent names no symbol
-                    check_ident(Scenario.speed_name(agent_id))
+                    declare(Scenario.speed_name(agent_id))
                 agent_kinds[agent_id] = kind
                 agent_pois[agent_id] = []
             elif section == "agents" and kw == "poi":
                 if len(fields) != 5 or fields[3] != "radius":
                     raise fail("expected: poi <agent> <id> radius <m>")
-                agent_id, poi_id = fields[1], check_ident(fields[2])
+                agent_id, poi_id = fields[1], declare(fields[2])
                 if agent_id not in agent_kinds:
                     raise fail(f"POI for undeclared agent {agent_id!r}")
                 agent_pois[agent_id].append(
@@ -460,6 +472,7 @@ def loads_scenario(text: str, name: str = "scenario") -> Scenario:
                         "expected: step <poi> reach|pick|place <loc> "
                         "or step handover <robot-poi> <human-poi> <loc>"
                     )
+                declare(Scenario.done_name(len(task)))
             elif section == "hazards" and kw == "hazard":
                 if (
                     len(fields) != 10
@@ -471,8 +484,8 @@ def loads_scenario(text: str, name: str = "scenario") -> Scenario:
                         "expected: hazard <id> <human-poi> <robot-poi> "
                         "sev <0-2> exp <0-2> avoid <0-2>"
                     )
-                check_ident(Scenario.hazard_flag_name(fields[1]))
-                check_ident(Scenario.risk_name(fields[1]))
+                declare(Scenario.hazard_flag_name(fields[1]))
+                declare(Scenario.risk_name(fields[1]))
                 hazards.append(
                     Hazard(fields[1], fields[2], fields[3],
                            int(fields[5]), int(fields[7]), int(fields[9]))
@@ -589,7 +602,7 @@ def compile_scenario(s: Scenario) -> CompiledModel:
         for hazard in s.hazards:
             symbols.add_proposition(s.hazard_flag_name(hazard.id))
             symbols.add_variable(s.risk_name(hazard.id), RISK_DOMAIN)
-        done_names = [f"done_{i}" for i in range(1, len(s.task) + 1)]
+        done_names = [s.done_name(i) for i in range(1, len(s.task) + 1)]
         for name in done_names:
             symbols.add_proposition(name)
     except ValueError as exc:

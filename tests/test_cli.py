@@ -592,6 +592,44 @@ def test_an_id_that_cannot_name_its_symbol_fails_on_its_line_for_both_oracles(tm
         assert capsys.readouterr().err == "error: line 8: invalid domain value: 'L-3'\n"
 
 
+@pytest.mark.parametrize(
+    "name, line, first",
+    [("speed_kuka", 18, 16), ("done_1", 21, 18), ("haz_h1", 25, 18), ("risk_h1", 25, 18)],
+)
+def test_an_id_that_repeats_a_symbol_fails_on_the_later_line_for_both_oracles(
+    tmp_path, capsys, name, line, first
+):
+    # handover_mini's robot POI p_g renamed to a symbol the model generates itself.
+    clash = tmp_path / "clash.scn"
+    clash.write_text(Path(HANDOVER_MINI).read_text(encoding="utf-8").replace("p_g", name))
+    for command in ("verify", "oracle"):
+        assert main([command, str(clash)]) == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err == (
+            f"error: line {line}: symbol {name!r} already declared on line {first}\n"
+        )
+
+
+@pytest.mark.parametrize("instant, given, due", [(2, "6", "0"), (6, "4", "5")])
+def test_a_forged_risk_column_is_an_input_error(tmp_path, capsys, instant, given, due):
+    trace = _mini_trace(tmp_path)
+    bound, header, *rows = trace.read_text(encoding="utf-8").splitlines()
+    at = header.split().index("risk_h1") - 1  # "# vars" is two fields, a row's instant one
+    row = rows[instant].split()
+    assert row[at] == due
+    row[at] = given
+    rows[instant] = " ".join(row)
+    trace.write_text("\n".join([bound, header, *rows]) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    for argv in (["classify", HANDOVER_MINI, str(trace)],
+                 ["export", HANDOVER_MINI, "trace-table", "--trace", str(trace),
+                  "--out", str(tmp_path / "table.txt")]):
+        assert main(argv) == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err == (
+            f"error: column risk_h1 at t={instant} reads {given}, but the hazard flag "
+            f"and the robot's next speed price it {due}\n"
+        )
+
+
 class TestSharedParser:
     """Every main call parses with one parser; no call may leave state on it."""
 

@@ -310,7 +310,7 @@ class TestHeapMatchesLinearScan:
 
 
 class _ClauseListSolver:
-    """The solver before binary clauses became watch-list entries, frozen as the reference.
+    """An index-based clause-list solver, frozen as the reference.
 
     Every clause is a Python list, watch lists and reasons hold clause indices,
     and every clause longer than two literals is cleaned up by ``_add_clause``.
@@ -596,7 +596,7 @@ def binary_heavy_cnf(rng):
 
 
 class TestBinaryWatchesMatchClauseLists:
-    """Binary clauses as bare watch entries search exactly as the clause-list solver did."""
+    """Clause lists watched in place search exactly as the index-based clause-list solver did."""
 
     def test_random_cnfs(self):
         rng = random.Random(41)
@@ -671,38 +671,25 @@ class TestBinaryWatchesMatchClauseLists:
                 out.append(row)
             return out
 
-        assert watched(new, lambda lit, w: (lit, w) if type(w) is int else w) == watched(
-            ref, lambda lit, ci: ref.clauses[ci]
-        )
+        assert watched(new, lambda lit, w: w) == watched(ref, lambda lit, ci: ref.clauses[ci])
         assert new.solve() == ref.solve()
 
 
 def _loaded_per_clause(formula):
-    """A solver loaded as _Solver.__init__ did before it watched long clauses inline.
+    """A solver loaded by calling _add_clause for each clause of ``formula.clauses``.
 
-    It loads every clause of ``formula.clauses``, the pairwise at-most-one
-    clauses of the exactly-one blocks included.
+    It loads the pairwise at-most-one clauses of the exactly-one blocks too.
     """
     solver = _Solver(CnfFormula(formula.num_vars, ()))
-    watches = solver.watches
     for clause in formula.clauses:
-        if len(clause) == 2:
-            a, b = clause
-            if a != b and a != -b:
-                watches[a].append(b)
-                watches[b].append(a)
-                continue
         solver._add_clause(clause)
     return solver
 
 
 def _loaded_state(solver):
-    """Clauses, watch lists (a clause entry by its index in ``clauses``) and the level-0 state."""
+    """Clauses, watch lists (each entry by its index in ``clauses``) and the level-0 state."""
     index = {id(clause): i for i, clause in enumerate(solver.clauses)}
-    watches = [
-        [entry if type(entry) is int else ("clause", index[id(entry)]) for entry in entries]
-        for entries in solver.watches
-    ]
+    watches = [[index[id(entry)] for entry in entries] for entries in solver.watches]
     return (solver.ok, solver.clauses, watches, solver.trail, solver.value, solver.level,
             solver.reason, solver.qhead)
 
@@ -710,24 +697,29 @@ def _loaded_state(solver):
 def _assert_same_load(formula):
     """The per-clause loader's state, with each block's pairs as the ``amo`` table.
 
-    The pairs of the block of x are the ints at the head of the per-clause
-    loader's ``watches[-x]``, in the order ``amo[-x]`` lists them without -x.
+    The pairs of the block of x are the two-literal lists at the head of the
+    per-clause loader's ``watches[-x]``, their other literals in the order
+    ``amo[-x]`` lists them without -x.  Less those lists, in its watch lists
+    and in ``clauses``, the per-clause loader holds what _Solver does.
     """
     solver, per_clause = _Solver(formula), _loaded_per_clause(formula)
     amo = [()] * (2 * formula.num_vars + 1)
+    pair_ids = set()
     for block in formula.one_hot:
         for var in block:
             amo[-var] = tuple(-v for v in block)
             pairs = [lit for lit in amo[-var] if lit != -var]
             head = per_clause.watches[-var][:len(pairs)]
-            assert head == pairs
+            assert [set(clause) for clause in head] == [{-var, lit} for lit in pairs]
+            pair_ids.update(map(id, head))
             del per_clause.watches[-var][:len(pairs)]
+    per_clause.clauses[:] = [clause for clause in per_clause.clauses if id(clause) not in pair_ids]
     assert solver.amo == amo
     assert _loaded_state(solver) == _loaded_state(per_clause)
 
 
 class TestLoaderMatchesPerClauseLoop:
-    """Watching long clauses inline loads what calling _add_clause for each one did,
+    """Watching clauses inline loads what calling _add_clause for each one does,
     less the exactly-one blocks' pairs, which the ``amo`` table holds instead."""
 
     def test_random_cnfs(self):
@@ -764,6 +756,44 @@ class TestLoaderMatchesPerClauseLoop:
     @pytest.mark.parametrize("formula", _scenario_cnfs())
     def test_bundled_scenarios(self, formula):
         _assert_same_load(formula)
+
+
+def _assert_watches_are_clause_lists(solver):
+    """Each clause list sits in the watch lists of its slots 0 and 1, and nothing else is watched."""
+    size = len(solver.watches)
+    watched = sorted(
+        (slot if slot <= solver.n else slot - size, id(entry))
+        for slot, entries in enumerate(solver.watches)
+        for entry in entries
+    )
+    assert all(type(entry) is list for entries in solver.watches for entry in entries)
+    assert watched == sorted((lit, id(clause)) for clause in solver.clauses for lit in clause[:2])
+
+
+class TestOneKindOfWatchedClause:
+    """No watch list holds an int, after loading and after solving: binary clauses are lists too."""
+
+    @staticmethod
+    def _assert_before_and_after_solve(formula):
+        solver = _Solver(formula)
+        _assert_watches_are_clause_lists(solver)
+        result = solver.solve()
+        _assert_watches_are_clause_lists(solver)
+        return result, solver.learned
+
+    def test_binary_heavy_cnfs(self):
+        rng = random.Random(50)
+        outcomes, learned = set(), 0
+        for _ in range(100):
+            result, learned_here = self._assert_before_and_after_solve(binary_heavy_cnf(rng))
+            outcomes.add(result.satisfiable)
+            learned += learned_here
+        assert outcomes == {True, False}
+        assert learned > 0
+
+    @pytest.mark.parametrize("formula", _scenario_cnfs())
+    def test_bundled_scenarios(self, formula):
+        self._assert_before_and_after_solve(formula)
 
 
 def random_one_hot_cnf(rng, max_vars=30):

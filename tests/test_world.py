@@ -336,9 +336,30 @@ class TestCompile:
         with pytest.raises(ScenarioError) as error:
             compile_scenario(bad)
         assert str(error.value) == "cannot declare the model's symbols: invalid identifier: 'ha-nd'"
-        clash = loads_scenario(TWO_CELLS.replace(" g ", " speed_bot "))
+        robot = Agent("bot", "robot", (PointOfInterest("speed_bot", "bot", 0.05),))
+        clash = replace(s, agents=(*s.agents, robot))
         with pytest.raises(ScenarioError, match="symbol 'speed_bot' already declared"):
             compile_scenario(clash)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (TWO_CELLS.replace(" g ", " speed_bot "),
+             "line 11: symbol 'speed_bot' already declared on line 9"),
+            (TWO_CELLS.replace(" g ", " haz_hz "),
+             "line 14: symbol 'haz_hz' already declared on line 11"),
+            (TWO_CELLS.replace(" g ", " risk_hz "),
+             "line 14: symbol 'risk_hz' already declared on line 11"),
+            (TWO_CELLS.replace(" h ", " g "), "line 11: symbol 'g' already declared on line 10"),
+            (TWO_CELLS.replace(" h ", " done_1 ") + "[task]\nstep g reach B\n",
+             "line 20: symbol 'done_1' already declared on line 10"),
+        ],
+        ids=["speed", "flag", "risk", "poi", "done"],
+    )
+    def test_a_repeated_symbol_fails_on_the_later_line(self, text, message):
+        with pytest.raises(ScenarioError) as error:
+            loads_scenario(text)
+        assert str(error.value) == message
 
     @pytest.mark.parametrize(
         "old, new, message",

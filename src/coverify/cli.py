@@ -34,7 +34,7 @@ from .replay import classify
 from .reports import HazardReport, render_csv, render_svg, render_text, timeline_svg, trace_table
 from .sat import CnfFormula, write_dimacs
 from .traceio import TraceFormatError, read_trace, write_trace
-from .world import Scenario, _priced, compile_scenario, load_scenario, verify
+from .world import Scenario, check_trace, compile_scenario, load_scenario, model_symbols, verify
 
 __all__ = ["RunConfig", "run_verify", "run_classify", "run_export", "run_oracle", "main"]
 
@@ -85,22 +85,11 @@ def _input_errors_exit_2(run: Callable[..., int]) -> Callable[..., int]:
 
 def _read_trace(scenario: Scenario, trace_path: str) -> Trace:
     """The trace file read against the scenario's symbols: its bound must be the scenario's,
-    and each ``risk_<h>`` column the price ``verify`` gives its flag and next speed."""
-    model = compile_scenario(scenario)
-    trace = read_trace(Path(trace_path).read_text(encoding="utf-8"), model.symbols)
-    if trace.bound != scenario.bound:
-        raise TraceFormatError(
-            f"trace bound {trace.bound} differs from scenario bound {scenario.bound}"
-        )
-    priced = _priced(trace, scenario).variables
-    for hazard in scenario.hazards:
-        name = scenario.risk_name(hazard.id)
-        for t, (given, due) in enumerate(zip(trace.variables[name], priced[name])):
-            if given != due:
-                raise TraceFormatError(
-                    f"column {name} at t={t} reads {given}, but the hazard flag "
-                    f"and the robot's next speed price it {due}"
-                )
+    and it must break no rule of the model (``check_trace``), the risk prices included."""
+    trace = read_trace(Path(trace_path).read_text(encoding="utf-8"), model_symbols(scenario))
+    broken = check_trace(trace, scenario)  # a trace of another bound raises ValueError
+    if broken is not None:
+        raise TraceFormatError(broken.message)
     return trace
 
 

@@ -257,9 +257,6 @@ class Trace:
             if len(values) != n:
                 raise ValueError(f"variable {name!r} has {len(values)} values, expected {n}")
 
-    def prop_value(self, name: str, t: int) -> bool:
-        return self.propositions[name][t]
-
     def var_value(self, name: str, t: int) -> str:
         return self.variables[name][t]
 

@@ -125,6 +125,10 @@ def classify(
     cell whose shortest edge is at least the threshold, else a Monte Carlo
     estimate from ``samples`` placements seeded with ``seed``, which are used
     for those rows only.
+
+    The trace is taken as given, not checked against the model: a hand-built
+    trace that flags two POIs cells apart gets a SPURIOUS row.  The CLI
+    refuses such a trace before it gets here, with ``world.check_trace``.
     """
     rows: list[ClassifiedHazard] = []
     for violation in extract_violations(tr, s):

@@ -29,8 +29,13 @@ Modeling conventions baked into the compilation:
   where ``Dist`` is false.
 * Risk is priced after solving, not solved for: the violation asks for a
   hazard flag and a next speed in ``over_speeds``, and ``verify`` fills each
-  ``risk_<h>`` column of the witness from the flag and the next speed.  The
-  symbol table declares those columns for trace files; no formula reads them.
+  ``risk_<h>`` column of the witness from the flag and the next speed.
+  ``model_symbols`` declares those columns with every other symbol of the
+  model, so a trace file can be read without compiling; no formula reads them.
+
+``check_trace`` checks a trace against the scenario rule by rule, one rule
+per family of compiled axioms plus the risk prices, in time linear in the
+trace, and names the first rule the trace breaks.
 """
 
 from __future__ import annotations
@@ -78,9 +83,12 @@ __all__ = [
     "loads_scenario",
     "risk_value",
     "over_speeds",
+    "model_symbols",
     "compile_scenario",
     "verify",
     "extract_violations",
+    "BrokenRule",
+    "check_trace",
     "apply_mitigation",
     "bundled_scenario_path",
 ]
@@ -581,7 +589,7 @@ class CompiledModel:
     # Some hazard instant whose next speed prices it over the threshold; None
     # when no hazard's base risk exceeds it (then no trace can: safe).
     violation: Formula | None
-    symbols: SymbolTable  # declares risk_<h> for traces; no formula reads it
+    symbols: SymbolTable  # ``model_symbols``: risk_<h> too, which no formula reads
 
     @property
     def formulas(self) -> tuple[Formula, ...]:
@@ -590,8 +598,8 @@ class CompiledModel:
         return self.axioms + (self.violation,)
 
 
-def compile_scenario(s: Scenario) -> CompiledModel:
-    """Movement, hazard, task, and mitigation formulas, the violation, and symbols."""
+def model_symbols(s: Scenario) -> SymbolTable:
+    """Every symbol of the model: POI cells, robot speeds, hazard flags and risks, done flags."""
     symbols = SymbolTable()
     try:
         for poi in s.pois:
@@ -602,11 +610,17 @@ def compile_scenario(s: Scenario) -> CompiledModel:
         for hazard in s.hazards:
             symbols.add_proposition(s.hazard_flag_name(hazard.id))
             symbols.add_variable(s.risk_name(hazard.id), RISK_DOMAIN)
-        done_names = [s.done_name(i) for i in range(1, len(s.task) + 1)]
-        for name in done_names:
-            symbols.add_proposition(name)
+        for i in range(1, len(s.task) + 1):
+            symbols.add_proposition(s.done_name(i))
     except ValueError as exc:
         raise ScenarioError(f"cannot declare the model's symbols: {exc}") from None
+    return symbols
+
+
+def compile_scenario(s: Scenario) -> CompiledModel:
+    """Movement, hazard, task, and mitigation formulas, the violation, and symbols."""
+    symbols = model_symbols(s)
+    done_names = [s.done_name(i) for i in range(1, len(s.task) + 1)]
 
     axioms: list[Formula] = []
     axioms.extend(_movement_axioms(s))
@@ -640,15 +654,23 @@ def _movement_axioms(s: Scenario):
             yield Alw(Implies(Dist(Eq(pos, loc.id), -1), stay_or_neighbor))
         # Dwell: arriving over an edge of travel time T >= 2 requires having
         # sat in the source cell for the T instants before; the last of them
-        # is the arrival's own antecedent.  Looking back past the bound is
-        # false at every instant, so one such look stands for all of them.
+        # is the arrival's own antecedent.
         for a, b, duration in s.travel_times:
             if duration == 1:
                 continue
-            lookback = min(duration, max(s.bound + 1, 2))
+            lookback = _lookback(s, duration)
             for source, dest in ((a, b), (b, a)):
                 history = conjoin([Dist(Eq(pos, source), -j) for j in range(2, lookback + 1)])
                 yield Alw(Implies(And(Dist(Eq(pos, source), -1), Eq(pos, dest)), history))
+
+
+def _lookback(s: Scenario, duration: int) -> int:
+    """Instants a move over an edge of travel time ``duration`` >= 2 must sit in its source.
+
+    Looking back past the bound is false at every instant, so one such look
+    stands for all of them.
+    """
+    return min(duration, max(s.bound + 1, 2))
 
 
 def _start_axioms(s: Scenario):
@@ -739,18 +761,21 @@ def extract_violations(trace: Trace, s: Scenario) -> tuple[RiskViolation, ...]:
     return tuple(found)
 
 
+def _risk_column(trace: Trace, s: Scenario, h: Hazard) -> tuple[str, ...]:
+    """The ``risk_<h>`` column ``verify`` gives the trace: each flag priced at the next speed."""
+    flags = trace.propositions[s.hazard_flag_name(h.id)]
+    speeds = trace.variables[s.speed_name(s.poi(h.robot_poi).owner)]
+    price = {v: str(risk_value(h.severity, h.exposure, h.avoidability, v)) for v in SPEED_STATES}
+    # No next instant after k: the unmitigated base value.
+    next_speeds = speeds[1:] + ("normal",)
+    return tuple(price[v] if flag else "0" for flag, v in zip(flags, next_speeds))
+
+
 def _priced(trace: Trace, s: Scenario) -> Trace:
     """The trace with each ``risk_<h>`` column valued from its flag and the next speed."""
     variables = dict(trace.variables)
     for h in s.hazards:
-        flags = trace.propositions[s.hazard_flag_name(h.id)]
-        speeds = trace.variables[s.speed_name(s.poi(h.robot_poi).owner)]
-        levels = (h.severity, h.exposure, h.avoidability)
-        # No next instant after k: the unmitigated base value.
-        next_speeds = speeds[1:] + ("normal",)
-        variables[s.risk_name(h.id)] = tuple(
-            str(risk_value(*levels, v)) if flag else "0" for flag, v in zip(flags, next_speeds)
-        )
+        variables[s.risk_name(h.id)] = _risk_column(trace, s, h)
     return replace(trace, variables=variables)
 
 
@@ -767,6 +792,151 @@ def verify(s: Scenario) -> VerifyResult:
     if not violations:
         raise EncodingError("counterexample without a violating instant")
     return VerifyResult(trace, violations)
+
+
+# ---------------------------------------------------------------------------
+# Trace admissibility
+
+
+@dataclass(frozen=True)
+class BrokenRule:
+    """A rule of the model that a trace breaks, the instant, and a message naming both."""
+
+    rule: str  # start, adjacency, dwell, flag, task, slowdown, stop, retract or risk
+    instant: int
+    message: str
+
+
+def check_trace(trace: Trace, s: Scenario) -> BrokenRule | None:
+    """The first rule of the model that the trace breaks, or None if it breaks none.
+
+    The trace must hold every symbol of ``model_symbols(s)`` over [0, s.bound], as
+    ``traceio.read_trace`` returns it.  Each rule reads the columns directly
+    and stands for one family of compiled axioms, so a trace breaks none
+    exactly when it satisfies ``compile_scenario(s).axioms`` and its
+    ``risk_<h>`` columns hold the prices ``verify`` gives them.  The time is
+    linear in the trace.  Of the broken rules it names the one at the
+    earliest instant; at equal instants the first in the order start,
+    adjacency, dwell, flag, task, slowdown and stop, retract, risk, and
+    within a rule the first in declaration order.
+    """
+    if trace.bound != s.bound:
+        raise ValueError(f"trace bound {trace.bound} differs from scenario bound {s.bound}")
+    cells = trace.variables
+    adjacent = {loc.id: loc.adjacent for loc in s.layout.locations}
+    timed: dict[tuple[str, str], tuple[int, int]] = {}  # move -> travel time, lookback
+    for a, b, duration in s.travel_times:
+        if duration > 1:
+            timed[a, b] = timed[b, a] = (duration, _lookback(s, duration))
+    rules = [
+        *(_start_rule(poi, loc, cells[poi]) for poi, loc in s.starts),
+        *(_adjacency_rule(poi.id, cells[poi.id], adjacent) for poi in s.pois),
+        *(_dwell_rule(poi.id, cells[poi.id], timed) for poi in s.pois if timed),
+        *(_flag_rule(trace, s, h) for h in s.hazards),
+        *(_task_rule(trace, s, i) for i in range(1, len(s.task) + 1)),
+        *(_speed_rule(trace, s, m) for m in s.mitigations if m.kind != "retract"),
+        *(_retract_rule(trace, s, m) for m in s.mitigations if m.kind == "retract"),
+        *(_risk_rule(trace, s, h) for h in s.hazards),
+    ]
+    # Each rule yields its breaks in time order, so its first is its earliest.
+    firsts = [(broken.instant, n, broken) for n, broken in enumerate(next(r, None) for r in rules)
+              if broken is not None]
+    return min(firsts)[2] if firsts else None
+
+
+def _start_rule(poi: str, loc: str, cells: tuple[str, ...]):
+    if cells[0] != loc:
+        yield BrokenRule("start", 0, f"start rule: {poi} is at {cells[0]} at t=0, "
+                         f"not at its start {loc}")
+
+
+def _adjacency_rule(poi: str, cells: tuple[str, ...], adjacent: dict[str, frozenset[str]]):
+    for t, (prev, here) in enumerate(zip(cells, cells[1:]), start=1):
+        if here != prev and here not in adjacent[prev]:
+            yield BrokenRule("adjacency", t, f"adjacency rule: {poi} moves from {prev} to {here} "
+                             f"at t={t}, but {here} is not adjacent to {prev}")
+
+
+def _dwell_rule(poi: str, cells: tuple[str, ...], timed: dict[tuple[str, str], tuple[int, int]]):
+    held = 1  # instants the POI has sat in cells[t - 1], up to and including t - 1
+    for t, (prev, here) in enumerate(zip(cells, cells[1:]), start=1):
+        if here == prev:
+            held += 1
+            continue
+        duration, lookback = timed.get((prev, here), (1, 1))
+        if held < lookback:
+            yield BrokenRule("dwell", t, f"dwell rule: {poi} moves from {prev} to {here} at t={t} "
+                             f"after {held} instant(s) at {prev}, but the edge's travel time "
+                             f"is {duration}")
+        held = 1
+
+
+def _flag_rule(trace: Trace, s: Scenario, h: Hazard):
+    flag = s.hazard_flag_name(h.id)
+    humans, robots = trace.variables[h.human_poi], trace.variables[h.robot_poi]
+    for t, (raised, human, robot) in enumerate(zip(trace.propositions[flag], humans, robots)):
+        if raised != (human == robot):
+            where = (f"{h.human_poi} is at {human} and {h.robot_poi} at {robot}" if raised
+                     else f"{h.human_poi} and {h.robot_poi} share {human}")
+            yield BrokenRule("flag", t, f"flag rule: {flag} is {'set' if raised else 'unset'} "
+                             f"at t={t}, but {where}")
+
+
+def _task_rule(trace: Trace, s: Scenario, i: int):
+    step, name = s.task[i - 1], s.done_name(i)
+    done = trace.propositions[name]
+    onset = [cell == step.goal for cell in trace.variables[step.poi]]
+    if step.partner is not None:
+        onset = [a and cell == step.goal for a, cell in zip(onset, trace.variables[step.partner])]
+    if i > 1:
+        onset = [a and prior for a, prior in zip(onset, trace.propositions[s.done_name(i - 1)])]
+    after = f" after {s.done_name(i - 1)}" if i > 1 else ""
+    was_done = False
+    for t, (now, starts) in enumerate(zip(done, onset)):
+        if was_done and not now:
+            yield BrokenRule("task", t, f"task rule: {name} is unset at t={t} "
+                             f"after being set at t={t - 1}")
+        elif now and not (was_done or starts):
+            yield BrokenRule("task", t, f"task rule: {name} becomes set at t={t}, "
+                             f"but step {i} is not achieved there{after}")
+        elif starts and not now:
+            yield BrokenRule("task", t, f"task rule: {name} is unset at t={t}, "
+                             f"but step {i} is achieved there{after}")
+        was_done = now
+    if i == len(s.task) and not any(done):
+        yield BrokenRule("task", s.bound, f"task rule: {name} is still unset at t={s.bound}, "
+                         "the last instant, so the task does not finish")
+
+
+def _speed_rule(trace: Trace, s: Scenario, m: Mitigation):
+    h = s.hazard(m.hazard)
+    flag, speed = s.hazard_flag_name(h.id), s.speed_name(s.poi(h.robot_poi).owner)
+    want = "slow" if m.kind == "slowdown" else "stopped"
+    speeds = trace.variables[speed]
+    for t, raised in enumerate(trace.propositions[flag]):
+        if raised and (t == s.bound or speeds[t + 1] != want):
+            found = f"t={t} is the last instant" if t == s.bound else f"it is {speeds[t + 1]}"
+            yield BrokenRule(m.kind, t, f"{m.kind} rule: {flag} is set at t={t}, so {speed} "
+                             f"must be {want} at t={t + 1}, but {found}")
+
+
+def _retract_rule(trace: Trace, s: Scenario, m: Mitigation):
+    h = s.hazard(m.hazard)
+    flag, robot = s.hazard_flag_name(h.id), h.robot_poi
+    flags, cells = trace.propositions[flag], trace.variables[robot]
+    for t in range(1, len(flags)):
+        if flags[t] and (t == s.bound or cells[t + 1] != cells[t - 1]):
+            found = f"t={t} is the last instant" if t == s.bound else f"it is at {cells[t + 1]}"
+            yield BrokenRule("retract", t, f"retract rule: {flag} is set at t={t}, so {robot} "
+                             f"must be back at {cells[t - 1]} at t={t + 1}, but {found}")
+
+
+def _risk_rule(trace: Trace, s: Scenario, h: Hazard):
+    name = s.risk_name(h.id)
+    for t, (given, due) in enumerate(zip(trace.variables[name], _risk_column(trace, s, h))):
+        if given != due:
+            yield BrokenRule("risk", t, f"column {name} at t={t} reads {given}, but the hazard "
+                             f"flag and the robot's next speed price it {due}")
 
 
 def apply_mitigation(s: Scenario, m: Mitigation) -> Scenario:

@@ -630,6 +630,62 @@ def test_a_forged_risk_column_is_an_input_error(tmp_path, capsys, instant, given
         )
 
 
+def test_a_flag_without_co_location_is_an_input_error(tmp_path, capsys):
+    # haz_h1 at every instant while p_a sits at L4 and p_g at L1, the robot stopped and
+    # risk_h1 priced as verify prices it: every column is well formed, but the model forbids it.
+    trace = _mini_trace(tmp_path)
+    bound, header, *rows = trace.read_text(encoding="utf-8").splitlines()
+    at = {name: i - 1 for i, name in enumerate(header.split())}  # a row's instant is field 0
+    forged = {"haz_h1": "1", "p_a": "L4", "p_g": "L1", "speed_kuka": "stopped"}
+    for t, row in enumerate(rows):
+        fields = row.split()
+        for name, value in forged.items():
+            fields[at[name]] = value
+        fields[at["risk_h1"]] = "5" if t == len(rows) - 1 else "0"
+        rows[t] = " ".join(fields)
+    trace.write_text("\n".join([bound, header, *rows]) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    for argv in (["classify", HANDOVER_MINI, str(trace)],
+                 ["export", HANDOVER_MINI, "trace-table", "--trace", str(trace),
+                  "--out", str(tmp_path / "table.txt")]):
+        assert main(argv) == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err == (
+            "error: flag rule: haz_h1 is set at t=0, but p_a is at L4 and p_g at L1\n"
+        )
+    assert not (tmp_path / "table.txt").exists()
+
+
+def test_reading_a_trace_never_compiles_the_model(tmp_path, monkeypatch, capsys):
+    trace = _mini_trace(tmp_path)
+    classify, export = ["classify", HANDOVER_MINI, str(trace)], ["export", HANDOVER_MINI]
+    runs = {  # name: argv, exit code, suffix of the --out file (None: print the report)
+        "text": (classify, EXIT_UNCONFIRMED, None),
+        "csv": ([*classify, "--format", "csv"], EXIT_UNCONFIRMED, "csv"),
+        "svg": ([*classify, "--format", "svg"], EXIT_UNCONFIRMED, "svg"),
+        "table": ([*export, "trace-table", "--trace", str(trace)], EXIT_SAFE, "txt"),
+        "timeline": ([*export, "timeline", "--trace", str(trace)], EXIT_SAFE, "svg"),
+    }
+
+    def outputs() -> dict[str, tuple[int, str, bytes | None]]:
+        seen = {}
+        for name, (argv, code, suffix) in runs.items():
+            out = tmp_path / f"{name}.{suffix}" if suffix else None
+            status = main([*argv, "--out", str(out)] if out else argv)
+            assert status == code, name
+            seen[name] = (status, capsys.readouterr().out, out.read_bytes() if out else None)
+        return seen
+
+    capsys.readouterr()
+    compiled = outputs()
+
+    def refuse(scenario):
+        raise AssertionError("compile_scenario on the trace-read path")
+
+    monkeypatch.setattr(cli, "compile_scenario", refuse)
+    monkeypatch.setattr("coverify.world.compile_scenario", refuse)
+    assert outputs() == compiled
+
+
 class TestSharedParser:
     """Every main call parses with one parser; no call may leave state on it."""
 

@@ -500,7 +500,7 @@ class TestVerify:
         result = verify(handover_mini)
         trace = result.trace
         for t in range(trace.bound + 1):
-            flag = trace.prop_value("haz_h1", t)
+            flag = trace.propositions["haz_h1"][t]
             together = trace.var_value("p_a", t) == trace.var_value("p_g", t)
             assert flag == together
 
@@ -568,7 +568,7 @@ def _assert_risk_priced(s, trace) -> None:
         robot = s.poi(h.robot_poi).owner
         for t in range(trace.bound + 1):
             expected = 0
-            if trace.prop_value(f"haz_{h.id}", t):
+            if trace.propositions[f"haz_{h.id}"][t]:
                 speed = "normal" if t == trace.bound else trace.var_value(f"speed_{robot}", t + 1)
                 expected = risk_value(h.severity, h.exposure, h.avoidability, speed)
             assert int(trace.var_value(f"risk_{h.id}", t)) == expected, (h.id, t)

@@ -33,7 +33,9 @@ Nested connectives of one shape split into one list of parts, so a balanced
 ``conjoin``/``disjoin`` tree costs what a flat one would.  Atoms are keyed
 on value and polarity, so equal atoms built as separate objects share one
 row; every other node is keyed on identity and polarity, so an occurrence
-shared by object is encoded once per polarity.
+shared by object is encoded once per polarity.  A node's parts are encoded
+before it, from an explicit stack and in the order a recursion would take
+them, so no nesting is too deep and the numbering is the recursion's.
 
 The root is asserted, not defined.  A conjunction splits into its
 conjuncts, ``Alw(g)`` asserts g at every instant, ``Som(g)`` is one clause,
@@ -47,9 +49,18 @@ subformula that fragment's polarity at that instant, and every trace that
 satisfies the root extends to a model.  So a formula is satisfiable over
 bound k iff its CNF is.
 
-The encoder numbers every literal itself, so ``encode`` hands its CNF over
-without the literal checks of the public ``CnfFormula`` constructor; those
-checks validate CNFs built by hand and those ``sat.read_dimacs`` reads.
+The encoder numbers every literal itself and no clause it emits repeats a
+variable, so ``encode`` hands its CNF over without the checks of the public
+``CnfFormula`` constructor, and the solver loads it as it is.  A join of
+parts that are each an atom under ``Not`` and ``Dist`` only, no two reading
+one atom at one net offset, repeats no variable by construction and is
+emitted as it is.  Every other clause that may repeat one (a ``Som``
+clause, a join with a conjunctive or whole-window part or with a repeated
+atom, and a conjunction's clauses over such a join) is normalised on the
+way out, as the constructor normalises a CNF built by hand or read by
+``sat.read_dimacs``: a repeated literal is dropped, the first kept, and a
+clause with a complementary pair is dropped whole.  No compiled workcell
+clause repeats a variable, so normalising changes none of theirs.
 
 ``decode`` turns a model back into a trace and ``check`` glues
 encode/solve/decode together and re-checks every witness against the
@@ -150,6 +161,44 @@ def _parts(f: Formula, pos: bool, conjunctive: bool) -> list[tuple[Formula, bool
     return out
 
 
+def _key(f: Formula, pos: bool) -> tuple[Formula | int, bool]:
+    """The encoder's memo key: an atom by value, any other node by identity."""
+    cls = type(f)
+    return (f, pos) if cls is Eq or cls is Atom else (id(f), pos)
+
+
+def _simple(parts: list[tuple[Formula, bool]]) -> bool:
+    """Whether the parts' join repeats no variable by construction: each
+    part is an atom under ``Not`` and ``Dist`` only, and no two read one
+    atom at one net offset."""
+    leaves = set()
+    for g, _ in parts:
+        offset = 0
+        cls = type(g)
+        while cls is Dist or cls is Not:
+            if cls is Dist:
+                offset += g.offset
+            g = g.operand
+            cls = type(g)
+        if cls is Eq:
+            leaf = (offset, g.var, g.value)
+        elif cls is Atom:
+            leaf = (offset, g.name)
+        else:
+            return False
+        if leaf in leaves:
+            return False
+        leaves.add(leaf)
+    return True
+
+
+def _somewhere(rows: list[list[Fragment]]) -> Fragment:
+    """One fragment implying that some part takes its polarity at some instant."""
+    if any(None in row for row in rows):
+        return None
+    return tuple(dict.fromkeys(chain.from_iterable(chain.from_iterable(rows))))
+
+
 def _join(rows: list[list[Fragment]]) -> list[Fragment]:
     """At each instant, the rows' fragments as one disjunction; None where one is None."""
     joined = rows[0]
@@ -178,6 +227,8 @@ class _Encoder:
         self._value_rows: dict[tuple[str, str], list[int]] = {}
         # (atom, polarity) or (id of any other node, polarity) -> its fragments
         self._lits: dict[tuple[Formula | int, bool], list[Fragment]] = {}
+        # ids of the rows whose fragments may repeat a variable
+        self._loose: set[int] = set()
         self._false: int | None = None
 
         n = k + 1
@@ -216,49 +267,99 @@ class _Encoder:
 
     def lits(self, f: Formula, pos: bool) -> list[Fragment]:
         """Fragments implying f (pos) or not-f at t = 0..k; encodes f at pos on first use."""
-        cls = type(f)
-        key = (f, pos) if cls is Eq or cls is Atom else (id(f), pos)
+        key = _key(f, pos)
         row = self._lits.get(key)
         if row is None:
-            row = self._lits[key] = self._fragments(f, pos)
+            row = self._walk(key, f, pos)
         return row
 
-    def _fragments(self, f: Formula, pos: bool) -> list[Fragment]:
-        if isinstance(f, Not):
-            return self.lits(f.operand, not pos)
-        if isinstance(f, Dist):
-            d, n = f.offset, self.k + 1
+    def _walk(self, key, f: Formula, pos: bool) -> list[Fragment]:
+        """Encode f at pos and, first, each part it is built from that is not encoded yet.
+
+        An explicit stack stands in for the recursion, so no nesting is too
+        deep.  The parts are encoded in the order, and so numbered as, a
+        recursion through ``lits`` would number them: left to right, each
+        with all of its own parts before the next.
+        """
+        memo = self._lits
+        parts = self._parts_of(f, pos)
+        todo = [(key, f, pos, parts, [_key(g, q) for g, q in parts], [])]
+        while True:
+            key, f, pos, parts, keys, rows = todo[-1]  # rows: those of the parts so far
+            for i in range(len(rows), len(keys)):
+                row = memo.get(keys[i])
+                if row is None:
+                    g, q = parts[i]
+                    sub = self._parts_of(g, q)
+                    todo.append((keys[i], g, q, sub, [_key(h, r) for h, r in sub], []))
+                    break
+                rows.append(row)
+            else:
+                todo.pop()
+                row = memo[key] = self._fragments(f, pos, parts, rows)
+                if not todo:
+                    return row
+
+    def _parts_of(self, f: Formula, pos: bool) -> list[tuple[Formula, bool]]:
+        """The (node, polarity) pairs whose fragments f's at pos are built from, in order."""
+        cls = type(f)
+        if cls is And or cls is Or or cls is Implies:
+            return _parts(f, pos, _conjunctive(f, pos))
+        if cls is Not:
+            return [(f.operand, not pos)]
+        if cls is Dist:  # an operand no instant reaches is never looked at
+            return [(f.operand, pos)] if abs(f.offset) <= self.k else []
+        if cls is Alw or cls is Som:
+            return _parts(f.operand, pos, (cls is Alw) == pos)
+        return []
+
+    def _fragments(self, f: Formula, pos: bool, parts, rows: list[list[Fragment]]) -> list[Fragment]:
+        """f's fragments at pos, from the rows of its parts (``_parts_of``)."""
+        cls = type(f)
+        if cls is Not:
+            return rows[0]
+        n = self.k + 1
+        if cls is Dist:
+            d = f.offset
             outside: Fragment = () if pos else None
-            if abs(d) >= n:
+            if not rows:
                 return [outside] * n
-            row = self.lits(f.operand, pos)
-            if d >= 0:
-                return row[d:] + [outside] * d
-            return [outside] * -d + row[:d]
-        if isinstance(f, (Alw, Som)):
-            if isinstance(f, Alw) == pos:  # the operand at every instant
-                parts = self._part_rows(f.operand, pos, True)
-                return [self._conjunction(dict.fromkeys(chain.from_iterable(parts)))] * (self.k + 1)
-            frag = self._somewhere(f.operand, pos)
-            if frag is not None and len(frag) > 1:
-                head = self._fresh_row(1)[0]
-                self.clauses.append((-head, *frag))
-                frag = (head,)
-            return [frag] * (self.k + 1)
-        if isinstance(f, (And, Or, Implies)):
-            conjunctive = _conjunctive(f, pos)
-            parts = self._part_rows(f, pos, conjunctive)
-            if conjunctive:
-                return [self._conjunction(frags) for frags in zip(*parts)]
-            return _join(parts)
-        row = self._literal_row(f)
-        return [(a,) for a in row] if pos else [(-a,) for a in row]
+            shifted = rows[0][d:] + [outside] * d if d >= 0 else [outside] * -d + rows[0][:d]
+            if id(rows[0]) in self._loose:
+                self._loose.add(id(shifted))
+            return shifted
+        if cls is And or cls is Or or cls is Implies:
+            if not _conjunctive(f, pos):
+                row = _join(rows)
+                if not _simple(parts):
+                    self._loose.add(id(row))
+                return row
+            clean = self._loose.isdisjoint(map(id, rows))
+            row = [self._conjunction(frags, clean) for frags in zip(*rows)]
+        elif cls is Alw or cls is Som:
+            if (cls is Alw) == pos:  # the operand at every instant
+                clean = self._loose.isdisjoint(map(id, rows))
+                row = [self._conjunction(dict.fromkeys(chain.from_iterable(rows)), clean)] * n
+            else:
+                frag = _somewhere(rows)
+                if frag is not None and len(frag) > 1:
+                    head = self._fresh_row(1)[0]
+                    self.clauses += sat._distinct([(-head, *frag)])
+                    frag = (head,)
+                return [frag] * n
+        else:
+            row = self._literal_row(f)
+            return [(a,) for a in row] if pos else [(-a,) for a in row]
+        if not clean:
+            self._loose.add(id(row))
+        return row
 
-    def _part_rows(self, f: Formula, pos: bool, conjunctive: bool) -> list[list[Fragment]]:
-        return [self.lits(g, q) for g, q in _parts(f, pos, conjunctive)]
+    def _conjunction(self, frags, clean: bool) -> Fragment:
+        """A fragment implying each given one: one fresh variable if two or more remain.
 
-    def _conjunction(self, frags) -> Fragment:
-        """A fragment implying each given one: one fresh variable if two or more remain."""
+        Its clauses are normalised unless every given fragment is ``clean``,
+        none of them repeating a variable.
+        """
         live = [frag for frag in frags if frag is not None]
         if () in live:
             return ()
@@ -266,15 +367,9 @@ class _Encoder:
             return live[0] if live else None
         head = self._fresh_row(1)[0]
         not_head = -head
-        self.clauses.extend([(not_head, *frag) for frag in live])
+        clauses = [(not_head, *frag) for frag in live]
+        self.clauses += clauses if clean else sat._distinct(clauses)
         return (head,)
-
-    def _somewhere(self, f: Formula, pos: bool) -> Fragment:
-        """One fragment implying that f takes polarity pos at some instant."""
-        parts = self._part_rows(f, pos, False)
-        if any(None in row for row in parts):
-            return None
-        return tuple(dict.fromkeys(chain.from_iterable(chain.from_iterable(parts))))
 
     def _literal_row(self, f: Formula) -> list[int]:
         """Literals equivalent to an atomic f at t = 0..k."""
@@ -294,39 +389,52 @@ class _Encoder:
 
     # -- assertion ---------------------------------------------------------
 
-    def assert_formula(self, f: Formula, pos: bool = True, n: int = 1) -> None:
-        """Clauses forcing f to polarity pos at instants 0..n-1 (n is 1 or k+1)."""
-        while isinstance(f, Not):
-            f, pos = f.operand, not pos
-        if isinstance(f, (Alw, Som)):
-            if isinstance(f, Alw) == pos:
-                self.assert_formula(f.operand, pos, self.k + 1)
-            else:
-                self._emit([self._somewhere(f.operand, pos)])
-            return
-        if _conjunctive(f, pos):
-            for g, q in _parts(f, pos, True):
-                self.assert_formula(g, q, n)
-            return
-        parts = _parts(f, pos, False)
-        conjunctive = [i for i, (g, q) in enumerate(parts) if _conjunctive(g, q)]
-        if len(conjunctive) != 1:
-            self._emit(_join([self.lits(g, q)[:n] for g, q in parts]))
-            return
-        # Distribute the clause over its one conjunction: no variable for it.
-        g, q = parts.pop(conjunctive[0])
-        rest = _join([self.lits(h, r)[:n] for h, r in parts])
-        for h, r in _parts(g, q, True):
-            if (h, not r) not in parts:  # else the clause holds as "h or not h"
-                self._emit(_join([rest, self.lits(h, r)[:n]]))
+    def assert_formula(self, f: Formula) -> None:
+        """Clauses forcing f at instant 0.
 
-    def _emit(self, row: list[Fragment]) -> None:
-        """Each fragment of the row as a clause: None needs none, and () is made false."""
+        Each item of the work list is a formula to force to a polarity at
+        instants 0..n-1 (n is 1 or k+1); items are taken in the order a
+        recursion would take them.
+        """
+        todo = [(f, True, 1)]
+        while todo:
+            f, pos, n = todo.pop()
+            while isinstance(f, Not):
+                f, pos = f.operand, not pos
+            if isinstance(f, (Alw, Som)):
+                if isinstance(f, Alw) == pos:
+                    todo.append((f.operand, pos, self.k + 1))
+                else:
+                    rows = [self.lits(g, q) for g, q in _parts(f.operand, pos, False)]
+                    self._emit([_somewhere(rows)], False)
+                continue
+            if _conjunctive(f, pos):
+                todo += [(g, q, n) for g, q in reversed(_parts(f, pos, True))]
+                continue
+            parts = _parts(f, pos, False)
+            conjunctive = [i for i, (g, q) in enumerate(parts) if _conjunctive(g, q)]
+            if len(conjunctive) != 1:
+                self._emit(_join([self.lits(g, q)[:n] for g, q in parts]), _simple(parts))
+                continue
+            # Distribute the clause over its one conjunction: no variable for it.
+            g, q = parts.pop(conjunctive[0])
+            rest = _join([self.lits(h, r)[:n] for h, r in parts])
+            for h, r in _parts(g, q, True):
+                if (h, not r) not in parts:  # else the clause holds as "h or not h"
+                    clean = _simple([*parts, (h, r)])
+                    self._emit(_join([rest, self.lits(h, r)[:n]]), clean)
+
+    def _emit(self, row: list[Fragment], clean: bool) -> None:
+        """Each fragment of the row as a clause: None needs none, and () is made false.
+
+        The clauses are normalised unless the row is ``clean``, no fragment
+        repeating a variable.
+        """
         clauses = [frag for frag in row if frag is not None]
         if () in clauses:
             false = (self._false_literal(),)
             clauses = [frag or false for frag in clauses]
-        self.clauses.extend(clauses)
+        self.clauses += clauses if clean else sat._distinct(clauses)
 
 
 def encode(f: Formula, symbols: SymbolTable, k: int) -> tuple[sat.CnfFormula, VarMap]:

@@ -311,12 +311,17 @@ def evaluate(f: Formula, tr: Trace, t: int) -> bool:
     return bool(_truth_rows(tr, {})(f) >> t & 1)
 
 
+_EXPANDED = object()  # _truth_rows's stack marker: the node under it has its operands' rows
+
+
 def _truth_rows(tr: Trace, memo: dict[int, int]) -> Callable[[Formula], int]:
     """A function giving a formula's truth row on tr as an int: bit t is instant t.
 
     It stores the row of every node it evaluates in memo, keyed on the node's
     id, so a node shared by object is evaluated once.  A variable's rows of
-    "equals this value" are built on its first use.
+    "equals this value" are built on its first use.  Operands are evaluated
+    left to right, before their node, on an explicit stack, so no nesting is
+    too deep.
     """
     full = (1 << (tr.bound + 1)) - 1
     value_rows: dict[str, dict[str, int]] = {}
@@ -333,71 +338,59 @@ def _truth_rows(tr: Trace, memo: dict[int, int]) -> Callable[[Formula], int]:
                 rows[value] = rows.get(value, 0) | 1 << t
         return rows
 
-    def chain(f: And | Or) -> int:
-        """The row of f, with the nested nodes of f's kind on an explicit stack.
-
-        Operands are evaluated left to right and every node is memoised, as
-        the recursion in ``row`` would do, so no chain is too deep.
-        """
-        cls = type(f)
-        todo: list[tuple[Formula, bool]] = [(f, False)]
-        done: list[int] = []  # rows of the operands evaluated, innermost last
-        while todo:
-            g, expanded = todo.pop()
-            if expanded:
-                right, left = done.pop(), done.pop()
-            elif type(g) is not cls or id(g) in memo:
-                done.append(row(g))
-                continue
-            elif type(g.left) is cls or type(g.right) is cls:
-                todo += (g, True), (g.right, False), (g.left, False)
-                continue
-            else:
-                left, right = row(g.left), row(g.right)
-            bits = memo[id(g)] = left & right if cls is And else left | right
-            done.append(bits)
-        return done[0]
-
     def row(f: Formula) -> int:
-        key = id(f)
-        bits = memo.get(key)
-        if bits is not None:
-            return bits
-        cls = type(f)  # most frequent kinds first
-        if cls is And:
-            left, right = f.left, f.right
-            if type(left) is And or type(right) is And:
-                bits = chain(f)
+        todo = [f]  # nodes to evaluate; _EXPANDED marks the node under it as expanded
+        done: list[int] = []  # rows evaluated, the latest last
+        while todo:
+            f = todo.pop()
+            if f is _EXPANDED:
+                f = todo.pop()
+                cls = type(f)
+                if cls is And or cls is Or or cls is Implies:
+                    right = done.pop()
+                    left = done[-1]
+                    if cls is And:
+                        bits = left & right
+                    elif cls is Or:
+                        bits = left | right
+                    else:
+                        bits = (full ^ left) | right
+                else:
+                    sub = done[-1]
+                    if cls is Dist:
+                        d = f.offset
+                        bits = sub >> d if d >= 0 else (sub << -d) & full
+                    elif cls is Alw:
+                        bits = full if sub == full else 0
+                    elif cls is Not:
+                        bits = full ^ sub
+                    else:  # Som
+                        bits = full if sub else 0
+                done[-1] = memo[id(f)] = bits
+                continue
+            bits = memo.get(id(f))
+            if bits is not None:
+                done.append(bits)
+                continue
+            cls = type(f)  # most frequent kinds first
+            if cls is And or cls is Or or cls is Implies:
+                todo += f, _EXPANDED, f.right, f.left
+                continue
+            if cls is Eq:
+                bits = values(f.var).get(f.value, 0)
+            elif cls is Dist or cls is Alw or cls is Not or cls is Som:
+                todo += f, _EXPANDED, f.operand
+                continue
+            elif cls is Atom:
+                try:
+                    column = tr.propositions[f.name]
+                except KeyError:
+                    raise ValueError(f"proposition {f.name!r} missing from trace") from None
+                bits = sum(1 << t for t, holds in enumerate(column) if holds)
             else:
-                bits = row(left) & row(right)
-        elif cls is Eq:
-            bits = values(f.var).get(f.value, 0)
-        elif cls is Dist:
-            sub, d = row(f.operand), f.offset
-            bits = sub >> d if d >= 0 else (sub << -d) & full
-        elif cls is Implies:
-            bits = (full ^ row(f.left)) | row(f.right)
-        elif cls is Alw:
-            bits = full if row(f.operand) == full else 0
-        elif cls is Or:
-            left, right = f.left, f.right
-            if type(left) is Or or type(right) is Or:
-                bits = chain(f)
-            else:
-                bits = row(left) | row(right)
-        elif cls is Not:
-            bits = full ^ row(f.operand)
-        elif cls is Atom:
-            try:
-                column = tr.propositions[f.name]
-            except KeyError:
-                raise ValueError(f"proposition {f.name!r} missing from trace") from None
-            bits = sum(1 << t for t, holds in enumerate(column) if holds)
-        elif cls is Som:
-            bits = full if row(f.operand) else 0
-        else:
-            raise TypeError(f"not a formula: {f!r}")
-        memo[key] = bits
-        return bits
+                raise TypeError(f"not a formula: {f!r}")
+            done.append(bits)
+            memo[id(f)] = bits
+        return done[0]
 
     return row

@@ -26,6 +26,14 @@ them, do not depend on them.  ``solve`` re-checks every model against the
 input formula alone: each block for exactly one true variable, and each other
 clause.
 
+No clause of a ``CnfFormula`` repeats a variable.  The encoder keeps that
+true by construction and hands its CNF over unchecked; the public
+constructor, and so ``read_dimacs``, establishes it for clauses built by
+hand or read from a file: it drops a repeated literal, keeping the first,
+and drops a clause with a complementary pair whole, as MiniSat does where a
+clause enters the solver.  So the solver watches each clause of two or more
+literals as it is, and takes each decision inside its search loop.
+
 Literals are DIMACS-style signed integers: +v / -v for variable v >= 1.
 """
 
@@ -58,6 +66,11 @@ class CnfFormula:
     ``clauses`` spells the blocks out that way, ahead of the other clauses,
     on first access; equality and hashing see only ``num_vars`` and
     ``clauses``.  The solver and the model check read the blocks as they are.
+
+    No clause repeats a variable.  The constructor makes it so for the
+    clauses it is given (see ``_distinct``): ``CnfFormula(2, ((1, 1, 2),
+    (1, -1)))`` holds the one clause ``(1, 2)``.  ``_numbered`` trusts its
+    caller to keep it.
     """
 
     __slots__ = ("num_vars", "one_hot", "_rest", "_clauses")
@@ -74,6 +87,7 @@ class CnfFormula:
         worst = max(literals, key=abs, default=0)
         if abs(worst) > num_vars:
             raise ValueError(f"literal {worst} out of range for {num_vars} variables")
+        clauses = tuple(_distinct(clauses))
         self._set(num_vars, (), clauses, clauses)
 
     @classmethod
@@ -83,8 +97,9 @@ class CnfFormula:
         clauses: tuple[tuple[int, ...], ...],
         one_hot: tuple[tuple[int, ...], ...] = (),
     ) -> "CnfFormula":
-        """A CNF whose literals the caller numbered itself, so already in range: no check.
+        """A CNF whose literals the caller numbered itself: no check, no normalising.
 
+        The literals must be in range and no clause may repeat a variable.
         ``clauses`` are the clauses after the ``one_hot`` blocks.
         """
         cnf = object.__new__(cls)
@@ -122,6 +137,21 @@ class CnfFormula:
 
     def __repr__(self) -> str:
         return f"CnfFormula(num_vars={self.num_vars!r}, clauses={self.clauses!r})"
+
+
+def _distinct(clauses: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """The clauses with no variable repeated in any: a repeated literal is
+    dropped, the first kept, and a clause with a complementary pair is
+    dropped whole, since it always holds."""
+    out = []
+    for clause in clauses:
+        if len(set(map(abs, clause))) < len(clause):
+            kept = dict.fromkeys(clause)
+            if any(-lit in kept for lit in kept):
+                continue
+            clause = tuple(kept)
+        out.append(clause)
+    return out
 
 
 @dataclass(frozen=True)
@@ -174,9 +204,11 @@ class _Solver:
     ``value[lit]`` is the literal's truth value and ``value[v]`` the variable's.
 
     ``watches[lit]`` lists the clauses to visit when lit becomes false, in the
-    order they were watched.  Each is a list: an input clause with repeated
-    literals dropped, or a learned clause.  Its watched literals sit in slots
-    0 and 1, and ``clauses`` holds every such list in load-then-learn order.
+    order they were watched.  Each is a list: an input clause of two or more
+    literals, loaded as it is because no ``CnfFormula`` clause repeats a
+    variable, or a learned clause.  Its watched literals sit in slots 0 and 1,
+    and ``clauses`` holds every such list in load-then-learn order.  An input
+    clause of one literal is assigned at level 0 instead.
 
     An exactly-one block's pairwise at-most-one clauses are not watched at
     all.  ``amo[-x]`` is the block of x as negated literals, in block order,
@@ -201,7 +233,8 @@ class _Solver:
     of var's one live entry, or ``_NO_ENTRY``; an entry whose key differs is
     stale (var was bumped since) and is skipped when popped.  Every unassigned
     variable has a live entry, so popping yields the unassigned variable of
-    highest activity, lowest index on ties.
+    highest activity, lowest index on ties.  ``solve`` pops it and assigns
+    the decision inside its loop.
     """
 
     def __init__(self, cnf: CnfFormula):
@@ -233,18 +266,15 @@ class _Solver:
                 amo[lit] = negated
         self.amo = amo
 
-        # What _add_clause would do, inline for the common shape: two or more
-        # literals with no repeated variable.
         clauses, watches = self.clauses, self.watches
         for clause in chain(cnf.one_hot, cnf._rest):
-            size = len(clause)
-            if size > 1 and len(set(map(abs, clause))) == size:
+            if len(clause) > 1:
                 lits = list(clause)
                 clauses.append(lits)
                 watches[lits[0]].append(lits)
                 watches[lits[1]].append(lits)
-            else:
-                self._add_clause(clause)
+            elif not self._enqueue(clause[0], None):
+                self.ok = False
 
     def _rebuild_heap(self) -> None:
         """One live entry per variable, keyed on its current activity."""
@@ -252,30 +282,6 @@ class _Solver:
         self.heap_key = [-a if a else -0.0 for a in self.activity]
         self.heap = list(zip(self.heap_key[1:], range(1, self.n + 1)))
         heapify(self.heap)
-
-    def _add_clause(self, clause: tuple[int, ...]) -> None:
-        """Watch a clause as a list, or enqueue it if it is a unit."""
-        lits = list(clause)
-        if len(set(map(abs, lits))) < len(lits):
-            # A repeated variable (no clause the encoder builds for a compiled
-            # workcell has one; hand-written and DIMACS input may): drop
-            # duplicate literals in order, and the whole clause if it holds a
-            # complementary pair.
-            seen: dict[int, int] = {}
-            lits = []
-            for lit in clause:
-                if seen.get(-lit):
-                    return  # tautology, trivially satisfied
-                if not seen.get(lit):
-                    seen[lit] = 1
-                    lits.append(lit)
-        if len(lits) == 1:
-            if not self._enqueue(lits[0], None):
-                self.ok = False
-            return
-        self.clauses.append(lits)
-        self.watches[lits[0]].append(lits)
-        self.watches[lits[1]].append(lits)
 
     def _enqueue(self, lit: int, reason: list[int] | None) -> bool:
         if self.value[lit] != _UNDEF:
@@ -425,16 +431,6 @@ class _Solver:
         if len(heap) > 2 * self.n:
             self._rebuild_heap()  # drop the stale entries
 
-    def _decide(self) -> int:
-        heap, heap_key, value = self.heap, self.heap_key, self.value
-        while True:
-            key, var = heappop(heap)
-            if heap_key[var] != key:
-                continue  # stale
-            heap_key[var] = _NO_ENTRY
-            if value[var] == _UNDEF:
-                return -var  # phase: false first
-
     def solve(self) -> SolveResult:
         if not self.ok:
             return SolveResult.unsat()
@@ -442,18 +438,33 @@ class _Solver:
             self.conflicts += 1
             return SolveResult.unsat()
 
-        while len(self.trail) < self.n:
-            decision = self._decide()
+        n, value, level, reason = self.n, self.value, self.level, self.reason
+        trail, trail_lim = self.trail, self.trail_lim
+        heap, heap_key = self.heap, self.heap_key
+        while len(trail) < n:
+            key, var = heappop(heap)
+            if heap_key[var] != key:
+                continue  # stale
+            heap_key[var] = _NO_ENTRY
+            if value[var] != _UNDEF:
+                continue
+            # Decide var, phase false first, at a new level.
             self.decisions += 1
-            self.trail_lim.append(len(self.trail))
-            self.max_level = max(self.max_level, len(self.trail_lim))
-            self._enqueue(decision, None)
+            trail_lim.append(len(trail))
+            depth = len(trail_lim)
+            if depth > self.max_level:
+                self.max_level = depth
+            value[-var] = _TRUE
+            value[var] = _FALSE
+            level[var] = depth
+            reason[var] = None
+            trail.append(-var)
             while True:
                 conflict = self._propagate()
                 if conflict is None:
                     break
                 self.conflicts += 1
-                if not self.trail_lim:
+                if not trail_lim:
                     return SolveResult.unsat()
                 learned, back_level = self._analyze(conflict)
                 self._backtrack(back_level)
@@ -468,8 +479,10 @@ class _Solver:
                 if not enqueued:
                     return SolveResult.unsat()
                 self.var_inc /= self.var_decay
+            # _bump and _backtrack may have rebuilt the order heap.
+            heap, heap_key = self.heap, self.heap_key
 
-        return SolveResult.sat({v: self.value[v] == _TRUE for v in range(1, self.n + 1)})
+        return SolveResult.sat({v: value[v] == _TRUE for v in range(1, n + 1)})
 
 
 def solve(cnf: CnfFormula) -> SolveResult:

@@ -141,9 +141,11 @@ class TestClauseShape:
 
 
 def _assert_cnf_invariants(cnf: CnfFormula) -> None:
-    """What the public CnfFormula constructor checks, which encode's hand-over skips."""
+    """What the public CnfFormula constructor checks or establishes, which encode's
+    hand-over skips: literals in range, and no clause repeating a variable."""
     assert type(cnf.clauses) is tuple
     assert all(type(clause) is tuple and clause for clause in cnf.clauses)
+    assert all(len(set(map(abs, clause))) == len(clause) for clause in cnf.clauses)
     literals = set(chain.from_iterable(cnf.clauses))
     assert all(type(lit) is int for lit in literals)
     assert 0 not in literals
@@ -476,15 +478,18 @@ def _assert_fragments_sound(f: Formula, symbols: SymbolTable, k: int) -> int:
         if pos_frag is not None and neg_frag is not None:
             enc.clauses.append(pos_frag + neg_frag)
     vm = VarMap(k, enc.prop_vars, enc.value_vars, enc.next_var - 1)
+    blocks = list(CnfFormula._numbered(vm.num_vars, (), tuple(enc.one_hot)).clauses)
     first_owned = len(vm.prop_vars) + len(vm.value_vars) + 1
     held = 0
     for flip in (1, -1):
         def turn(lit: int) -> int:
             return lit * flip if abs(lit) >= first_owned else lit
 
-        # The one-hot blocks read only symbol variables, which no flip turns.
-        clauses = tuple(tuple(map(turn, c)) for c in enc.clauses)
-        result = solve(CnfFormula._numbered(vm.num_vars, clauses, tuple(enc.one_hot)))
+        # The one-hot blocks read only symbol variables, which no flip turns.  The
+        # joined root fragments repeat variables, so the public constructor drops
+        # the repeats and the tautologies.
+        clauses = tuple(tuple(map(turn, c)) for c in blocks + enc.clauses)
+        result = solve(CnfFormula(vm.num_vars, clauses))
         assert result.satisfiable, f"{f} at k={k}"
         true = {turn(v if value else -v) for v, value in result.model.items()}
         trace = decode({abs(lit): lit > 0 for lit in true}, vm, symbols, k)

@@ -206,7 +206,7 @@ def _chain(op, depth, side):
 
 
 class TestDeepChains:
-    """API-built And/Or chains deeper than the recursion limit walk, evaluate and check."""
+    """API-built formulas deeper than the recursion limit walk, evaluate, encode and check."""
 
     @pytest.mark.parametrize("op", [And, Or])
     @pytest.mark.parametrize("side", ["left", "right", "zigzag"])
@@ -223,6 +223,24 @@ class TestDeepChains:
         table.add_variable("v", ("a", "b"))
         witness = check(f, table, 2).trace
         assert witness is not None and evaluate(f, witness, 0)
+
+    @pytest.mark.parametrize("nest", [
+        lambda f: Not(And(Atom("q"), f)),  # Not(And(q, Not(And(q, ...))))
+        lambda f: Implies(Atom("q"), f),  # Implies(q, Implies(q, ...)), nested on the right
+    ], ids=["not-and", "implies"])
+    def test_three_thousand_deep_through_other_connectives(self, nest):
+        # Both nestings of an even depth mean "q implies p" at every instant.
+        f = Atom("p")
+        for _ in range(3000):
+            f = nest(f)
+        tr = Trace(2, {"p": (True, True, False), "q": (True, False, True)}, {"v": ("a", "a", "b")})
+        assert [evaluate(f, tr, t) for t in range(3)] == [True, True, False]
+        table = SymbolTable()
+        table.add_proposition("p")
+        table.add_proposition("q")
+        witness = check(f, table, 2).trace
+        assert witness is not None and evaluate(f, witness, 0)
+        assert not check(And(f, And(Atom("q"), Not(Atom("p")))), table, 2).satisfiable
 
     def test_shared_spine_nodes_are_evaluated_once(self):
         # Each node of the And spine is also under a Dist: 2**200 paths, 201 distinct rows.

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coverify import sat
 from coverify.encode import encode
-from coverify.logic import conjoin
+from coverify.logic import Alw, And, Atom, Dist, Not, Or, Som, conjoin
 from coverify.sat import (
     _FALSE,
     _NO_ENTRY,
@@ -25,6 +26,7 @@ from coverify.sat import (
     write_dimacs,
 )
 from coverify.world import bundled_scenario_path, compile_scenario, load_scenario, loads_scenario
+from helpers import family_symbols, random_formula
 from test_exhaustive import _grid_text
 
 
@@ -209,6 +211,16 @@ class TestCnfValidation:
         with pytest.raises(ValueError, match="out of range"):
             cnf(1, (2,))
 
+    def test_drops_repeated_literals_and_tautologies(self):
+        formula = cnf(3, (1, 1, 2), (1, -1), (-2, 3, -2), (3,), (2, -3, 1, 3))
+        assert formula.clauses == ((1, 2), (-2, 3), (3,))
+        assert formula == cnf(3, (1, 2), (-2, 3), (3,))
+
+    def test_read_dimacs_drops_repeated_literals_and_tautologies(self):
+        # The header counts the clauses as written.
+        formula = read_dimacs("p cnf 2 3\n1 1 2 0\n2 -2 0\n-1 -1 0\n")
+        assert formula.clauses == ((1, 2), (-1,))
+
 
 def test_sat_models_verified_internally():
     # Every Sat answer from solve satisfies every clause by construction;
@@ -220,39 +232,6 @@ def test_sat_models_verified_internally():
         if result.satisfiable:
             for clause in formula.clauses:
                 assert any(result.model[abs(l)] == (l > 0) for l in clause)
-
-
-class _LinearScanSolver(_Solver):
-    """Reference decision rule: scan every variable, keep the first of highest activity."""
-
-    def _decide(self) -> int:
-        best_var = 0
-        best_act = -1.0
-        for var in range(1, self.n + 1):
-            if self.value[var] == _UNDEF and self.activity[var] > best_act:
-                best_var = var
-                best_act = self.activity[var]
-        return -best_var  # phase: false first
-
-
-def _search(solver_cls, formula, **settings):
-    solver = solver_cls(formula)
-    for name, value in settings.items():
-        setattr(solver, name, value)
-    result = solver.solve()
-    return solver, (result, solver.decisions, solver.conflicts, solver.clauses)
-
-
-def _assert_same_search(formula, **settings):
-    """The heap solver decides, conflicts and learns exactly as the linear scan does."""
-    heap_solver, heap_run = _search(_Solver, formula, **settings)
-    _, scan_run = _search(_LinearScanSolver, formula, **settings)
-    assert heap_run == scan_run
-    # At most one live order-heap entry per variable, and the stale ones stay bounded.
-    live = [var for key, var in heap_solver.heap if heap_solver.heap_key[var] == key]
-    assert len(live) == len(set(live))
-    assert len(heap_solver.heap) <= 2 * formula.num_vars
-    return heap_solver
 
 
 def _scenario_cnfs():
@@ -274,39 +253,6 @@ def random_3sat(rng, num_vars, ratio=4.26):
         variables = rng.sample(range(1, num_vars + 1), 3)
         clauses.append(tuple(v if rng.random() < 0.5 else -v for v in variables))
     return CnfFormula(num_vars, tuple(clauses))
-
-
-class TestHeapMatchesLinearScan:
-    def test_random_cnfs(self):
-        rng = random.Random(31)
-        for _ in range(200):
-            _assert_same_search(random_cnf(rng, max_vars=30, max_clauses=130))
-
-    def test_random_3sat_near_the_threshold(self):
-        rng = random.Random(32)
-        for _ in range(200):
-            _assert_same_search(random_3sat(rng, rng.randint(10, 50), rng.uniform(3.8, 4.8)))
-
-    @pytest.mark.parametrize("formula", _scenario_cnfs())
-    def test_bundled_scenarios(self, formula):
-        _assert_same_search(formula)
-
-    def test_activity_rescale_rebuilds_the_heap(self, monkeypatch):
-        rescales = []
-        bump = _Solver._bump
-
-        def recording_bump(solver, var):
-            before = solver.var_inc
-            bump(solver, var)
-            if solver.var_inc < before:  # only a rescale lowers var_inc
-                rescales.append(var)
-
-        monkeypatch.setattr(_Solver, "_bump", recording_bump)
-        # var_inc grows 1e20-fold per conflict, so activities pass 1e100 every few conflicts.
-        rng = random.Random(33)
-        for _ in range(10):
-            _assert_same_search(random_3sat(rng, 40), var_decay=1e-20)
-        assert rescales
 
 
 class _ClauseListSolver:
@@ -556,9 +502,8 @@ class _ClauseListSolver:
 
 
 
-def _learned_search(solver_cls, formula, **settings):
+def _learned_search(solver, **settings):
     """Result, counters and the clauses learned after loading, with their slot order."""
-    solver = solver_cls(formula)
     loaded = len(solver.clauses)
     for name, value in settings.items():
         setattr(solver, name, value)
@@ -567,9 +512,71 @@ def _learned_search(solver_cls, formula, **settings):
 
 
 def _assert_same_as_clause_lists(formula, **settings):
-    run = _learned_search(_Solver, formula, **settings)
-    assert run == _learned_search(_ClauseListSolver, formula, **settings)
+    run = _learned_search(_Solver(formula), **settings)
+    assert run == _learned_search(_ClauseListSolver(formula), **settings)
     return run
+
+
+class _LinearScanSolver(_ClauseListSolver):
+    """Reference decision rule: scan every variable, keep the first of highest activity.
+
+    It overrides the frozen clause-list solver's ``_decide``: _Solver takes
+    its decisions inside its search loop, so an override there would go unread.
+    """
+
+    def _decide(self) -> int:
+        best_var = 0
+        best_act = -1.0
+        for var in range(1, self.n + 1):
+            if self.value[var] == _UNDEF and self.activity[var] > best_act:
+                best_var = var
+                best_act = self.activity[var]
+        return -best_var  # phase: false first
+
+
+def _assert_same_search(formula, **settings):
+    """The heap solver decides, conflicts and learns exactly as the linear scan does."""
+    heap_solver = _Solver(formula)
+    heap_run = _learned_search(heap_solver, **settings)
+    assert heap_run == _learned_search(_LinearScanSolver(formula), **settings)
+    # At most one live order-heap entry per variable, and the stale ones stay bounded.
+    live = [var for key, var in heap_solver.heap if heap_solver.heap_key[var] == key]
+    assert len(live) == len(set(live))
+    assert len(heap_solver.heap) <= 2 * formula.num_vars
+    return heap_solver
+
+
+class TestHeapMatchesLinearScan:
+    def test_random_cnfs(self):
+        rng = random.Random(31)
+        for _ in range(200):
+            _assert_same_search(random_cnf(rng, max_vars=30, max_clauses=130))
+
+    def test_random_3sat_near_the_threshold(self):
+        rng = random.Random(32)
+        for _ in range(200):
+            _assert_same_search(random_3sat(rng, rng.randint(10, 50), rng.uniform(3.8, 4.8)))
+
+    @pytest.mark.parametrize("formula", _scenario_cnfs())
+    def test_bundled_scenarios(self, formula):
+        _assert_same_search(formula)
+
+    def test_activity_rescale_rebuilds_the_heap(self, monkeypatch):
+        rescales = []
+        bump = _Solver._bump
+
+        def recording_bump(solver, var):
+            before = solver.var_inc
+            bump(solver, var)
+            if solver.var_inc < before:  # only a rescale lowers var_inc
+                rescales.append(var)
+
+        monkeypatch.setattr(_Solver, "_bump", recording_bump)
+        # var_inc grows 1e20-fold per conflict, so activities pass 1e100 every few conflicts.
+        rng = random.Random(33)
+        for _ in range(10):
+            _assert_same_search(random_3sat(rng, 40), var_decay=1e-20)
+        assert rescales
 
 
 def binary_heavy_cnf(rng):
@@ -650,8 +657,9 @@ class TestBinaryWatchesMatchClauseLists:
         ],
     )
     def test_loader_matches_clause_lists(self, clauses):
-        formula = cnf(4, *clauses)
-        new, ref = _Solver(formula), _ClauseListSolver(formula)
+        # The constructor drops repeats and tautologies; the reference reads the clauses as written.
+        new = _Solver(cnf(4, *clauses))
+        ref = _ClauseListSolver(CnfFormula._numbered(4, tuple(clauses)))
         assert (new.ok, new.trail, new.value, new.level, new.reason) == (
             ref.ok, ref.trail, ref.value, ref.level, ref.reason,
         )
@@ -675,14 +683,40 @@ class TestBinaryWatchesMatchClauseLists:
         assert new.solve() == ref.solve()
 
 
-def _loaded_per_clause(formula):
-    """A solver loaded by calling _add_clause for each clause of ``formula.clauses``.
+def _add_clause(solver, clause):
+    """Watch a clause as a list, or enqueue it if it is a unit: the per-clause
+    loader _Solver had before every CnfFormula clause held distinct variables,
+    frozen with its handling of repeated variables."""
+    lits = list(clause)
+    if len(set(map(abs, lits))) < len(lits):
+        # Drop duplicate literals in order, and the whole clause if it holds a
+        # complementary pair.
+        seen: dict[int, int] = {}
+        lits = []
+        for lit in clause:
+            if seen.get(-lit):
+                return  # tautology, trivially satisfied
+            if not seen.get(lit):
+                seen[lit] = 1
+                lits.append(lit)
+    if len(lits) == 1:
+        if not solver._enqueue(lits[0], None):
+            solver.ok = False
+        return
+    solver.clauses.append(lits)
+    solver.watches[lits[0]].append(lits)
+    solver.watches[lits[1]].append(lits)
 
-    It loads the pairwise at-most-one clauses of the exactly-one blocks too.
+
+def _loaded_per_clause(num_vars, clauses):
+    """A solver loaded by calling the frozen _add_clause for each clause.
+
+    Given ``formula.clauses``, it loads the pairwise at-most-one clauses of
+    the exactly-one blocks too.
     """
-    solver = _Solver(CnfFormula(formula.num_vars, ()))
-    for clause in formula.clauses:
-        solver._add_clause(clause)
+    solver = _Solver(CnfFormula(num_vars, ()))
+    for clause in clauses:
+        _add_clause(solver, clause)
     return solver
 
 
@@ -694,15 +728,17 @@ def _loaded_state(solver):
             solver.reason, solver.qhead)
 
 
-def _assert_same_load(formula):
+def _assert_same_load(formula, clauses=None):
     """The per-clause loader's state, with each block's pairs as the ``amo`` table.
 
+    The per-clause loader reads ``clauses``, by default ``formula.clauses``.
     The pairs of the block of x are the two-literal lists at the head of the
     per-clause loader's ``watches[-x]``, their other literals in the order
     ``amo[-x]`` lists them without -x.  Less those lists, in its watch lists
     and in ``clauses``, the per-clause loader holds what _Solver does.
     """
-    solver, per_clause = _Solver(formula), _loaded_per_clause(formula)
+    clauses = formula.clauses if clauses is None else clauses
+    solver, per_clause = _Solver(formula), _loaded_per_clause(formula.num_vars, clauses)
     amo = [()] * (2 * formula.num_vars + 1)
     pair_ids = set()
     for block in formula.one_hot:
@@ -736,12 +772,13 @@ class TestLoaderMatchesPerClauseLoop:
         rng = random.Random(45)
         for _ in range(200):
             formula = random_cnf(rng, max_vars=8, max_clauses=40)
-            # Widen some clauses with a repeated or a complementary literal of their own.
-            clauses = [
+            # Widen some clauses with a repeated or a complementary literal of their own:
+            # the constructor drops what the per-clause loader used to drop.
+            clauses = tuple(
                 clause + (rng.choice(clause) * rng.choice((1, -1)),) if rng.random() < 0.3 else clause
                 for clause in formula.clauses
-            ]
-            _assert_same_load(CnfFormula(formula.num_vars, tuple(clauses)))
+            )
+            _assert_same_load(CnfFormula(formula.num_vars, clauses), clauses)
 
     def test_binary_heavy_cnfs(self):
         rng = random.Random(43)
@@ -756,6 +793,65 @@ class TestLoaderMatchesPerClauseLoop:
     @pytest.mark.parametrize("formula", _scenario_cnfs())
     def test_bundled_scenarios(self, formula):
         _assert_same_load(formula)
+
+
+def _repeats_no_variable(clause):
+    return len(set(map(abs, clause))) == len(clause)
+
+
+def _search_state(solver):
+    """Result, search counters and learned clauses of a loaded solver."""
+    loaded = len(solver.clauses)
+    result = solver.solve()
+    counters = (solver.decisions, solver.conflicts, solver.propagations, solver.learned,
+                solver.max_level)
+    return result, counters, solver.clauses[loaded:]
+
+
+def _assert_loads_as_checked(f, table, k, monkeypatch):
+    """encode's CNF of f, loaded as it is, loads and searches as the frozen per-clause
+    loader does on the clauses the encoder emits before normalising.  Returns whether
+    normalising changed any clause."""
+    formula = encode(f, table, k)[0]
+    assert all(map(_repeats_no_variable, formula.clauses)), f"{f} at k={k}"
+    with monkeypatch.context() as patch:
+        patch.setattr(sat, "_distinct", list)
+        raw = encode(f, table, k)[0]
+    assert raw.num_vars == formula.num_vars and raw.one_hot == formula.one_hot
+    # The checked load: the blocks as the solver reads them, then every other clause
+    # through the per-clause loader, which drops repeats and tautologies.
+    checked = _Solver(CnfFormula._numbered(raw.num_vars, (), raw.one_hot))
+    for clause in raw._rest:
+        _add_clause(checked, clause)
+    trusted = _Solver(formula)
+    assert trusted.amo == checked.amo
+    assert _loaded_state(trusted) == _loaded_state(checked)
+    assert _search_state(trusted) == _search_state(checked)
+    return raw._rest != formula._rest
+
+
+class TestEncodedClausesLoadAsChecked:
+    """encode's CNF, loaded as it is, loads and searches as the frozen per-clause loader
+    does on the clauses the encoder emits before normalising."""
+
+    def test_random_formulas(self, monkeypatch):
+        rng = random.Random(7)
+        table = family_symbols()
+        normalised = 0
+        for _ in range(1000):
+            f = random_formula(rng, rng.choice((4, 4, 6)))
+            for k in (0, 1, 2, 4):
+                normalised += _assert_loads_as_checked(f, table, k, monkeypatch)
+        assert normalised > 0
+
+    @pytest.mark.parametrize("loose, k", [
+        (Dist(Or(Atom("p"), Atom("p")), 1), 2),  # a join repeating a leaf, shifted
+        (Dist(And(Or(Atom("p"), Atom("p")), Not(Dist(Atom("q"), 5))), 0), 2),  # one live part
+        (Alw(Or(Atom("p"), Not(Atom("p")))), 0),  # the operand's one fragment at k=0
+    ], ids=["dist", "conjunction", "alw"])
+    def test_fragments_repeating_a_variable_under_a_conjunction(self, loose, k, monkeypatch):
+        f = Som(And(Atom("q"), loose))
+        assert _assert_loads_as_checked(f, family_symbols(), k, monkeypatch)
 
 
 def _assert_watches_are_clause_lists(solver):
@@ -842,7 +938,7 @@ def _assert_blocks_search_as_clauses(formula):
     run = _counted_search(formula)
     assert run == _counted_search(plain)
     result, (decisions, conflicts, *_), learned = run
-    assert (result, decisions, conflicts, learned) == _learned_search(_ClauseListSolver, formula)
+    assert (result, decisions, conflicts, learned) == _learned_search(_ClauseListSolver(formula))
     if result.satisfiable:
         assert _model_satisfies(formula, result.model) and _model_satisfies(plain, result.model)
     return result, conflicts

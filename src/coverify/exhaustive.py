@@ -2,9 +2,7 @@
 
 Walks every behavior of a scenario layer by layer instead of going through
 the SAT encoding, so the two verdicts come from entirely different machinery.
-Tractable only for small scenarios; limited to unit travel times and to
-slowdown/stop mitigations (retract reactions couple three instants, which
-this per-instant walker does not track).
+Tractable only for small scenarios and limited to unit travel times.
 
 A node is the cell of every POI and the task's progress, the number of steps
 done (steps complete in order, so the done flags are always a prefix); it
@@ -65,9 +63,6 @@ def exhaustive_verify(s: Scenario) -> bool:
     for a, b, t in s.travel_times:
         if t != 1:
             raise ValueError("exhaustive check supports unit travel times only")
-    for mit in s.mitigations:
-        if mit.kind == "retract":
-            raise ValueError("exhaustive check does not support retract mitigations")
 
     pois = [poi.id for poi in s.pois]
     locs = list(s.layout.ids)

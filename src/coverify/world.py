@@ -24,9 +24,8 @@ Modeling conventions baked into the compilation:
   later, i.e. after any mandated reaction, and pessimistically against the
   unmitigated base value when no later instant exists.  So an unmitigated
   hazard at the last instant never looks safer than it is.  A mitigated
-  hazard cannot hold at the last instant at all (a ``retract`` one only
-  when that instant is 0): its reaction would fall outside the window,
-  where ``Dist`` is false.
+  hazard cannot hold at the last instant at all: its reaction would fall
+  outside the window, where ``Dist`` is false.
 * Risk is priced after solving, not solved for: the violation asks for a
   hazard flag and a next speed in ``over_speeds``, and ``verify`` fills each
   ``risk_<h>`` column of the witness from the flag and the next speed.
@@ -94,6 +93,8 @@ __all__ = [
 ]
 
 SPEED_STATES = ("normal", "slow", "stopped")
+# Each mitigation kind: the robot speed it demands one instant after its hazard's flag.
+REACTIONS = {"slowdown": "slow", "stop": "stopped"}
 RISK_DOMAIN = tuple(str(v) for v in range(7))  # 0 .. 2+2+2
 DEFAULT_THRESHOLD = 3
 
@@ -198,7 +199,7 @@ class Hazard:
 
 @dataclass(frozen=True)
 class Mitigation:
-    kind: str  # "slowdown" | "retract" | "stop"
+    kind: str  # a key of REACTIONS
     hazard: str
 
 
@@ -343,12 +344,13 @@ def _validate_scenario(s: Scenario) -> None:
         if s.agent(s.poi(hazard.robot_poi).owner).kind != "robot":
             raise ScenarioError(f"hazard {hazard.id!r}: {hazard.robot_poi!r} is not a robot POI")
 
-    if len(set(s.mitigations)) != len(s.mitigations):
-        raise ScenarioError("duplicate mitigation")
     for mit in s.mitigations:
-        if mit.kind not in ("slowdown", "retract", "stop"):
+        if mit.kind not in REACTIONS:
             raise ScenarioError(f"unknown mitigation kind {mit.kind!r}")
         s.hazard(mit.hazard)
+        if s.mitigations.count(mit) > 1:
+            raise ScenarioError(f"duplicate mitigation: {mit.kind!r} for {mit.hazard!r} "
+                                "already present")
 
     timed: set[frozenset[str]] = set()
     for a, b, t in s.travel_times:
@@ -499,8 +501,8 @@ def loads_scenario(text: str, name: str = "scenario") -> Scenario:
                            int(fields[5]), int(fields[7]), int(fields[9]))
                 )
             elif section == "mitigations" and kw == "mitigate":
-                if len(fields) != 3 or fields[1] not in ("slowdown", "retract", "stop"):
-                    raise fail("expected: mitigate slowdown|retract|stop <hazard>")
+                if len(fields) != 3 or fields[1] not in REACTIONS:
+                    raise fail(f"expected: mitigate {'|'.join(REACTIONS)} <hazard>")
                 mitigations.append(Mitigation(fields[1], fields[2]))
             elif section == "params" and kw in _PARAM_VALUES:
                 if len(fields) != 2:
@@ -716,15 +718,7 @@ def _mitigation_axioms(s: Scenario):
         hazard = s.hazard(mit.hazard)
         flag = Atom(s.hazard_flag_name(hazard.id))
         speed = s.speed_name(s.poi(hazard.robot_poi).owner)
-        if mit.kind == "slowdown":
-            yield Alw(Implies(flag, Dist(Eq(speed, "slow"), 1)))
-        elif mit.kind == "stop":
-            yield Alw(Implies(flag, Dist(Eq(speed, "stopped"), 1)))
-        else:  # retract: return to the previous cell one instant after detection
-            pos = hazard.robot_poi
-            for loc in s.layout.locations:
-                was_there = Dist(Eq(pos, loc.id), -1)
-                yield Alw(Implies(And(flag, was_there), Dist(Eq(pos, loc.id), 1)))
+        yield Alw(Implies(flag, Dist(Eq(speed, REACTIONS[mit.kind]), 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -802,7 +796,7 @@ def verify(s: Scenario) -> VerifyResult:
 class BrokenRule:
     """A rule of the model that a trace breaks, the instant, and a message naming both."""
 
-    rule: str  # start, adjacency, dwell, flag, task, slowdown, stop, retract or risk
+    rule: str  # start, adjacency, dwell, flag, task, slowdown, stop or risk
     instant: int
     message: str
 
@@ -817,7 +811,7 @@ def check_trace(trace: Trace, s: Scenario) -> BrokenRule | None:
     ``risk_<h>`` columns hold the prices ``verify`` gives them.  The time is
     linear in the trace.  Of the broken rules it names the one at the
     earliest instant; at equal instants the first in the order start,
-    adjacency, dwell, flag, task, slowdown and stop, retract, risk, and
+    adjacency, dwell, flag, task, slowdown and stop, risk, and
     within a rule the first in declaration order.
     """
     if trace.bound != s.bound:
@@ -834,8 +828,7 @@ def check_trace(trace: Trace, s: Scenario) -> BrokenRule | None:
         *(_dwell_rule(poi.id, cells[poi.id], timed) for poi in s.pois if timed),
         *(_flag_rule(trace, s, h) for h in s.hazards),
         *(_task_rule(trace, s, i) for i in range(1, len(s.task) + 1)),
-        *(_speed_rule(trace, s, m) for m in s.mitigations if m.kind != "retract"),
-        *(_retract_rule(trace, s, m) for m in s.mitigations if m.kind == "retract"),
+        *(_speed_rule(trace, s, m) for m in s.mitigations),
         *(_risk_rule(trace, s, h) for h in s.hazards),
     ]
     # Each rule yields its breaks in time order, so its first is its earliest.
@@ -911,24 +904,13 @@ def _task_rule(trace: Trace, s: Scenario, i: int):
 def _speed_rule(trace: Trace, s: Scenario, m: Mitigation):
     h = s.hazard(m.hazard)
     flag, speed = s.hazard_flag_name(h.id), s.speed_name(s.poi(h.robot_poi).owner)
-    want = "slow" if m.kind == "slowdown" else "stopped"
+    want = REACTIONS[m.kind]
     speeds = trace.variables[speed]
     for t, raised in enumerate(trace.propositions[flag]):
         if raised and (t == s.bound or speeds[t + 1] != want):
             found = f"t={t} is the last instant" if t == s.bound else f"it is {speeds[t + 1]}"
             yield BrokenRule(m.kind, t, f"{m.kind} rule: {flag} is set at t={t}, so {speed} "
                              f"must be {want} at t={t + 1}, but {found}")
-
-
-def _retract_rule(trace: Trace, s: Scenario, m: Mitigation):
-    h = s.hazard(m.hazard)
-    flag, robot = s.hazard_flag_name(h.id), h.robot_poi
-    flags, cells = trace.propositions[flag], trace.variables[robot]
-    for t in range(1, len(flags)):
-        if flags[t] and (t == s.bound or cells[t + 1] != cells[t - 1]):
-            found = f"t={t} is the last instant" if t == s.bound else f"it is at {cells[t + 1]}"
-            yield BrokenRule("retract", t, f"retract rule: {flag} is set at t={t}, so {robot} "
-                             f"must be back at {cells[t - 1]} at t={t + 1}, but {found}")
 
 
 def _risk_rule(trace: Trace, s: Scenario, h: Hazard):
@@ -941,9 +923,6 @@ def _risk_rule(trace: Trace, s: Scenario, h: Hazard):
 
 def apply_mitigation(s: Scenario, m: Mitigation) -> Scenario:
     """A new scenario with m appended; the input scenario is left untouched."""
-    if m in s.mitigations:
-        raise ScenarioError(f"mitigation {m.kind!r} for {m.hazard!r} already present")
-    s.hazard(m.hazard)
     return replace(s, mitigations=s.mitigations + (m,))
 
 

@@ -40,7 +40,7 @@ import test_exhaustive
 
 # Each rule's rank: the order in which check_trace names rules broken at one instant.
 RANK = {"start": 0, "adjacency": 1, "dwell": 2, "flag": 3, "task": 4,
-        "slowdown": 5, "stop": 5, "retract": 6, "risk": 7}
+        "slowdown": 5, "stop": 5, "risk": 6}
 
 
 def _rule_axioms(s) -> dict[str, list]:
@@ -54,7 +54,7 @@ def _rule_axioms(s) -> dict[str, list]:
         "flag": list(_hazard_axioms(s)),
         "task": list(_task_axioms(s, [s.done_name(i) for i in range(1, len(s.task) + 1)])),
     }
-    for kind in ("slowdown", "stop", "retract"):
+    for kind in ("slowdown", "stop"):
         only = replace(s, mitigations=tuple(m for m in s.mitigations if m.kind == kind))
         families[kind] = list(_mitigation_axioms(only))
     # The split is a partition of the compiled axioms.
@@ -112,14 +112,13 @@ def _rederived(tr: Trace, s) -> Trace:
             done.append(now)
         props[s.done_name(i)] = prior = tuple(done)
     for m in s.mitigations:
-        if m.kind != "retract":
-            h = s.hazard(m.hazard)
-            speed = s.speed_name(s.poi(h.robot_poi).owner)
-            column = list(cells[speed])
-            for t, raised in enumerate(props[s.hazard_flag_name(h.id)][:-1]):
-                if raised:
-                    column[t + 1] = "slow" if m.kind == "slowdown" else "stopped"
-            cells[speed] = tuple(column)
+        h = s.hazard(m.hazard)
+        speed = s.speed_name(s.poi(h.robot_poi).owner)
+        column = list(cells[speed])
+        for t, raised in enumerate(props[s.hazard_flag_name(h.id)][:-1]):
+            if raised:
+                column[t + 1] = "slow" if m.kind == "slowdown" else "stopped"
+        cells[speed] = tuple(column)
     return _priced(Trace(tr.bound, props, cells), s)
 
 
@@ -142,9 +141,6 @@ def _corruptions(tr: Trace, s, rng: random.Random, count: int):
       next speed;
     * a POI cell, set to another cell and the rest re-derived: a jump, a
       short dwell or a moved start, alone;
-    * after each flagged instant of a retract, the robot POI kept where the
-      flag found it, or moved on if it had stayed, and the rest re-derived:
-      a retract that does not return;
     * a risk cell, set to another level.
     """
     risks = {s.risk_name(h.id) for h in s.hazards}
@@ -161,17 +157,6 @@ def _corruptions(tr: Trace, s, rng: random.Random, count: int):
         others = [v for v in domains[name] if v != tr.variables[name][t]]
         if others:
             yield _rederived(_set(tr, name, t, rng.choice(others)), s)
-    for m in s.mitigations:
-        if m.kind == "retract":
-            robot = s.hazard(m.hazard).robot_poi
-            cells = tr.variables[robot]
-            for t, raised in enumerate(tr.propositions[s.hazard_flag_name(m.hazard)][:-1]):
-                if raised and t > 0:
-                    here = cells[t]
-                    if here == cells[t - 1]:  # it stayed: move on to a neighbour, if any
-                        here = min(s.layout.location(here).adjacent, default=None)
-                    if here is not None:
-                        yield _rederived(_set(tr, robot, t + 1, here), s)
     for name in sorted(risks):
         t = rng.randrange(tr.bound + 1)
         old = tr.variables[name][t]
@@ -199,7 +184,7 @@ def _witnesses():
         bundled = load_scenario(bundled_scenario_path(name))
         for s in (bundled, replace(bundled, bound=30)):
             yield f"{name} at bound {s.bound}", s, verify(s).trace
-        for kind in ("slowdown", "stop", "retract"):
+        for kind in ("slowdown", "stop"):
             s = apply_mitigation(bundled, Mitigation(kind, "h1"))
             yield f"{name} with {kind}", s, verify(s).trace or _admissible(s)
     rng = random.Random(4242)
@@ -243,7 +228,7 @@ def test_check_trace_agrees_with_the_compiled_axioms():
             if len(broken) == 1:
                 alone |= set(broken)
     assert witnesses >= 40
-    assert seen_mitigations == {"slowdown", "stop", "retract"}
+    assert seen_mitigations == {"slowdown", "stop"}
     assert alone == set(RANK)
 
 

@@ -592,6 +592,25 @@ def test_an_id_that_cannot_name_its_symbol_fails_on_its_line_for_both_oracles(tm
         assert capsys.readouterr().err == "error: line 8: invalid domain value: 'L-3'\n"
 
 
+def test_a_retract_mitigation_fails_on_its_line_for_every_command(tmp_path, monkeypatch, capsys):
+    # Every mitigation is a speed reaction; retract is no mitigation kind, and no command
+    # reads past the scenario line that names it.
+    monkeypatch.chdir(tmp_path)
+    assert main(["verify", HANDOVER_MINI, "--out", "mini.trace"]) == EXIT_COUNTEREXAMPLE
+    text = Path(HANDOVER_MINI).read_text(encoding="utf-8") + "[mitigations]\nmitigate retract h1\n"
+    Path("retract.scn").write_text(text, encoding="utf-8")
+    line = len(text.splitlines())
+    capsys.readouterr()
+    for argv in (["verify", "retract.scn"], ["oracle", "retract.scn"],
+                 ["classify", "retract.scn", "mini.trace"],
+                 ["export", "retract.scn", "cnf", "--out", "retract.cnf"]):
+        assert main(argv) == EXIT_INPUT_ERROR, argv
+        assert capsys.readouterr().err == (
+            f"error: line {line}: expected: mitigate slowdown|stop <hazard>\n"
+        ), argv
+    assert not Path("retract.cnf").exists()
+
+
 @pytest.mark.parametrize(
     "name, line, first",
     [("speed_kuka", 18, 16), ("done_1", 21, 18), ("haz_h1", 25, 18), ("risk_h1", 25, 18)],

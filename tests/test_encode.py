@@ -695,7 +695,7 @@ def _random_grid_text(rng: random.Random, n: int) -> str:
     if rng.random() < 0.5:
         lines.append("hazard hz2 h g sev 1 exp 1 avoid 1")
     lines += ["[mitigations]"]
-    lines += [f"mitigate {kind} hz" for kind in ("stop", "retract") if rng.random() < 0.4]
+    lines += [f"mitigate {kind} hz" for kind in ("stop", "slowdown") if rng.random() < 0.4]
     lines += ["[params]", f"bound {rng.randint(0, 4 * n)}"]
     lines += [f"travel {a} {b} {rng.randint(2, 3)}" for a, b in edges if rng.random() < 0.2]
     return "\n".join(lines) + "\n"

@@ -11,7 +11,6 @@ from coverify.exhaustive import exhaustive_verify
 from coverify.geometry import Box
 from coverify.logic import (
     Alw,
-    And,
     Atom,
     Dist,
     Eq,
@@ -224,6 +223,21 @@ class TestLoad:
         with pytest.raises(ScenarioError, match="duplicate mitigation"):
             loads_scenario(text)
 
+    def test_duplicate_mitigation_names_its_kind_and_hazard(self):
+        text = TWO_CELLS + "\n[mitigations]\nmitigate slowdown hz\nmitigate slowdown hz\n"
+        with pytest.raises(ScenarioError) as exc:
+            loads_scenario(text)
+        assert str(exc.value) == "duplicate mitigation: 'slowdown' for 'hz' already present"
+
+    def test_retract_mitigation_rejected_on_its_line(self):
+        # Only the robot's next speed prices a hazard instant, so every mitigation is a speed
+        # reaction; a position-only retract would lower no risk.
+        text = TWO_CELLS + "\n[mitigations]\nmitigate retract hz\n"
+        line = text.splitlines().index("mitigate retract hz") + 1
+        with pytest.raises(ScenarioError) as exc:
+            loads_scenario(text)
+        assert str(exc.value) == f"line {line}: expected: mitigate slowdown|stop <hazard>"
+
     def test_second_start_of_a_poi_rejected(self):
         text = TWO_CELLS.replace("[hazards]", "start g A\nstart g B\n\n[hazards]")
         with pytest.raises(ScenarioError, match="'g' has more than one start"):
@@ -296,15 +310,6 @@ class TestCompile:
         s = loads_scenario(TWO_CELLS + "\n[mitigations]\nmitigate slowdown hz\n")
         model = compile_scenario(s)
         expected = Alw(Implies(Atom("haz_hz"), Dist(Eq("speed_bot", "slow"), 1)))
-        assert expected in model.axioms
-
-    def test_retract_template_present(self):
-        s = loads_scenario(TWO_CELLS)
-        s2 = apply_mitigation(s, Mitigation("retract", "hz"))
-        model = compile_scenario(s2)
-        expected = Alw(
-            Implies(And(Atom("haz_hz"), Dist(Eq("g", "A"), -1)), Dist(Eq("g", "A"), 1))
-        )
         assert expected in model.axioms
 
     def test_hazard_axioms_define_colocation(self):
@@ -470,6 +475,10 @@ class TestApplyMitigation:
     def test_unknown_hazard_rejected(self, handover):
         with pytest.raises(ScenarioError, match="unknown hazard"):
             apply_mitigation(handover, Mitigation("stop", "ghost"))
+
+    def test_retract_rejected(self, handover):
+        with pytest.raises(ScenarioError, match="unknown mitigation kind 'retract'"):
+            apply_mitigation(handover, Mitigation("retract", "h1"))
 
 
 class TestVerify:

@@ -23,7 +23,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable
 
@@ -63,10 +63,7 @@ class RunConfig:
 
 
 def _load(cfg: RunConfig) -> Scenario:
-    scenario = load_scenario(cfg.scenario)
-    if cfg.bound is not None:
-        scenario = replace(scenario, bound=cfg.bound)
-    return scenario
+    return load_scenario(cfg.scenario, bound=cfg.bound)
 
 
 def _input_errors_exit_2(run: Callable[..., int]) -> Callable[..., int]:

@@ -2,7 +2,10 @@
 
 Every declared proposition the formula reads gets one SAT variable per
 instant; every finite variable it reads gets a one-hot block per instant.
-The encoder hands each block over as one exactly-one block
+The numbering is kept once, as rows over t = 0..k: one per proposition and
+one per (variable, value) pair.  ``Atom`` and ``Eq`` read their literals off
+these rows, and ``VarMap`` hands the same rows to ``decode``.  The encoder
+hands each one-hot block over as one exactly-one block
 (``CnfFormula.one_hot``), not as its at-least-one clause and pairwise
 at-most-one clauses; ``CnfFormula.clauses`` still spells those out, ahead of
 the other clauses.  A declared symbol the formula never reads gets no
@@ -105,23 +108,26 @@ class EncodingError(RuntimeError):
 
 @dataclass
 class VarMap:
-    """Injective map from (symbol, instant) to the SAT variables a trace is decoded from.
+    """The SAT variables a trace is decoded from: the encoder's per-symbol rows.
 
-    Subformulas have no entries: the variables they own are implied by their
-    definition, not equal to it, so a model gives them no value to read.
-    Neither have the declared symbols the formula does not read.
+    ``prop_rows[name]`` is a proposition's variable at t = 0..k, and
+    ``value_rows[(var, value)]`` that value's one-hot bit at t = 0..k.  No
+    variable is in two rows.  Subformulas have no rows: the variables they
+    own are implied by their definition, not equal to it, so a model gives
+    them no value to read.  Neither have the declared symbols the formula
+    does not read.
     """
 
     bound: int
-    prop_vars: dict[tuple[str, int], int]
-    value_vars: dict[tuple[str, int, str], int]
+    prop_rows: dict[str, list[int]]
+    value_rows: dict[tuple[str, str], list[int]]
     num_vars: int
 
     def prop_var(self, name: str, t: int) -> int:
-        return self.prop_vars[(name, t)]
+        return self.prop_rows[name][t]
 
     def value_var(self, name: str, t: int, value: str) -> int:
-        return self.value_vars[(name, t, value)]
+        return self.value_rows[(name, value)][t]
 
 
 @dataclass(frozen=True)
@@ -219,12 +225,10 @@ class _Encoder:
         self.symbols = symbols
         self.k = k
         self.next_var = 1
-        self.prop_vars: dict[tuple[str, int], int] = {}
-        self.value_vars: dict[tuple[str, int, str], int] = {}
         self.one_hot: list[tuple[int, ...]] = []
         self.clauses: list[tuple[int, ...]] = []  # every clause after the one-hot blocks
-        self._prop_rows: dict[str, list[int]] = {}
-        self._value_rows: dict[tuple[str, str], list[int]] = {}
+        self.prop_rows: dict[str, list[int]] = {}  # the rows ``VarMap`` hands over
+        self.value_rows: dict[tuple[str, str], list[int]] = {}
         # (atom, polarity) or (id of any other node, polarity) -> its fragments
         self._lits: dict[tuple[Formula | int, bool], list[Fragment]] = {}
         # ids of the rows whose fragments may repeat a variable
@@ -233,22 +237,16 @@ class _Encoder:
 
         n = k + 1
         for prop in symbols.propositions:
-            if prop.name not in read:
-                continue
-            row = self._fresh_row(n)
-            self._prop_rows[prop.name] = row
-            self.prop_vars.update(zip([(prop.name, t) for t in range(n)], row))
+            if prop.name in read:
+                self.prop_rows[prop.name] = self._fresh_row(n)
         for var in symbols.variables:
             if var.name not in read:
                 continue
             width = len(var.domain)
             block = self._fresh_row(n * width)  # value i at instant t: block[t * width + i]
-            for t in range(n):
-                bits = block[t * width:(t + 1) * width]
-                self.value_vars.update(zip([(var.name, t, value) for value in var.domain], bits))
-                self.one_hot.append(tuple(bits))
+            self.one_hot += [tuple(block[t * width:(t + 1) * width]) for t in range(n)]
             for i, value in enumerate(var.domain):
-                self._value_rows[(var.name, value)] = block[i::width]
+                self.value_rows[(var.name, value)] = block[i::width]
 
     def _fresh_row(self, n: int) -> list[int]:
         # A list, not a range: every clause then shares the variable's int object.
@@ -374,12 +372,12 @@ class _Encoder:
     def _literal_row(self, f: Formula) -> list[int]:
         """Literals equivalent to an atomic f at t = 0..k."""
         if isinstance(f, Atom):
-            row = self._prop_rows.get(f.name)
+            row = self.prop_rows.get(f.name)
             if row is None:
                 raise ValueError(f"{f.name!r} is not a declared proposition")
             return row
         if isinstance(f, Eq):
-            row = self._value_rows.get((f.var, f.value))
+            row = self.value_rows.get((f.var, f.value))
             if row is None:
                 if not isinstance(self.symbols.lookup(f.var), FiniteVariable):
                     raise ValueError(f"{f.var!r} is not a declared finite variable")
@@ -446,8 +444,7 @@ def encode(f: Formula, symbols: SymbolTable, k: int) -> tuple[sat.CnfFormula, Va
     enc = _Encoder(symbols, k, read)
     enc.assert_formula(f)
     cnf = sat.CnfFormula._numbered(enc.next_var - 1, tuple(enc.clauses), tuple(enc.one_hot))
-    vm = VarMap(k, enc.prop_vars, enc.value_vars, cnf.num_vars)
-    return cnf, vm
+    return cnf, VarMap(k, enc.prop_rows, enc.value_rows, cnf.num_vars)
 
 
 def decode(model: dict[int, bool], vm: VarMap, symbols: SymbolTable, k: int) -> Trace:
@@ -458,18 +455,17 @@ def decode(model: dict[int, bool], vm: VarMap, symbols: SymbolTable, k: int) -> 
     """
     props: dict[str, tuple[bool, ...]] = {}
     for prop in symbols.propositions:
-        if (prop.name, 0) not in vm.prop_vars:
-            props[prop.name] = (False,) * (k + 1)
-            continue
-        props[prop.name] = tuple(model[vm.prop_var(prop.name, t)] for t in range(k + 1))
+        row = vm.prop_rows.get(prop.name)
+        props[prop.name] = (False,) * (k + 1) if row is None else tuple(model[v] for v in row)
     variables: dict[str, tuple[str, ...]] = {}
     for var in symbols.variables:
-        if (var.name, 0, var.domain[0]) not in vm.value_vars:
+        rows = [vm.value_rows.get((var.name, value)) for value in var.domain]
+        if rows[0] is None:
             variables[var.name] = (var.domain[0],) * (k + 1)
             continue
         values = []
-        for t in range(k + 1):
-            hot = [value for value in var.domain if model[vm.value_var(var.name, t, value)]]
+        for t, bits in enumerate(zip(*rows)):
+            hot = [value for value, bit in zip(var.domain, bits) if model[bit]]
             if len(hot) != 1:
                 raise EncodingError(
                     f"one-hot block of {var.name!r} at instant {t} has {len(hot)} true bits"

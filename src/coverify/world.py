@@ -18,6 +18,8 @@ Modeling conventions baked into the compilation:
   human paths.
 * Each robot has a ``speed_<agent>`` state (normal/slow/stopped) that is
   free unless a mitigation reacts to a hazard one instant after detection.
+  A hazard takes at most one mitigation: two kinds would demand two speeds
+  at one instant, so the hazard could never hold.
 * A hazard flag ``haz_<h>`` holds exactly when the hazard's human and robot
   POIs share a cell, stated cell by cell on their position values.
 * The risk of a hazard instant is valued against the speed one instant
@@ -344,10 +346,16 @@ def _validate_scenario(s: Scenario) -> None:
         if s.agent(s.poi(hazard.robot_poi).owner).kind != "robot":
             raise ScenarioError(f"hazard {hazard.id!r}: {hazard.robot_poi!r} is not a robot POI")
 
+    # One mitigation per hazard: two kinds would demand two next speeds at once.
+    kinds: dict[str, str] = {}
     for mit in s.mitigations:
         if mit.kind not in REACTIONS:
             raise ScenarioError(f"unknown mitigation kind {mit.kind!r}")
         s.hazard(mit.hazard)
+        first_kind = kinds.setdefault(mit.hazard, mit.kind)
+        if first_kind != mit.kind:
+            raise ScenarioError(f"hazard {mit.hazard!r} is already mitigated by "
+                                f"{first_kind!r}: one mitigation per hazard")
         if s.mitigations.count(mit) > 1:
             raise ScenarioError(f"duplicate mitigation: {mit.kind!r} for {mit.hazard!r} "
                                 "already present")
@@ -380,16 +388,18 @@ def _validate_scenario(s: Scenario) -> None:
 _PARAM_VALUES = {"bound": "<k>", "threshold": "<n>", "dt": "<seconds>"}
 
 
-def load_scenario(path) -> Scenario:
-    """Load and validate a scenario file."""
+def load_scenario(path, bound: int | None = None) -> Scenario:
+    """Load and validate a scenario file; a ``bound`` given here takes the
+    place of the file's ``[params] bound``."""
     with open(path, "r", encoding="utf-8") as handle:
         text = handle.read()
     name = os.path.splitext(os.path.basename(str(path)))[0]
-    return loads_scenario(text, name=name)
+    return loads_scenario(text, name=name, bound=bound)
 
 
-def loads_scenario(text: str, name: str = "scenario") -> Scenario:
-    """Parse scenario text (see the .scn reference in the README)."""
+def loads_scenario(text: str, name: str = "scenario", bound: int | None = None) -> Scenario:
+    """Parse scenario text (see the .scn reference in the README); a ``bound``
+    given here takes the place of ``[params] bound``."""
     section = None
     loc_boxes: dict[str, Box] = {}
     adjacency: dict[str, set[str]] = {}
@@ -398,6 +408,7 @@ def loads_scenario(text: str, name: str = "scenario") -> Scenario:
     task: list[TaskStep] = []
     hazards: list[Hazard] = []
     mitigations: list[Mitigation] = []
+    mitigated: dict[str, tuple[str, int]] = {}  # each mitigated hazard: its kind and line
     starts: list[tuple[str, str]] = []
     travel: list[tuple[str, str, int]] = []
     params: dict[str, float | int] = {}
@@ -503,7 +514,12 @@ def loads_scenario(text: str, name: str = "scenario") -> Scenario:
             elif section == "mitigations" and kw == "mitigate":
                 if len(fields) != 3 or fields[1] not in REACTIONS:
                     raise fail(f"expected: mitigate {'|'.join(REACTIONS)} <hazard>")
-                mitigations.append(Mitigation(fields[1], fields[2]))
+                kind, hazard = fields[1], fields[2]
+                first_kind, first_line = mitigated.setdefault(hazard, (kind, lineno))
+                if first_kind != kind:
+                    raise fail(f"hazard {hazard!r} is already mitigated by {first_kind!r} "
+                               f"on line {first_line}: one mitigation per hazard")
+                mitigations.append(Mitigation(kind, hazard))
             elif section == "params" and kw in _PARAM_VALUES:
                 if len(fields) != 2:
                     raise fail(f"expected: {kw} {_PARAM_VALUES[kw]}")
@@ -535,7 +551,7 @@ def loads_scenario(text: str, name: str = "scenario") -> Scenario:
             task=tuple(task),
             hazards=tuple(hazards),
             mitigations=tuple(mitigations),
-            bound=int(params.get("bound", DEFAULT_BOUND)),
+            bound=int(params.get("bound", DEFAULT_BOUND)) if bound is None else bound,
             threshold=int(params.get("threshold", DEFAULT_THRESHOLD)),
             dt=float(params.get("dt", 1.0)),
             travel_times=tuple(travel),

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import coverify
-from coverify import cli
+from coverify import cli, world
 from coverify.cli import (
     EXIT_COUNTEREXAMPLE,
     EXIT_INPUT_ERROR,
@@ -609,6 +609,30 @@ def test_a_retract_mitigation_fails_on_its_line_for_every_command(tmp_path, monk
             f"error: line {line}: expected: mitigate slowdown|stop <hazard>\n"
         ), argv
     assert not Path("retract.cnf").exists()
+
+
+def test_a_second_mitigation_kind_fails_on_its_line(tmp_path, monkeypatch, capsys):
+    # stop and slowdown on one hazard demand two next speeds at once: both paths would answer a
+    # vacuous SAFE, so neither reads past the second mitigate line.
+    monkeypatch.chdir(tmp_path)
+    text = Path(HANDOVER_MINI).read_text(encoding="utf-8")
+    text += "[mitigations]\nmitigate stop h1\nmitigate slowdown h1\n"
+    Path("both.scn").write_text(text, encoding="utf-8")
+    line = len(text.splitlines())
+    for command in ("verify", "oracle"):
+        assert main([command, "both.scn"]) == EXIT_INPUT_ERROR, command
+        assert capsys.readouterr().err == (
+            f"error: line {line}: hazard 'h1' is already mitigated by 'stop' on line {line - 1}: "
+            "one mitigation per hazard\n"
+        ), command
+
+
+def test_a_bound_option_validates_the_scenario_once(monkeypatch):
+    validated = []
+    validate = world._validate_scenario
+    monkeypatch.setattr(world, "_validate_scenario", lambda s: validated.append(s.bound) or validate(s))
+    assert main(["verify", HANDOVER_STOP, "--bound", "9"]) == EXIT_SAFE
+    assert validated == [9]
 
 
 @pytest.mark.parametrize(

@@ -55,7 +55,7 @@ def pq_symbols():
 class TestVarMap:
     def test_one_variable_per_proposition_instant(self, pq_symbols):
         _, vm = encode(Atom("p"), pq_symbols, 2)
-        assert {(n, t) for (n, t) in vm.prop_vars if n == "p"} == {("p", 0), ("p", 1), ("p", 2)}
+        assert vm.prop_rows == {"p": [1, 2, 3]}
 
     def test_covers_every_declared_symbol(self):
         # q and v are declared but unread: no variable, and the witness holds
@@ -66,8 +66,8 @@ class TestVarMap:
         table.add_variable("v", ("b", "a"))
         f = Not(Atom("p"))
         cnf, vm = encode(f, table, 1)
-        assert set(vm.prop_vars) == {("p", 0), ("p", 1)}
-        assert vm.value_vars == {}
+        assert vm.prop_rows == {"p": [1, 2]}
+        assert vm.value_rows == {}
         assert cnf.num_vars == 2
         trace = check(f, table, 1).trace
         assert trace.propositions["q"] == (False, False)
@@ -79,7 +79,7 @@ class TestVarMap:
         table = SymbolTable()
         table.add_variable("v", ("a", "b", "c"))
         cnf, vm = encode(Eq("v", "a"), table, 1)
-        assert len(vm.value_vars) == 2 * 3
+        assert [len(vm.value_rows["v", value]) for value in ("a", "b", "c")] == [2, 2, 2]
         bits0 = [vm.value_var("v", 0, value) for value in ("a", "b", "c")]
         clauses = set(cnf.clauses)
         assert tuple(bits0) in clauses  # at-least-one
@@ -90,7 +90,7 @@ class TestVarMap:
     def test_injective(self, pq_symbols):
         enc = _Encoder(pq_symbols, 3, {"p", "q"})
         row = enc.lits(And(Atom("p"), Atom("q")), True)
-        ids = list(enc.prop_vars.values()) + list(enc.value_vars.values()) + [a for (a,) in row]
+        ids = [*chain(*enc.prop_rows.values(), *enc.value_rows.values()), *(a for (a,) in row)]
         assert len(ids) == len(set(ids))
 
     def test_size_bound(self):
@@ -447,8 +447,14 @@ def _reference_encode(f: Formula, symbols: SymbolTable, k: int) -> tuple[CnfForm
     root = enc.literal(f, 0)
     enc.clauses.append((root,))
     cnf = CnfFormula(enc.next_var - 1, tuple(enc.clauses))
-    vm = VarMap(k, enc.prop_vars, enc.value_vars, cnf.num_vars)
-    return cnf, vm
+    # The reference keeps its own (symbol, instant) numbering; VarMap holds it as rows.
+    prop_rows: dict[str, list[int]] = {}
+    value_rows: dict[tuple[str, str], list[int]] = {}
+    for (name, _), v in enc.prop_vars.items():  # filled instant by instant
+        prop_rows.setdefault(name, []).append(v)
+    for (name, _, value), v in enc.value_vars.items():
+        value_rows.setdefault((name, value), []).append(v)
+    return cnf, VarMap(k, prop_rows, value_rows, cnf.num_vars)
 
 
 def _assert_same_satisfiability(
@@ -456,7 +462,7 @@ def _assert_same_satisfiability(
 ) -> None:
     """Symbols numbered as by the reference, and the same answer as its CNF (and enumeration)."""
     (cnf, vm), (ref_cnf, ref_vm) = encode(f, symbols, k), _reference_encode(f, symbols, k)
-    for name in ("prop_vars", "value_vars"):
+    for name in ("prop_rows", "value_rows"):
         assert list(getattr(vm, name).items()) == list(getattr(ref_vm, name).items())
     satisfiable = solve(cnf).satisfiable
     assert satisfiable == solve(ref_cnf).satisfiable, f"{f} at k={k}"
@@ -477,9 +483,9 @@ def _assert_fragments_sound(f: Formula, symbols: SymbolTable, k: int) -> int:
     for pos_frag, neg_frag in zip(enc.lits(f, True), enc.lits(f, False)):
         if pos_frag is not None and neg_frag is not None:
             enc.clauses.append(pos_frag + neg_frag)
-    vm = VarMap(k, enc.prop_vars, enc.value_vars, enc.next_var - 1)
+    vm = VarMap(k, enc.prop_rows, enc.value_rows, enc.next_var - 1)
     blocks = list(CnfFormula._numbered(vm.num_vars, (), tuple(enc.one_hot)).clauses)
-    first_owned = len(vm.prop_vars) + len(vm.value_vars) + 1
+    first_owned = sum(map(len, chain(vm.prop_rows.values(), vm.value_rows.values()))) + 1
     held = 0
     for flip in (1, -1):
         def turn(lit: int) -> int:
@@ -651,7 +657,8 @@ def _random_scenario_text(rng: random.Random) -> str:
         lines.append(f"step {kind} {rng.choice(cells)}")
     grades = " ".join(f"{name} {rng.randint(0, 2)}" for name in ("sev", "exp", "avoid"))
     lines += ["[hazards]", f"hazard hz h g {grades}", "[mitigations]"]
-    lines += [f"mitigate {kind} hz" for kind in ("stop", "slowdown") if rng.random() < 0.4]
+    kinds = [kind for kind in ("stop", "slowdown") if rng.random() < 0.4]
+    lines += [f"mitigate {kind} hz" for kind in kinds[:1]]  # one mitigation per hazard
     lines += ["[params]", f"bound {rng.randint(0, 5)}", f"threshold {rng.randint(0, 5)}"]
     return "\n".join(lines) + "\n"
 
@@ -695,7 +702,8 @@ def _random_grid_text(rng: random.Random, n: int) -> str:
     if rng.random() < 0.5:
         lines.append("hazard hz2 h g sev 1 exp 1 avoid 1")
     lines += ["[mitigations]"]
-    lines += [f"mitigate {kind} hz" for kind in ("stop", "slowdown") if rng.random() < 0.4]
+    kinds = [kind for kind in ("stop", "slowdown") if rng.random() < 0.4]
+    lines += [f"mitigate {kind} hz" for kind in kinds[:1]]  # one mitigation per hazard
     lines += ["[params]", f"bound {rng.randint(0, 4 * n)}"]
     lines += [f"travel {a} {b} {rng.randint(2, 3)}" for a, b in edges if rng.random() < 0.2]
     return "\n".join(lines) + "\n"
@@ -720,7 +728,7 @@ class TestCompiledWorkcellSize:
         over = [h for h in scenario.hazards if over_speeds(h, scenario.threshold)]
         cnf, vm = encode(f, symbols, k)
         assert cnf.num_vars == (k + 1) * per_instant + k * len(over), (scenario.name, k)
-        assert not any(name.startswith("risk_") for name, _, _ in vm.value_vars)
+        assert not any(name.startswith("risk_") for name, _ in vm.value_rows)
 
     @pytest.mark.parametrize("name", ["handover", "handover_stop", "handover_point", "handover_mini"])
     def test_bundled_scenarios(self, name):

@@ -34,6 +34,7 @@ from coverify.world import (
     _hazard_axioms,
     _movement_axioms,
     apply_mitigation,
+    bundled_scenario_path,
     compile_scenario,
     load_scenario,
     loads_scenario,
@@ -237,6 +238,26 @@ class TestLoad:
         with pytest.raises(ScenarioError) as exc:
             loads_scenario(text)
         assert str(exc.value) == f"line {line}: expected: mitigate slowdown|stop <hazard>"
+
+    @pytest.mark.parametrize("first, second", [("stop", "slowdown"), ("slowdown", "stop")])
+    def test_second_mitigation_kind_rejected_on_its_line(self, first, second):
+        # Two kinds on one hazard demand two next speeds at once, so its flag could never hold.
+        text = TWO_CELLS + f"\n[mitigations]\nmitigate {first} hz\nmitigate {second} hz\n"
+        line = len(text.splitlines())
+        with pytest.raises(ScenarioError) as exc:
+            loads_scenario(text)
+        assert str(exc.value) == (f"line {line}: hazard 'hz' is already mitigated by {first!r} "
+                                  f"on line {line - 1}: one mitigation per hazard")
+
+    @pytest.mark.parametrize("name", ["handover", "handover_stop", "handover_point", "handover_mini"])
+    def test_bound_argument_takes_the_place_of_the_params_bound(self, name):
+        path = bundled_scenario_path(name)
+        assert load_scenario(path, bound=9) == replace(load_scenario(path), bound=9)
+
+    def test_bound_argument_is_validated_like_the_params_bound(self):
+        assert loads_scenario(TWO_CELLS + "\n[params]\nbound 4\n", bound=0).bound == 0
+        with pytest.raises(ScenarioError, match="bound must be >= 0"):
+            loads_scenario(TWO_CELLS, bound=-1)
 
     def test_second_start_of_a_poi_rejected(self):
         text = TWO_CELLS.replace("[hazards]", "start g A\nstart g B\n\n[hazards]")
@@ -471,6 +492,12 @@ class TestApplyMitigation:
         s2 = apply_mitigation(handover, Mitigation("stop", "h1"))
         with pytest.raises(ScenarioError, match="already present"):
             apply_mitigation(s2, Mitigation("stop", "h1"))
+
+    def test_second_kind_rejected(self, handover):
+        s2 = apply_mitigation(handover, Mitigation("stop", "h1"))
+        with pytest.raises(ScenarioError) as exc:
+            apply_mitigation(s2, Mitigation("slowdown", "h1"))
+        assert str(exc.value) == "hazard 'h1' is already mitigated by 'stop': one mitigation per hazard"
 
     def test_unknown_hazard_rejected(self, handover):
         with pytest.raises(ScenarioError, match="unknown hazard"):

@@ -24,7 +24,7 @@ may stand for f wherever f occurs at that polarity inside a clause.
   window ``Dist`` is false: an empty fragment at positive polarity, None at
   negative.  An operand no instant reaches (|offset| > k) is never looked at.
 * A disjunctive shape (``Or`` positive, ``And`` negative, ``Implies``
-  positive) concatenates its parts' fragments and owns no variable.
+  positive) joins its parts' fragments and owns no variable.
 * A conjunctive shape (``And`` positive, ``Or`` negative, ``Implies``
   negative) owns one variable y at each instant where two or more parts
   remain, with one clause "not y, or this part" per part: y implies the
@@ -52,18 +52,17 @@ subformula that fragment's polarity at that instant, and every trace that
 satisfies the root extends to a model.  So a formula is satisfiable over
 bound k iff its CNF is.
 
-The encoder numbers every literal itself and no clause it emits repeats a
-variable, so ``encode`` hands its CNF over without the checks of the public
-``CnfFormula`` constructor, and the solver loads it as it is.  A join of
-parts that are each an atom under ``Not`` and ``Dist`` only, no two reading
-one atom at one net offset, repeats no variable by construction and is
-emitted as it is.  Every other clause that may repeat one (a ``Som``
-clause, a join with a conjunctive or whole-window part or with a repeated
-atom, and a conjunction's clauses over such a join) is normalised on the
-way out, as the constructor normalises a CNF built by hand or read by
-``sat.read_dimacs``: a repeated literal is dropped, the first kept, and a
-clause with a complementary pair is dropped whole.  No compiled workcell
-clause repeats a variable, so normalising changes none of theirs.
+No fragment repeats a variable, and so no clause the encoder emits does: a
+clause is a fragment, or a fresh variable's negation and a fragment.  Only a
+join and the union over the window of a ``Som`` (an ``Alw`` at negative
+polarity) can repeat one, and each is tidied where it is built by the rule
+the public ``CnfFormula`` constructor applies too, ``sat._tidy``: a repeated
+literal is dropped, the first kept, and a fragment with a complementary pair
+holds anyway and becomes None.  A join of parts that are each an atom under
+``Not`` and ``Dist`` only, no two reading one atom at one net offset,
+repeats no variable by construction and is left as it is.  So ``encode``
+hands its CNF over without the constructor's checks, and the solver loads it
+as it is.
 
 ``decode`` turns a model back into a trace and ``check`` glues
 encode/solve/decode together and re-checks every witness against the
@@ -122,12 +121,6 @@ class VarMap:
     prop_rows: dict[str, list[int]]
     value_rows: dict[tuple[str, str], list[int]]
     num_vars: int
-
-    def prop_var(self, name: str, t: int) -> int:
-        return self.prop_rows[name][t]
-
-    def value_var(self, name: str, t: int, value: str) -> int:
-        return self.value_rows[(name, value)][t]
 
 
 @dataclass(frozen=True)
@@ -202,15 +195,19 @@ def _somewhere(rows: list[list[Fragment]]) -> Fragment:
     """One fragment implying that some part takes its polarity at some instant."""
     if any(None in row for row in rows):
         return None
-    return tuple(dict.fromkeys(chain.from_iterable(chain.from_iterable(rows))))
+    return sat._tidy(tuple(chain.from_iterable(chain.from_iterable(rows))))
 
 
-def _join(rows: list[list[Fragment]]) -> list[Fragment]:
-    """At each instant, the rows' fragments as one disjunction; None where one is None."""
+def _join(rows: list[list[Fragment]], parts: list[tuple[Formula, bool]]) -> list[Fragment]:
+    """At each instant, the rows of the parts' fragments as one disjunction,
+    tidied unless ``_simple``; None where one is None or the join holds anyway."""
     joined = rows[0]
     for row in rows[1:]:
         joined = [None if a is None or b is None else a + b for a, b in zip(joined, row)]
-    return joined
+    if _simple(parts):
+        return joined
+    tidy = sat._tidy
+    return [None if frag is None else tidy(frag) for frag in joined]
 
 
 class _Encoder:
@@ -231,8 +228,6 @@ class _Encoder:
         self.value_rows: dict[tuple[str, str], list[int]] = {}
         # (atom, polarity) or (id of any other node, polarity) -> its fragments
         self._lits: dict[tuple[Formula | int, bool], list[Fragment]] = {}
-        # ids of the rows whose fragments may repeat a variable
-        self._loose: set[int] = set()
         self._false: int | None = None
 
         n = k + 1
@@ -264,7 +259,8 @@ class _Encoder:
     # -- fragments ---------------------------------------------------------
 
     def lits(self, f: Formula, pos: bool) -> list[Fragment]:
-        """Fragments implying f (pos) or not-f at t = 0..k; encodes f at pos on first use."""
+        """Fragments implying f (pos) or not-f at t = 0..k, none repeating a variable;
+        encodes f at pos on first use."""
         key = _key(f, pos)
         row = self._lits.get(key)
         if row is None:
@@ -322,42 +318,25 @@ class _Encoder:
             outside: Fragment = () if pos else None
             if not rows:
                 return [outside] * n
-            shifted = rows[0][d:] + [outside] * d if d >= 0 else [outside] * -d + rows[0][:d]
-            if id(rows[0]) in self._loose:
-                self._loose.add(id(shifted))
-            return shifted
+            return rows[0][d:] + [outside] * d if d >= 0 else [outside] * -d + rows[0][:d]
         if cls is And or cls is Or or cls is Implies:
             if not _conjunctive(f, pos):
-                row = _join(rows)
-                if not _simple(parts):
-                    self._loose.add(id(row))
-                return row
-            clean = self._loose.isdisjoint(map(id, rows))
-            row = [self._conjunction(frags, clean) for frags in zip(*rows)]
-        elif cls is Alw or cls is Som:
+                return _join(rows, parts)
+            return [self._conjunction(frags) for frags in zip(*rows)]
+        if cls is Alw or cls is Som:
             if (cls is Alw) == pos:  # the operand at every instant
-                clean = self._loose.isdisjoint(map(id, rows))
-                row = [self._conjunction(dict.fromkeys(chain.from_iterable(rows)), clean)] * n
-            else:
-                frag = _somewhere(rows)
-                if frag is not None and len(frag) > 1:
-                    head = self._fresh_row(1)[0]
-                    self.clauses += sat._distinct([(-head, *frag)])
-                    frag = (head,)
-                return [frag] * n
-        else:
-            row = self._literal_row(f)
-            return [(a,) for a in row] if pos else [(-a,) for a in row]
-        if not clean:
-            self._loose.add(id(row))
-        return row
+                return [self._conjunction(dict.fromkeys(chain.from_iterable(rows)))] * n
+            frag = _somewhere(rows)
+            if frag is not None and len(frag) > 1:
+                head = self._fresh_row(1)[0]
+                self.clauses.append((-head, *frag))
+                frag = (head,)
+            return [frag] * n
+        row = self._literal_row(f)
+        return [(a,) for a in row] if pos else [(-a,) for a in row]
 
-    def _conjunction(self, frags, clean: bool) -> Fragment:
-        """A fragment implying each given one: one fresh variable if two or more remain.
-
-        Its clauses are normalised unless every given fragment is ``clean``,
-        none of them repeating a variable.
-        """
+    def _conjunction(self, frags) -> Fragment:
+        """A fragment implying each given one: one fresh variable if two or more remain."""
         live = [frag for frag in frags if frag is not None]
         if () in live:
             return ()
@@ -365,8 +344,7 @@ class _Encoder:
             return live[0] if live else None
         head = self._fresh_row(1)[0]
         not_head = -head
-        clauses = [(not_head, *frag) for frag in live]
-        self.clauses += clauses if clean else sat._distinct(clauses)
+        self.clauses += [(not_head, *frag) for frag in live]
         return (head,)
 
     def _literal_row(self, f: Formula) -> list[int]:
@@ -404,7 +382,7 @@ class _Encoder:
                     todo.append((f.operand, pos, self.k + 1))
                 else:
                     rows = [self.lits(g, q) for g, q in _parts(f.operand, pos, False)]
-                    self._emit([_somewhere(rows)], False)
+                    self._emit([_somewhere(rows)])
                 continue
             if _conjunctive(f, pos):
                 todo += [(g, q, n) for g, q in reversed(_parts(f, pos, True))]
@@ -412,27 +390,22 @@ class _Encoder:
             parts = _parts(f, pos, False)
             conjunctive = [i for i, (g, q) in enumerate(parts) if _conjunctive(g, q)]
             if len(conjunctive) != 1:
-                self._emit(_join([self.lits(g, q)[:n] for g, q in parts]), _simple(parts))
+                self._emit(_join([self.lits(g, q)[:n] for g, q in parts], parts))
                 continue
             # Distribute the clause over its one conjunction: no variable for it.
             g, q = parts.pop(conjunctive[0])
-            rest = _join([self.lits(h, r)[:n] for h, r in parts])
+            rest = _join([self.lits(h, r)[:n] for h, r in parts], parts)
             for h, r in _parts(g, q, True):
                 if (h, not r) not in parts:  # else the clause holds as "h or not h"
-                    clean = _simple([*parts, (h, r)])
-                    self._emit(_join([rest, self.lits(h, r)[:n]]), clean)
+                    self._emit(_join([rest, self.lits(h, r)[:n]], [*parts, (h, r)]))
 
-    def _emit(self, row: list[Fragment], clean: bool) -> None:
-        """Each fragment of the row as a clause: None needs none, and () is made false.
-
-        The clauses are normalised unless the row is ``clean``, no fragment
-        repeating a variable.
-        """
+    def _emit(self, row: list[Fragment]) -> None:
+        """Each fragment of the row as a clause: None needs none, and () is made false."""
         clauses = [frag for frag in row if frag is not None]
         if () in clauses:
             false = (self._false_literal(),)
             clauses = [frag or false for frag in clauses]
-        self.clauses += clauses if clean else sat._distinct(clauses)
+        self.clauses += clauses
 
 
 def encode(f: Formula, symbols: SymbolTable, k: int) -> tuple[sat.CnfFormula, VarMap]:

@@ -54,7 +54,7 @@ class _Hazard(NamedTuple):
     human: int  # index of the human POI in a node's cells
     arm: int  # index of the robot POI
     robot: str
-    allowed: frozenset[str]  # speeds its mitigations allow one instant after detection
+    allowed: frozenset[str]  # speeds its mitigation allows one instant after detection
     last: frozenset[str]  # speeds that price it at the final instant
     over: frozenset[str]  # speeds at which its risk exceeds the threshold
 
@@ -71,11 +71,12 @@ def exhaustive_verify(s: Scenario) -> bool:
     if len(locs) ** len(pois) > _STATE_LIMIT:
         raise ValueError("scenario too large for exhaustive enumeration")
 
+    kind_of = {mit.hazard: mit.kind for mit in s.mitigations}
     hazards = []
     for h in s.hazards:
-        kinds = [mit.kind for mit in s.mitigations if mit.hazard == h.id]
-        allowed = frozenset(SPEED_STATES).intersection(*(_REQUIRED_SPEED[k] for k in kinds))
-        last = frozenset() if kinds else frozenset({"normal"})
+        kind = kind_of.get(h.id)
+        allowed = frozenset(_REQUIRED_SPEED[kind] if kind else SPEED_STATES)
+        last = frozenset() if kind else frozenset({"normal"})
         human, arm = pois.index(h.human_poi), pois.index(h.robot_poi)
         robot = s.poi(h.robot_poi).owner
         hazards.append(_Hazard(human, arm, robot, allowed, last, over_speeds(h, s.threshold)))

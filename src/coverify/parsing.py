@@ -59,11 +59,12 @@ __all__ = ["MAX_DEPTH", "ParseError", "parse_formula"]
 
 _RESERVED = ("Alw", "Som", "Dist")
 
-# The parser takes up to five frames per level (a temporal operator's body
-# goes through temporal, formula, or_expr, and_expr and unary), and so does
-# ``check`` on nested ``Som``; ``str`` and ``==`` take three, ``evaluate``
-# one, and ``free_symbols`` keeps its own stack.  100 levels leave about half
-# of the interpreter's default limit of 1,000 frames to the caller.
+# What still recurses once per level is the parser itself, up to five frames
+# (a temporal operator's body goes through temporal, formula, or_expr,
+# and_expr and unary), and ``==``, ``hash``, ``repr`` and ``str`` on the
+# nodes it returns, up to three.  ``check``, ``evaluate`` and
+# ``free_symbols`` keep their own stacks.  100 levels leave about half of
+# the interpreter's default limit of 1,000 frames to the caller.
 MAX_DEPTH = 100
 
 

@@ -26,13 +26,15 @@ them, do not depend on them.  ``solve`` re-checks every model against the
 input formula alone: each block for exactly one true variable, and each other
 clause.
 
-No clause of a ``CnfFormula`` repeats a variable.  The encoder keeps that
-true by construction and hands its CNF over unchecked; the public
-constructor, and so ``read_dimacs``, establishes it for clauses built by
-hand or read from a file: it drops a repeated literal, keeping the first,
-and drops a clause with a complementary pair whole, as MiniSat does where a
-clause enters the solver.  So the solver watches each clause of two or more
-literals as it is, and takes each decision inside its search loop.
+No clause of a ``CnfFormula`` repeats a variable.  One rule, ``_tidy``,
+makes a clause so, as MiniSat does where a clause enters the solver: it
+drops a repeated literal, keeping the first, and a clause with a
+complementary pair always holds and is dropped whole.  The public
+constructor, and so ``read_dimacs``, applies it to clauses built by hand or
+read from a file; the encoder applies it where it builds a disjunction that
+may repeat a variable, and hands its CNF over unchecked.  So the solver
+watches each clause of two or more literals as it is, and takes each
+decision inside its search loop.
 
 Literals are DIMACS-style signed integers: +v / -v for variable v >= 1.
 """
@@ -67,10 +69,10 @@ class CnfFormula:
     on first access; equality and hashing see only ``num_vars`` and
     ``clauses``.  The solver and the model check read the blocks as they are.
 
-    No clause repeats a variable.  The constructor makes it so for the
-    clauses it is given (see ``_distinct``): ``CnfFormula(2, ((1, 1, 2),
-    (1, -1)))`` holds the one clause ``(1, 2)``.  ``_numbered`` trusts its
-    caller to keep it.
+    No clause repeats a variable.  The constructor tidies each clause it is
+    given (``_tidy``) and drops those that always hold: ``CnfFormula(2,
+    ((1, 1, 2), (1, -1)))`` holds the one clause ``(1, 2)``.  ``_numbered``
+    trusts its caller to keep it.
     """
 
     __slots__ = ("num_vars", "one_hot", "_rest", "_clauses")
@@ -87,7 +89,7 @@ class CnfFormula:
         worst = max(literals, key=abs, default=0)
         if abs(worst) > num_vars:
             raise ValueError(f"literal {worst} out of range for {num_vars} variables")
-        clauses = tuple(_distinct(clauses))
+        clauses = tuple(clause for clause in map(_tidy, clauses) if clause is not None)
         self._set(num_vars, (), clauses, clauses)
 
     @classmethod
@@ -139,19 +141,16 @@ class CnfFormula:
         return f"CnfFormula(num_vars={self.num_vars!r}, clauses={self.clauses!r})"
 
 
-def _distinct(clauses: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """The clauses with no variable repeated in any: a repeated literal is
-    dropped, the first kept, and a clause with a complementary pair is
-    dropped whole, since it always holds."""
-    out = []
-    for clause in clauses:
-        if len(set(map(abs, clause))) < len(clause):
-            kept = dict.fromkeys(clause)
-            if any(-lit in kept for lit in kept):
-                continue
-            clause = tuple(kept)
-        out.append(clause)
-    return out
+def _tidy(clause: tuple[int, ...]) -> tuple[int, ...] | None:
+    """The clause with no variable repeated: a repeated literal is dropped, the
+    first kept, and a clause with a complementary pair is None, since it
+    always holds."""
+    if len(set(map(abs, clause))) == len(clause):
+        return clause
+    kept = dict.fromkeys(clause)
+    if any(-lit in kept for lit in kept):
+        return None
+    return tuple(kept)
 
 
 @dataclass(frozen=True)

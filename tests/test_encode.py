@@ -80,7 +80,7 @@ class TestVarMap:
         table.add_variable("v", ("a", "b", "c"))
         cnf, vm = encode(Eq("v", "a"), table, 1)
         assert [len(vm.value_rows["v", value]) for value in ("a", "b", "c")] == [2, 2, 2]
-        bits0 = [vm.value_var("v", 0, value) for value in ("a", "b", "c")]
+        bits0 = [vm.value_rows["v", value][0] for value in ("a", "b", "c")]
         clauses = set(cnf.clauses)
         assert tuple(bits0) in clauses  # at-least-one
         assert (-bits0[0], -bits0[1]) in clauses  # pairwise at-most-one
@@ -116,7 +116,7 @@ class TestClauseShape:
     @pytest.mark.parametrize("k", [0, 1, 4])
     def test_implied_disjunction_is_one_clause_per_instant(self, pqr_symbols, k):
         cnf, vm = encode(Alw(Implies(Atom("p"), Or(Atom("q"), Atom("r")))), pqr_symbols, k)
-        p, q, r = ([vm.prop_var(name, t) for t in range(k + 1)] for name in "pqr")
+        p, q, r = ([vm.prop_rows[name][t] for t in range(k + 1)] for name in "pqr")
         assert cnf.num_vars == 3 * (k + 1)
         assert sorted(cnf.clauses) == sorted((-p[t], q[t], r[t]) for t in range(k + 1))
 
@@ -124,7 +124,7 @@ class TestClauseShape:
     def test_implied_conjunction_is_distributed(self, pqr_symbols, k):
         f = Alw(Implies(Atom("p"), And(Atom("q"), Dist(Atom("r"), -1))))
         cnf, vm = encode(f, pqr_symbols, k)
-        p, q, r = ([vm.prop_var(name, t) for t in range(k + 1)] for name in "pqr")
+        p, q, r = ([vm.prop_rows[name][t] for t in range(k + 1)] for name in "pqr")
         # At instant 0 the Dist is false, so p must be too.
         expected = [(-p[t], q[t]) for t in range(k + 1)]
         expected += [(-p[0],)] + [(-p[t], r[t - 1]) for t in range(1, k + 1)]
@@ -171,6 +171,31 @@ class TestEncodedCnfInvariants:
             _assert_cnf_invariants(encode(f, table, k)[0])
 
 
+class TestFragmentsRepeatNoVariable:
+    """No fragment repeats a variable: a join that may is tidied where it is built."""
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 4])
+    def test_random_formulas(self, k):
+        table = family_symbols()
+        rng = random.Random(9100 + k)
+        for _ in range(300):
+            f = random_formula(rng, rng.choice((4, 6)))
+            enc = _Encoder(table, k, free_symbols(f))
+            enc.lits(f, True)
+            enc.lits(f, False)
+            enc.assert_formula(f)
+            for row in enc._lits.values():
+                for frag in row:
+                    assert frag is None or len(set(map(abs, frag))) == len(frag), f"{f} at k={k}"
+
+    def test_a_disjunction_that_holds_anyway_spends_no_variable(self):
+        # "p or not p" is None, so the conjunction under Som is q alone and owns no variable.
+        f = Som(And(Atom("q"), Or(Atom("p"), Not(Atom("p")))))
+        cnf, vm = encode(f, family_symbols(), 0)
+        assert cnf.num_vars == 2
+        assert cnf.clauses == ((vm.prop_rows["q"][0],),)
+
+
 def _count_nodes(f):
     from coverify.logic import And as A, Or as O, Implies as I, Not as N, Alw as Al, Som as S, Dist as D
 
@@ -191,7 +216,7 @@ class TestCheck:
         cnf, vm = encode(And(Atom("p"), Atom("q")), pq_symbols, 0)
         # pinning either proposition false must kill satisfiability
         for name in ("p", "q"):
-            pinned = type(cnf)(cnf.num_vars, cnf.clauses + ((-vm.prop_var(name, 0),),))
+            pinned = type(cnf)(cnf.num_vars, cnf.clauses + ((-vm.prop_rows[name][0],),))
             assert solve(pinned).satisfiable is False
 
     def test_movement_formula_has_witness_at_default_bound(self):
@@ -230,8 +255,8 @@ class TestDecode:
     def test_direct_read_off(self, pq_symbols):
         cnf, vm = encode(Atom("p"), pq_symbols, 2)
         model = {v: False for v in range(1, cnf.num_vars + 1)}
-        model[vm.prop_var("p", 0)] = True
-        model[vm.prop_var("p", 2)] = True
+        model[vm.prop_rows["p"][0]] = True
+        model[vm.prop_rows["p"][2]] = True
         trace = decode(model, vm, pq_symbols, 2)
         assert trace.propositions["p"] == (True, False, True)
 
@@ -240,7 +265,7 @@ class TestDecode:
         table.add_variable("p_x", ("L1", "L2", "L3"))
         cnf, vm = encode(Eq("p_x", "L1"), table, 0)
         model = {v: False for v in range(1, cnf.num_vars + 1)}
-        model[vm.value_var("p_x", 0, "L2")] = True
+        model[vm.value_rows["p_x", "L2"][0]] = True
         assert decode(model, vm, table, 0).variables["p_x"] == ("L2",)
 
     def test_one_hot_violation_is_an_encoder_bug(self):

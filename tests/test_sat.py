@@ -810,39 +810,46 @@ def _search_state(solver):
 
 def _assert_loads_as_checked(f, table, k, monkeypatch):
     """encode's CNF of f, loaded as it is, loads and searches as the frozen per-clause
-    loader does on the clauses the encoder emits before normalising.  Returns whether
-    normalising changed any clause."""
-    formula = encode(f, table, k)[0]
-    assert all(map(_repeats_no_variable, formula.clauses)), f"{f} at k={k}"
+    loader does on the same clauses.  Returns how many fragments ``_tidy`` changed
+    while the encoder built them."""
+    changed = 0
+    tidy = sat._tidy
+
+    def counting_tidy(clause):
+        nonlocal changed
+        out = tidy(clause)
+        changed += out != clause
+        return out
+
     with monkeypatch.context() as patch:
-        patch.setattr(sat, "_distinct", list)
-        raw = encode(f, table, k)[0]
-    assert raw.num_vars == formula.num_vars and raw.one_hot == formula.one_hot
+        patch.setattr(sat, "_tidy", counting_tidy)
+        formula = encode(f, table, k)[0]
+    assert all(map(_repeats_no_variable, formula.clauses)), f"{f} at k={k}"
     # The checked load: the blocks as the solver reads them, then every other clause
     # through the per-clause loader, which drops repeats and tautologies.
-    checked = _Solver(CnfFormula._numbered(raw.num_vars, (), raw.one_hot))
-    for clause in raw._rest:
+    checked = _Solver(CnfFormula._numbered(formula.num_vars, (), formula.one_hot))
+    for clause in formula._rest:
         _add_clause(checked, clause)
     trusted = _Solver(formula)
     assert trusted.amo == checked.amo
     assert _loaded_state(trusted) == _loaded_state(checked)
     assert _search_state(trusted) == _search_state(checked)
-    return raw._rest != formula._rest
+    return changed
 
 
 class TestEncodedClausesLoadAsChecked:
     """encode's CNF, loaded as it is, loads and searches as the frozen per-clause loader
-    does on the clauses the encoder emits before normalising."""
+    does on the same clauses, where the encoder tidied fragments that repeat a variable."""
 
     def test_random_formulas(self, monkeypatch):
         rng = random.Random(7)
         table = family_symbols()
-        normalised = 0
+        tidied = 0
         for _ in range(1000):
             f = random_formula(rng, rng.choice((4, 4, 6)))
             for k in (0, 1, 2, 4):
-                normalised += _assert_loads_as_checked(f, table, k, monkeypatch)
-        assert normalised > 0
+                tidied += _assert_loads_as_checked(f, table, k, monkeypatch)
+        assert tidied > 0
 
     @pytest.mark.parametrize("loose, k", [
         (Dist(Or(Atom("p"), Atom("p")), 1), 2),  # a join repeating a leaf, shifted
@@ -851,7 +858,7 @@ class TestEncodedClausesLoadAsChecked:
     ], ids=["dist", "conjunction", "alw"])
     def test_fragments_repeating_a_variable_under_a_conjunction(self, loose, k, monkeypatch):
         f = Som(And(Atom("q"), loose))
-        assert _assert_loads_as_checked(f, family_symbols(), k, monkeypatch)
+        assert _assert_loads_as_checked(f, family_symbols(), k, monkeypatch) > 0
 
 
 def _assert_watches_are_clause_lists(solver):

@@ -4,9 +4,12 @@ A scenario describes the discretized workcell: box-shaped layout cells with
 an adjacency relation, human/robot agents carrying points of interest (POIs),
 an ordered task, hazards (co-location of a human POI and a robot POI, graded
 by severity/exposure/avoidability), reactive mitigations, and the risk
-threshold.  ``compile_scenario`` turns it into formulas; ``verify`` model
-checks the result and returns either Safe or a counterexample trace with the
-instants whose risk exceeds the threshold.
+threshold.  ``compile_scenario`` turns it into formulas: ``Axiom(rule, element,
+formula)`` records, each named by the ``check_trace`` rule that stands for it
+and the POI, hazard or ``done_<i>`` it constrains, and the violation as one
+term per hazard in ``CompiledModel.terms``.  ``verify`` model checks the
+result and returns either Safe or a counterexample trace with the instants
+whose risk exceeds the threshold.
 
 Modeling conventions baked into the compilation:
 
@@ -35,8 +38,8 @@ Modeling conventions baked into the compilation:
   model, so a trace file can be read without compiling; no formula reads them.
 
 ``check_trace`` checks a trace against the scenario rule by rule, one rule
-per family of compiled axioms plus the risk prices, in time linear in the
-trace, and names the first rule the trace breaks.
+per ``Axiom.rule`` of the compiled axioms plus the risk prices, in time
+linear in the trace, and names the first rule the trace breaks.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .encode import DEFAULT_BOUND, EncodingError, check
 from .geometry import Box
@@ -77,6 +81,7 @@ __all__ = [
     "Hazard",
     "Mitigation",
     "Scenario",
+    "Axiom",
     "CompiledModel",
     "RiskViolation",
     "VerifyResult",
@@ -297,9 +302,10 @@ def _validate_scenario(s: Scenario) -> None:
             if not (math.isfinite(poi.radius) and poi.radius > 0):
                 raise ScenarioError(f"POI {poi.id!r} needs a finite radius > 0")
 
-    # The radius cap keeps same-cell co-location the only contact-capable
-    # configuration; zero-extent (point) cells are exempt since nothing fits
-    # inside them anyway.
+    # The radius cap keeps a same-cell contact threshold (two radii) under twice
+    # the shortest edge.  It does not make co-location the only contact: cells
+    # sharing a face are 0 apart, so two POIs in neighbouring cells can touch,
+    # and the model flags no such instant.  Point cells are exempt.
     positive_edges = [
         e for loc in s.layout.locations for e in loc.box.edges if e > 0
     ]
@@ -599,21 +605,34 @@ def over_speeds(h: Hazard, threshold: int) -> frozenset[str]:
 # Compilation
 
 
+class Axiom(NamedTuple):
+    """One compiled axiom, named by the ``check_trace`` rule that stands for it."""
+
+    rule: str  # start, adjacency, dwell, flag, task, slowdown or stop
+    element: str  # what the rule reads it for: a POI, a hazard id or done_<i>
+    formula: Formula
+
+
 @dataclass(frozen=True)
 class CompiledModel:
     """Formulas of a scenario: behavioral axioms plus the negated safety property."""
 
-    axioms: tuple[Formula, ...]
-    # Some hazard instant whose next speed prices it over the threshold; None
-    # when no hazard's base risk exceeds it (then no trace can: safe).
-    violation: Formula | None
+    axioms: tuple[Axiom, ...]
+    # (hazard id, term) for each hazard whose base risk exceeds the threshold: a
+    # hazard instant whose next speed prices it over the threshold.
+    terms: tuple[tuple[str, Formula], ...]
     symbols: SymbolTable  # ``model_symbols``: risk_<h> too, which no formula reads
 
     @property
+    def violation(self) -> Formula | None:
+        """Some instant of some term; None when there is none (then no trace can: safe)."""
+        return Som(disjoin([term for _, term in self.terms])) if self.terms else None
+
+    @property
     def formulas(self) -> tuple[Formula, ...]:
-        if self.violation is None:
-            return self.axioms
-        return self.axioms + (self.violation,)
+        violation = self.violation
+        axioms = tuple(axiom.formula for axiom in self.axioms)
+        return axioms if violation is None else axioms + (violation,)
 
 
 def model_symbols(s: Scenario) -> SymbolTable:
@@ -636,32 +655,9 @@ def model_symbols(s: Scenario) -> SymbolTable:
 
 
 def compile_scenario(s: Scenario) -> CompiledModel:
-    """Movement, hazard, task, and mitigation formulas, the violation, and symbols."""
+    """The scenario's labelled axioms, the violation's terms and the model's symbols."""
     symbols = model_symbols(s)
-    done_names = [s.done_name(i) for i in range(1, len(s.task) + 1)]
-
-    axioms: list[Formula] = []
-    axioms.extend(_movement_axioms(s))
-    axioms.extend(_start_axioms(s))
-    axioms.extend(_hazard_axioms(s))
-    axioms.extend(_task_axioms(s, done_names))
-    axioms.extend(_mitigation_axioms(s))
-
-    # At t = k every Dist is false, so a term holds on the flag alone: the
-    # base value, which exceeds the threshold for every hazard with a term.
-    terms = []
-    for h in s.hazards:
-        over = over_speeds(h, s.threshold)
-        if "normal" in over:
-            speed = s.speed_name(s.poi(h.robot_poi).owner)
-            under = [Not(Dist(Eq(speed, v), 1)) for v in SPEED_STATES if v not in over]
-            terms.append(conjoin([Atom(s.hazard_flag_name(h.id))] + under))
-    violation = Som(disjoin(terms)) if terms else None
-
-    return CompiledModel(tuple(axioms), violation, symbols)
-
-
-def _movement_axioms(s: Scenario):
+    axioms: list[Axiom] = []
     for poi in s.pois:
         pos = poi.id
         # Adjacency: stepping away from a cell may only land on a neighbor.
@@ -669,7 +665,8 @@ def _movement_axioms(s: Scenario):
             stay_or_neighbor = disjoin(
                 [Eq(pos, loc.id)] + [Eq(pos, other) for other in sorted(loc.adjacent)]
             )
-            yield Alw(Implies(Dist(Eq(pos, loc.id), -1), stay_or_neighbor))
+            axioms.append(Axiom("adjacency", pos,
+                                Alw(Implies(Dist(Eq(pos, loc.id), -1), stay_or_neighbor))))
         # Dwell: arriving over an edge of travel time T >= 2 requires having
         # sat in the source cell for the T instants before; the last of them
         # is the arrival's own antecedent.
@@ -679,7 +676,53 @@ def _movement_axioms(s: Scenario):
             lookback = _lookback(s, duration)
             for source, dest in ((a, b), (b, a)):
                 history = conjoin([Dist(Eq(pos, source), -j) for j in range(2, lookback + 1)])
-                yield Alw(Implies(And(Dist(Eq(pos, source), -1), Eq(pos, dest)), history))
+                arrival = And(Dist(Eq(pos, source), -1), Eq(pos, dest))
+                axioms.append(Axiom("dwell", pos, Alw(Implies(arrival, history))))
+
+    # Un-wrapped equalities anchor instant 0, where the model is asserted.
+    axioms += (Axiom("start", poi_id, Eq(poi_id, loc)) for poi_id, loc in s.starts)
+
+    # The flag holds iff both POIs share a cell, by two clauses per cell: sharing
+    # L raises the flag, and a raised flag puts the robot POI where the human's is.
+    for hazard in s.hazards:
+        flag = Atom(s.hazard_flag_name(hazard.id))
+        for loc in s.layout.ids:
+            human, robot = Eq(hazard.human_poi, loc), Eq(hazard.robot_poi, loc)
+            axioms.append(Axiom("flag", hazard.id, Alw(Implies(And(human, robot), flag))))
+            axioms.append(Axiom("flag", hazard.id, Alw(Implies(And(flag, human), robot))))
+
+    for i, step in enumerate(s.task, start=1):
+        name = s.done_name(i)
+        done, achieved = Atom(name), Eq(step.poi, step.goal)
+        if step.partner is not None:  # a handover: both POIs at the goal
+            achieved = And(achieved, Eq(step.partner, step.goal))
+        onset = achieved if i == 1 else And(achieved, Atom(s.done_name(i - 1)))
+        was_done = Dist(done, -1)
+        axioms += (Axiom("task", name, f) for f in (
+            Alw(Implies(was_done, done)),             # done is sticky
+            Alw(Implies(done, Or(was_done, onset))),  # done only via its onset
+            Alw(Implies(onset, done)),                # onset marks done at once
+        ))
+    if s.task:
+        axioms.append(Axiom("task", name, Som(done)))  # the last step is done by k
+
+    for mit in s.mitigations:
+        hazard = s.hazard(mit.hazard)
+        flag = Atom(s.hazard_flag_name(hazard.id))
+        reaction = Eq(s.speed_name(s.poi(hazard.robot_poi).owner), REACTIONS[mit.kind])
+        axioms.append(Axiom(mit.kind, hazard.id, Alw(Implies(flag, Dist(reaction, 1)))))
+
+    # At t = k every Dist is false, so a term holds on the flag alone: the
+    # base value, which exceeds the threshold for every hazard with a term.
+    terms = []
+    for h in s.hazards:
+        over = over_speeds(h, s.threshold)
+        if "normal" in over:
+            speed = s.speed_name(s.poi(h.robot_poi).owner)
+            under = [Not(Dist(Eq(speed, v), 1)) for v in SPEED_STATES if v not in over]
+            terms.append((h.id, conjoin([Atom(s.hazard_flag_name(h.id))] + under)))
+
+    return CompiledModel(tuple(axioms), tuple(terms), symbols)
 
 
 def _lookback(s: Scenario, duration: int) -> int:
@@ -689,52 +732,6 @@ def _lookback(s: Scenario, duration: int) -> int:
     stands for all of them.
     """
     return min(duration, max(s.bound + 1, 2))
-
-
-def _start_axioms(s: Scenario):
-    # Un-wrapped equalities anchor instant 0, where the model is asserted.
-    for poi_id, loc in s.starts:
-        yield Eq(poi_id, loc)
-
-
-def _hazard_axioms(s: Scenario):
-    # The flag holds iff both POIs share a cell, by two clauses per cell: sharing
-    # L raises the flag, and a raised flag puts the robot POI where the human's is.
-    for hazard in s.hazards:
-        flag = Atom(s.hazard_flag_name(hazard.id))
-        for loc in s.layout.ids:
-            human, robot = Eq(hazard.human_poi, loc), Eq(hazard.robot_poi, loc)
-            yield Alw(Implies(And(human, robot), flag))
-            yield Alw(Implies(And(flag, human), robot))
-
-
-def _achieved(s: Scenario, step: TaskStep) -> Formula:
-    at_goal = Eq(step.poi, step.goal)
-    if step.kind == "handover":
-        assert step.partner is not None
-        return And(at_goal, Eq(step.partner, step.goal))
-    return at_goal
-
-
-def _task_axioms(s: Scenario, done_names: list[str]):
-    for i, step in enumerate(s.task):
-        done = Atom(done_names[i])
-        achieved = _achieved(s, step)
-        onset = achieved if i == 0 else And(achieved, Atom(done_names[i - 1]))
-        was_done = Dist(done, -1)
-        yield Alw(Implies(was_done, done))            # done is sticky
-        yield Alw(Implies(done, Or(was_done, onset)))  # done only via its onset
-        yield Alw(Implies(onset, done))               # onset marks done at once
-    if s.task:
-        yield Som(Atom(done_names[-1]))
-
-
-def _mitigation_axioms(s: Scenario):
-    for mit in s.mitigations:
-        hazard = s.hazard(mit.hazard)
-        flag = Atom(s.hazard_flag_name(hazard.id))
-        speed = s.speed_name(s.poi(hazard.robot_poi).owner)
-        yield Alw(Implies(flag, Dist(Eq(speed, REACTIONS[mit.kind]), 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -822,9 +819,10 @@ def check_trace(trace: Trace, s: Scenario) -> BrokenRule | None:
 
     The trace must hold every symbol of ``model_symbols(s)`` over [0, s.bound], as
     ``traceio.read_trace`` returns it.  Each rule reads the columns directly
-    and stands for one family of compiled axioms, so a trace breaks none
-    exactly when it satisfies ``compile_scenario(s).axioms`` and its
-    ``risk_<h>`` columns hold the prices ``verify`` gives them.  The time is
+    and stands for the compiled axioms whose ``Axiom.rule`` is its name, so
+    a trace breaks none exactly when it satisfies every formula of
+    ``compile_scenario(s).axioms`` and its ``risk_<h>`` columns hold the
+    prices ``verify`` gives them.  The time is
     linear in the trace.  Of the broken rules it names the one at the
     earliest instant; at equal instants the first in the order start,
     adjacency, dwell, flag, task, slowdown and stop, risk, and

@@ -98,7 +98,7 @@ def test_criterion_4_verification_loop(handover, handover_mini):
     model = compile_scenario(handover)
     trace_ok = (
         not result.safe
-        and evaluate(conjoin(model.axioms), result.trace, 0) is True
+        and evaluate(conjoin(a.formula for a in model.axioms), result.trace, 0) is True
         and evaluate(model.violation, result.trace, 0) is True
     )
     mitigated = apply_mitigation(handover, Mitigation("stop", "h1"))

@@ -1,12 +1,14 @@
 """``check_trace`` against the compiled axioms, on seeded witnesses corrupted one cell at a time.
 
-Each rule of ``check_trace`` stands for one family of compiled axioms.  The
-oracle here reads every axiom of a family on the trace with the reference
-evaluator, so it knows which families a trace breaks and at which instants;
-the risk prices come from ``world._priced``.  ``check_trace`` must accept
-exactly the traces that break nothing and name a broken rule at the earliest
-broken instant, first in rule order.  Every rule must be the only one broken
-by some corruption, so a check that dropped it would accept that trace.
+Each rule of ``check_trace`` stands for the compiled axioms whose
+``Axiom.rule`` is its name.  The oracle here reads every axiom of a rule on
+the trace with the reference evaluator, so it knows which rules a trace
+breaks and at which instants; the risk prices come from ``world._priced``.
+``check_trace`` must accept exactly the traces that break nothing and name a
+broken rule at the earliest broken instant, first in rule order.  Every rule
+must be the only one broken by some corruption, so a check that dropped it,
+or an axiom labelled with another rule, would show.  Each label's element
+must be the POI, hazard or done name its rule reads.
 """
 
 import random
@@ -15,15 +17,10 @@ from dataclasses import replace
 import pytest
 
 from coverify.encode import check
-from coverify.logic import Alw, Atom, Eq, Som, Trace, _truth_rows, conjoin, disjoin
+from coverify.logic import Alw, Atom, Eq, Som, Trace, _truth_rows, conjoin, disjoin, free_symbols
 from coverify.world import (
     RISK_DOMAIN,
-    _hazard_axioms,
-    _mitigation_axioms,
-    _movement_axioms,
     _priced,
-    _start_axioms,
-    _task_axioms,
     Mitigation,
     apply_mitigation,
     bundled_scenario_path,
@@ -32,6 +29,7 @@ from coverify.world import (
     load_scenario,
     loads_scenario,
     model_symbols,
+    over_speeds,
     verify,
 )
 
@@ -44,23 +42,10 @@ RANK = {"start": 0, "adjacency": 1, "dwell": 2, "flag": 3, "task": 4,
 
 
 def _rule_axioms(s) -> dict[str, list]:
-    """The compiled axioms split by the rule of check_trace that stands for them."""
-    adjacency = list(_movement_axioms(replace(s, travel_times=())))
-    plain = set(adjacency)
-    families = {
-        "start": list(_start_axioms(s)),
-        "adjacency": adjacency,
-        "dwell": [f for f in _movement_axioms(s) if f not in plain],
-        "flag": list(_hazard_axioms(s)),
-        "task": list(_task_axioms(s, [s.done_name(i) for i in range(1, len(s.task) + 1)])),
-    }
-    for kind in ("slowdown", "stop"):
-        only = replace(s, mitigations=tuple(m for m in s.mitigations if m.kind == kind))
-        families[kind] = list(_mitigation_axioms(only))
-    # The split is a partition of the compiled axioms.
-    axioms = compile_scenario(s).axioms
-    assert sum(map(len, families.values())) == len(axioms)
-    assert {f for group in families.values() for f in group} == set(axioms)
+    """The compiled axioms' formulas grouped by the rule of check_trace that stands for them."""
+    families = {rule: [] for rule in RANK if rule != "risk"}
+    for axiom in compile_scenario(s).axioms:
+        families[axiom.rule].append(axiom.formula)  # an unknown rule is a KeyError
     return families
 
 
@@ -174,7 +159,7 @@ def _admissible(s) -> Trace | None:
     if not flags or s.bound < 1:
         return None
     raised = Som(disjoin([Atom(flag) for flag in flags]))
-    result = check(conjoin(model.axioms + (raised,)), model.symbols, s.bound)
+    result = check(conjoin([a.formula for a in model.axioms] + [raised]), model.symbols, s.bound)
     return None if result.trace is None else _priced(result.trace, s)
 
 
@@ -230,6 +215,50 @@ def test_check_trace_agrees_with_the_compiled_axioms():
     assert witnesses >= 40
     assert seen_mitigations == {"slowdown", "stop"}
     assert alone == set(RANK)
+
+
+def _labelled_scenarios():
+    """(label, scenario): the bundled scenarios at their own bound and at 30, and seeded rows."""
+    for name in ("handover", "handover_mini", "handover_point", "handover_stop"):
+        bundled = load_scenario(bundled_scenario_path(name))
+        yield f"{name} at bound {bundled.bound}", bundled
+        yield f"{name} at bound 30", replace(bundled, bound=30)
+    rng = random.Random(4242)
+    for n in range(40):
+        yield f"row {n}", loads_scenario(test_encode._random_scenario_text(rng))
+    rng = random.Random(2718)
+    for n in range(30):
+        yield f"multi-hazard {n}", loads_scenario(test_exhaustive._multi_hazard_text(rng)[1])
+
+
+def test_each_axiom_names_its_rule_and_the_element_that_rule_reads():
+    rules = set()
+    for label, s in _labelled_scenarios():
+        model = compile_scenario(s)
+        steps = {s.done_name(i): step for i, step in enumerate(s.task, start=1)}
+        for rule, element, formula in model.axioms:
+            rules.add(rule)
+            names = free_symbols(formula)
+            if rule in ("start", "adjacency", "dwell"):
+                assert names == {element}, (label, rule, element)
+            elif rule == "flag":
+                h = s.hazard(element)
+                assert names == {s.hazard_flag_name(h.id), h.human_poi, h.robot_poi}, (label, element)
+            elif rule == "task":
+                i = int(element.removeprefix("done_"))
+                step = steps[element]
+                reads = {element, s.done_name(i - 1), step.poi, step.partner}
+                assert element in names and names <= reads, (label, element)
+            else:
+                assert Mitigation(rule, element) in s.mitigations, (label, rule, element)
+                speed = s.speed_name(s.poi(s.hazard(element).robot_poi).owner)
+                assert names == {s.hazard_flag_name(element), speed}, (label, rule, element)
+        over = [h.id for h in s.hazards if "normal" in over_speeds(h, s.threshold)]
+        assert [h for h, _ in model.terms] == over, label
+        for h, term in model.terms:
+            assert s.hazard_flag_name(h) in free_symbols(term), (label, h)
+        assert (model.violation is None) == (not model.terms), label
+    assert rules == set(RANK) - {"risk"}
 
 
 def test_a_trace_of_another_bound_is_refused(handover_mini):

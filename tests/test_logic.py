@@ -159,9 +159,9 @@ class TestMatchesFrozenEvaluator:
         model = compile_scenario(scenario)
         trace = verify(scenario).trace
         if trace is None:  # SAFE: a trace of the axioms alone stands in for the witness
-            trace = check(conjoin(model.axioms), model.symbols, k).trace
+            trace = check(conjoin(a.formula for a in model.axioms), model.symbols, k).trace
         assert trace is not None
-        formulas = [*model.axioms, conjoin(model.formulas)]
+        formulas = [*(a.formula for a in model.axioms), conjoin(model.formulas)]
         if model.violation is not None:
             formulas.append(model.violation)
         rows = _truth_rows(trace, {})

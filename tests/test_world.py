@@ -31,8 +31,6 @@ from coverify.world import (
     Scenario,
     ScenarioError,
     TaskStep,
-    _hazard_axioms,
-    _movement_axioms,
     apply_mitigation,
     bundled_scenario_path,
     compile_scenario,
@@ -319,7 +317,7 @@ class TestCompile:
         s = loads_scenario(TWO_CELLS)
         model = compile_scenario(s)
         expected = Alw(Implies(Dist(Eq("g", "A"), -1), _or(Eq("g", "A"), Eq("g", "B"))))
-        assert expected in model.axioms
+        assert ("adjacency", "g", expected) in model.axioms
 
     def test_no_hazards_compiles_without_violation(self):
         s = loads_scenario(MINIMAL)
@@ -331,11 +329,12 @@ class TestCompile:
         s = loads_scenario(TWO_CELLS + "\n[mitigations]\nmitigate slowdown hz\n")
         model = compile_scenario(s)
         expected = Alw(Implies(Atom("haz_hz"), Dist(Eq("speed_bot", "slow"), 1)))
-        assert expected in model.axioms
+        assert ("slowdown", "hz", expected) in model.axioms
 
     def test_hazard_axioms_define_colocation(self):
         # At one instant, for every cell of each POI and every flag value.
-        axioms = conjoin(list(_hazard_axioms(loads_scenario(TWO_CELLS))))
+        model = compile_scenario(loads_scenario(TWO_CELLS))
+        axioms = conjoin(a.formula for a in model.axioms if a.rule == "flag")
         for h, g, flag in product("AB", "AB", (False, True)):
             trace = Trace(0, {"haz_hz": (flag,)}, {"h": (h,), "g": (g,)})
             assert evaluate(axioms, trace, 0) is (flag == (h == g)), (h, g, flag)
@@ -424,8 +423,7 @@ class TestDwellRule:
             symbols.add_variable(var.name, var.domain)
         for poi in s.pois:
             symbols.add_proposition(frozen_movement.transit_name(poi.id))
-        # compile_scenario yields the movement axioms first.
-        rest = model.axioms[len(tuple(_movement_axioms(s))):]
+        rest = (a.formula for a in model.axioms if a.rule not in ("adjacency", "dwell"))
         axioms = (*frozen_movement.movement_axioms(s), *rest)
         return axioms, model.violation, symbols
 
@@ -459,7 +457,7 @@ class TestDwellRule:
         # p_g must reach L2, then meet p_a at L5 across the 3-instant L3-L4
         # aisle; without the dwell it could finish at bound 3.
         model = compile_scenario(handover)
-        axioms = conjoin(model.axioms)
+        axioms = conjoin(a.formula for a in model.axioms)
         assert not check(axioms, model.symbols, 4).satisfiable
         assert check(axioms, model.symbols, 5).satisfiable
 
@@ -472,7 +470,7 @@ class TestDwellRule:
         for k in range(8):
             s = replace(loads_scenario(text), bound=k)
             model = compile_scenario(s)
-            arrives = conjoin(model.axioms + (Som(Eq("g", "B")),))
+            arrives = conjoin([a.formula for a in model.axioms] + [Som(Eq("g", "B"))])
             assert check(arrives, model.symbols, k).satisfiable == (k >= travel), k
 
 

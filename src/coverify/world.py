@@ -47,6 +47,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import NamedTuple
 
 from .encode import DEFAULT_BOUND, EncodingError, check
@@ -623,12 +624,12 @@ class CompiledModel:
     terms: tuple[tuple[str, Formula], ...]
     symbols: SymbolTable  # ``model_symbols``: risk_<h> too, which no formula reads
 
-    @property
+    @cached_property
     def violation(self) -> Formula | None:
         """Some instant of some term; None when there is none (then no trace can: safe)."""
         return Som(disjoin([term for _, term in self.terms])) if self.terms else None
 
-    @property
+    @cached_property
     def formulas(self) -> tuple[Formula, ...]:
         violation = self.violation
         axioms = tuple(axiom.formula for axiom in self.axioms)
@@ -703,8 +704,9 @@ def compile_scenario(s: Scenario) -> CompiledModel:
             Alw(Implies(done, Or(was_done, onset))),  # done only via its onset
             Alw(Implies(onset, done)),                # onset marks done at once
         ))
-    if s.task:
-        axioms.append(Axiom("task", name, Som(done)))  # the last step is done by k
+    if s.task:  # the last step is done by k
+        last = s.done_name(len(s.task))
+        axioms.append(Axiom("task", last, Som(Atom(last))))
 
     for mit in s.mitigations:
         hazard = s.hazard(mit.hazard)

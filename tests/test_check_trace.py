@@ -41,10 +41,10 @@ RANK = {"start": 0, "adjacency": 1, "dwell": 2, "flag": 3, "task": 4,
         "slowdown": 5, "stop": 5, "risk": 6}
 
 
-def _rule_axioms(s) -> dict[str, list]:
+def _rule_axioms(model) -> dict[str, list]:
     """The compiled axioms' formulas grouped by the rule of check_trace that stands for them."""
     families = {rule: [] for rule in RANK if rule != "risk"}
-    for axiom in compile_scenario(s).axioms:
+    for axiom in model.axioms:
         families[axiom.rule].append(axiom.formula)  # an unknown rule is a KeyError
     return families
 
@@ -163,12 +163,40 @@ def _admissible(s) -> Trace | None:
     return None if result.trace is None else _priced(result.trace, s)
 
 
+def _check_labels(label: str, s, model) -> None:
+    """Each axiom's element is what its rule reads; the terms are the over-threshold hazards."""
+    steps = {s.done_name(i): step for i, step in enumerate(s.task, start=1)}
+    for rule, element, formula in model.axioms:
+        names = free_symbols(formula)
+        if rule in ("start", "adjacency", "dwell"):
+            assert names == {element}, (label, rule, element)
+        elif rule == "flag":
+            h = s.hazard(element)
+            assert names == {s.hazard_flag_name(h.id), h.human_poi, h.robot_poi}, (label, element)
+        elif rule == "task":
+            i = int(element.removeprefix("done_"))
+            step = steps[element]
+            reads = {element, s.done_name(i - 1), step.poi, step.partner}
+            assert element in names and names <= reads, (label, element)
+        else:
+            assert Mitigation(rule, element) in s.mitigations, (label, rule, element)
+            speed = s.speed_name(s.poi(s.hazard(element).robot_poi).owner)
+            assert names == {s.hazard_flag_name(element), speed}, (label, rule, element)
+    over = [h.id for h in s.hazards if "normal" in over_speeds(h, s.threshold)]
+    assert [h for h, _ in model.terms] == over, label
+    for h, term in model.terms:
+        assert s.hazard_flag_name(h) in free_symbols(term), (label, h)
+    assert (model.violation is None) == (not model.terms), label
+
+
 def _witnesses():
     """(label, scenario, trace): verify witnesses of every seeded scenario family."""
-    for name in ("handover", "handover_mini", "handover_point"):
+    for name in ("handover", "handover_mini", "handover_point", "handover_stop"):
         bundled = load_scenario(bundled_scenario_path(name))
         for s in (bundled, replace(bundled, bound=30)):
             yield f"{name} at bound {s.bound}", s, verify(s).trace
+        if bundled.mitigations:  # handover_stop: one mitigation per hazard
+            continue
         for kind in ("slowdown", "stop"):
             s = apply_mitigation(bundled, Mitigation(kind, "h1"))
             yield f"{name} with {kind}", s, verify(s).trace or _admissible(s)
@@ -191,12 +219,16 @@ def test_check_trace_agrees_with_the_compiled_axioms():
     rng = random.Random(1729)
     alone = set()  # the rules some corruption breaks and nothing else does
     seen_mitigations = set()
+    rules = set()
     witnesses = 0
     for label, s, witness in _witnesses():
+        model = compile_scenario(s)
+        _check_labels(label, s, model)
+        rules |= {axiom.rule for axiom in model.axioms}
         if witness is None:
             continue
         witnesses += 1
-        families = _rule_axioms(s)
+        families = _rule_axioms(model)
         assert _breaks(witness, s, families) == {}, label
         assert check_trace(witness, s) is None, label
         seen_mitigations |= {m.kind for m in s.mitigations}
@@ -214,51 +246,8 @@ def test_check_trace_agrees_with_the_compiled_axioms():
                 alone |= set(broken)
     assert witnesses >= 40
     assert seen_mitigations == {"slowdown", "stop"}
-    assert alone == set(RANK)
-
-
-def _labelled_scenarios():
-    """(label, scenario): the bundled scenarios at their own bound and at 30, and seeded rows."""
-    for name in ("handover", "handover_mini", "handover_point", "handover_stop"):
-        bundled = load_scenario(bundled_scenario_path(name))
-        yield f"{name} at bound {bundled.bound}", bundled
-        yield f"{name} at bound 30", replace(bundled, bound=30)
-    rng = random.Random(4242)
-    for n in range(40):
-        yield f"row {n}", loads_scenario(test_encode._random_scenario_text(rng))
-    rng = random.Random(2718)
-    for n in range(30):
-        yield f"multi-hazard {n}", loads_scenario(test_exhaustive._multi_hazard_text(rng)[1])
-
-
-def test_each_axiom_names_its_rule_and_the_element_that_rule_reads():
-    rules = set()
-    for label, s in _labelled_scenarios():
-        model = compile_scenario(s)
-        steps = {s.done_name(i): step for i, step in enumerate(s.task, start=1)}
-        for rule, element, formula in model.axioms:
-            rules.add(rule)
-            names = free_symbols(formula)
-            if rule in ("start", "adjacency", "dwell"):
-                assert names == {element}, (label, rule, element)
-            elif rule == "flag":
-                h = s.hazard(element)
-                assert names == {s.hazard_flag_name(h.id), h.human_poi, h.robot_poi}, (label, element)
-            elif rule == "task":
-                i = int(element.removeprefix("done_"))
-                step = steps[element]
-                reads = {element, s.done_name(i - 1), step.poi, step.partner}
-                assert element in names and names <= reads, (label, element)
-            else:
-                assert Mitigation(rule, element) in s.mitigations, (label, rule, element)
-                speed = s.speed_name(s.poi(s.hazard(element).robot_poi).owner)
-                assert names == {s.hazard_flag_name(element), speed}, (label, rule, element)
-        over = [h.id for h in s.hazards if "normal" in over_speeds(h, s.threshold)]
-        assert [h for h, _ in model.terms] == over, label
-        for h, term in model.terms:
-            assert s.hazard_flag_name(h) in free_symbols(term), (label, h)
-        assert (model.violation is None) == (not model.terms), label
     assert rules == set(RANK) - {"risk"}
+    assert alone == set(RANK)
 
 
 def test_a_trace_of_another_bound_is_refused(handover_mini):

@@ -3,7 +3,19 @@
 ``solve`` is a conflict-driven solver with two watched literals, first-UIP
 clause learning, and an activity-based decision heuristic with deterministic
 tie-breaking.  No restarts: instances produced by the bounded encoder stay
-small, and reproducible runs matter more than raw speed here.
+small, and reproducible runs matter more than raw speed here.  Nor does a
+learned unit restart the search.  It backtracks chronologically (Nadel &
+Ryvchin, "Chronological Backtracking", SAT 2018; Möhle & Biere, "Backing
+Backtracking", SAT 2019): it undoes only its conflict's level and is
+assigned at level 0 at the end of the trail, so the levels below stay
+decided.  A stop refutation learns a unit per conflict, and so takes about
+k decisions, not k^2 / 2.  While such a literal sits above literals of a
+higher level, an implied literal takes the highest level of its reason's
+other literals, a conflict is analysed at its own highest level, and a
+backtrack keeps, and propagates again, the literals of its target level or
+below.  A learned clause of two or more literals backjumps to its
+second-highest level, so a search that learns no unit is plain CDCL.
+
 ``brute_force_solve`` is the independent exhaustive oracle for small
 instances, and DIMACS read/write lets an external solver be swapped in.
 Only ``brute_force_solve`` uses numpy, and it imports it on its first call,
@@ -21,10 +33,10 @@ Constraints for Free", SAT 2012), and only its at-least-one clause is loaded;
 every other clause is a list.  These are data structures only: the decisions,
 conflicts, learned clauses and the returned model are the ones a linear scan
 over the variables and a list per clause of the full CNF
-(``CnfFormula.clauses``) would give, so models, and the traces decoded from
-them, do not depend on them.  ``solve`` re-checks every model against the
-input formula alone: each block for exactly one true variable, and each other
-clause.
+(``CnfFormula.clauses``) would give under the same unit rule, so models,
+and the traces decoded from them, do not depend on them.  ``solve``
+re-checks every model against the input formula alone: each block for
+exactly one true variable, and each other clause.
 
 No clause of a ``CnfFormula`` repeats a variable.  One rule, ``_tidy``,
 makes a clause so, as MiniSat does where a clause enters the solver: it
@@ -223,6 +235,12 @@ class _Solver:
     reports a pair's conflict as (first, falsified), in that order, and any
     other as its clause list.
 
+    ``out_of_order`` is True while a learned unit sits above literals of a
+    higher level (see the module docstring).  While it is False the levels
+    never fall along the trail, so ``_propagate``, ``_backtrack`` and
+    ``solve`` read no level to place a literal: a propagated or conflicting
+    one is at the current level, and one above a level's start is above it.
+
     ``decisions``, ``conflicts``, ``propagations`` (literals taken off the
     trail by ``_propagate``), ``learned`` (learned clauses of two or more
     literals, so ``clauses[-learned:]``) and ``max_level`` (the deepest
@@ -256,6 +274,7 @@ class _Solver:
         self.propagations = 0
         self.learned = 0
         self.max_level = 0
+        self.out_of_order = False
         self._rebuild_heap()
 
         amo: list[tuple[int, ...]] = [()] * (2 * n + 1)
@@ -282,13 +301,13 @@ class _Solver:
         self.heap = list(zip(self.heap_key[1:], range(1, self.n + 1)))
         heapify(self.heap)
 
-    def _enqueue(self, lit: int, reason: list[int] | None) -> bool:
+    def _enqueue(self, lit: int, reason: list[int] | None, level: int = 0) -> bool:
         if self.value[lit] != _UNDEF:
             return self.value[lit] == _TRUE
         self.value[lit] = _TRUE
         self.value[-lit] = _FALSE
         var = abs(lit)
-        self.level[var] = len(self.trail_lim)
+        self.level[var] = level
         self.reason[var] = reason
         self.trail.append(lit)
         return True
@@ -296,20 +315,23 @@ class _Solver:
     def _propagate(self) -> list[int] | tuple[int, int] | None:
         """Unit propagation; returns the literals of a conflicting clause or None."""
         trail, value, watches, amo = self.trail, self.value, self.watches, self.amo
-        level, reason = self.level, self.reason
+        level, reason, out_of_order = self.level, self.reason, self.out_of_order
         current_level = len(self.trail_lim)
         start = qhead = self.qhead
         conflict: list[int] | tuple[int, int] | None = None
         while qhead < len(trail):
             falsified = -trail[qhead]
             qhead += 1
+            # An implied literal takes the highest level of its reason's other
+            # literals: this one's, unless it is below the current level.
+            at = level[abs(falsified)] if out_of_order else current_level
             for first in amo[falsified]:  # the block's pairs (falsified, first)
                 state = value[first]
                 if state == _UNDEF:
                     value[first] = _TRUE
                     value[-first] = _FALSE
                     var = first if first > 0 else -first
-                    level[var] = current_level
+                    level[var] = at
                     reason[var] = falsified
                     trail.append(first)
                 elif state == _FALSE and first != falsified:
@@ -344,7 +366,8 @@ class _Solver:
                     value[first] = _TRUE
                     value[-first] = _FALSE
                     var = first if first > 0 else -first
-                    level[var] = current_level
+                    level[var] = at if at == current_level else max(
+                        [level[abs(q)] for q in islice(clause, 1, None)])
                     reason[var] = clause
                     trail.append(first)
             if moved:
@@ -364,7 +387,12 @@ class _Solver:
             self._rebuild_heap()
 
     def _analyze(self, conflict: Sequence[int]) -> tuple[list[int], int]:
-        """First-UIP learned clause and the level to backjump to."""
+        """First-UIP learned clause and the level to backtrack to.
+
+        The conflict's literals are at the current level or below.  A learned
+        unit undoes only the current level; a longer clause backjumps to its
+        second-highest level.
+        """
         learned: list[int] = [0]  # slot 0 reserved for the asserting literal
         seen, level, reason, trail = self.seen, self.level, self.reason, self.trail
         marked: list[int] = []
@@ -384,10 +412,10 @@ class _Solver:
                         counter += 1
                     else:
                         learned.append(q)
-            while True:
+            while True:  # the walk skips lower-level literals above this level's
                 index -= 1
                 lit = -trail[index]
-                if seen[abs(lit)]:
+                if seen[abs(lit)] and level[abs(lit)] == current_level:
                     break
             counter -= 1
             if counter == 0:
@@ -403,7 +431,7 @@ class _Solver:
             seen[var] = False
 
         if len(learned) == 1:
-            back_level = 0
+            back_level = current_level - 1
         else:
             # Put the second-highest-level literal in slot 1 for watching.
             best = 1
@@ -415,18 +443,27 @@ class _Solver:
         return learned, back_level
 
     def _backtrack(self, target_level: int) -> None:
+        """Undo every level above target_level.  A literal of target_level or
+        below that sits above it on the trail stays assigned, in trail order,
+        and is propagated again."""
         limit = self.trail_lim[target_level]
-        value, activity, heap_key, heap = self.value, self.activity, self.heap_key, self.heap
+        value, level, activity = self.value, self.level, self.activity
+        heap_key, heap = self.heap_key, self.heap
+        kept, out_of_order = [], self.out_of_order
         for lit in self.trail[limit:]:
-            value[lit] = value[-lit] = _UNDEF
             var = lit if lit > 0 else -lit
+            if out_of_order and level[var] <= target_level:
+                kept.append(lit)
+                continue
+            value[lit] = value[-lit] = _UNDEF
             key = -activity[var]
             if heap_key[var] != key:
                 heap_key[var] = key
                 heappush(heap, (key, var))
-        del self.trail[limit:]
+        self.trail[limit:] = kept
+        self.out_of_order = out_of_order and target_level > 0
         del self.trail_lim[target_level:]
-        self.qhead = len(self.trail)
+        self.qhead = limit
         if len(heap) > 2 * self.n:
             self._rebuild_heap()  # drop the stale entries
 
@@ -463,18 +500,27 @@ class _Solver:
                 if conflict is None:
                     break
                 self.conflicts += 1
-                if not trail_lim:
+                # Analyse the conflict at its own highest level, which is below
+                # the current one when literals under a unit implied it.
+                conflict_level = len(trail_lim)
+                if self.out_of_order:
+                    conflict_level = max([level[abs(q)] for q in conflict])
+                if conflict_level == 0:
                     return SolveResult.unsat()
+                if conflict_level < len(trail_lim):
+                    self._backtrack(conflict_level)
                 learned, back_level = self._analyze(conflict)
                 self._backtrack(back_level)
                 if len(learned) == 1:
+                    # Chronological: the unit goes to level 0 at the end of the trail.
                     enqueued = self._enqueue(learned[0], None)
+                    self.out_of_order = back_level > 0
                 else:
                     self.learned += 1
                     self.clauses.append(learned)
                     self.watches[learned[0]].append(learned)
                     self.watches[learned[1]].append(learned)
-                    enqueued = self._enqueue(learned[0], learned)
+                    enqueued = self._enqueue(learned[0], learned, back_level)
                 if not enqueued:
                     return SolveResult.unsat()
                 self.var_inc /= self.var_decay

@@ -260,6 +260,13 @@ class _ClauseListSolver:
 
     Every clause is a Python list, watch lists and reasons hold clause indices,
     and every clause longer than two literals is cleaned up by ``_add_clause``.
+
+    A learned unit undoes only the conflict's level and goes to level 0 at the
+    end of the trail (chronological backtracking), so a literal may sit above
+    literals of a higher level.  Each implied literal takes the highest level
+    of its reason's other literals, each conflict is analysed at its highest
+    level, and ``_backtrack`` keeps, and propagates again, the literals of the
+    target level or below that sit above it.
     """
 
     def __init__(self, cnf: CnfFormula):
@@ -310,7 +317,7 @@ class _ClauseListSolver:
                 seen[lit] = 1
                 out.append(lit)
         if len(out) == 1:
-            if not self._enqueue(out[0], None):
+            if not self._enqueue(out[0], None, 0):
                 self.ok = False
             return
         idx = len(self.clauses)
@@ -318,13 +325,16 @@ class _ClauseListSolver:
         self.watches[out[0]].append(idx)
         self.watches[out[1]].append(idx)
 
-    def _enqueue(self, lit: int, reason: int | None) -> bool:
+    def _implied_level(self, clause: list[int], implied: int) -> int:
+        return max(self.level[abs(q)] for q in clause if q != implied)
+
+    def _enqueue(self, lit: int, reason: int | None, level: int) -> bool:
         if self.value[lit] != _UNDEF:
             return self.value[lit] == _TRUE
         self.value[lit] = _TRUE
         self.value[-lit] = _FALSE
         var = abs(lit)
-        self.level[var] = len(self.trail_lim)
+        self.level[var] = level
         self.reason[var] = reason
         self.trail.append(lit)
         return True
@@ -333,7 +343,6 @@ class _ClauseListSolver:
         """Unit propagation; returns a conflicting clause index or None."""
         trail, value, watches, clauses = self.trail, self.value, self.watches, self.clauses
         level, reason = self.level, self.reason
-        current_level = len(self.trail_lim)
         qhead = self.qhead
         while qhead < len(trail):
             falsified = -trail[qhead]
@@ -370,7 +379,7 @@ class _ClauseListSolver:
                     value[first] = _TRUE
                     value[-first] = _FALSE
                     var = first if first > 0 else -first
-                    level[var] = current_level
+                    level[var] = self._implied_level(clause, first)
                     reason[var] = ci
                     trail.append(first)
             watches[falsified] = kept
@@ -415,7 +424,7 @@ class _ClauseListSolver:
             while True:
                 index -= 1
                 lit = -self.trail[index]
-                if seen[abs(lit)]:
+                if seen[abs(lit)] and self.level[abs(lit)] == current_level:
                     break
             counter -= 1
             if counter == 0:
@@ -428,7 +437,7 @@ class _ClauseListSolver:
             seen[var] = False
 
         if len(learned) == 1:
-            back_level = 0
+            back_level = current_level - 1
         else:
             # Put the second-highest-level literal in slot 1 for watching.
             best = 1
@@ -441,17 +450,20 @@ class _ClauseListSolver:
 
     def _backtrack(self, target_level: int) -> None:
         limit = self.trail_lim[target_level]
+        above = self.trail[limit:]
+        kept = [lit for lit in above if self.level[abs(lit)] <= target_level]
+        undone = [lit for lit in above if self.level[abs(lit)] > target_level]
         value, activity, heap_key, heap = self.value, self.activity, self.heap_key, self.heap
-        for lit in self.trail[limit:]:
+        for lit in undone:
             value[lit] = value[-lit] = _UNDEF
             var = lit if lit > 0 else -lit
             key = -activity[var]
             if heap_key[var] != key:
                 heap_key[var] = key
                 heappush(heap, (key, var))
-        del self.trail[limit:]
+        self.trail[limit:] = kept
         del self.trail_lim[target_level:]
-        self.qhead = len(self.trail)
+        self.qhead = limit
         if len(heap) > 2 * self.n:
             self._rebuild_heap()  # drop the stale entries
 
@@ -476,24 +488,27 @@ class _ClauseListSolver:
             decision = self._decide()
             self.decisions += 1
             self.trail_lim.append(len(self.trail))
-            self._enqueue(decision, None)
+            self._enqueue(decision, None, len(self.trail_lim))
             while True:
                 conflict = self._propagate()
                 if conflict is None:
                     break
                 self.conflicts += 1
-                if not self.trail_lim:
+                conflict_level = max(self.level[abs(q)] for q in self.clauses[conflict])
+                if conflict_level == 0:
                     return SolveResult.unsat()
+                if conflict_level < len(self.trail_lim):
+                    self._backtrack(conflict_level)
                 learned, back_level = self._analyze(conflict)
                 self._backtrack(back_level)
                 if len(learned) == 1:
-                    enqueued = self._enqueue(learned[0], None)
+                    enqueued = self._enqueue(learned[0], None, 0)
                 else:
                     idx = len(self.clauses)
                     self.clauses.append(learned)
                     self.watches[learned[0]].append(idx)
                     self.watches[learned[1]].append(idx)
-                    enqueued = self._enqueue(learned[0], idx)
+                    enqueued = self._enqueue(learned[0], idx, self._implied_level(learned, learned[0]))
                 if not enqueued:
                     return SolveResult.unsat()
                 self.var_inc /= self.var_decay
@@ -1006,6 +1021,86 @@ class TestSearchCounters:
                 assert solver.propagations >= solver.n
             learned += solver.learned
         assert learned > 0
+
+
+def _stop_grid_text(rng, n):
+    """An n x n grid of unit cells with every adjacency, a pick-and-handover task
+    and one stop-mitigated hazard over the threshold, at bound 4n: the task
+    fits, since each of its two legs crosses the grid in at most 2(n - 1) moves."""
+    names = [[f"R{r}C{c}" for c in range(n)] for r in range(n)]
+    cells = [name for row in names for name in row]
+    lines = ["[layout]"]
+    lines += [f"loc {names[r][c]} box {c} {r} 0 {c + 1} {r + 1} 1" for r in range(n) for c in range(n)]
+    lines += [f"adj {names[r][c]} {names[r][c + 1]}" for r in range(n) for c in range(n - 1)]
+    lines += [f"adj {names[r][c]} {names[r + 1][c]}" for r in range(n - 1) for c in range(n)]
+    lines += ["[agents]", "agent op human", "agent arm robot"]
+    lines += ["poi op h radius 0.05", "poi arm g radius 0.05", f"start g {rng.choice(cells)}"]
+    lines += ["[task]", f"step g pick {rng.choice(cells)}", f"step handover g h {rng.choice(cells)}"]
+    grades = [rng.randint(1, 2) for _ in range(3)]
+    lines += ["[hazards]", "hazard hz1 h g sev {} exp {} avoid {}".format(*grades)]
+    lines += ["[mitigations]", "mitigate stop hz1"]
+    lines += ["[params]", f"bound {4 * n}", f"threshold {sum(grades) - 1}"]
+    return "\n".join(lines) + "\n"
+
+
+def _refutation_counters(scenario):
+    """Decisions and conflicts of the solver refuting the scenario at its bound."""
+    model = compile_scenario(scenario)
+    solver = _Solver(encode(conjoin(model.formulas), model.symbols, scenario.bound)[0])
+    assert not solver.solve().satisfiable
+    return solver.decisions, solver.conflicts
+
+
+class _UnitLevelSolver(_Solver):
+    """Records the level of each conflict that learns a unit."""
+
+    def __init__(self, cnf):
+        super().__init__(cnf)
+        self.unit_levels = []
+
+    def _analyze(self, conflict):
+        learned, back_level = super()._analyze(conflict)
+        if len(learned) == 1:
+            self.unit_levels.append(len(self.trail_lim))  # _analyze runs at the conflict's level
+        return learned, back_level
+
+
+class TestUnitsBacktrackChronologically:
+    """A learned unit undoes only its conflict's level: a stop refutation learns
+    a unit per conflict and re-decides nothing, so it costs about k decisions."""
+
+    @pytest.mark.parametrize("bound", [14, 30, 60, 120])
+    def test_handover_stop(self, bound):
+        scenario = load_scenario(bundled_scenario_path("handover_stop"), bound=bound)
+        decisions, conflicts = _refutation_counters(scenario)
+        assert conflicts == bound and decisions <= bound
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_stop_grids(self, n):
+        rng = random.Random(60 + n)
+        for _ in range(3):
+            scenario = loads_scenario(_stop_grid_text(rng, n))
+            decisions, conflicts = _refutation_counters(scenario)
+            assert conflicts == scenario.bound and decisions <= scenario.bound
+
+    def test_random_cnfs_agree_with_brute_force(self):
+        rng = random.Random(51)
+        runs = out_of_order = 0
+        outcomes = set()
+        for _ in range(200):
+            for formula in (random_3sat(rng, rng.randint(10, 18), rng.uniform(3.8, 4.8)),
+                            random_one_hot_cnf(rng, max_vars=18)):
+                solver = _UnitLevelSolver(formula)
+                result = solver.solve()
+                assert result.satisfiable == brute_force_solve(formula).satisfiable
+                if result.satisfiable:
+                    assert _model_satisfies(formula, result.model)
+                outcomes.add(result.satisfiable)
+                runs += 1
+                out_of_order += any(level > 1 for level in solver.unit_levels)
+        assert outcomes == {True, False}
+        # A unit learned above level 1 sits above the levels it keeps: about 8% of runs.
+        assert out_of_order >= runs // 20
 
 
 def _old_model_satisfies(formula, model):

@@ -13,7 +13,9 @@ k decisions, not k^2 / 2.  While such a literal sits above literals of a
 higher level, an implied literal takes the highest level of its reason's
 other literals, a conflict is analysed at its own highest level, and a
 backtrack keeps, and propagates again, the literals of its target level or
-below.  A learned clause of two or more literals backjumps to its
+below.  A conflict with one literal alone at its highest level learns
+nothing: that literal is implied by the conflict at the highest level of
+the others.  A learned clause of two or more literals backjumps to its
 second-highest level, so a search that learns no unit is plain CDCL.
 
 ``brute_force_solve`` is the independent exhaustive oracle for small
@@ -235,12 +237,6 @@ class _Solver:
     reports a pair's conflict as (first, falsified), in that order, and any
     other as its clause list.
 
-    ``out_of_order`` is True while a learned unit sits above literals of a
-    higher level (see the module docstring).  While it is False the levels
-    never fall along the trail, so ``_propagate``, ``_backtrack`` and
-    ``solve`` read no level to place a literal: a propagated or conflicting
-    one is at the current level, and one above a level's start is above it.
-
     ``decisions``, ``conflicts``, ``propagations`` (literals taken off the
     trail by ``_propagate``), ``learned`` (learned clauses of two or more
     literals, so ``clauses[-learned:]``) and ``max_level`` (the deepest
@@ -274,7 +270,6 @@ class _Solver:
         self.propagations = 0
         self.learned = 0
         self.max_level = 0
-        self.out_of_order = False
         self._rebuild_heap()
 
         amo: list[tuple[int, ...]] = [()] * (2 * n + 1)
@@ -301,7 +296,7 @@ class _Solver:
         self.heap = list(zip(self.heap_key[1:], range(1, self.n + 1)))
         heapify(self.heap)
 
-    def _enqueue(self, lit: int, reason: list[int] | None, level: int = 0) -> bool:
+    def _enqueue(self, lit: int, reason: list[int] | int | None, level: int = 0) -> bool:
         if self.value[lit] != _UNDEF:
             return self.value[lit] == _TRUE
         self.value[lit] = _TRUE
@@ -315,7 +310,7 @@ class _Solver:
     def _propagate(self) -> list[int] | tuple[int, int] | None:
         """Unit propagation; returns the literals of a conflicting clause or None."""
         trail, value, watches, amo = self.trail, self.value, self.watches, self.amo
-        level, reason, out_of_order = self.level, self.reason, self.out_of_order
+        level, reason = self.level, self.reason
         current_level = len(self.trail_lim)
         start = qhead = self.qhead
         conflict: list[int] | tuple[int, int] | None = None
@@ -323,8 +318,9 @@ class _Solver:
             falsified = -trail[qhead]
             qhead += 1
             # An implied literal takes the highest level of its reason's other
-            # literals: this one's, unless it is below the current level.
-            at = level[abs(falsified)] if out_of_order else current_level
+            # literals: this one's for a pair, and for a clause too when it is
+            # the current level, since none is higher.
+            at = level[abs(falsified)]
             for first in amo[falsified]:  # the block's pairs (falsified, first)
                 state = value[first]
                 if state == _UNDEF:
@@ -442,6 +438,32 @@ class _Solver:
             back_level = level[abs(learned[1])]
         return learned, back_level
 
+    def _imply_alone(self, conflict: list[int] | tuple[int, int], levels: list[int]) -> None:
+        """Backtrack to the highest level of the conflict's other literals and
+        imply there its one literal of a higher level (Nadel & Ryvchin)."""
+        i = levels.index(max(levels))
+        alone = conflict[i]
+        at = max(levels[:i] + levels[i + 1:])
+        self._backtrack(at)
+        if type(conflict) is tuple:  # a block's pair: the other member implies it
+            self._enqueue(alone, conflict[1 - i], at)
+            return
+        # Watch it and an other literal of level at, as a learned clause is.
+        self._watch_slot(conflict, 0, i)
+        level = self.level
+        self._watch_slot(conflict, 1, next(
+            k for k in range(1, len(conflict)) if level[abs(conflict[k])] == at))
+        self._enqueue(alone, conflict, at)
+
+    def _watch_slot(self, clause: list[int], slot: int, k: int) -> None:
+        """Swap clause[k] into watched slot 0 or 1, moving the watch if k > 1."""
+        old = clause[slot]
+        clause[slot], clause[k] = clause[k], old
+        if k > 1:
+            watchers = self.watches[old]
+            del watchers[next(j for j, c in enumerate(watchers) if c is clause)]
+            self.watches[clause[slot]].append(clause)
+
     def _backtrack(self, target_level: int) -> None:
         """Undo every level above target_level.  A literal of target_level or
         below that sits above it on the trail stays assigned, in trail order,
@@ -449,10 +471,10 @@ class _Solver:
         limit = self.trail_lim[target_level]
         value, level, activity = self.value, self.level, self.activity
         heap_key, heap = self.heap_key, self.heap
-        kept, out_of_order = [], self.out_of_order
+        kept = []
         for lit in self.trail[limit:]:
             var = lit if lit > 0 else -lit
-            if out_of_order and level[var] <= target_level:
+            if level[var] <= target_level:
                 kept.append(lit)
                 continue
             value[lit] = value[-lit] = _UNDEF
@@ -461,7 +483,6 @@ class _Solver:
                 heap_key[var] = key
                 heappush(heap, (key, var))
         self.trail[limit:] = kept
-        self.out_of_order = out_of_order and target_level > 0
         del self.trail_lim[target_level:]
         self.qhead = limit
         if len(heap) > 2 * self.n:
@@ -501,12 +522,15 @@ class _Solver:
                     break
                 self.conflicts += 1
                 # Analyse the conflict at its own highest level, which is below
-                # the current one when literals under a unit implied it.
-                conflict_level = len(trail_lim)
-                if self.out_of_order:
-                    conflict_level = max([level[abs(q)] for q in conflict])
+                # the current one when literals under a unit implied it.  With
+                # one literal alone at that level there is nothing to learn.
+                levels = [level[abs(q)] for q in conflict]
+                conflict_level = max(levels)
                 if conflict_level == 0:
                     return SolveResult.unsat()
+                if levels.count(conflict_level) == 1:
+                    self._imply_alone(conflict, levels)
+                    continue
                 if conflict_level < len(trail_lim):
                     self._backtrack(conflict_level)
                 learned, back_level = self._analyze(conflict)
@@ -514,7 +538,6 @@ class _Solver:
                 if len(learned) == 1:
                     # Chronological: the unit goes to level 0 at the end of the trail.
                     enqueued = self._enqueue(learned[0], None)
-                    self.out_of_order = back_level > 0
                 else:
                     self.learned += 1
                     self.clauses.append(learned)

@@ -266,7 +266,9 @@ class _ClauseListSolver:
     literals of a higher level.  Each implied literal takes the highest level
     of its reason's other literals, each conflict is analysed at its highest
     level, and ``_backtrack`` keeps, and propagates again, the literals of the
-    target level or below that sit above it.
+    target level or below that sit above it.  A conflict with one literal
+    alone at its highest level is not analysed: ``_imply_alone`` implies that
+    literal at the highest level of the others, with the conflict as reason.
     """
 
     def __init__(self, cnf: CnfFormula):
@@ -448,6 +450,27 @@ class _ClauseListSolver:
             back_level = self.level[abs(learned[1])]
         return learned, back_level
 
+    def _imply_alone(self, ci: int, levels: list[int]) -> None:
+        clause = self.clauses[ci]
+        top = max(levels)
+        alone = clause[levels.index(top)]
+        at = max(lvl for lvl in levels if lvl != top)
+        self._backtrack(at)
+        # The implied literal goes to slot 0 and the first other of level at to slot 1.
+        self._swap_to_slot(ci, 0, clause.index(alone))
+        second = next(q for q in clause[1:] if self.level[abs(q)] == at)
+        self._swap_to_slot(ci, 1, clause.index(second))
+        self._enqueue(alone, ci, at)
+
+    def _swap_to_slot(self, ci: int, slot: int, k: int) -> None:
+        clause = self.clauses[ci]
+        if k == slot:
+            return
+        if k > 1:  # clause[slot] stops being watched and clause[k] starts
+            self.watches[clause[slot]].remove(ci)
+            self.watches[clause[k]].append(ci)
+        clause[slot], clause[k] = clause[k], clause[slot]
+
     def _backtrack(self, target_level: int) -> None:
         limit = self.trail_lim[target_level]
         above = self.trail[limit:]
@@ -494,9 +517,13 @@ class _ClauseListSolver:
                 if conflict is None:
                     break
                 self.conflicts += 1
-                conflict_level = max(self.level[abs(q)] for q in self.clauses[conflict])
+                levels = [self.level[abs(q)] for q in self.clauses[conflict]]
+                conflict_level = max(levels)
                 if conflict_level == 0:
                     return SolveResult.unsat()
+                if levels.count(conflict_level) == 1:
+                    self._imply_alone(conflict, levels)
+                    continue
                 if conflict_level < len(self.trail_lim):
                     self._backtrack(conflict_level)
                 learned, back_level = self._analyze(conflict)
@@ -1052,11 +1079,28 @@ def _refutation_counters(scenario):
 
 
 class _UnitLevelSolver(_Solver):
-    """Records the level of each conflict that learns a unit."""
+    """Records the level of each conflict that learns a unit, and checks each
+    literal implied by a conflict in which it is alone at the highest level."""
 
     def __init__(self, cnf):
         super().__init__(cnf)
         self.unit_levels = []
+        self.alone = 0
+
+    def _imply_alone(self, conflict, levels):
+        super()._imply_alone(conflict, levels)
+        alone = self.trail[-1]
+        at = sorted(levels)[-2]
+        assert self.level[abs(alone)] == at == len(self.trail_lim)
+        reason = self.reason[abs(alone)]
+        if type(conflict) is tuple:  # a block's pair: the other member implies it
+            assert reason == sum(conflict) - alone
+        else:  # watched in slots 0 and 1, as a learned clause is
+            assert reason is conflict and conflict[0] == alone
+            assert self.level[abs(conflict[1])] == at
+            watching = [q for q in conflict if any(c is conflict for c in self.watches[q])]
+            assert watching == conflict[:2]
+        self.alone += 1
 
     def _analyze(self, conflict):
         learned, back_level = super()._analyze(conflict)
@@ -1085,22 +1129,30 @@ class TestUnitsBacktrackChronologically:
 
     def test_random_cnfs_agree_with_brute_force(self):
         rng = random.Random(51)
-        runs = out_of_order = 0
+        runs = out_of_order = alone = 0
         outcomes = set()
         for _ in range(200):
             for formula in (random_3sat(rng, rng.randint(10, 18), rng.uniform(3.8, 4.8)),
                             random_one_hot_cnf(rng, max_vars=18)):
                 solver = _UnitLevelSolver(formula)
+                loaded = len(solver.clauses)
                 result = solver.solve()
                 assert result.satisfiable == brute_force_solve(formula).satisfiable
                 if result.satisfiable:
                     assert _model_satisfies(formula, result.model)
+                # No learned clause repeats an input or an earlier learned clause.
+                learned = [frozenset(clause) for clause in solver.clauses[loaded:]]
+                assert len(set(learned)) == len(learned)
+                assert set(learned).isdisjoint(map(frozenset, formula.clauses))
                 outcomes.add(result.satisfiable)
                 runs += 1
                 out_of_order += any(level > 1 for level in solver.unit_levels)
+                alone += solver.alone
         assert outcomes == {True, False}
         # A unit learned above level 1 sits above the levels it keeps: about 8% of runs.
         assert out_of_order >= runs // 20
+        # A literal implied by a conflict alone at its level, about once in 60 runs.
+        assert alone >= 3
 
 
 def _old_model_satisfies(formula, model):

@@ -33,12 +33,16 @@ may stand for f wherever f occurs at that polarity inside a clause.
   variable, defined one-sidedly in the same way over the whole window.
 
 Nested connectives of one shape split into one list of parts, so a balanced
-``conjoin``/``disjoin`` tree costs what a flat one would.  Atoms are keyed
-on value and polarity, so equal atoms built as separate objects share one
-row; every other node is keyed on identity and polarity, so an occurrence
-shared by object is encoded once per polarity.  A node's parts are encoded
-before it, from an explicit stack and in the order a recursion would take
-them, so no nesting is too deep and the numbering is the recursion's.
+``conjoin``/``disjoin`` tree costs what a flat one would.  An atom is
+keyed on its row's key in ``VarMap`` (a proposition's name, a (variable,
+value) pair) and its polarity, so equal atoms built as separate objects
+share one row and no key hashes or compares a node; every other node is
+keyed on identity and polarity, so an occurrence shared by object is
+encoded once per polarity.  A node's parts are encoded before it, from an
+explicit stack and in the order a recursion would take them, so no nesting
+is too deep and the numbering is the recursion's.  An atom's row, and the
+row of a ``Dist`` of an atom, go into the memo as soon as they are met,
+with no frame of their own: neither owns a variable.
 
 The root is asserted, not defined.  A conjunction splits into its
 conjuncts, ``Alw(g)`` asserts g at every instant, ``Som(g)`` is one clause,
@@ -137,9 +141,8 @@ class CheckResult:
 Fragment = tuple[int, ...] | None  # literals whose disjunction implies a polarity; None: it holds
 
 
-def _conjunctive(f: Formula, pos: bool) -> bool:
-    """Whether f at this polarity is a conjunction: ``And`` true, ``Or``/``Implies`` false."""
-    return isinstance(f, And) if pos else isinstance(f, (Or, Implies))
+# A binary connective's class -> the polarity at which it is a conjunction.
+_CONJUNCTIVE_AT = {And: True, Or: False, Implies: False}
 
 
 def _parts(f: Formula, pos: bool, conjunctive: bool) -> list[tuple[Formula, bool]]:
@@ -150,20 +153,59 @@ def _parts(f: Formula, pos: bool, conjunctive: bool) -> list[tuple[Formula, bool
     todo = [(f, pos)]
     while todo:
         f, pos = todo.pop()
-        while isinstance(f, Not):
+        cls = type(f)
+        while cls is Not:
             f, pos = f.operand, not pos
-        if isinstance(f, (And, Or, Implies)) and _conjunctive(f, pos) == conjunctive:
-            todo.append((f.right, pos))
-            todo.append((f.left, not pos if isinstance(f, Implies) else pos))
-        else:
-            out.append((f, pos))
+            cls = type(f)
+        if cls is And:
+            if pos == conjunctive:
+                todo.append((f.right, pos))
+                todo.append((f.left, pos))
+                continue
+        elif cls is Or or cls is Implies:
+            if pos != conjunctive:
+                todo.append((f.right, pos))
+                todo.append((f.left, not pos if cls is Implies else pos))
+                continue
+        out.append((f, pos))
     return out
 
 
-def _key(f: Formula, pos: bool) -> tuple[Formula | int, bool]:
-    """The encoder's memo key: an atom by value, any other node by identity."""
+def _key(f: Formula, pos: bool) -> tuple[str | tuple[str, str] | int, bool]:
+    """The encoder's memo key: an atom by its row's key in ``VarMap``, any other
+    node by identity; each with its polarity."""
     cls = type(f)
-    return (f, pos) if cls is Eq or cls is Atom else (id(f), pos)
+    if cls is Eq:
+        return (f.var, f.value), pos
+    if cls is Atom:
+        return f.name, pos
+    return id(f), pos
+
+
+def _same(f: Formula, g: Formula) -> bool:
+    """Whether f == g, compared from an explicit stack so that no nesting is
+    too deep: identity first, then class and fields."""
+    todo = [(f, g)]
+    while todo:
+        f, g = todo.pop()
+        if f is g:
+            continue
+        if type(f) is not type(g):
+            return False
+        for a, b in zip(vars(f).values(), vars(g).values()):
+            if isinstance(a, Formula):
+                todo.append((a, b))
+            elif a != b:
+                return False
+    return True
+
+
+def _shift(row: list[Fragment] | None, d: int, pos: bool, n: int) -> list[Fragment]:
+    """The fragments of ``Dist(g, d)`` at pos from g's row, None if no instant reaches g."""
+    outside: Fragment = () if pos else None
+    if row is None:
+        return [outside] * n
+    return row[d:] + [outside] * d if d >= 0 else [outside] * -d + row[:d]
 
 
 def _simple(parts: list[tuple[Formula, bool]]) -> bool:
@@ -180,15 +222,12 @@ def _simple(parts: list[tuple[Formula, bool]]) -> bool:
             g = g.operand
             cls = type(g)
         if cls is Eq:
-            leaf = (offset, g.var, g.value)
+            leaves.add((offset, g.var, g.value))
         elif cls is Atom:
-            leaf = (offset, g.name)
+            leaves.add((offset, g.name))
         else:
             return False
-        if leaf in leaves:
-            return False
-        leaves.add(leaf)
-    return True
+    return len(leaves) == len(parts)
 
 
 def _somewhere(rows: list[list[Fragment]]) -> Fragment:
@@ -261,44 +300,66 @@ class _Encoder:
     def lits(self, f: Formula, pos: bool) -> list[Fragment]:
         """Fragments implying f (pos) or not-f at t = 0..k, none repeating a variable;
         encodes f at pos on first use."""
-        key = _key(f, pos)
-        row = self._lits.get(key)
-        if row is None:
-            row = self._walk(key, f, pos)
-        return row
+        return self._rows([(f, pos)])[0]
 
-    def _walk(self, key, f: Formula, pos: bool) -> list[Fragment]:
-        """Encode f at pos and, first, each part it is built from that is not encoded yet.
+    def _rows(self, parts: list[tuple[Formula, bool]]) -> list[list[Fragment]]:
+        """The fragments of each (node, polarity) pair, encoding on first use
+        each one and, before it, each of its own parts.
 
         An explicit stack stands in for the recursion, so no nesting is too
-        deep.  The parts are encoded in the order, and so numbered as, a
+        deep.  The nodes are encoded in the order, and so numbered as, a
         recursion through ``lits`` would number them: left to right, each
-        with all of its own parts before the next.
+        with all of its own parts before the next.  An atom, and a ``Dist``
+        of one, owns no variable and takes no frame: its row goes into the
+        memo as soon as it is met.
         """
         memo = self._lits
-        parts = self._parts_of(f, pos)
-        todo = [(key, f, pos, parts, [_key(g, q) for g, q in parts], [])]
+        k = self.k
+        rows: list[list[Fragment]] = []
+        # Each frame: a node's key, the node, its polarity, its parts, their keys, their rows so
+        # far.  The bottom frame stands for the given parts and has no node of its own.
+        todo = [(None, None, None, parts, [_key(g, q) for g, q in parts], rows)]
         while True:
-            key, f, pos, parts, keys, rows = todo[-1]  # rows: those of the parts so far
-            for i in range(len(rows), len(keys)):
+            key, f, pos, parts, keys, done = todo[-1]
+            for i in range(len(done), len(keys)):
                 row = memo.get(keys[i])
                 if row is None:
                     g, q = parts[i]
-                    sub = self._parts_of(g, q)
-                    todo.append((keys[i], g, q, sub, [_key(h, r) for h, r in sub], []))
-                    break
-                rows.append(row)
+                    cls = type(g)
+                    if cls is Dist:
+                        atom = g.operand
+                        if type(atom) is Atom or type(atom) is Eq:
+                            inside = abs(g.offset) <= k  # an operand no instant reaches is never looked at
+                            row = _shift(self._atom_row(atom, q) if inside else None, g.offset, q, k + 1)
+                    elif cls is Atom or cls is Eq:
+                        row = self._atom_row(g, q)
+                    if row is None:
+                        sub = self._parts_of(g, q)
+                        todo.append((keys[i], g, q, sub, [_key(h, r) for h, r in sub], []))
+                        break
+                    memo[keys[i]] = row
+                done.append(row)
             else:
                 todo.pop()
-                row = memo[key] = self._fragments(f, pos, parts, rows)
                 if not todo:
-                    return row
+                    return rows
+                memo[key] = self._fragments(f, pos, parts, done)
+
+    def _atom_row(self, f: Formula, pos: bool) -> list[Fragment]:
+        """An atom's fragments at pos, each its one literal; kept in the memo."""
+        key = _key(f, pos)
+        row = self._lits.get(key)
+        if row is None:
+            lits = self._literal_row(f)
+            row = self._lits[key] = [(a,) for a in lits] if pos else [(-a,) for a in lits]
+        return row
 
     def _parts_of(self, f: Formula, pos: bool) -> list[tuple[Formula, bool]]:
         """The (node, polarity) pairs whose fragments f's at pos are built from, in order."""
         cls = type(f)
-        if cls is And or cls is Or or cls is Implies:
-            return _parts(f, pos, _conjunctive(f, pos))
+        at = _CONJUNCTIVE_AT.get(cls)
+        if at is not None:
+            return _parts(f, pos, at == pos)
         if cls is Not:
             return [(f.operand, not pos)]
         if cls is Dist:  # an operand no instant reaches is never looked at
@@ -314,13 +375,10 @@ class _Encoder:
             return rows[0]
         n = self.k + 1
         if cls is Dist:
-            d = f.offset
-            outside: Fragment = () if pos else None
-            if not rows:
-                return [outside] * n
-            return rows[0][d:] + [outside] * d if d >= 0 else [outside] * -d + rows[0][:d]
-        if cls is And or cls is Or or cls is Implies:
-            if not _conjunctive(f, pos):
+            return _shift(rows[0] if rows else None, f.offset, pos, n)
+        at = _CONJUNCTIVE_AT.get(cls)
+        if at is not None:
+            if at != pos:
                 return _join(rows, parts)
             return [self._conjunction(frags) for frags in zip(*rows)]
         if cls is Alw or cls is Som:
@@ -332,14 +390,13 @@ class _Encoder:
                 self.clauses.append((-head, *frag))
                 frag = (head,)
             return [frag] * n
-        row = self._literal_row(f)
-        return [(a,) for a in row] if pos else [(-a,) for a in row]
+        raise TypeError(f"not a formula: {f!r}")
 
     def _conjunction(self, frags) -> Fragment:
         """A fragment implying each given one: one fresh variable if two or more remain."""
-        live = [frag for frag in frags if frag is not None]
-        if () in live:
+        if () in frags:
             return ()
+        live = list(filter(None, frags))
         if len(live) < 2:
             return live[0] if live else None
         head = self._fresh_row(1)[0]
@@ -347,21 +404,19 @@ class _Encoder:
         self.clauses += [(not_head, *frag) for frag in live]
         return (head,)
 
-    def _literal_row(self, f: Formula) -> list[int]:
-        """Literals equivalent to an atomic f at t = 0..k."""
-        if isinstance(f, Atom):
+    def _literal_row(self, f: Atom | Eq) -> list[int]:
+        """Literals equivalent to an atom f at t = 0..k."""
+        if type(f) is Atom:
             row = self.prop_rows.get(f.name)
             if row is None:
                 raise ValueError(f"{f.name!r} is not a declared proposition")
             return row
-        if isinstance(f, Eq):
-            row = self.value_rows.get((f.var, f.value))
-            if row is None:
-                if not isinstance(self.symbols.lookup(f.var), FiniteVariable):
-                    raise ValueError(f"{f.var!r} is not a declared finite variable")
-                raise ValueError(f"{f.value!r} is not in the domain of {f.var!r}")
-            return row
-        raise TypeError(f"not a formula: {f!r}")
+        row = self.value_rows.get((f.var, f.value))
+        if row is None:
+            if not isinstance(self.symbols.lookup(f.var), FiniteVariable):
+                raise ValueError(f"{f.var!r} is not a declared finite variable")
+            raise ValueError(f"{f.value!r} is not in the domain of {f.var!r}")
+        return row
 
     # -- assertion ---------------------------------------------------------
 
@@ -372,40 +427,48 @@ class _Encoder:
         instants 0..n-1 (n is 1 or k+1); items are taken in the order a
         recursion would take them.
         """
+        window = self.k + 1
         todo = [(f, True, 1)]
         while todo:
             f, pos, n = todo.pop()
-            while isinstance(f, Not):
-                f, pos = f.operand, not pos
-            if isinstance(f, (Alw, Som)):
-                if isinstance(f, Alw) == pos:
-                    todo.append((f.operand, pos, self.k + 1))
-                else:
-                    rows = [self.lits(g, q) for g, q in _parts(f.operand, pos, False)]
-                    self._emit([_somewhere(rows)])
+            cls = type(f)
+            while cls is Not or (cls is Alw and pos) or (cls is Som and not pos):
+                if cls is Not:
+                    pos = not pos
+                else:  # the operand at every instant
+                    n = window
+                f = f.operand
+                cls = type(f)
+            if cls is Alw or cls is Som:  # the operand at some instant: one clause
+                self._emit([_somewhere(self._rows(_parts(f.operand, pos, False)))])
                 continue
-            if _conjunctive(f, pos):
+            if _CONJUNCTIVE_AT.get(cls) == pos:
                 todo += [(g, q, n) for g, q in reversed(_parts(f, pos, True))]
                 continue
             parts = _parts(f, pos, False)
-            conjunctive = [i for i, (g, q) in enumerate(parts) if _conjunctive(g, q)]
+            # A binary connective left in a disjunction's parts is a conjunction.
+            conjunctive = [i for i, (g, _) in enumerate(parts) if type(g) in _CONJUNCTIVE_AT]
             if len(conjunctive) != 1:
-                self._emit(_join([self.lits(g, q)[:n] for g, q in parts], parts))
+                self._emit(_join(self._window(parts, n), parts))
                 continue
             # Distribute the clause over its one conjunction: no variable for it.
             g, q = parts.pop(conjunctive[0])
-            rest = _join([self.lits(h, r)[:n] for h, r in parts], parts)
+            rest = _join(self._window(parts, n), parts)
             for h, r in _parts(g, q, True):
-                if (h, not r) not in parts:  # else the clause holds as "h or not h"
-                    self._emit(_join([rest, self.lits(h, r)[:n]], [*parts, (h, r)]))
+                if not any(p != r and _same(h, e) for e, p in parts):  # else it holds as "h or not h"
+                    self._emit(_join([rest, *self._window([(h, r)], n)], [*parts, (h, r)]))
+
+    def _window(self, parts: list[tuple[Formula, bool]], n: int) -> list[list[Fragment]]:
+        """The parts' rows cut to instants 0..n-1; a whole-window row is not copied."""
+        rows = self._rows(parts)
+        return rows if n > self.k else [row[:n] for row in rows]
 
     def _emit(self, row: list[Fragment]) -> None:
         """Each fragment of the row as a clause: None needs none, and () is made false."""
-        clauses = [frag for frag in row if frag is not None]
-        if () in clauses:
+        if () in row:
             false = (self._false_literal(),)
-            clauses = [frag or false for frag in clauses]
-        self.clauses += clauses
+            row = [frag or false for frag in row if frag is not None]
+        self.clauses += filter(None, row)
 
 
 def encode(f: Formula, symbols: SymbolTable, k: int) -> tuple[sat.CnfFormula, VarMap]:

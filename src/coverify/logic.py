@@ -270,26 +270,27 @@ def free_symbols(f: Formula) -> set[str]:
 
     A connective shared by object is walked once, so the walk is linear in
     the distinct nodes of f, as the evaluator and the encoder are.  The walk
-    keeps its own stack, so no nesting depth is too deep for it.
+    keeps its own work list, so no nesting depth is too deep for it.
     """
     out: set[str] = set()
     seen: set[int] = set()  # ids of the connectives walked
     todo = [f]
-    while todo:
-        f = todo.pop()
+    for f in todo:  # a node's operands are appended, and so walked in turn
         cls = type(f)
         if cls is Eq:
             out.add(f.var)
-        elif cls is Atom:
-            out.add(f.name)
-        elif id(f) in seen:
             continue
-        elif cls is And or cls is Or or cls is Implies:
-            seen.add(id(f))
-            todo.append(f.right)
+        if cls is Atom:
+            out.add(f.name)
+            continue
+        i = id(f)
+        if i in seen:
+            continue
+        seen.add(i)
+        if cls is And or cls is Or or cls is Implies:
             todo.append(f.left)
+            todo.append(f.right)
         elif cls is Dist or cls is Alw or cls is Not or cls is Som:
-            seen.add(id(f))
             todo.append(f.operand)
         else:
             raise TypeError(f"not a formula: {f!r}")

@@ -1,6 +1,7 @@
 """Bounded encoder: structure, soundness, and agreement with enumeration."""
 
 import gc
+import hashlib
 import importlib
 import random
 from itertools import chain
@@ -28,7 +29,7 @@ from coverify.logic import (
     evaluate,
     free_symbols,
 )
-from coverify.sat import CnfFormula, solve
+from coverify.sat import CnfFormula, solve, write_dimacs
 from coverify.world import (
     bundled_scenario_path,
     compile_scenario,
@@ -38,6 +39,7 @@ from coverify.world import (
     verify,
 )
 
+import test_exhaustive
 from helpers import brute_force_check, family_symbols, formula_family, random_formula
 
 # The package re-exports the function `encode` under the submodule's name.
@@ -249,6 +251,29 @@ class TestCheck:
             result = check(f, table, 4)
             if result.satisfiable:
                 assert evaluate(f, result.trace, 0) is True
+
+
+class TestDeepNesting:
+    """encode and check keep their own stacks: no nesting is too deep for them."""
+
+    @staticmethod
+    def _dist_chain(depth: int, innermost: int) -> Formula:
+        """``Dist(..., 0)`` nested depth times over p, the innermost at offset ``innermost``."""
+        f = Dist(Atom("p"), innermost)
+        for _ in range(depth - 1):
+            f = Dist(f, 0)
+        return f
+
+    @pytest.mark.parametrize("innermost, clauses", [(0, ((1, 4),)), (1, ((1, -2), (1, 4)))])
+    def test_distributed_clause_compares_distinct_chains(self, pq_symbols, innermost, clauses):
+        # The clause "A or not B" holds, and is dropped, exactly when B equals A;
+        # A and B are distinct objects, so telling that compares them level by level.
+        for depth in (3, 3000):
+            a, b = self._dist_chain(depth, 0), self._dist_chain(depth, innermost)
+            f = Or(a, And(Not(b), Atom("q")))
+            cnf, _ = encode(f, pq_symbols, 2)
+            assert (cnf.num_vars, cnf.clauses) == (6, clauses)
+            assert check(f, pq_symbols, 2).satisfiable
 
 
 class TestDecode:
@@ -526,8 +551,11 @@ def _assert_fragments_sound(f: Formula, symbols: SymbolTable, k: int) -> int:
         trace = decode({abs(lit): lit > 0 for lit in true}, vm, symbols, k)
         truth: dict[int, int] = {}  # id of a node -> evaluate at every instant, bit t for t
         _truth_rows(trace, truth)(f)
-        for (node, pos), row in enc._lits.items():
-            bits = truth[node if type(node) is int else id(node)]  # an atom is keyed on itself
+        for (key, pos), row in enc._lits.items():
+            if type(key) is int:  # any node but an atom is keyed on its id
+                bits = truth[key]
+            else:  # an atom on its row's key in VarMap: a proposition's name, a (variable, value) pair
+                bits = _truth_rows(trace, {})(Atom(key) if type(key) is str else Eq(*key))
             for t, frag in enumerate(row):
                 if frag is None or not true.isdisjoint(frag):
                     assert (bits >> t & 1) == pos, f"{f} at k={k}, instant {t}"
@@ -772,6 +800,45 @@ class TestCompiledWorkcellSize:
         for _ in range(TestRandomScenarios.SCENARIOS):
             scenario = loads_scenario(_random_scenario_text(rng))
             self._assert_exact_count(scenario, scenario.bound)
+
+
+def _pinned_cnf_texts():
+    """The DIMACS text of each CNF ``PINNED_CNFS_SHA256`` covers, in a fixed order.
+
+    Random formulas at k = 0..4 alone, with a subformula shared by object
+    (the shapes of ``test_shared_subformula_object``) and under a ``Dist`` at
+    and past the window's edge; then seeded workcells at their own bounds.
+    """
+    table = family_symbols()
+    for k in range(5):
+        rng = random.Random(6100 + k)
+        for _ in range(200):
+            g, h = random_formula(rng, rng.choice((4, 6))), _random_negated_formula(rng, 4)
+            shapes = [g, h, Or(Alw(g), Not(g)), Implies(h, Som(h)), And(Dist(g, -(k + 1)), Dist(h, 1))]
+            shapes += [Dist(g, d) for d in (-(k + 2), -(k + 1), -k, k, k + 1)]
+            for f in shapes:
+                yield write_dimacs(encode(f, table, k)[0])
+    rng = random.Random(6200)
+    for _ in range(80):
+        texts = (_random_scenario_text(rng), _random_grid_text(rng, 3), test_exhaustive._multi_hazard_text(rng)[1])
+        for text in texts:
+            scenario = loads_scenario(text)
+            model = compile_scenario(scenario)
+            yield write_dimacs(encode(conjoin(model.formulas), model.symbols, scenario.bound)[0])
+
+
+# SHA-256 over ``_pinned_cnf_texts``, computed at commit 9eb1586.  Like the golden
+# CNFs of ``test_cli``, it pins the encoder's numbering and clause order, here on
+# random formulas and seeded workcells; a change that alters them must update it
+# and say why in CHANGES.md.
+PINNED_CNFS_SHA256 = "90faa1369659c60f7b3780fb4a04a8296338f17be91965e1917424b8d41ad851"
+
+
+def test_pinned_cnf_bytes():
+    digest = hashlib.sha256()
+    for text in _pinned_cnf_texts():
+        digest.update(text.encode())
+    assert digest.hexdigest() == PINNED_CNFS_SHA256
 
 
 class TestGcPause:

@@ -100,9 +100,7 @@ from .logic import (
     free_symbols,
 )
 
-__all__ = ["DEFAULT_BOUND", "VarMap", "CheckResult", "EncodingError", "encode", "decode", "check"]
-
-DEFAULT_BOUND = 30
+__all__ = ["VarMap", "CheckResult", "EncodingError", "encode", "decode", "check"]
 
 
 class EncodingError(RuntimeError):
@@ -111,10 +109,11 @@ class EncodingError(RuntimeError):
 
 @dataclass
 class VarMap:
-    """The SAT variables a trace is decoded from: the encoder's per-symbol rows.
+    """The SAT variables a trace over [0, ``bound``] is decoded from: the
+    encoder's per-symbol rows.
 
-    ``prop_rows[name]`` is a proposition's variable at t = 0..k, and
-    ``value_rows[(var, value)]`` that value's one-hot bit at t = 0..k.  No
+    ``prop_rows[name]`` is a proposition's variable at t = 0..bound, and
+    ``value_rows[(var, value)]`` that value's one-hot bit at t = 0..bound.  No
     variable is in two rows.  Subformulas have no rows: the variables they
     own are implied by their definition, not equal to it, so a model gives
     them no value to read.  Neither have the declared symbols the formula
@@ -124,7 +123,6 @@ class VarMap:
     bound: int
     prop_rows: dict[str, list[int]]
     value_rows: dict[tuple[str, str], list[int]]
-    num_vars: int
 
 
 @dataclass(frozen=True)
@@ -480,15 +478,17 @@ def encode(f: Formula, symbols: SymbolTable, k: int) -> tuple[sat.CnfFormula, Va
     enc = _Encoder(symbols, k, read)
     enc.assert_formula(f)
     cnf = sat.CnfFormula._numbered(enc.next_var - 1, tuple(enc.clauses), tuple(enc.one_hot))
-    return cnf, VarMap(k, enc.prop_rows, enc.value_rows, cnf.num_vars)
+    return cnf, VarMap(k, enc.prop_rows, enc.value_rows)
 
 
-def decode(model: dict[int, bool], vm: VarMap, symbols: SymbolTable, k: int) -> Trace:
-    """Read a trace off a SAT model; one-hot violations signal an encoder bug.
+def decode(model: dict[int, bool], vm: VarMap, symbols: SymbolTable) -> Trace:
+    """Read a trace over [0, ``vm.bound``] off a SAT model; one-hot violations
+    signal an encoder bug.
 
     A symbol without variables, one the encoded formula does not read, holds
     its first domain value (a proposition: false) at every instant.
     """
+    k = vm.bound
     props: dict[str, tuple[bool, ...]] = {}
     for prop in symbols.propositions:
         row = vm.prop_rows.get(prop.name)
@@ -511,20 +511,19 @@ def decode(model: dict[int, bool], vm: VarMap, symbols: SymbolTable, k: int) -> 
     return Trace(k, props, variables)
 
 
-def check(f: Formula, symbols: SymbolTable, k: int | None = None) -> CheckResult:
+def check(f: Formula, symbols: SymbolTable, k: int) -> CheckResult:
     """Satisfiability of f over [0, k]; witnesses are re-validated by evaluate."""
-    bound = DEFAULT_BOUND if k is None else k
     # Nothing below makes a reference cycle, so the cyclic collector would only
     # re-scan the clause tuples and solver lists; the caller's setting comes back.
     collecting = gc.isenabled()
     gc.disable()
     try:
-        cnf, vm = encode(f, symbols, bound)
+        cnf, vm = encode(f, symbols, k)
         result = sat.solve(cnf)
         if not result.satisfiable:
             return CheckResult(None)
         assert result.model is not None
-        trace = decode(result.model, vm, symbols, bound)
+        trace = decode(result.model, vm, symbols)
         if not evaluate(f, trace, 0):
             raise EncodingError("decoded witness fails the evaluator; encoder and semantics disagree")
         return CheckResult(trace)

@@ -2,14 +2,19 @@
 
 Walks every behavior of a scenario layer by layer instead of going through
 the SAT encoding, so the two verdicts come from entirely different machinery.
-Tractable only for small scenarios and limited to unit travel times.
+Tractable only for small scenarios.
 
-A node is the cell of every POI and the task's progress, the number of steps
-done (steps complete in order, so the done flags are always a prefix); it
-gets an int id the first time it is seen.  Under unit travel the model's
-only movement rule is adjacency, so a sequence of cells where each POI stays
-or steps to a neighbor is admissible and a node needs no dwell count.  No
-robot speed is held either: no move, progress or final check reads one.
+A node is the task's progress, the number of steps done (steps complete in
+order, so the done flags are always a prefix), and per POI a place: its cell
+and its hold count, the consecutive instants it has sat in that cell (1 at
+instant 0, one more per stay, 1 again after a move).  A node gets an int id
+the first time it is seen.  A POI may stay, or step to a neighbor over an
+edge of travel time T once its count is at least T: the model's adjacency
+and dwell rules, the dwell's lookback past instant 0 being false.  Only
+those comparisons read a count, so it is capped at the longest travel time
+and at bound + 1, more than any move can read; under unit travel it is
+always 1.  No robot speed is held: no move, progress or final check reads
+one.
 
 A layer is two sets of ids: ``hot`` holds the nodes that some path reaches
 through a hazard instant whose risk exceeds the threshold, ``cold`` those
@@ -27,7 +32,7 @@ mitigated one, which therefore cannot hold there.  One ``price`` rule reads
 either set.
 
 Each node is expanded once: its successors are kept as a tuple of ids, and
-the pricing of an instant is kept per tuple of cells, the only thing it
+the pricing of an instant is kept per tuple of places, the only thing it
 reads.  A step is then set unions of those tuples, and a node that both sets
 reach stays hot only.  Memory therefore grows with the reachable state graph
 (its nodes times their successors), not with one layer.
@@ -49,9 +54,11 @@ __all__ = ["exhaustive_verify"]
 _STATE_LIMIT = 2_000_000
 _REQUIRED_SPEED = {"slowdown": {"slow"}, "stop": {"stopped"}}
 
+_Place = tuple[str, int]  # a POI's cell and hold count
+
 
 class _Hazard(NamedTuple):
-    human: int  # index of the human POI in a node's cells
+    human: int  # index of the human POI in a node's places
     arm: int  # index of the robot POI
     robot: str
     allowed: frozenset[str]  # speeds its mitigation allows one instant after detection
@@ -60,15 +67,12 @@ class _Hazard(NamedTuple):
 
 
 def exhaustive_verify(s: Scenario) -> bool:
-    for a, b, t in s.travel_times:
-        if t != 1:
-            raise ValueError("exhaustive check supports unit travel times only")
-
     pois = [poi.id for poi in s.pois]
     locs = list(s.layout.ids)
     start_of = dict(s.starts)
+    cap = min(max((t for _, _, t in s.travel_times), default=1), s.bound + 1)
 
-    if len(locs) ** len(pois) > _STATE_LIMIT:
+    if (len(locs) * cap) ** len(pois) > _STATE_LIMIT:  # tuples of places
         raise ValueError("scenario too large for exhaustive enumeration")
 
     kind_of = {mit.hazard: mit.kind for mit in s.mitigations}
@@ -84,31 +88,38 @@ def exhaustive_verify(s: Scenario) -> bool:
     # Per task step: its goal and the POIs that must stand on it (a handover's two).
     steps = [(step.goal, [pois.index(p) for p in (step.poi, step.partner) if p]) for step in s.task]
 
-    def progress(done: int, cells: tuple[str, ...]) -> int:
-        while done < len(steps) and all(cells[j] == steps[done][0] for j in steps[done][1]):
+    def progress(done: int, places: tuple[_Place, ...]) -> int:
+        while done < len(steps) and all(places[j][0] == steps[done][0] for j in steps[done][1]):
             done += 1
         return done
 
-    moves = {loc.id: [loc.id, *sorted(loc.adjacent)] for loc in s.layout.locations}
+    # Per place: the places one step may end in, staying first.
+    moves = {
+        (loc.id, held): [(loc.id, min(held + 1, cap)),
+                         *((d, 1) for d in sorted(loc.adjacent) if held >= s.travel_time(loc.id, d))]
+        for loc in s.layout.locations
+        for held in range(1, cap + 1)
+    }
 
-    node_ids: dict[tuple[tuple[str, ...], int], int] = {}
-    nodes: list[tuple[tuple[str, ...], int]] = []
+    Node = tuple[tuple[_Place, ...], int]
+    node_ids: dict[Node, int] = {}
+    nodes: list[Node] = []
 
-    def intern(node: tuple[tuple[str, ...], int]) -> int:
+    def intern(node: Node) -> int:
         i = node_ids.get(node)
         if i is None:
             i = node_ids[node] = len(nodes)
             nodes.append(node)
         return i
 
-    pricing: dict[tuple[tuple[str, ...], bool], bool | None] = {}
+    pricing: dict[tuple[tuple[_Place, ...], bool], bool | None] = {}
 
-    def price(cells: tuple[str, ...], final: bool = False) -> bool | None:
-        """Whether an instant at these cells raises the flag; None if no speed is admissible."""
-        key = cells, final
+    def price(places: tuple[_Place, ...], final: bool = False) -> bool | None:
+        """Whether an instant at these places raises the flag; None if no speed is admissible."""
+        key = places, final
         if key in pricing:
             return pricing[key]
-        active = [h for h in hazards if cells[h.human] == cells[h.arm]]
+        active = [h for h in hazards if places[h.human][0] == places[h.arm][0]]
         speeds: dict[str, frozenset[str]] = {}
         for h in active:
             ok = h.last if final else h.allowed
@@ -124,9 +135,9 @@ def exhaustive_verify(s: Scenario) -> bool:
     def expand(i: int) -> tuple[int, ...]:
         row = successors.get(i)
         if row is None:
-            cells, done = nodes[i]
+            places, done = nodes[i]
             row = successors[i] = tuple(
-                intern((new, progress(done, new))) for new in product(*(moves[c] for c in cells))
+                intern((new, progress(done, new))) for new in product(*map(moves.get, places))
             )
         return row
 
@@ -134,7 +145,8 @@ def exhaustive_verify(s: Scenario) -> bool:
     hot: set[int] = set()
     cold: set[int] = set()
     for cells in product(*([start_of[p]] if p in start_of else locs for p in pois)):
-        cold.add(intern((cells, progress(0, cells))))
+        places = tuple((c, 1) for c in cells)
+        cold.add(intern((places, progress(0, places))))
 
     for _ in range(s.bound):
         next_hot: set[int] = set()
@@ -149,9 +161,9 @@ def exhaustive_verify(s: Scenario) -> bool:
 
     for flagged, layer in ((True, hot), (False, cold)):
         for i in layer:
-            cells, done = nodes[i]
+            places, done = nodes[i]
             if done == len(steps):
-                raises = price(cells, final=True)
+                raises = price(places, final=True)
                 if raises is not None and (flagged or raises):
                     return False
     return True

@@ -110,13 +110,7 @@ def segments(tr: Trace, s: Scenario, poi_id: str) -> tuple[Segment, ...]:
     return tuple(runs)
 
 
-def classify(
-    tr: Trace,
-    s: Scenario,
-    *,
-    samples: int = 100_000,
-    seed: int = 0,
-) -> list[ClassifiedHazard]:
+def classify(tr: Trace, s: Scenario, *, samples: int, seed: int) -> list[ClassifiedHazard]:
     """Geometric verdict for every hazard instant whose risk exceeds the threshold.
 
     CONFIRMED and SPURIOUS verdicts follow from the exact distance bounds of

@@ -169,22 +169,13 @@ def _tidy(clause: tuple[int, ...]) -> tuple[int, ...] | None:
 
 @dataclass(frozen=True)
 class SolveResult:
-    """Sat with a total model over 1..num_vars, or Unsat (model is None)."""
+    """Sat with a total model over 1..num_vars, kept as given, or Unsat (model is None)."""
 
     model: dict[int, bool] | None
 
     @property
     def satisfiable(self) -> bool:
         return self.model is not None
-
-    @staticmethod
-    def sat(model: dict[int, bool]) -> "SolveResult":
-        """Wrap ``model`` as given; callers pass a dict they no longer use."""
-        return SolveResult(model)
-
-    @staticmethod
-    def unsat() -> "SolveResult":
-        return SolveResult(None)
 
 
 def _model_satisfies(cnf: CnfFormula, model: dict[int, bool]) -> bool:
@@ -490,10 +481,10 @@ class _Solver:
 
     def solve(self) -> SolveResult:
         if not self.ok:
-            return SolveResult.unsat()
+            return SolveResult(None)
         if self._propagate() is not None:
             self.conflicts += 1
-            return SolveResult.unsat()
+            return SolveResult(None)
 
         n, value, level, reason = self.n, self.value, self.level, self.reason
         trail, trail_lim = self.trail, self.trail_lim
@@ -527,7 +518,7 @@ class _Solver:
                 levels = [level[abs(q)] for q in conflict]
                 conflict_level = max(levels)
                 if conflict_level == 0:
-                    return SolveResult.unsat()
+                    return SolveResult(None)
                 if levels.count(conflict_level) == 1:
                     self._imply_alone(conflict, levels)
                     continue
@@ -545,12 +536,12 @@ class _Solver:
                     self.watches[learned[1]].append(learned)
                     enqueued = self._enqueue(learned[0], learned, back_level)
                 if not enqueued:
-                    return SolveResult.unsat()
+                    return SolveResult(None)
                 self.var_inc /= self.var_decay
             # _bump and _backtrack may have rebuilt the order heap.
             heap, heap_key = self.heap, self.heap_key
 
-        return SolveResult.sat({v: value[v] == _TRUE for v in range(1, n + 1)})
+        return SolveResult({v: value[v] == _TRUE for v in range(1, n + 1)})
 
 
 def solve(cnf: CnfFormula) -> SolveResult:
@@ -577,7 +568,7 @@ def brute_force_solve(cnf: CnfFormula) -> SolveResult:
     if cnf.num_vars == 0:
         if cnf.clauses:
             raise AssertionError("clauses without variables cannot be well-formed")
-        return SolveResult.sat({})
+        return SolveResult({})
 
     import numpy as np
 
@@ -597,8 +588,8 @@ def brute_force_solve(cnf: CnfFormula) -> SolveResult:
         if hits.size:
             assignment = int(block[hits[0]])
             model = {v: bool((assignment >> (v - 1)) & 1) for v in range(1, cnf.num_vars + 1)}
-            return SolveResult.sat(model)
-    return SolveResult.unsat()
+            return SolveResult(model)
+    return SolveResult(None)
 
 
 class DimacsError(ValueError):

@@ -50,7 +50,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import NamedTuple
 
-from .encode import DEFAULT_BOUND, EncodingError, check
+from .encode import EncodingError, check
 from .geometry import Box
 from .logic import (
     Alw,
@@ -104,6 +104,7 @@ SPEED_STATES = ("normal", "slow", "stopped")
 # Each mitigation kind: the robot speed it demands one instant after its hazard's flag.
 REACTIONS = {"slowdown": "slow", "stop": "stopped"}
 RISK_DOMAIN = tuple(str(v) for v in range(7))  # 0 .. 2+2+2
+DEFAULT_BOUND = 30  # a scenario's bound when its file gives none
 DEFAULT_THRESHOLD = 3
 
 

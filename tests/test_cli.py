@@ -492,9 +492,11 @@ class TestMain:
         assert main(["verify", str(bad)]) == EXIT_INPUT_ERROR
         assert f"expected: {line.split()[0]} <" in capsys.readouterr().err
 
-    def test_oracle_rejects_long_travel_times(self, capsys):
-        assert main(["oracle", HANDOVER]) == EXIT_INPUT_ERROR
-        assert "unit travel" in capsys.readouterr().err
+    def test_oracle_walks_long_travel_times(self, capsys):
+        assert main(["oracle", HANDOVER]) == EXIT_COUNTEREXAMPLE
+        assert capsys.readouterr().out == "UNSAFE\n"
+        assert main(["oracle", HANDOVER_STOP]) == EXIT_SAFE
+        assert capsys.readouterr().out == "SAFE\n"
 
     def test_classify_dispatch(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)

@@ -8,7 +8,7 @@ from itertools import chain
 
 import pytest
 
-from coverify.encode import DEFAULT_BOUND, EncodingError, VarMap, _Encoder, check, decode, encode
+from coverify.encode import EncodingError, VarMap, _Encoder, check, decode, encode
 from coverify.exhaustive import exhaustive_verify
 from coverify.logic import (
     Alw,
@@ -31,6 +31,7 @@ from coverify.logic import (
 )
 from coverify.sat import CnfFormula, solve, write_dimacs
 from coverify.world import (
+    DEFAULT_BOUND,
     bundled_scenario_path,
     compile_scenario,
     load_scenario,
@@ -228,7 +229,7 @@ class TestCheck:
         from coverify.parsing import parse_formula
 
         f = parse_formula("Alw(start -> Dist(stop,3) & !(start & stop))", table)
-        result = check(f, table)  # default bound
+        result = check(f, table, DEFAULT_BOUND)  # a scenario's default bound
         assert result.satisfiable
         assert result.trace.bound == DEFAULT_BOUND
         assert evaluate(f, result.trace, 0) is True
@@ -282,7 +283,7 @@ class TestDecode:
         model = {v: False for v in range(1, cnf.num_vars + 1)}
         model[vm.prop_rows["p"][0]] = True
         model[vm.prop_rows["p"][2]] = True
-        trace = decode(model, vm, pq_symbols, 2)
+        trace = decode(model, vm, pq_symbols)
         assert trace.propositions["p"] == (True, False, True)
 
     def test_one_hot_read_off(self):
@@ -291,7 +292,7 @@ class TestDecode:
         cnf, vm = encode(Eq("p_x", "L1"), table, 0)
         model = {v: False for v in range(1, cnf.num_vars + 1)}
         model[vm.value_rows["p_x", "L2"][0]] = True
-        assert decode(model, vm, table, 0).variables["p_x"] == ("L2",)
+        assert decode(model, vm, table).variables["p_x"] == ("L2",)
 
     def test_one_hot_violation_is_an_encoder_bug(self):
         table = SymbolTable()
@@ -299,7 +300,7 @@ class TestDecode:
         cnf, vm = encode(Eq("p_x", "L1"), table, 0)
         model = {v: True for v in range(1, cnf.num_vars + 1)}
         with pytest.raises(EncodingError, match="one-hot"):
-            decode(model, vm, table, 0)
+            decode(model, vm, table)
 
 
 class TestAgreementWithEnumeration:
@@ -504,7 +505,7 @@ def _reference_encode(f: Formula, symbols: SymbolTable, k: int) -> tuple[CnfForm
         prop_rows.setdefault(name, []).append(v)
     for (name, _, value), v in enc.value_vars.items():
         value_rows.setdefault((name, value), []).append(v)
-    return cnf, VarMap(k, prop_rows, value_rows, cnf.num_vars)
+    return cnf, VarMap(k, prop_rows, value_rows)
 
 
 def _assert_same_satisfiability(
@@ -533,8 +534,9 @@ def _assert_fragments_sound(f: Formula, symbols: SymbolTable, k: int) -> int:
     for pos_frag, neg_frag in zip(enc.lits(f, True), enc.lits(f, False)):
         if pos_frag is not None and neg_frag is not None:
             enc.clauses.append(pos_frag + neg_frag)
-    vm = VarMap(k, enc.prop_rows, enc.value_rows, enc.next_var - 1)
-    blocks = list(CnfFormula._numbered(vm.num_vars, (), tuple(enc.one_hot)).clauses)
+    vm = VarMap(k, enc.prop_rows, enc.value_rows)
+    num_vars = enc.next_var - 1
+    blocks = list(CnfFormula._numbered(num_vars, (), tuple(enc.one_hot)).clauses)
     first_owned = sum(map(len, chain(vm.prop_rows.values(), vm.value_rows.values()))) + 1
     held = 0
     for flip in (1, -1):
@@ -545,10 +547,10 @@ def _assert_fragments_sound(f: Formula, symbols: SymbolTable, k: int) -> int:
         # joined root fragments repeat variables, so the public constructor drops
         # the repeats and the tautologies.
         clauses = tuple(tuple(map(turn, c)) for c in blocks + enc.clauses)
-        result = solve(CnfFormula(vm.num_vars, clauses))
+        result = solve(CnfFormula(num_vars, clauses))
         assert result.satisfiable, f"{f} at k={k}"
         true = {turn(v if value else -v) for v, value in result.model.items()}
-        trace = decode({abs(lit): lit > 0 for lit in true}, vm, symbols, k)
+        trace = decode({abs(lit): lit > 0 for lit in true}, vm, symbols)
         truth: dict[int, int] = {}  # id of a node -> evaluate at every instant, bit t for t
         _truth_rows(trace, truth)(f)
         for (key, pos), row in enc._lits.items():

@@ -1,13 +1,14 @@
 """The exhaustive walker against the walker it replaced and against ``verify``."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
 from frozen_exhaustive import exhaustive_verify as frozen_exhaustive_verify
 
 from coverify.exhaustive import exhaustive_verify
-from coverify.world import loads_scenario, verify
+from coverify.world import bundled_scenario_path, load_scenario, loads_scenario, verify
 
 # Each shape: (agent lines, POI lines, hazard pairs (human POI, robot POI), robot POIs, human POIs).
 SHAPES = {
@@ -235,3 +236,46 @@ def test_state_limit_counts_only_what_a_node_holds():
     assert verify(scenario).safe is False
     with pytest.raises(ValueError, match="too large"):
         exhaustive_verify(loads_scenario(_long_row_text(38)))  # 38**4 > 2,000,000
+
+
+def _profile(s, safe) -> str:
+    return "".join("S" if safe(replace(s, bound=k)) else "U" for k in range(31))
+
+
+class TestTravelTimes:
+    """Edges of travel time 2 or more: a POI leaves a cell only after holding it that long."""
+
+    # The verdicts at k = 0..30.  Below k = 5 no behaviour of handover or handover_point
+    # finishes the task, so both oracles answer SAFE vacuously there; handover_stop's
+    # reaction keeps it SAFE at every bound.
+    PROFILES = {
+        "handover": "S" * 5 + "U" * 26,
+        "handover_point": "S" * 5 + "U" * 26,
+        "handover_stop": "S" * 31,
+        "handover_mini": "S" + "U" * 30,
+    }
+    GRIDS = 100  # the first grids drawn from the seed
+
+    @pytest.mark.parametrize("name", sorted(PROFILES))
+    def test_bundled_scenarios_at_every_bound(self, name):
+        s = load_scenario(bundled_scenario_path(name))
+        walked = _profile(s, exhaustive_verify)
+        assert walked == _profile(s, lambda s: verify(s).safe)
+        assert walked == self.PROFILES[name]
+
+    def test_grids_with_travel_lines(self):
+        rng = random.Random(20261019)
+        verdicts = []
+        for _ in range(self.GRIDS):
+            n = rng.choice((2, 3))
+            text = _grid_text(rng, n, rng.choice((None, "stop", "slowdown")), rng.choice((1, 2)))
+            names = [[f"R{r}C{c}" for c in range(n)] for r in range(n)]
+            edges = [(names[r][c], names[r][c + 1]) for r in range(n) for c in range(n - 1)]
+            edges += [(names[r][c], names[r + 1][c]) for r in range(n - 1) for c in range(n)]
+            for a, b in rng.sample(edges, rng.randint(1, 2)):
+                text += f"travel {a} {b} {rng.randint(2, 4)}\n"
+            scenario = loads_scenario(text)
+            safe = exhaustive_verify(scenario)
+            assert safe == verify(scenario).safe, text
+            verdicts.append(safe)
+        assert True in verdicts and False in verdicts

@@ -502,10 +502,10 @@ class _ClauseListSolver:
 
     def solve(self) -> SolveResult:
         if not self.ok:
-            return SolveResult.unsat()
+            return SolveResult(None)
         if self._propagate() is not None:
             self.conflicts += 1
-            return SolveResult.unsat()
+            return SolveResult(None)
 
         while len(self.trail) < self.n:
             decision = self._decide()
@@ -520,7 +520,7 @@ class _ClauseListSolver:
                 levels = [self.level[abs(q)] for q in self.clauses[conflict]]
                 conflict_level = max(levels)
                 if conflict_level == 0:
-                    return SolveResult.unsat()
+                    return SolveResult(None)
                 if levels.count(conflict_level) == 1:
                     self._imply_alone(conflict, levels)
                     continue
@@ -537,10 +537,10 @@ class _ClauseListSolver:
                     self.watches[learned[1]].append(idx)
                     enqueued = self._enqueue(learned[0], idx, self._implied_level(learned, learned[0]))
                 if not enqueued:
-                    return SolveResult.unsat()
+                    return SolveResult(None)
                 self.var_inc /= self.var_decay
 
-        return SolveResult.sat({v: self.value[v] == _TRUE for v in range(1, self.n + 1)})
+        return SolveResult({v: self.value[v] == _TRUE for v in range(1, self.n + 1)})
 
 
 
@@ -1208,6 +1208,6 @@ class TestModelCheck:
         assert _model_satisfies(formula, solve(formula).model)
 
     def test_solve_rejects_a_non_model(self, monkeypatch):
-        monkeypatch.setattr(_Solver, "solve", lambda self: SolveResult.sat({1: False}))
+        monkeypatch.setattr(_Solver, "solve", lambda self: SolveResult({1: False}))
         with pytest.raises(AssertionError, match="non-model"):
             solve(cnf(1, (1,)))

@@ -49,6 +49,13 @@ grep -q risk_h1 handover_trace_table.txt
 status=0
 coverify oracle "$data/handover_mini.scn" || status=$?
 test "$status" -eq 1
+# The enumeration walks travel times too: it agrees with verify on the SAFE stop
+# variant and on the UNSAFE scenario, whose aisle takes three instants.
+coverify oracle "$data/handover_stop.scn" > oracle_safe.txt
+grep -qx SAFE oracle_safe.txt
+status=0
+coverify oracle "$data/handover.scn" || status=$?
+test "$status" -eq 1
 status=0
 coverify verify "$data/handover_mini.scn" --out mini.trace || status=$?
 test "$status" -eq 1

@@ -5,7 +5,7 @@ geometric replay of counterexample traces, so every reported hazard can be
 confirmed or refuted against continuous 3D motion.
 """
 
-from .encode import CheckResult, check, decode, encode
+from .encode import check, decode, encode
 from .geometry import Box, aabb_max_distance, aabb_min_distance, contact_probability
 from .logic import (
     Alw,
@@ -32,7 +32,6 @@ from .world import (
     Scenario,
     ScenarioError,
     VerifyResult,
-    apply_mitigation,
     bundled_scenario_path,
     compile_scenario,
     load_scenario,
@@ -44,11 +43,11 @@ from .world import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Alw", "And", "Atom", "Box", "CheckResult", "ClassifiedHazard", "Dist", "Eq",
+    "Alw", "And", "Atom", "Box", "ClassifiedHazard", "Dist", "Eq",
     "FiniteVariable", "Formula", "Implies", "Mitigation", "Not", "Or",
     "ParseError", "Proposition", "Scenario", "ScenarioError", "Segment",
     "Som", "SymbolTable", "Trace", "VerifyResult",
-    "aabb_max_distance", "aabb_min_distance", "apply_mitigation",
+    "aabb_max_distance", "aabb_min_distance",
     "bundled_scenario_path", "check", "classify", "compile_scenario",
     "contact_probability", "decode", "encode", "evaluate", "free_symbols",
     "load_scenario", "loads_scenario", "parse_formula", "risk_value",

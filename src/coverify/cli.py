@@ -30,8 +30,8 @@ from typing import Callable
 from .encode import encode
 from .exhaustive import exhaustive_verify
 from .logic import Trace, conjoin
-from .replay import classify
-from .reports import HazardReport, render_csv, render_svg, render_text, timeline_svg, trace_table
+from .replay import CONFIRMED, classify
+from .reports import render_csv, render_svg, render_text, timeline_svg, trace_table
 from .sat import CnfFormula, write_dimacs
 from .traceio import TraceFormatError, read_trace, write_trace
 from .world import Scenario, check_trace, compile_scenario, load_scenario, model_symbols, verify
@@ -47,7 +47,7 @@ EXIT_UNCONFIRMED = 3
 @dataclass(frozen=True)
 class RunConfig:
     scenario: str
-    bound: int | None = None
+    bound: int | None = None  # None: the file's; a negative one fails as the Scenario loads
     seed: int = 0
     samples: int = 100_000
     fmt: str = "text"
@@ -56,14 +56,8 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.samples < 1:
             raise ValueError("sample count must be >= 1")
-        if self.bound is not None and self.bound < 0:
-            raise ValueError("bound must be >= 0")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-
-
-def _load(cfg: RunConfig) -> Scenario:
-    return load_scenario(cfg.scenario, bound=cfg.bound)
 
 
 def _input_errors_exit_2(run: Callable[..., int]) -> Callable[..., int]:
@@ -93,7 +87,7 @@ def _read_trace(scenario: Scenario, trace_path: str) -> Trace:
 @_input_errors_exit_2
 def run_verify(cfg: RunConfig) -> int:
     """SAFE -> 0; counterexample -> 1 plus a trace file; bad input -> 2."""
-    scenario = _load(cfg)
+    scenario = load_scenario(cfg.scenario, bound=cfg.bound)
     result = verify(scenario)
     if result.safe:
         print("SAFE")
@@ -111,30 +105,29 @@ def run_verify(cfg: RunConfig) -> int:
 @_input_errors_exit_2
 def run_classify(cfg: RunConfig, trace_path: str) -> int:
     """Write the hazard report; 0 if everything is CONFIRMED, else 3."""
-    scenario = _load(cfg)
+    scenario = load_scenario(cfg.scenario, bound=cfg.bound)
     trace = _read_trace(scenario, trace_path)
     rows = classify(trace, scenario, samples=cfg.samples, seed=cfg.seed)
-    report = HazardReport(scenario.name, tuple(rows))
     if cfg.fmt == "csv":
-        rendered = render_csv(report)
+        rendered = render_csv(rows)
         default_name = f"{scenario.name}_hazards.csv"
     elif cfg.fmt == "svg":
-        rendered = render_svg(report, trace)
+        rendered = render_svg(rows, trace)
         default_name = f"{scenario.name}_hazards.svg"
     else:
-        rendered = render_text(report)
+        rendered = render_text(scenario.name, rows)
         default_name = None
     out = cfg.out or default_name
     if out:
         Path(out).write_text(rendered, encoding="utf-8")
     else:
         print(rendered, end="")
-    return EXIT_SAFE if report.all_confirmed else EXIT_UNCONFIRMED
+    return EXIT_SAFE if all(row.verdict == CONFIRMED for row in rows) else EXIT_UNCONFIRMED
 
 
 @_input_errors_exit_2
 def run_export(cfg: RunConfig, what: str, trace_path: str | None = None) -> int:
-    scenario = _load(cfg)
+    scenario = load_scenario(cfg.scenario, bound=cfg.bound)
     if what == "cnf":
         model = compile_scenario(scenario)
         if model.violation is None:  # verify's SAFE without solving, as a CNF
@@ -164,7 +157,7 @@ def run_export(cfg: RunConfig, what: str, trace_path: str | None = None) -> int:
 @_input_errors_exit_2
 def run_oracle(cfg: RunConfig) -> int:
     """Exhaustive verdict (small scenarios only); mirrors verify's exit codes."""
-    safe = exhaustive_verify(_load(cfg))
+    safe = exhaustive_verify(load_scenario(cfg.scenario, bound=cfg.bound))
     print("SAFE" if safe else "UNSAFE")
     return EXIT_SAFE if safe else EXIT_COUNTEREXAMPLE
 

@@ -69,8 +69,9 @@ hands its CNF over without the constructor's checks, and the solver loads it
 as it is.
 
 ``decode`` turns a model back into a trace and ``check`` glues
-encode/solve/decode together and re-checks every witness against the
-evaluator.  ``check`` pauses the cyclic garbage collector while
+encode/solve/decode together: it returns the witness trace, re-checked
+against the evaluator, or None when the formula is unsatisfiable over the
+bound.  ``check`` pauses the cyclic garbage collector while
 it runs: the clause tuples and solver lists it allocates hold no reference
 cycles, so a collection would find nothing and only re-scan them.
 """
@@ -100,7 +101,7 @@ from .logic import (
     free_symbols,
 )
 
-__all__ = ["VarMap", "CheckResult", "EncodingError", "encode", "decode", "check"]
+__all__ = ["VarMap", "EncodingError", "encode", "decode", "check"]
 
 
 class EncodingError(RuntimeError):
@@ -123,17 +124,6 @@ class VarMap:
     bound: int
     prop_rows: dict[str, list[int]]
     value_rows: dict[tuple[str, str], list[int]]
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    """A witness trace satisfying the formula at instant 0, or unsatisfiable."""
-
-    trace: Trace | None
-
-    @property
-    def satisfiable(self) -> bool:
-        return self.trace is not None
 
 
 Fragment = tuple[int, ...] | None  # literals whose disjunction implies a polarity; None: it holds
@@ -511,8 +501,9 @@ def decode(model: dict[int, bool], vm: VarMap, symbols: SymbolTable) -> Trace:
     return Trace(k, props, variables)
 
 
-def check(f: Formula, symbols: SymbolTable, k: int) -> CheckResult:
-    """Satisfiability of f over [0, k]; witnesses are re-validated by evaluate."""
+def check(f: Formula, symbols: SymbolTable, k: int) -> Trace | None:
+    """A trace over [0, k] satisfying f at instant 0, re-validated by evaluate,
+    or None if f is unsatisfiable over [0, k]."""
     # Nothing below makes a reference cycle, so the cyclic collector would only
     # re-scan the clause tuples and solver lists; the caller's setting comes back.
     collecting = gc.isenabled()
@@ -521,12 +512,12 @@ def check(f: Formula, symbols: SymbolTable, k: int) -> CheckResult:
         cnf, vm = encode(f, symbols, k)
         result = sat.solve(cnf)
         if not result.satisfiable:
-            return CheckResult(None)
+            return None
         assert result.model is not None
         trace = decode(result.model, vm, symbols)
         if not evaluate(f, trace, 0):
             raise EncodingError("decoded witness fails the evaluator; encoder and semantics disagree")
-        return CheckResult(trace)
+        return trace
     finally:
         if collecting:
             gc.enable()

@@ -1,5 +1,7 @@
 """Report emitters: hazard tables (text/CSV), trace tables, and SVG timelines.
 
+The hazard emitters take the rows ``replay.classify`` returns, in its order.
+
 All output is deterministic: identical inputs produce byte-identical text.
 The timeline draws one horizontal band per trace symbol with shaded cells
 where a proposition is true and value labels for finite variables, instants
@@ -11,13 +13,12 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
+from collections.abc import Sequence
 
 from .logic import Trace
 from .replay import CONFIRMED, POSSIBLE, SPURIOUS, ClassifiedHazard
 
 __all__ = [
-    "HazardReport",
     "render_text",
     "render_csv",
     "render_svg",
@@ -31,23 +32,6 @@ _VERDICT_COLORS = {CONFIRMED: "#c0392b", POSSIBLE: "#e67e22", SPURIOUS: "#7f8c8d
 _VERDICT_SEVERITY = {SPURIOUS: 0, POSSIBLE: 1, CONFIRMED: 2}
 
 
-@dataclass(frozen=True)
-class HazardReport:
-    scenario: str
-    rows: tuple[ClassifiedHazard, ...]
-
-    @property
-    def counts(self) -> dict[str, int]:
-        out = {CONFIRMED: 0, POSSIBLE: 0, SPURIOUS: 0}
-        for row in self.rows:
-            out[row.verdict] += 1
-        return out
-
-    @property
-    def all_confirmed(self) -> bool:
-        return all(row.verdict == CONFIRMED for row in self.rows)
-
-
 def escape(text: str) -> str:
     """``text`` with ``&``, ``<`` and ``>`` as XML entities.
 
@@ -58,17 +42,18 @@ def escape(text: str) -> str:
     return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
-def render_text(report: HazardReport) -> str:
-    lines = [f"scenario: {report.scenario}"]
-    if not report.rows:
+def render_text(name: str, rows: Sequence[ClassifiedHazard]) -> str:
+    lines = [f"scenario: {name}"]
+    if not rows:
         lines.append("no hazard instants above the threshold")
-    for row in report.rows:
+    counts = {CONFIRMED: 0, POSSIBLE: 0, SPURIOUS: 0}
+    for row in rows:
+        counts[row.verdict] += 1
         lines.append(
             f"{row.hazard} @ t={row.instant}: {row.verdict}  "
             f"d_min={row.d_min:.6f} d_max={row.d_max:.6f} "
             f"p_contact={row.contact_probability:.6f} threshold={row.contact_threshold:.6f}"
         )
-    counts = report.counts
     lines.append(
         f"summary: {counts[CONFIRMED]} confirmed, {counts[POSSIBLE]} possible, "
         f"{counts[SPURIOUS]} spurious"
@@ -76,11 +61,11 @@ def render_text(report: HazardReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_csv(report: HazardReport) -> str:
+def render_csv(rows: Sequence[ClassifiedHazard]) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-    for row in report.rows:
+    for row in rows:
         writer.writerow(
             [
                 row.hazard,
@@ -95,8 +80,8 @@ def render_csv(report: HazardReport) -> str:
     return buffer.getvalue()
 
 
-def render_svg(report: HazardReport, trace: Trace) -> str:
-    return timeline_svg(trace, report.rows)
+def render_svg(rows: Sequence[ClassifiedHazard], trace: Trace) -> str:
+    return timeline_svg(trace, rows)
 
 
 def trace_table(tr: Trace) -> str:
@@ -113,7 +98,7 @@ def trace_table(tr: Trace) -> str:
     return "\n".join(lines) + "\n"
 
 
-def timeline_svg(tr: Trace, hazard_rows: tuple[ClassifiedHazard, ...] = ()) -> str:
+def timeline_svg(tr: Trace, hazard_rows: Sequence[ClassifiedHazard] = ()) -> str:
     cell_w, band_h, label_w, pad = 18, 20, 130, 8
     names = tr.symbol_names
     n_inst = tr.bound + 1

@@ -96,7 +96,6 @@ __all__ = [
     "extract_violations",
     "BrokenRule",
     "check_trace",
-    "apply_mitigation",
     "bundled_scenario_path",
 ]
 
@@ -794,10 +793,10 @@ def verify(s: Scenario) -> VerifyResult:
     model = compile_scenario(s)
     if model.violation is None:
         return VerifyResult(None)
-    result = check(conjoin(model.formulas), model.symbols, s.bound)
-    if result.trace is None:
+    witness = check(conjoin(model.formulas), model.symbols, s.bound)
+    if witness is None:
         return VerifyResult(None)
-    trace = _priced(result.trace, s)
+    trace = _priced(witness, s)
     violations = extract_violations(trace, s)
     if not violations:
         raise EncodingError("counterexample without a violating instant")
@@ -936,11 +935,6 @@ def _risk_rule(trace: Trace, s: Scenario, h: Hazard):
         if given != due:
             yield BrokenRule("risk", t, f"column {name} at t={t} reads {given}, but the hazard "
                              f"flag and the robot's next speed price it {due}")
-
-
-def apply_mitigation(s: Scenario, m: Mitigation) -> Scenario:
-    """A new scenario with m appended; the input scenario is left untouched."""
-    return replace(s, mitigations=s.mitigations + (m,))
 
 
 def bundled_scenario_path(name: str):

@@ -7,6 +7,7 @@ lines; every tolerance is pinned here, not configured elsewhere.
 import math
 import random
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -17,7 +18,7 @@ from coverify.logic import SymbolTable, Trace, conjoin, evaluate
 from coverify.parsing import parse_formula
 from coverify.replay import CONFIRMED, POSSIBLE, classify, segments
 from coverify.sat import brute_force_solve, read_dimacs, solve, write_dimacs
-from coverify.world import Mitigation, apply_mitigation, compile_scenario, verify
+from coverify.world import Mitigation, compile_scenario, verify
 
 from helpers import brute_force_check, family_symbols, formula_family
 from test_geometry import SAME_CUBE_CONTACT_P, corner_pairs_max, cover_radius, grid_points, random_box
@@ -37,7 +38,7 @@ def test_criterion_1_movement_example_reproduction():
     formula = parse_formula("Alw(start -> Dist(stop,3) & !(start & stop))", table)
 
     t0 = time.perf_counter()
-    result = check(formula, table, 30)
+    witness = check(formula, table, 30)
     elapsed = time.perf_counter() - t0
 
     history = Trace(
@@ -45,7 +46,7 @@ def test_criterion_1_movement_example_reproduction():
         {"start": tuple(t == 5 for t in range(31)), "stop": tuple(t == 8 for t in range(31))},
         {},
     )
-    ok = result.satisfiable and elapsed < 1.0 and evaluate(formula, history, 0) is True
+    ok = witness is not None and elapsed < 1.0 and evaluate(formula, history, 0) is True
     _report(1, ok, f"witness at k=30 in {elapsed:.3f}s; start@5/stop@8 history accepted")
 
 
@@ -58,7 +59,7 @@ def test_criterion_2_encoder_completeness_oracle():
     for formula in family:
         for k in range(6):
             expected = brute_force_check(formula, k)
-            got = check(formula, table, k).satisfiable
+            got = check(formula, table, k) is not None
             combos += 1
             if expected != got:
                 disagreements += 1
@@ -101,15 +102,17 @@ def test_criterion_4_verification_loop(handover, handover_mini):
         and evaluate(conjoin(a.formula for a in model.axioms), result.trace, 0) is True
         and evaluate(model.violation, result.trace, 0) is True
     )
-    mitigated = apply_mitigation(handover, Mitigation("stop", "h1"))
+    mitigated = replace(handover, mitigations=handover.mitigations + (Mitigation("stop", "h1"),))
     safe_after = verify(mitigated).safe
     elapsed = time.perf_counter() - t0
 
     # independent confirmation on the shrunken 4-cell variant at bound 6
+    stop = Mitigation("stop", "h1")
+    mini_stopped = replace(handover_mini, mitigations=handover_mini.mitigations + (stop,))
     mini_unsafe = not exhaustive_verify(handover_mini)
-    mini_safe = exhaustive_verify(apply_mitigation(handover_mini, Mitigation("stop", "h1")))
+    mini_safe = exhaustive_verify(mini_stopped)
     solver_mini_unsafe = not verify(handover_mini).safe
-    solver_mini_safe = verify(apply_mitigation(handover_mini, Mitigation("stop", "h1"))).safe
+    solver_mini_safe = verify(mini_stopped).safe
 
     ok = (
         trace_ok

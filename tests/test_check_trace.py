@@ -22,7 +22,6 @@ from coverify.world import (
     RISK_DOMAIN,
     _priced,
     Mitigation,
-    apply_mitigation,
     bundled_scenario_path,
     check_trace,
     compile_scenario,
@@ -159,8 +158,8 @@ def _admissible(s) -> Trace | None:
     if not flags or s.bound < 1:
         return None
     raised = Som(disjoin([Atom(flag) for flag in flags]))
-    result = check(conjoin([a.formula for a in model.axioms] + [raised]), model.symbols, s.bound)
-    return None if result.trace is None else _priced(result.trace, s)
+    witness = check(conjoin([a.formula for a in model.axioms] + [raised]), model.symbols, s.bound)
+    return None if witness is None else _priced(witness, s)
 
 
 def _check_labels(label: str, s, model) -> None:
@@ -198,7 +197,7 @@ def _witnesses():
         if bundled.mitigations:  # handover_stop: one mitigation per hazard
             continue
         for kind in ("slowdown", "stop"):
-            s = apply_mitigation(bundled, Mitigation(kind, "h1"))
+            s = replace(bundled, mitigations=bundled.mitigations + (Mitigation(kind, "h1"),))
             yield f"{name} with {kind}", s, verify(s).trace or _admissible(s)
     rng = random.Random(4242)
     for n in range(40):

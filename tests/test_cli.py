@@ -275,6 +275,20 @@ class TestClassify:
         cfg = RunConfig(scenario=HANDOVER_POINT, out=str(tmp_path / "r.csv"), fmt="csv")
         assert run_classify(cfg, str(trace)) == EXIT_SAFE
 
+    def test_no_row_over_the_threshold_exits_0(self, tmp_path, capsys):
+        # No hazard instant of handover_mini is priced above 6, so at threshold 6
+        # its counterexample has no row to classify, and no row is unconfirmed.
+        trace = tmp_path / "mini.trace"
+        assert run_verify(RunConfig(scenario=HANDOVER_MINI, out=str(trace))) == EXIT_COUNTEREXAMPLE
+        lax = tmp_path / "lax.scn"
+        lax.write_text(Path(HANDOVER_MINI).read_text(encoding="utf-8") + "threshold 6\n")
+        capsys.readouterr()
+        assert main(["classify", str(lax), str(trace)]) == EXIT_SAFE
+        assert capsys.readouterr().out == (
+            "scenario: lax\nno hazard instants above the threshold\n"
+            "summary: 0 confirmed, 0 possible, 0 spurious\n"
+        )
+
     def test_trace_with_transit_columns_is_input_error(self, tmp_path, capsys):
         # Transit columns name symbols the model does not declare, so such a trace is rejected.
         trace = tmp_path / "mini.trace"
@@ -627,6 +641,20 @@ def test_a_second_mitigation_kind_fails_on_its_line(tmp_path, monkeypatch, capsy
             f"error: line {line}: hazard 'h1' is already mitigated by 'stop' on line {line - 1}: "
             "one mitigation per hazard\n"
         ), command
+
+
+def test_a_negative_bound_fails_as_the_scenario_loads(tmp_path, monkeypatch, capsys):
+    # RunConfig takes any bound: every command loads its scenario first, and the
+    # Scenario refuses a negative bound before a trace is read or a file written.
+    monkeypatch.chdir(tmp_path)
+    for argv in (["verify", HANDOVER], ["classify", HANDOVER, "missing.trace"],
+                 ["export", HANDOVER, "cnf"], ["oracle", HANDOVER]):
+        assert main([*argv, "--bound", "-1"]) == EXIT_INPUT_ERROR, argv
+        assert capsys.readouterr() == ("", "error: bound must be >= 0\n"), argv
+    assert list(tmp_path.iterdir()) == []
+    cfg = RunConfig(scenario=HANDOVER, bound=-1)
+    assert run_verify(cfg) == EXIT_INPUT_ERROR
+    assert capsys.readouterr().err == "error: bound must be >= 0\n"
 
 
 def test_a_bound_option_validates_the_scenario_once(monkeypatch):

@@ -72,7 +72,7 @@ class TestVarMap:
         assert vm.prop_rows == {"p": [1, 2]}
         assert vm.value_rows == {}
         assert cnf.num_vars == 2
-        trace = check(f, table, 1).trace
+        trace = check(f, table, 1)
         assert trace.propositions["q"] == (False, False)
         assert trace.variables["v"] == ("b", "b")
         assert set(trace.symbol_names) == {"p", "q", "v"}
@@ -139,7 +139,7 @@ class TestClauseShape:
         table = family_symbols()
         f = Dist(Atom("p"), k + 1)
         _assert_cnf_invariants(encode(f, table, k)[0])  # no empty clause either
-        assert check(f, table, k).satisfiable is False
+        assert check(f, table, k) is None
         assert brute_force_check(f, k) is False
 
 
@@ -211,9 +211,9 @@ def _count_nodes(f):
 
 class TestCheck:
     def test_conjunction_at_bound_zero(self, pq_symbols):
-        result = check(And(Atom("p"), Atom("q")), pq_symbols, 0)
-        assert result.satisfiable
-        assert result.trace.propositions == {"p": (True,), "q": (True,)}
+        witness = check(And(Atom("p"), Atom("q")), pq_symbols, 0)
+        assert witness is not None
+        assert witness.propositions == {"p": (True,), "q": (True,)}
 
     def test_conjunction_model_is_unique(self, pq_symbols):
         cnf, vm = encode(And(Atom("p"), Atom("q")), pq_symbols, 0)
@@ -229,17 +229,17 @@ class TestCheck:
         from coverify.parsing import parse_formula
 
         f = parse_formula("Alw(start -> Dist(stop,3) & !(start & stop))", table)
-        result = check(f, table, DEFAULT_BOUND)  # a scenario's default bound
-        assert result.satisfiable
-        assert result.trace.bound == DEFAULT_BOUND
-        assert evaluate(f, result.trace, 0) is True
+        witness = check(f, table, DEFAULT_BOUND)  # a scenario's default bound
+        assert witness is not None
+        assert witness.bound == DEFAULT_BOUND
+        assert evaluate(f, witness, 0) is True
 
     def test_contradiction_unsat(self, pq_symbols):
-        assert check(Alw(And(Atom("p"), Not(Atom("p")))), pq_symbols, 4).satisfiable is False
+        assert check(Alw(And(Atom("p"), Not(Atom("p")))), pq_symbols, 4) is None
 
     def test_som_alw_conflict_unsat(self, pq_symbols):
         f = And(Som(Atom("p")), Alw(Not(Atom("p"))))
-        assert check(f, pq_symbols, 5).satisfiable is False
+        assert check(f, pq_symbols, 5) is None
 
     def test_undeclared_symbol_rejected(self, pq_symbols):
         with pytest.raises(ValueError, match="undeclared"):
@@ -249,9 +249,9 @@ class TestCheck:
         # soundness assertion of check on a spread of satisfiable formulas
         table = family_symbols()
         for f in formula_family()[:80]:
-            result = check(f, table, 4)
-            if result.satisfiable:
-                assert evaluate(f, result.trace, 0) is True
+            witness = check(f, table, 4)
+            if witness is not None:
+                assert evaluate(f, witness, 0) is True
 
 
 class TestDeepNesting:
@@ -274,7 +274,7 @@ class TestDeepNesting:
             f = Or(a, And(Not(b), Atom("q")))
             cnf, _ = encode(f, pq_symbols, 2)
             assert (cnf.num_vars, cnf.clauses) == (6, clauses)
-            assert check(f, pq_symbols, 2).satisfiable
+            assert check(f, pq_symbols, 2) is not None
 
 
 class TestDecode:
@@ -312,7 +312,7 @@ class TestAgreementWithEnumeration:
         table = family_symbols()
         for f in formula_family()[:120]:
             expected = brute_force_check(f, k)
-            assert check(f, table, k).satisfiable == expected, f"{f} at k={k}"
+            assert (check(f, table, k) is not None) == expected, f"{f} at k={k}"
 
     def test_monotone_bound_growth_without_alw(self):
         table = family_symbols()
@@ -320,8 +320,8 @@ class TestAgreementWithEnumeration:
         for f in formula_family():
             if _contains_alw(f):
                 continue
-            if check(f, table, 3).satisfiable:
-                assert check(f, table, 4).satisfiable, f"witness for {f} did not extend"
+            if check(f, table, 3) is not None:
+                assert check(f, table, 4) is not None, f"witness for {f} did not extend"
                 examined += 1
         assert examined > 50
 
@@ -865,13 +865,13 @@ class TestGcPause:
 
         monkeypatch.setattr(encode_module, "encode", spy)
         gc.enable()
-        assert check(And(Atom("p"), Atom("q")), pq_symbols, 2).satisfiable
+        assert check(And(Atom("p"), Atom("q")), pq_symbols, 2) is not None
         assert seen == [False]
         assert gc.isenabled()
 
     def test_caller_disabled_stays_disabled(self, pq_symbols):
         gc.disable()
-        assert check(Atom("p"), pq_symbols, 1).satisfiable
+        assert check(Atom("p"), pq_symbols, 1) is not None
         assert not gc.isenabled()
 
     def test_restored_when_encode_raises(self, pq_symbols):

@@ -196,7 +196,7 @@ class TestLongChains:
         tr = Trace(2, {"start": (True, False, True)}, {})
         assert [evaluate(f, tr, t) for t in range(3)] == [True, False, True]
         assert free_symbols(f) == {"start"}
-        witness = check(Not(f) if op == "&" else f, symbols, 2).trace
+        witness = check(Not(f) if op == "&" else f, symbols, 2)
         assert witness is not None
         assert witness.propositions["start"][0] is (op == "|")
 
@@ -236,7 +236,7 @@ class TestNestingLimit:
         tr = Trace(2, {"start": (True, False, True)}, {})
         assert evaluate(f, tr, 0) is True
         assert free_symbols(f) == {"start"}
-        witness = check(f, symbols, 2).trace
+        witness = check(f, symbols, 2)
         assert witness is not None and evaluate(f, witness, 0) is True
 
 

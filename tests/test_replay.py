@@ -18,7 +18,7 @@ from coverify.replay import (
     classify,
     segments,
 )
-from coverify.world import Mitigation, ScenarioError, apply_mitigation, loads_scenario, verify
+from coverify.world import Mitigation, ScenarioError, loads_scenario, verify
 
 CORRIDOR = """
 [layout]

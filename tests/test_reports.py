@@ -12,7 +12,6 @@ from coverify.logic import Trace
 from coverify.replay import CONFIRMED, POSSIBLE, SPURIOUS, ClassifiedHazard
 from coverify.reports import (
     CSV_COLUMNS,
-    HazardReport,
     escape,
     render_csv,
     render_svg,
@@ -36,46 +35,40 @@ def fig1_trace(k=10):
     )
 
 
-class TestHazardReport:
-    def test_counts_sum_to_rows(self):
-        report = HazardReport("demo", ROWS)
-        counts = report.counts
-        assert sum(counts.values()) == len(ROWS)
-        assert counts[POSSIBLE] == 1 and counts[CONFIRMED] == 1 and counts[SPURIOUS] == 1
-
-    def test_all_confirmed_flag(self):
-        assert not HazardReport("demo", ROWS).all_confirmed
-        assert HazardReport("demo", (ROWS[1],)).all_confirmed
-        assert HazardReport("demo", ()).all_confirmed
-
-
 class TestCsv:
     def test_columns(self):
-        parsed = list(csv.reader(io.StringIO(render_csv(HazardReport("demo", ROWS)))))
+        parsed = list(csv.reader(io.StringIO(render_csv(ROWS))))
         assert parsed[0] == list(CSV_COLUMNS)
         assert len(parsed) == 1 + len(ROWS)
 
     def test_row_values_round_trip(self):
-        parsed = list(csv.DictReader(io.StringIO(render_csv(HazardReport("demo", ROWS)))))
+        parsed = list(csv.DictReader(io.StringIO(render_csv(ROWS))))
         assert parsed[0]["hazard"] == "h1"
         assert int(parsed[0]["instant"]) == 3
         assert parsed[0]["verdict"] == POSSIBLE
         assert float(parsed[0]["d_max"]) == math.sqrt(3)
 
     def test_deterministic(self):
-        report = HazardReport("demo", ROWS)
-        assert render_csv(report) == render_csv(report)
+        assert render_csv(ROWS) == render_csv(ROWS)
 
 
 class TestText:
     def test_contains_summary_and_rows(self):
-        text = render_text(HazardReport("demo", ROWS))
+        text = render_text("demo", ROWS)
         assert "demo" in text
         assert "1 confirmed, 1 possible, 1 spurious" in text
         assert "h1 @ t=3" in text
 
+    def test_summary_counts_every_row(self):
+        rng = random.Random(35)
+        for _ in range(20):
+            rows = [rng.choice(ROWS) for _ in range(rng.randrange(6))]
+            summary = render_text("demo", rows).splitlines()[-1]
+            counts = [sum(row.verdict == v for row in rows) for v in (CONFIRMED, POSSIBLE, SPURIOUS)]
+            assert summary == "summary: {} confirmed, {} possible, {} spurious".format(*counts)
+
     def test_empty_report(self):
-        text = render_text(HazardReport("demo", ()))
+        text = render_text("demo", ())
         assert "no hazard instants" in text
 
 
@@ -109,7 +102,7 @@ class TestSvg:
         assert svg.count('fill="#4a90d9"') == 2  # start@5 and stop@8
 
     def test_hazard_markers(self):
-        svg = render_svg(HazardReport("demo", ROWS), fig1_trace())
+        svg = render_svg(ROWS, fig1_trace())
         assert svg.count("<circle") == 2  # instants 3 and 5
         ET.fromstring(svg)
 

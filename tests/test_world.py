@@ -31,7 +31,6 @@ from coverify.world import (
     Scenario,
     ScenarioError,
     TaskStep,
-    apply_mitigation,
     bundled_scenario_path,
     compile_scenario,
     load_scenario,
@@ -440,9 +439,9 @@ class TestDwellRule:
             for k in range(3 * 3 + 4):
                 s = replace(scenario, bound=k)
                 result = verify(s)
-                frozen_safe = violation is None or not check(
+                frozen_safe = violation is None or check(
                     conjoin(axioms + (violation,)), symbols, k
-                ).satisfiable
+                ) is None
                 assert result.safe == frozen_safe, (text, k)
                 verdicts.add(result.safe)
                 pairs += 1
@@ -458,8 +457,8 @@ class TestDwellRule:
         # aisle; without the dwell it could finish at bound 3.
         model = compile_scenario(handover)
         axioms = conjoin(a.formula for a in model.axioms)
-        assert not check(axioms, model.symbols, 4).satisfiable
-        assert check(axioms, model.symbols, 5).satisfiable
+        assert check(axioms, model.symbols, 4) is None
+        assert check(axioms, model.symbols, 5) is not None
 
 
     @pytest.mark.parametrize("travel", [2, 3, 5, 10**9])
@@ -471,7 +470,7 @@ class TestDwellRule:
             s = replace(loads_scenario(text), bound=k)
             model = compile_scenario(s)
             arrives = conjoin([a.formula for a in model.axioms] + [Som(Eq("g", "B"))])
-            assert check(arrives, model.symbols, k).satisfiable == (k >= travel), k
+            assert (check(arrives, model.symbols, k) is not None) == (k >= travel), k
 
 
 def _or(a, b):
@@ -482,28 +481,29 @@ def _or(a, b):
 
 class TestApplyMitigation:
     def test_appends_and_preserves_original(self, handover):
-        s2 = apply_mitigation(handover, Mitigation("slowdown", "h1"))
+        s2 = replace(handover, mitigations=handover.mitigations + (Mitigation("slowdown", "h1"),))
         assert len(s2.mitigations) == len(handover.mitigations) + 1
         assert handover.mitigations == ()
 
     def test_duplicate_rejected(self, handover):
-        s2 = apply_mitigation(handover, Mitigation("stop", "h1"))
+        s2 = replace(handover, mitigations=handover.mitigations + (Mitigation("stop", "h1"),))
         with pytest.raises(ScenarioError, match="already present"):
-            apply_mitigation(s2, Mitigation("stop", "h1"))
+            replace(s2, mitigations=s2.mitigations + (Mitigation("stop", "h1"),))
 
     def test_second_kind_rejected(self, handover):
-        s2 = apply_mitigation(handover, Mitigation("stop", "h1"))
+        s2 = replace(handover, mitigations=handover.mitigations + (Mitigation("stop", "h1"),))
+        slowdown = Mitigation("slowdown", "h1")
         with pytest.raises(ScenarioError) as exc:
-            apply_mitigation(s2, Mitigation("slowdown", "h1"))
+            replace(s2, mitigations=s2.mitigations + (slowdown,))
         assert str(exc.value) == "hazard 'h1' is already mitigated by 'stop': one mitigation per hazard"
 
     def test_unknown_hazard_rejected(self, handover):
         with pytest.raises(ScenarioError, match="unknown hazard"):
-            apply_mitigation(handover, Mitigation("stop", "ghost"))
+            replace(handover, mitigations=handover.mitigations + (Mitigation("stop", "ghost"),))
 
     def test_retract_rejected(self, handover):
         with pytest.raises(ScenarioError, match="unknown mitigation kind 'retract'"):
-            apply_mitigation(handover, Mitigation("retract", "h1"))
+            replace(handover, mitigations=handover.mitigations + (Mitigation("retract", "h1"),))
 
 
 class TestVerify:
@@ -539,11 +539,13 @@ class TestVerify:
             assert flag == together
 
     def test_stop_mitigation_makes_it_safe(self, handover_mini):
-        mitigated = apply_mitigation(handover_mini, Mitigation("stop", "h1"))
+        stop = Mitigation("stop", "h1")
+        mitigated = replace(handover_mini, mitigations=handover_mini.mitigations + (stop,))
         assert verify(mitigated).safe
 
     def test_mitigation_entailment_on_surviving_counterexamples(self, handover_mini):
-        slowed = apply_mitigation(handover_mini, Mitigation("slowdown", "h1"))
+        slowdown = Mitigation("slowdown", "h1")
+        slowed = replace(handover_mini, mitigations=handover_mini.mitigations + (slowdown,))
         result = verify(slowed)
         assert not result.safe  # slow is not slow enough at severity 2
         reaction = Alw(Implies(Atom("haz_h1"), Dist(Eq("speed_kuka", "slow"), 1)))
@@ -555,7 +557,8 @@ class TestVerify:
             result = verify(scenario)
             if result.safe:
                 break
-            scenario = apply_mitigation(scenario, Mitigation("stop", "h1"))
+            stop = Mitigation("stop", "h1")
+            scenario = replace(scenario, mitigations=scenario.mitigations + (stop,))
         else:
             result = verify(scenario)
         assert result.safe
@@ -587,10 +590,10 @@ bound 4
         assert verify(loads_scenario(text)).safe
 
     def test_verify_agrees_with_exhaustive_enumeration(self, handover_mini):
+        mitigations = [(Mitigation(kind, "h1"),) for kind in ("stop", "slowdown")]
         variants = [
             handover_mini,
-            apply_mitigation(handover_mini, Mitigation("stop", "h1")),
-            apply_mitigation(handover_mini, Mitigation("slowdown", "h1")),
+            *(replace(handover_mini, mitigations=handover_mini.mitigations + m) for m in mitigations),
         ]
         for scenario in variants:
             assert verify(scenario).safe == exhaustive_verify(scenario)

@@ -480,6 +480,9 @@ def _or(a, b):
 
 
 class TestApplyMitigation:
+    """A mitigation added with ``dataclasses.replace``, as ``apply_mitigation`` once did:
+    ``Scenario`` validates it."""
+
     def test_appends_and_preserves_original(self, handover):
         s2 = replace(handover, mitigations=handover.mitigations + (Mitigation("slowdown", "h1"),))
         assert len(s2.mitigations) == len(handover.mitigations) + 1

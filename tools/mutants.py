@@ -1,15 +1,18 @@
 """Run the tier-1 tests against a fixed list of source mutations, one at a time.
 
 Each mutant replaces one piece of text in one source file.  The tool copies
-the working tree into a temporary directory, checks that the unmutated copy
-passes, then applies each mutant there alone, runs the tier-1 command within
-``TIMEOUT`` seconds and puts the file back.  A mutant is KILLED when the
-tests fail, SURVIVED when they pass and TIMEOUT when they do not finish.
-Nothing is written into the tree itself.
+the working tree into a temporary directory and applies each mutant there
+alone, runs the tier-1 command within ``TIMEOUT`` seconds and puts the file
+back.  A mutant is KILLED when the tests fail, SURVIVED when they pass and
+TIMEOUT when they do not finish.  Nothing is written into the tree itself.
+
+``CONTROL`` is an equivalent mutant run first, the same way: it must come out
+SURVIVED, which shows both that the copy passes and that the tool can report a
+survivor at all.
 
 It exits 0 when every mutant is killed, 1 when one survives or times out, and
 2 when a mutant's old text is not in its file exactly once (the source moved on
-and the list must follow it) or the unmutated copy fails.
+and the list must follow it) or the control does not survive.
 
 Run:  python3 tools/mutants.py
 """
@@ -29,8 +32,10 @@ from typing import NamedTuple
 ROOT = Path(__file__).resolve().parents[1]
 TIMEOUT = 300.0  # seconds; the unmutated tier-1 run takes about 40 s on a 2-vCPU VM
 # ROADMAP's tier-1 command; -x stops at the first failure, which is all a kill needs.
+# tests/test_mutants.py is left out: it checks that each old text is still in
+# the source, so it fails on every mutated copy and would kill every mutant.
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "--continue-on-collection-errors",
-         "-p", "no:cacheprovider"]
+         "-p", "no:cacheprovider", "--ignore=tests/test_mutants.py"]
 SKIP = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis",
                               ".bench_work", ".benchmarks", "*.egg-info", "build")
 
@@ -74,11 +79,16 @@ MUTANTS = (
            ""),
 )
 
+# Equivalent to the source for every int n and k; the tests cannot tell them apart.
+CONTROL = Mutant("equivalent-control", "src/coverify/encode.py",
+                 "return rows if n > self.k else [row[:n] for row in rows]",
+                 "return [row[:n] for row in rows] if n <= self.k else rows")
+
 
 def stale(root: Path) -> list[str]:
-    """One line per mutant whose old text is not in its file exactly once."""
+    """One line per mutant, the control too, whose old text is not in its file exactly once."""
     out = []
-    for m in MUTANTS:
+    for m in (CONTROL, *MUTANTS):
         found = (root / m.file).read_text(encoding="utf-8").count(m.old)
         if found != 1:
             out.append(f"{m.name}: old text found {found} times in {m.file}")
@@ -105,6 +115,20 @@ def run_tier1(tree: Path) -> tuple[str, str, float]:
     return "FAILED", first, seconds
 
 
+def run_mutant(tree: Path, m: Mutant) -> str:
+    """Apply ``m`` to the copy at ``tree``, run tier-1, restore the file; print and return the verdict."""
+    path = tree / m.file
+    original = path.read_text(encoding="utf-8")
+    path.write_text(original.replace(m.old, m.new), encoding="utf-8")
+    try:
+        outcome, first, seconds = run_tier1(tree)
+    finally:
+        path.write_text(original, encoding="utf-8")
+    verdict = {"FAILED": "KILLED", "PASSED": "SURVIVED"}.get(outcome, outcome)
+    print(f"{m.name:40} {verdict:9} {seconds:6.1f} s  {first}", flush=True)
+    return verdict
+
+
 def main() -> int:
     problems = stale(ROOT)
     if problems:
@@ -113,23 +137,10 @@ def main() -> int:
     with tempfile.TemporaryDirectory(prefix="coverify-mutants-") as tmp:
         tree = Path(tmp) / "tree"
         shutil.copytree(ROOT, tree, ignore=SKIP)
-        outcome, first, seconds = run_tier1(tree)
-        print(f"{'unmutated':40} {outcome:9} {seconds:6.1f} s", flush=True)
-        if outcome != "PASSED":
-            print(f"the unmutated tree does not pass: {first}", file=sys.stderr)
+        if run_mutant(tree, CONTROL) != "SURVIVED":
+            print("the equivalent control does not survive", file=sys.stderr)
             return 2
-        survivors = 0
-        for m in MUTANTS:
-            path = tree / m.file
-            original = path.read_text(encoding="utf-8")
-            path.write_text(original.replace(m.old, m.new), encoding="utf-8")
-            try:
-                outcome, first, seconds = run_tier1(tree)
-            finally:
-                path.write_text(original, encoding="utf-8")
-            verdict = {"FAILED": "KILLED", "PASSED": "SURVIVED"}.get(outcome, outcome)
-            survivors += verdict != "KILLED"
-            print(f"{m.name:40} {verdict:9} {seconds:6.1f} s  {first}", flush=True)
+        survivors = sum(run_mutant(tree, m) != "KILLED" for m in MUTANTS)
     return 1 if survivors else 0
 
 

@@ -25,7 +25,6 @@ from .logic import (
     evaluate,
     free_symbols,
 )
-from .parsing import ParseError, parse_formula
 from .replay import ClassifiedHazard, Segment, classify, segments
 from .world import (
     Mitigation,
@@ -45,11 +44,11 @@ __version__ = "0.1.0"
 __all__ = [
     "Alw", "And", "Atom", "Box", "ClassifiedHazard", "Dist", "Eq",
     "FiniteVariable", "Formula", "Implies", "Mitigation", "Not", "Or",
-    "ParseError", "Proposition", "Scenario", "ScenarioError", "Segment",
+    "Proposition", "Scenario", "ScenarioError", "Segment",
     "Som", "SymbolTable", "Trace", "VerifyResult",
     "aabb_max_distance", "aabb_min_distance",
     "bundled_scenario_path", "check", "classify", "compile_scenario",
     "contact_probability", "decode", "encode", "evaluate", "free_symbols",
-    "load_scenario", "loads_scenario", "parse_formula", "risk_value",
+    "load_scenario", "loads_scenario", "risk_value",
     "segments", "verify",
 ]

@@ -21,10 +21,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 __all__ = [
-    "NAME",
     "DIGITS",
-    "INTEGER",
-    "IDENT_RE",
     "check_ident",
     "check_value",
     "Proposition",
@@ -47,8 +44,8 @@ __all__ = [
     "free_symbols",
 ]
 
-# What a name and an integer are, written once and ASCII only: the formula
-# scanner, the trace reader and the scenario loader build on these patterns.
+# What a name and an integer are, written once and ASCII only: the symbol
+# table, the trace reader and the scenario loader build on these patterns.
 NAME = r"[A-Za-z_][A-Za-z0-9_]*"
 DIGITS = r"[0-9]+"
 INTEGER = rf"-?{DIGITS}"

@@ -18,10 +18,7 @@ nothing: that literal is implied by the conflict at the highest level of
 the others.  A learned clause of two or more literals backjumps to its
 second-highest level, so a search that learns no unit is plain CDCL.
 
-``brute_force_solve`` is the independent exhaustive oracle for small
-instances, and DIMACS read/write lets an external solver be swapped in.
-Only ``brute_force_solve`` uses numpy, and it imports it on its first call,
-so ``solve`` and the commands built on it never load numpy.
+DIMACS read/write lets an external solver be swapped in.
 
 Heuristic contract: each decision takes the unassigned variable of highest
 activity, the lowest index among equal activities, and assigns it false.  The
@@ -65,7 +62,6 @@ __all__ = [
     "SolveResult",
     "DimacsError",
     "solve",
-    "brute_force_solve",
     "write_dimacs",
     "read_dimacs",
 ]
@@ -552,44 +548,6 @@ def solve(cnf: CnfFormula) -> SolveResult:
         if not _model_satisfies(cnf, result.model):
             raise AssertionError("solver returned a non-model; this is a solver bug")
     return result
-
-
-_BRUTE_CHUNK = 1 << 16
-
-
-def brute_force_solve(cnf: CnfFormula) -> SolveResult:
-    """Exhaustive enumeration over all assignments; requires num_vars <= 24.
-
-    Assignments are scanned in counting order (variable v is bit v-1), so the
-    returned model is the numerically smallest satisfying assignment.
-    """
-    if cnf.num_vars > 24:
-        raise ValueError(f"brute force capped at 24 variables, got {cnf.num_vars}")
-    if cnf.num_vars == 0:
-        if cnf.clauses:
-            raise AssertionError("clauses without variables cannot be well-formed")
-        return SolveResult({})
-
-    import numpy as np
-
-    total = 1 << cnf.num_vars
-    for start in range(0, total, _BRUTE_CHUNK):
-        block = np.arange(start, min(start + _BRUTE_CHUNK, total), dtype=np.uint32)
-        sat = np.ones(block.shape, dtype=bool)
-        for clause in cnf.clauses:
-            clause_sat = np.zeros(block.shape, dtype=bool)
-            for lit in clause:
-                bit = (block >> (abs(lit) - 1)) & 1
-                clause_sat |= (bit == 1) if lit > 0 else (bit == 0)
-            sat &= clause_sat
-            if not sat.any():
-                break
-        hits = np.flatnonzero(sat)
-        if hits.size:
-            assignment = int(block[hits[0]])
-            model = {v: bool((assignment >> (v - 1)) & 1) for v in range(1, cnf.num_vars + 1)}
-            return SolveResult(model)
-    return SolveResult(None)
 
 
 class DimacsError(ValueError):

@@ -3,12 +3,16 @@
 ``brute_force_check`` is the evaluator-backed ground truth for bounded
 satisfiability: enumerate every trace over the formula's symbols and ask
 ``evaluate``.  The encoder must agree with it on the whole generated family.
+``brute_force_solve`` is the solver's independent exhaustive oracle for small
+CNFs.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import product
+
+import numpy as np
 
 from coverify.logic import (
     Alw,
@@ -26,6 +30,7 @@ from coverify.logic import (
     evaluate,
     free_symbols,
 )
+from coverify.sat import CnfFormula, SolveResult
 
 # The family's symbol pool: two propositions and one two-valued variable.
 PROP_NAMES = ("p", "q")
@@ -86,6 +91,46 @@ def brute_force_check(f: Formula, k: int) -> bool:
     if not sig:
         raise ValueError("formula without symbols")
     return any(evaluate(f, tr, 0) for tr in all_traces(sig, k))
+
+
+# ---------------------------------------------------------------------------
+# The CNF oracle: every assignment, scanned in blocks with numpy.
+
+
+_BRUTE_CHUNK = 1 << 16
+
+
+def brute_force_solve(cnf: CnfFormula) -> SolveResult:
+    """Exhaustive enumeration over all assignments; requires num_vars <= 24.
+
+    Assignments are scanned in counting order (variable v is bit v-1), so the
+    returned model is the numerically smallest satisfying assignment.
+    """
+    if cnf.num_vars > 24:
+        raise ValueError(f"brute force capped at 24 variables, got {cnf.num_vars}")
+    if cnf.num_vars == 0:
+        if cnf.clauses:
+            raise AssertionError("clauses without variables cannot be well-formed")
+        return SolveResult({})
+
+    total = 1 << cnf.num_vars
+    for start in range(0, total, _BRUTE_CHUNK):
+        block = np.arange(start, min(start + _BRUTE_CHUNK, total), dtype=np.uint32)
+        sat = np.ones(block.shape, dtype=bool)
+        for clause in cnf.clauses:
+            clause_sat = np.zeros(block.shape, dtype=bool)
+            for lit in clause:
+                bit = (block >> (abs(lit) - 1)) & 1
+                clause_sat |= (bit == 1) if lit > 0 else (bit == 0)
+            sat &= clause_sat
+            if not sat.any():
+                break
+        hits = np.flatnonzero(sat)
+        if hits.size:
+            assignment = int(block[hits[0]])
+            model = {v: bool((assignment >> (v - 1)) & 1) for v in range(1, cnf.num_vars + 1)}
+            return SolveResult(model)
+    return SolveResult(None)
 
 
 # ---------------------------------------------------------------------------

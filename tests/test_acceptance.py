@@ -14,13 +14,12 @@ import numpy as np
 from coverify.encode import check
 from coverify.exhaustive import exhaustive_verify
 from coverify.geometry import Box, aabb_max_distance, aabb_min_distance, sample_contact_probability
-from coverify.logic import SymbolTable, Trace, conjoin, evaluate
-from coverify.parsing import parse_formula
+from coverify.logic import Alw, And, Atom, Dist, Implies, Not, SymbolTable, Trace, conjoin, evaluate
 from coverify.replay import CONFIRMED, POSSIBLE, classify, segments
-from coverify.sat import brute_force_solve, read_dimacs, solve, write_dimacs
+from coverify.sat import read_dimacs, solve, write_dimacs
 from coverify.world import Mitigation, compile_scenario, verify
 
-from helpers import brute_force_check, family_symbols, formula_family
+from helpers import brute_force_check, brute_force_solve, family_symbols, formula_family
 from test_geometry import SAME_CUBE_CONTACT_P, corner_pairs_max, cover_radius, grid_points, random_box
 from test_sat import pigeonhole, random_cnf
 
@@ -35,7 +34,9 @@ def test_criterion_1_movement_example_reproduction():
     table = SymbolTable()
     table.add_proposition("start")
     table.add_proposition("stop")
-    formula = parse_formula("Alw(start -> Dist(stop,3) & !(start & stop))", table)
+    # Alw(start -> Dist(stop, 3) & !(start & stop))
+    start, stop = Atom("start"), Atom("stop")
+    formula = Alw(Implies(start, And(Dist(stop, 3), Not(And(start, stop)))))
 
     t0 = time.perf_counter()
     witness = check(formula, table, 30)

@@ -226,9 +226,9 @@ class TestCheck:
         table = SymbolTable()
         table.add_proposition("start")
         table.add_proposition("stop")
-        from coverify.parsing import parse_formula
-
-        f = parse_formula("Alw(start -> Dist(stop,3) & !(start & stop))", table)
+        # Alw(start -> Dist(stop, 3) & !(start & stop))
+        start, stop = Atom("start"), Atom("stop")
+        f = Alw(Implies(start, And(Dist(stop, 3), Not(And(start, stop)))))
         witness = check(f, table, DEFAULT_BOUND)  # a scenario's default bound
         assert witness is not None
         assert witness.bound == DEFAULT_BOUND

@@ -205,6 +205,11 @@ def _chain(op, depth, side):
     return f
 
 
+def _depth(f) -> int:
+    children = [getattr(f, name) for name in ("left", "right", "operand") if hasattr(f, name)]
+    return 1 + max((_depth(c) for c in children), default=0)
+
+
 class TestDeepChains:
     """API-built formulas deeper than the recursion limit walk, evaluate, encode and check."""
 
@@ -347,3 +352,19 @@ class TestStructures:
         assert conjoin([Atom("a")]) == Atom("a")
         with pytest.raises(ValueError):
             conjoin([])
+        a, b, c = fs
+        table = SymbolTable()
+        table.add_proposition("start")
+        long_tr = Trace(2, {"start": (True, False, True)}, {})
+        for fold, op in ((conjoin, And), (disjoin, Or)):
+            # Up to three operands the balanced fold is the left-nested tree.
+            assert fold([a, b]) == op(a, b)
+            assert fold([a, b, c]) == op(op(a, b), c)
+            # 2,000 operands: eleven levels of connectives over the atoms, not 1,999.
+            f = fold([Atom("start")] * 2000)
+            assert _depth(f) == 12
+            assert [evaluate(f, long_tr, t) for t in range(3)] == [True, False, True]
+            assert free_symbols(f) == {"start"}
+            witness = check(Not(f) if op is And else f, table, 2)
+            assert witness is not None
+            assert witness.propositions["start"][0] is (op is Or)

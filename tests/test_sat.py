@@ -20,13 +20,12 @@ from coverify.sat import (
     SolveResult,
     _model_satisfies,
     _Solver,
-    brute_force_solve,
     read_dimacs,
     solve,
     write_dimacs,
 )
 from coverify.world import bundled_scenario_path, compile_scenario, load_scenario, loads_scenario
-from helpers import family_symbols, random_formula
+from helpers import brute_force_solve, family_symbols, random_formula
 from test_exhaustive import _grid_text
 
 

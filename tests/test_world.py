@@ -392,8 +392,12 @@ class TestCompile:
             ("poi bot g", "poi bot 9g", "line 11: invalid identifier: '9g'"),
             ("agent bot robot", "agent b/t robot", "line 9: invalid identifier: 'speed_b/t'"),
             ("hazard hz", "hazard h-z", "line 14: invalid identifier: 'haz_h-z'"),
+            # Names are ASCII: a Unicode letter or digit is no more a name than '-'.
+            ("loc A box", "loc A\u00e9 box", "line 3: invalid domain value: 'A\u00e9'"),
+            ("poi bot g", "poi bot g_\u00b2", "line 11: invalid identifier: 'g_\u00b2'"),
+            ("hazard hz", "hazard h\u0661", "line 14: invalid identifier: 'haz_h\u0661'"),
         ],
-        ids=["loc", "poi", "robot", "hazard"],
+        ids=["loc", "poi", "robot", "hazard", "loc-letter", "poi-super", "haz-arabic"],
     )
     def test_an_id_that_cannot_name_its_symbol_fails_on_its_line(self, old, new, message):
         with pytest.raises(ScenarioError) as error:

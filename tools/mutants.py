@@ -77,6 +77,9 @@ MUTANTS = (
            "                    self._imply_alone(conflict, levels)\n"
            "                    continue\n",
            ""),
+    Mutant("name-accepts-unicode-letters", "src/coverify/logic.py",
+           'NAME = r"[A-Za-z_][A-Za-z0-9_]*"',
+           'NAME = r"[^\\W\\d]\\w*"'),
 )
 
 # Equivalent to the source for every int n and k; the tests cannot tell them apart.

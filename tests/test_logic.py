@@ -352,19 +352,24 @@ class TestStructures:
         assert conjoin([Atom("a")]) == Atom("a")
         with pytest.raises(ValueError):
             conjoin([])
-        a, b, c = fs
-        table = SymbolTable()
-        table.add_proposition("start")
-        long_tr = Trace(2, {"start": (True, False, True)}, {})
+
+    def test_short_folds_are_left_nested(self):
+        # Up to three operands the balanced fold is the left-nested tree.
+        a, b, c = Atom("a"), Atom("b"), Atom("c")
         for fold, op in ((conjoin, And), (disjoin, Or)):
-            # Up to three operands the balanced fold is the left-nested tree.
             assert fold([a, b]) == op(a, b)
             assert fold([a, b, c]) == op(op(a, b), c)
-            # 2,000 operands: eleven levels of connectives over the atoms, not 1,999.
-            f = fold([Atom("start")] * 2000)
-            assert _depth(f) == 12
-            assert [evaluate(f, long_tr, t) for t in range(3)] == [True, False, True]
-            assert free_symbols(f) == {"start"}
-            witness = check(Not(f) if op is And else f, table, 2)
-            assert witness is not None
-            assert witness.propositions["start"][0] is (op is Or)
+
+    @pytest.mark.parametrize("op", ["&", "|"])
+    def test_two_thousand_operands_evaluate_and_check(self, op):
+        table = SymbolTable()
+        table.add_proposition("start")
+        fold = conjoin if op == "&" else disjoin
+        f = fold([Atom("start")] * 2000)
+        assert _depth(f) == 12  # eleven levels of connectives over the atoms, not 1,999
+        tr = Trace(2, {"start": (True, False, True)}, {})
+        assert [evaluate(f, tr, t) for t in range(3)] == [True, False, True]
+        assert free_symbols(f) == {"start"}
+        witness = check(Not(f) if op == "&" else f, table, 2)
+        assert witness is not None
+        assert witness.propositions["start"][0] is (op == "|")

@@ -21,15 +21,20 @@ second-highest level, so a search that learns no unit is plain CDCL.
 DIMACS read/write lets an external solver be swapped in.
 
 Heuristic contract: each decision takes the unassigned variable of highest
-activity, the lowest index among equal activities, and assigns it false.  The
-variables sit in a binary heap keyed on (-activity, index), after MiniSat's
-order heap (Eén & Sörensson, "An Extensible SAT-solver", SAT 2003), and watch
-lists and truth values are indexed by literal.  An exactly-one block of the
-input is no clause object at all: its pairwise at-most-one clauses are one
-literal-indexed table entry per member, the constraint-in-the-solver idea of
-MiniCARD (Liffiton & Maglalang, "A Cardinality Solver: More Expressive
-Constraints for Free", SAT 2012), and only its at-least-one clause is loaded;
-every other clause is a list.  These are data structures only: the decisions,
+activity, the lowest index among equal activities, and assigns it false.  It
+comes from one of two tiers.  A variable of positive activity (one a conflict
+has bumped) sits in a binary heap keyed on (-activity, index), after MiniSat's
+order heap (Eén & Sörensson, "An Extensible SAT-solver", SAT 2003).  Every
+other variable is taken in index order from a cursor, and only when the heap
+holds no unassigned variable.  That is the scan's order: any positive activity
+outranks 0, and the variables of activity 0 tie, so the lowest index wins
+among them.  Most variables of an encoded CNF are never bumped, so most
+decisions cost no heap pop.  Watch lists and truth values are indexed by
+literal.  An exactly-one block of the input is no clause object at all: its
+pairwise at-most-one clauses are one literal-indexed table entry per member,
+the constraint-in-the-solver idea of MiniCARD (Liffiton & Maglalang, "A
+Cardinality Solver: More Expressive Constraints for Free", SAT 2012), and
+only its at-least-one clause is loaded; every other clause is a list.  These are data structures only: the decisions,
 conflicts, learned clauses and the returned model are the ones a linear scan
 over the variables and a list per clause of the full CNF
 (``CnfFormula.clauses``) would give under the same unit rule, so models,
@@ -192,7 +197,7 @@ def _model_satisfies(cnf: CnfFormula, model: dict[int, bool]) -> bool:
 
 
 _UNDEF, _TRUE, _FALSE = 0, 1, -1
-# Order-heap keys are -activity <= 0, so a positive key marks "no live entry".
+# Order-heap keys are -activity < 0, so a positive key marks "no live entry".
 _NO_ENTRY = 1.0
 
 
@@ -229,12 +234,19 @@ class _Solver:
     literals, so ``clauses[-learned:]``) and ``max_level`` (the deepest
     decision level) count the search.
 
-    ``heap`` holds ``(-activity, var)`` entries.  ``heap_key[var]`` is the key
-    of var's one live entry, or ``_NO_ENTRY``; an entry whose key differs is
-    stale (var was bumped since) and is skipped when popped.  Every unassigned
-    variable has a live entry, so popping yields the unassigned variable of
-    highest activity, lowest index on ties.  ``solve`` pops it and assigns
-    the decision inside its loop.
+    The decision order has two tiers.  ``heap`` holds ``(-activity, var)``
+    entries of variables of positive activity only.  ``heap_key[var]`` is the
+    key of var's one live entry, or ``_NO_ENTRY``; an entry whose key differs
+    is stale (var was bumped since) and is skipped when popped.  Every
+    unassigned variable of positive activity has a live entry, so popping
+    yields the one of highest activity, lowest index on ties.  Every
+    unassigned variable of activity 0 has an index of ``cursor`` or above:
+    ``_backtrack`` lowers the cursor to each one it unassigns, and
+    ``_rebuild_heap`` sets it back to 1.  ``solve`` pops the heap while it
+    holds a live entry; once it holds no unassigned variable, every
+    unassigned variable has activity 0, and the first unassigned one from the
+    cursor up is the lowest.  Either way the decision is the unassigned
+    variable a scan would pick, and ``solve`` assigns it inside its loop.
     """
 
     def __init__(self, cnf: CnfFormula):
@@ -257,7 +269,10 @@ class _Solver:
         self.propagations = 0
         self.learned = 0
         self.max_level = 0
-        self._rebuild_heap()
+        # No variable is bumped yet, so the order heap starts empty.
+        self.heap: list[tuple[float, int]] = []
+        self.heap_key = [_NO_ENTRY] * (n + 1)
+        self.cursor = 1
 
         amo: list[tuple[int, ...]] = [()] * (2 * n + 1)
         for block in cnf.one_hot:
@@ -277,11 +292,12 @@ class _Solver:
                 self.ok = False
 
     def _rebuild_heap(self) -> None:
-        """One live entry per variable, keyed on its current activity."""
-        # Activities still at 0 (all of them at the start) share one key object.
-        self.heap_key = [-a if a else -0.0 for a in self.activity]
-        self.heap = list(zip(self.heap_key[1:], range(1, self.n + 1)))
+        """One live entry per bumped variable, keyed on its current activity,
+        and the cursor back at variable 1."""
+        self.heap_key = [-a if a else _NO_ENTRY for a in self.activity]
+        self.heap = [(key, var) for var, key in enumerate(self.heap_key) if key < 0]
         heapify(self.heap)
+        self.cursor = 1  # a rescale may have taken an activity down to 0
 
     def _enqueue(self, lit: int, reason: list[int] | int | None, level: int = 0) -> bool:
         if self.value[lit] != _UNDEF:
@@ -457,7 +473,7 @@ class _Solver:
         and is propagated again."""
         limit = self.trail_lim[target_level]
         value, level, activity = self.value, self.level, self.activity
-        heap_key, heap = self.heap_key, self.heap
+        heap_key, heap, cursor = self.heap_key, self.heap, self.cursor
         kept = []
         for lit in self.trail[limit:]:
             var = lit if lit > 0 else -lit
@@ -465,10 +481,14 @@ class _Solver:
                 kept.append(lit)
                 continue
             value[lit] = value[-lit] = _UNDEF
-            key = -activity[var]
-            if heap_key[var] != key:
-                heap_key[var] = key
-                heappush(heap, (key, var))
+            if activity[var]:
+                key = -activity[var]
+                if heap_key[var] != key:
+                    heap_key[var] = key
+                    heappush(heap, (key, var))
+            elif var < cursor:
+                cursor = var
+        self.cursor = cursor
         self.trail[limit:] = kept
         del self.trail_lim[target_level:]
         self.qhead = limit
@@ -486,12 +506,19 @@ class _Solver:
         trail, trail_lim = self.trail, self.trail_lim
         heap, heap_key = self.heap, self.heap_key
         while len(trail) < n:
-            key, var = heappop(heap)
-            if heap_key[var] != key:
-                continue  # stale
-            heap_key[var] = _NO_ENTRY
-            if value[var] != _UNDEF:
-                continue
+            while heap:
+                key, var = heappop(heap)
+                if heap_key[var] != key:
+                    continue  # stale
+                heap_key[var] = _NO_ENTRY
+                if value[var] == _UNDEF:
+                    break
+            else:
+                # Every unassigned variable has activity 0: take the lowest.
+                var = self.cursor
+                while value[var] != _UNDEF:
+                    var += 1
+                self.cursor = var
             # Decide var, phase false first, at a new level.
             self.decisions += 1
             trail_lim.append(len(trail))

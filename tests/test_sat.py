@@ -1,5 +1,6 @@
 """SAT core: solver correctness against the exhaustive oracle, DIMACS I/O."""
 
+import hashlib
 import random
 from heapq import heapify, heappop, heappush
 
@@ -26,6 +27,7 @@ from coverify.sat import (
 )
 from coverify.world import bundled_scenario_path, compile_scenario, load_scenario, loads_scenario
 from helpers import brute_force_solve, family_symbols, random_formula
+from test_encode import _random_grid_text
 from test_exhaustive import _grid_text
 
 
@@ -575,11 +577,28 @@ class _LinearScanSolver(_ClauseListSolver):
         return -best_var  # phase: false first
 
 
+def _assert_two_tiers(solver):
+    """Only bumped variables sit in the order heap, and no unassigned variable
+    of activity 0 sits below the cursor."""
+    activity, value = solver.activity, solver.value
+    assert all(activity[var] > 0 for _, var in solver.heap)
+    assert all(value[var] != _UNDEF or activity[var] > 0 for var in range(1, solver.cursor))
+
+
+class _TierCheckingSolver(_Solver):
+    """Checks the two tiers after every backtrack, where the cursor moves back."""
+
+    def _backtrack(self, target_level):
+        super()._backtrack(target_level)
+        _assert_two_tiers(self)
+
+
 def _assert_same_search(formula, **settings):
-    """The heap solver decides, conflicts and learns exactly as the linear scan does."""
-    heap_solver = _Solver(formula)
+    """The heap-and-cursor solver decides, conflicts and learns exactly as the linear scan does."""
+    heap_solver = _TierCheckingSolver(formula)
     heap_run = _learned_search(heap_solver, **settings)
     assert heap_run == _learned_search(_LinearScanSolver(formula), **settings)
+    _assert_two_tiers(heap_solver)
     # At most one live order-heap entry per variable, and the stale ones stay bounded.
     live = [var for key, var in heap_solver.heap if heap_solver.heap_key[var] == key]
     assert len(live) == len(set(live))
@@ -601,6 +620,18 @@ class TestHeapMatchesLinearScan:
     @pytest.mark.parametrize("formula", _scenario_cnfs())
     def test_bundled_scenarios(self, formula):
         _assert_same_search(formula)
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_open_grids(self, n):
+        # The benchmark's open-grid sizes: about 660 and 1,200 variables, most never bumped.
+        rng = random.Random(70 + n)
+        conflicts = 0
+        for _ in range(3):
+            scenario = loads_scenario(_full_grid_text(rng, n, stop=False))
+            model = compile_scenario(scenario)
+            formula = encode(conjoin(model.formulas), model.symbols, scenario.bound)[0]
+            conflicts += _assert_same_search(formula).conflicts
+        assert conflicts > 0  # so the heap takes some decisions, not the cursor alone
 
     def test_activity_rescale_rebuilds_the_heap(self, monkeypatch):
         rescales = []
@@ -1049,10 +1080,42 @@ class TestSearchCounters:
         assert learned > 0
 
 
-def _stop_grid_text(rng, n):
+def _pinned_search_cnfs():
+    """The CNFs ``PINNED_SEARCH_SHA256`` covers, in a fixed order: those ``verify``
+    solves for each bundled scenario at k = 0..30, then for 60 seeded workcells
+    (``test_encode._random_grid_text``, 3x3 to 5x5) at their own bounds."""
+    scenarios = [load_scenario(bundled_scenario_path(name), bound=k)
+                 for name in ("handover", "handover_point", "handover_mini", "handover_stop")
+                 for k in range(31)]
+    rng = random.Random(6300)
+    scenarios += [loads_scenario(_random_grid_text(rng, 3 + i % 3)) for i in range(60)]
+    for scenario in scenarios:
+        model = compile_scenario(scenario)
+        if model.violation is not None:
+            yield encode(conjoin(model.formulas), model.symbols, scenario.bound)[0]
+
+
+# SHA-256 over each pinned CNF's search: its model (or none), counters and learned
+# clauses, computed at commit 4672df5.  Where ``PINNED_CNFS_SHA256`` pins the CNFs, this pins what
+# the solver does with them; a change that alters it must say why in CHANGES.md.
+PINNED_SEARCH_SHA256 = "7e0e8505a9c8ecf7ef16aab6835e0b2f551f31c7c042f48acacedce472d64321"
+
+
+def test_pinned_search():
+    digest = hashlib.sha256()
+    for formula in _pinned_search_cnfs():
+        result, counters, learned = _counted_search(formula)
+        model = result.model
+        bits = "-" if model is None else "".join("01"[model[v]] for v in range(1, formula.num_vars + 1))
+        digest.update(f"{bits} {counters} {learned}\n".encode())
+    assert digest.hexdigest() == PINNED_SEARCH_SHA256
+
+
+def _full_grid_text(rng, n, stop=True):
     """An n x n grid of unit cells with every adjacency, a pick-and-handover task
-    and one stop-mitigated hazard over the threshold, at bound 4n: the task
-    fits, since each of its two legs crosses the grid in at most 2(n - 1) moves."""
+    and one hazard over the threshold, stop-mitigated unless ``stop`` is False,
+    at bound 4n: the task fits, since each of its two legs crosses the grid in
+    at most 2(n - 1) moves."""
     names = [[f"R{r}C{c}" for c in range(n)] for r in range(n)]
     cells = [name for row in names for name in row]
     lines = ["[layout]"]
@@ -1064,7 +1127,7 @@ def _stop_grid_text(rng, n):
     lines += ["[task]", f"step g pick {rng.choice(cells)}", f"step handover g h {rng.choice(cells)}"]
     grades = [rng.randint(1, 2) for _ in range(3)]
     lines += ["[hazards]", "hazard hz1 h g sev {} exp {} avoid {}".format(*grades)]
-    lines += ["[mitigations]", "mitigate stop hz1"]
+    lines += ["[mitigations]"] + ["mitigate stop hz1"] * stop
     lines += ["[params]", f"bound {4 * n}", f"threshold {sum(grades) - 1}"]
     return "\n".join(lines) + "\n"
 
@@ -1122,7 +1185,7 @@ class TestUnitsBacktrackChronologically:
     def test_stop_grids(self, n):
         rng = random.Random(60 + n)
         for _ in range(3):
-            scenario = loads_scenario(_stop_grid_text(rng, n))
+            scenario = loads_scenario(_full_grid_text(rng, n))
             decisions, conflicts = _refutation_counters(scenario)
             assert conflicts == scenario.bound and decisions <= scenario.bound
 

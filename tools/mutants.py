@@ -77,6 +77,13 @@ MUTANTS = (
            "                    self._imply_alone(conflict, levels)\n"
            "                    continue\n",
            ""),
+    Mutant("cursor-not-moved-back", "src/coverify/sat.py",
+           "            elif var < cursor:\n"
+           "                cursor = var\n",
+           ""),
+    Mutant("cursor-before-heap", "src/coverify/sat.py",
+           "            while heap:\n",
+           "            while heap and value[self.cursor] != _UNDEF:\n"),
     Mutant("name-accepts-unicode-letters", "src/coverify/logic.py",
            'NAME = r"[A-Za-z_][A-Za-z0-9_]*"',
            'NAME = r"[^\\W\\d]\\w*"'),

@@ -123,17 +123,18 @@ def classify(tr: Trace, s: Scenario, *, samples: int, seed: int) -> list[Classif
     The trace is taken as given, not checked against the model: a hand-built
     trace that flags two POIs cells apart gets a SPURIOUS row.  The CLI
     refuses such a trace before it gets here, with ``world.check_trace``.
+    A trace without the risk column or a POI column of some hazard is a
+    ``ValueError``.
     """
+    for hazard in s.hazards:
+        for name in (s.risk_name(hazard.id), hazard.human_poi, hazard.robot_poi):
+            if name not in tr.variables:
+                raise ValueError(f"trace lacks symbol {name!r} for hazard {hazard.id!r}")
     rows: list[ClassifiedHazard] = []
     for violation in extract_violations(tr, s):
         hazard = s.hazard(violation.hazard)
-        try:
-            human_cell = tr.var_value(hazard.human_poi, violation.instant)
-            robot_cell = tr.var_value(hazard.robot_poi, violation.instant)
-        except KeyError as missing:
-            raise ValueError(
-                f"trace lacks symbol {missing.args[0]!r} for hazard {hazard.id!r}"
-            ) from None
+        human_cell = tr.var_value(hazard.human_poi, violation.instant)
+        robot_cell = tr.var_value(hazard.robot_poi, violation.instant)
         box_h = s.layout.location(human_cell).box
         box_r = s.layout.location(robot_cell).box
         threshold = s.poi(hazard.human_poi).radius + s.poi(hazard.robot_poi).radius

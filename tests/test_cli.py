@@ -64,6 +64,14 @@ def sampled_case(tmp_path):
     return str(scenario), str(trace)
 
 
+def _src_env() -> dict[str, str]:
+    """The environment with the imported package's source directory first on PYTHONPATH,
+    for a child interpreter run from another directory."""
+    src = str(Path(coverify.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
+
+
 def _drop_column(trace_text: str, name: str) -> str:
     """The trace text without the named symbol's column."""
     bound, header, *rows = [line.split() for line in trace_text.splitlines()]
@@ -149,8 +157,9 @@ def test_golden_trace(tmp_path, scenario, bound, digest):
 # SHA-256 of `classify handover <trace> --seed 7 --samples 100000` in CSV and
 # SVG, over the trace `verify` writes at the scenario's own bound and at 30.
 # Every POSSIBLE row of these reports is a same-cell contact with the closed
-# form, so seed and samples do not show in them.  A change that alters one of
-# these must update it and say why in CHANGES.md.
+# form, so seed and samples do not show in them: the test asks seed 1 for the
+# same bytes.  A change that alters one of these must update it and say why in
+# CHANGES.md.
 GOLDEN_REPORTS = [
     (None, "csv", "b1fe30314b2403c2e257bdb49d6f3bf877da95ddc09d7e882a5f287edc39c212"),
     (None, "svg", "aecc3b67ca89fe5d84d59767b447c7792062b033cb5967c7a307a2e69dc42680"),
@@ -168,10 +177,11 @@ def test_golden_classify_report(tmp_path, bound, fmt, digest):
     trace, report = tmp_path / "golden.trace", tmp_path / f"golden.{fmt}"
     bound_args = [] if bound is None else ["--bound", str(bound)]
     assert main(["verify", HANDOVER, "--out", str(trace), *bound_args]) == EXIT_COUNTEREXAMPLE
-    argv = ["classify", HANDOVER, str(trace), *bound_args, "--format", fmt,
-            "--seed", "7", "--samples", "100000", "--out", str(report)]
-    assert main(argv) == EXIT_UNCONFIRMED
-    assert hashlib.sha256(report.read_bytes()).hexdigest() == digest
+    for seed in ("7", "1"):
+        argv = ["classify", HANDOVER, str(trace), *bound_args, "--format", fmt,
+                "--seed", seed, "--samples", "100000", "--out", str(report)]
+        assert main(argv) == EXIT_UNCONFIRMED
+        assert hashlib.sha256(report.read_bytes()).hexdigest() == digest, seed
 
 
 # SHA-256 of `classify <sampled_case> --format csv --seed 1` at the default
@@ -227,10 +237,12 @@ def test_export_cnf_is_the_cnf_verify_solves(tmp_path, monkeypatch, scenario):
         return solve(cnf)
 
     monkeypatch.setattr("coverify.sat.solve", recording_solve)
-    main(["verify", scenario, "--out", str(tmp_path / "t.trace")])
-    out = tmp_path / "exported.cnf"
-    assert main(["export", scenario, "cnf", "--out", str(out)]) == EXIT_SAFE
-    assert solved == [read_dimacs(out.read_text())]
+    for bound_args in ([], ["--bound", "30"]):
+        solved.clear()
+        main(["verify", scenario, "--out", str(tmp_path / "t.trace"), *bound_args])
+        out = tmp_path / "exported.cnf"
+        assert main(["export", scenario, "cnf", "--out", str(out), *bound_args]) == EXIT_SAFE
+        assert solved == [read_dimacs(out.read_text())], bound_args
 
 
 def test_travel_time_far_past_the_bound_compiles_as_bound_plus_one(tmp_path):
@@ -520,13 +532,19 @@ class TestMain:
 
     def test_every_invocation_ends_in_a_contract_code(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
-        codes = {
-            main(["verify", HANDOVER_STOP]),
-            main(["verify", HANDOVER, "--out", "t.trace"]),
-            main(["verify", "nope.scn"]),
-            main(["classify", HANDOVER, "t.trace", "--samples", "2000"]),
-        }
-        assert codes == {EXIT_SAFE, EXIT_COUNTEREXAMPLE, EXIT_INPUT_ERROR, EXIT_UNCONFIRMED}
+        argvs = [
+            ["verify", HANDOVER_STOP],
+            ["verify", HANDOVER, "--out", "t.trace"],
+            ["verify", "nope.scn"],
+            ["classify", HANDOVER, "t.trace", "--samples", "2000"],
+        ]
+        codes = [EXIT_SAFE, EXIT_COUNTEREXAMPLE, EXIT_INPUT_ERROR, EXIT_UNCONFIRMED]
+        assert [main(argv) for argv in argvs] == codes
+        # The same argv as `python -m coverify`: __main__ must hand main's code to the process.
+        runs = [subprocess.run([sys.executable, "-m", "coverify", *argv], cwd=tmp_path,
+                               env=_src_env(), capture_output=True, timeout=120)
+                for argv in argvs]
+        assert [run.returncode for run in runs] == codes
 
     @pytest.mark.parametrize("command", ["verify", "classify", "export"])
     def test_unwritable_out_is_an_input_error(self, tmp_path, capsys, command):
@@ -762,8 +780,18 @@ def test_reading_a_trace_never_compiles_the_model(tmp_path, monkeypatch, capsys)
 class TestSharedParser:
     """Every main call parses with one parser; no call may leave state on it."""
 
-    def test_one_parser_per_process(self):
+    def test_one_parser_per_process(self, capsys):
         assert build_parser() is build_parser()
+        # The one parser's help lists every option of a command, on every call.
+        helps = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as error:
+                main(["classify", "--help"])
+            assert error.value.code == 0
+            helps.append(capsys.readouterr().out)
+        assert helps[0] == helps[1]
+        for option in ("--samples", "--seed", "--format", "--out", "--bound"):
+            assert option in helps[0], option
 
     def test_options_of_one_call_do_not_reach_the_next(self, tmp_path, monkeypatch):
         configs = []
@@ -821,12 +849,9 @@ print(json.dumps({"codes": codes, "loaded": loaded, "classify_loaded": classify_
 
 
 def test_verify_export_and_oracle_never_import_numpy_or_urllib(tmp_path):
-    src = str(Path(coverify.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     run = subprocess.run(
         [sys.executable, "-c", _IMPORT_PROBE, HANDOVER_MINI],
-        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=path),
-        capture_output=True, text=True, timeout=120, check=True,
+        cwd=tmp_path, env=_src_env(), capture_output=True, text=True, timeout=120, check=True,
     )
     probe = json.loads(run.stdout.splitlines()[-1])
     assert probe["codes"] == [EXIT_COUNTEREXAMPLE, EXIT_SAFE, EXIT_COUNTEREXAMPLE, EXIT_UNCONFIRMED]

@@ -8,7 +8,7 @@ import pytest
 from frozen_exhaustive import exhaustive_verify as frozen_exhaustive_verify
 
 from coverify.exhaustive import exhaustive_verify
-from coverify.world import bundled_scenario_path, load_scenario, loads_scenario, verify
+from coverify.world import bundled_scenario_path, loads_scenario, verify
 
 # Each shape: (agent lines, POI lines, hazard pairs (human POI, robot POI), robot POIs, human POIs).
 SHAPES = {
@@ -247,18 +247,25 @@ class TestTravelTimes:
 
     # The verdicts at k = 0..30.  Below k = 5 no behaviour of handover or handover_point
     # finishes the task, so both oracles answer SAFE vacuously there; handover_stop's
-    # reaction keeps it SAFE at every bound.
+    # reaction keeps it SAFE at every bound.  "<name>+<kind>" is the bundled scenario
+    # with h1 mitigated by that kind: stop keeps handover_mini SAFE, while slowdown
+    # still prices h1 at 4, over threshold 3, once the task can finish.
     PROFILES = {
         "handover": "S" * 5 + "U" * 26,
         "handover_point": "S" * 5 + "U" * 26,
         "handover_stop": "S" * 31,
         "handover_mini": "S" + "U" * 30,
+        "handover_mini+stop": "S" * 31,
+        "handover_mini+slowdown": "SS" + "U" * 29,
     }
     GRIDS = 100  # the first grids drawn from the seed
 
     @pytest.mark.parametrize("name", sorted(PROFILES))
     def test_bundled_scenarios_at_every_bound(self, name):
-        s = load_scenario(bundled_scenario_path(name))
+        bundled, _, kind = name.partition("+")
+        text = bundled_scenario_path(bundled).read_text(encoding="utf-8")
+        mitigation = f"[mitigations]\nmitigate {kind} h1\n" if kind else ""
+        s = loads_scenario(text + mitigation)
         walked = _profile(s, exhaustive_verify)
         assert walked == _profile(s, lambda s: verify(s).safe)
         assert walked == self.PROFILES[name]

@@ -16,7 +16,7 @@ def test_every_seeded_mutant_applies_once():
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
     assert tool.stale(ROOT) == []
-    assert len({m.name for m in tool.MUTANTS}) == len(tool.MUTANTS) == 11
+    assert len({m.name for m in tool.MUTANTS}) == len(tool.MUTANTS) == 12
     assert all(m.old != m.new for m in (tool.CONTROL, *tool.MUTANTS))
     # This test fails on every mutated copy, so the tool's tier-1 run must skip it.
     assert "--ignore=tests/test_mutants.py" in tool.TIER1

@@ -374,6 +374,13 @@ class TestClassify:
         with pytest.raises(ValueError, match="missing|lacks"):
             classify(bare, corridor, samples=10, seed=1)
 
+    @pytest.mark.parametrize("column", ["p_a", "risk_h1"])
+    def test_a_witness_without_a_hazard_column_is_a_value_error(self, handover_mini, column):
+        witness = verify(handover_mini).trace
+        variables = {name: values for name, values in witness.variables.items() if name != column}
+        with pytest.raises(ValueError, match=f"^trace lacks symbol '{column}' for hazard 'h1'$"):
+            classify(replace(witness, variables=variables), handover_mini, samples=10, seed=1)
+
 
 class TestStructures:
     def test_classified_hazard_bounds(self):

@@ -236,12 +236,16 @@ def test_sat_models_verified_internally():
 
 
 def _scenario_cnfs():
-    """CNFs of every bundled scenario at its own bound and at k=30, without repeats."""
+    """CNFs of every bundled scenario at its own bound and at k=30, without repeats, and of
+    handover_stop at k=120: the refutation TestUnitsBacktrackChronologically counts on the
+    block CNF, which TestExactlyOneBlocksMatchClauses searches as spelled-out pairs too."""
     seen = set()
-    for name in ("handover", "handover_point", "handover_mini", "handover_stop"):
+    more_bounds = {"handover": (), "handover_point": (), "handover_mini": (),
+                   "handover_stop": (120,)}
+    for name, more in more_bounds.items():
         scenario = load_scenario(bundled_scenario_path(name))
         model = compile_scenario(scenario)
-        for bound in (scenario.bound, 30):
+        for bound in (scenario.bound, 30, *more):
             formula, _ = encode(conjoin(model.formulas), model.symbols, bound)
             if formula not in seen:
                 seen.add(formula)

@@ -87,6 +87,9 @@ MUTANTS = (
     Mutant("name-accepts-unicode-letters", "src/coverify/logic.py",
            'NAME = r"[A-Za-z_][A-Za-z0-9_]*"',
            'NAME = r"[^\\W\\d]\\w*"'),
+    Mutant("main-module-drops-exit-code", "src/coverify/__main__.py",
+           "raise SystemExit(main())",
+           "main()"),
 )
 
 # Equivalent to the source for every int n and k; the tests cannot tell them apart.

@@ -468,7 +468,7 @@ def loads_scenario(text: str, name: str = "scenario", bound: int | None = None) 
                 adjacency[a].add(b)
                 adjacency[b].add(a)
             elif section == "agents" and kw == "agent":
-                if len(fields) != 3:
+                if len(fields) != 3 or fields[2] not in ("human", "robot"):
                     raise fail("expected: agent <id> human|robot")
                 agent_id, kind = fields[1], fields[2]
                 if agent_id in agent_kinds:
@@ -550,24 +550,19 @@ def loads_scenario(text: str, name: str = "scenario", bound: int | None = None) 
         Agent(agent_id, kind, tuple(agent_pois[agent_id]))
         for agent_id, kind in agent_kinds.items()
     )
-    try:
-        return Scenario(
-            name=name,
-            layout=Layout(locations),
-            agents=agents,
-            task=tuple(task),
-            hazards=tuple(hazards),
-            mitigations=tuple(mitigations),
-            bound=int(params.get("bound", DEFAULT_BOUND)) if bound is None else bound,
-            threshold=int(params.get("threshold", DEFAULT_THRESHOLD)),
-            dt=float(params.get("dt", 1.0)),
-            travel_times=tuple(travel),
-            starts=tuple(starts),
-        )
-    except ScenarioError:
-        raise
-    except ValueError as exc:
-        raise ScenarioError(str(exc)) from None
+    return Scenario(
+        name=name,
+        layout=Layout(locations),
+        agents=agents,
+        task=tuple(task),
+        hazards=tuple(hazards),
+        mitigations=tuple(mitigations),
+        bound=int(params.get("bound", DEFAULT_BOUND)) if bound is None else bound,
+        threshold=int(params.get("threshold", DEFAULT_THRESHOLD)),
+        dt=float(params.get("dt", 1.0)),
+        travel_times=tuple(travel),
+        starts=tuple(starts),
+    )
 
 
 # ---------------------------------------------------------------------------

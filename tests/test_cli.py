@@ -19,12 +19,8 @@ from coverify.cli import (
     EXIT_INPUT_ERROR,
     EXIT_SAFE,
     EXIT_UNCONFIRMED,
-    RunConfig,
     build_parser,
     main,
-    run_classify,
-    run_export,
-    run_verify,
 )
 from coverify.sat import read_dimacs, solve
 from coverify.traceio import read_trace
@@ -45,8 +41,7 @@ HANDOVER_MINI = str(bundled_scenario_path("handover_mini"))
 @pytest.fixture
 def trace_file(tmp_path):
     out = tmp_path / "handover.trace"
-    code = run_verify(RunConfig(scenario=HANDOVER, out=str(out)))
-    assert code == EXIT_COUNTEREXAMPLE
+    assert main(["verify", HANDOVER, "--out", str(out)]) == EXIT_COUNTEREXAMPLE
     return out
 
 
@@ -85,7 +80,7 @@ def _drop_column(trace_text: str, name: str) -> str:
 class TestVerify:
     def test_unmitigated_counterexample(self, tmp_path, capsys):
         out = tmp_path / "t.trace"
-        assert run_verify(RunConfig(scenario=HANDOVER, out=str(out))) == EXIT_COUNTEREXAMPLE
+        assert main(["verify", HANDOVER, "--out", str(out)]) == EXIT_COUNTEREXAMPLE
         assert "UNSAFE" in capsys.readouterr().out
         assert out.exists()
 
@@ -96,28 +91,28 @@ class TestVerify:
         assert trace.bound == scenario.bound
 
     def test_mitigated_scenario_safe(self, capsys):
-        assert run_verify(RunConfig(scenario=HANDOVER_STOP)) == EXIT_SAFE
+        assert main(["verify", HANDOVER_STOP]) == EXIT_SAFE
         assert capsys.readouterr().out.strip() == "SAFE"
 
     def test_missing_file_is_input_error(self, capsys):
-        assert run_verify(RunConfig(scenario="missing.scn")) == EXIT_INPUT_ERROR
+        assert main(["verify", "missing.scn"]) == EXIT_INPUT_ERROR
         assert "error" in capsys.readouterr().err
 
     def test_invalid_scenario_is_input_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.scn"
         bad.write_text("[layout]\nloc L1 box 0 0 0\n")
-        assert run_verify(RunConfig(scenario=str(bad))) == EXIT_INPUT_ERROR
+        assert main(["verify", str(bad)]) == EXIT_INPUT_ERROR
 
     def test_bound_override(self, tmp_path):
         out = tmp_path / "b0.trace"
-        code = run_verify(RunConfig(scenario=HANDOVER_MINI, bound=0, out=str(out)))
+        code = main(["verify", HANDOVER_MINI, "--bound", "0", "--out", str(out)])
         # at bound 0 the task cannot complete, so the model has no trace
         assert code == EXIT_SAFE
 
     def test_byte_identical_traces_across_runs(self, tmp_path):
         first, second = tmp_path / "a.trace", tmp_path / "b.trace"
-        run_verify(RunConfig(scenario=HANDOVER, out=str(first)))
-        run_verify(RunConfig(scenario=HANDOVER, out=str(second)))
+        main(["verify", HANDOVER, "--out", str(first)])
+        main(["verify", HANDOVER, "--out", str(second)])
         assert first.read_bytes() == second.read_bytes()
 
 
@@ -228,7 +223,9 @@ def test_golden_cnf(tmp_path, scenario, bound, digest):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
-@pytest.mark.parametrize("scenario", [HANDOVER, HANDOVER_MINI, HANDOVER_STOP])
+@pytest.mark.parametrize(
+    "scenario", [HANDOVER, HANDOVER_MINI, HANDOVER_STOP], ids=lambda path: Path(path).stem
+)
 def test_export_cnf_is_the_cnf_verify_solves(tmp_path, monkeypatch, scenario):
     solved = []
 
@@ -263,7 +260,22 @@ def test_travel_time_far_past_the_bound_compiles_as_bound_plus_one(tmp_path):
     assert cnfs[0] == cnfs[1]
 
 
-@pytest.mark.parametrize("scenario", [HANDOVER, HANDOVER_MINI])
+def test_an_explicit_unit_travel_time_changes_nothing(tmp_path):
+    # A unit edge needs no dwell rule, whether the file states its travel time or not.
+    text = Path(HANDOVER_MINI).read_text(encoding="utf-8")
+    outputs = []
+    for name, content in (("plain", text), ("unit", f"{text}travel L1 L2 1\n")):
+        scenario, trace, cnf = (tmp_path / f"{name}.{suffix}" for suffix in ("scn", "trace", "cnf"))
+        scenario.write_text(content, encoding="utf-8")
+        codes = [main(["verify", str(scenario), "--out", str(trace)]),
+                 main(["oracle", str(scenario)]),
+                 main(["export", str(scenario), "cnf", "--out", str(cnf)])]
+        assert codes == [EXIT_COUNTEREXAMPLE, EXIT_COUNTEREXAMPLE, EXIT_SAFE], name
+        outputs.append((trace.read_bytes(), cnf.read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("scenario", [HANDOVER, HANDOVER_MINI], ids=lambda path: Path(path).stem)
 def test_verify_trace_round_trips_with_priced_risk(tmp_path, scenario):
     out = tmp_path / "t.trace"
     assert main(["verify", scenario, "--out", str(out)]) == EXIT_COUNTEREXAMPLE
@@ -277,21 +289,23 @@ def test_verify_trace_round_trips_with_priced_risk(tmp_path, scenario):
 class TestClassify:
     def test_cube_cells_report_possible_and_exit_3(self, tmp_path, trace_file):
         out = tmp_path / "report.csv"
-        cfg = RunConfig(scenario=HANDOVER, fmt="csv", out=str(out), samples=20_000, seed=11)
-        assert run_classify(cfg, str(trace_file)) == EXIT_UNCONFIRMED
+        argv = ["classify", HANDOVER, str(trace_file), "--format", "csv", "--out", str(out),
+                "--samples", "20000", "--seed", "11"]
+        assert main(argv) == EXIT_UNCONFIRMED
         assert "POSSIBLE" in out.read_text()
 
     def test_point_cells_all_confirmed_exit_0(self, tmp_path):
         trace = tmp_path / "point.trace"
-        assert run_verify(RunConfig(scenario=HANDOVER_POINT, out=str(trace))) == EXIT_COUNTEREXAMPLE
-        cfg = RunConfig(scenario=HANDOVER_POINT, out=str(tmp_path / "r.csv"), fmt="csv")
-        assert run_classify(cfg, str(trace)) == EXIT_SAFE
+        assert main(["verify", HANDOVER_POINT, "--out", str(trace)]) == EXIT_COUNTEREXAMPLE
+        argv = ["classify", HANDOVER_POINT, str(trace), "--out", str(tmp_path / "r.csv"),
+                "--format", "csv"]
+        assert main(argv) == EXIT_SAFE
 
     def test_no_row_over_the_threshold_exits_0(self, tmp_path, capsys):
         # No hazard instant of handover_mini is priced above 6, so at threshold 6
         # its counterexample has no row to classify, and no row is unconfirmed.
         trace = tmp_path / "mini.trace"
-        assert run_verify(RunConfig(scenario=HANDOVER_MINI, out=str(trace))) == EXIT_COUNTEREXAMPLE
+        assert main(["verify", HANDOVER_MINI, "--out", str(trace)]) == EXIT_COUNTEREXAMPLE
         lax = tmp_path / "lax.scn"
         lax.write_text(Path(HANDOVER_MINI).read_text(encoding="utf-8") + "threshold 6\n")
         capsys.readouterr()
@@ -304,7 +318,7 @@ class TestClassify:
     def test_trace_with_transit_columns_is_input_error(self, tmp_path, capsys):
         # Transit columns name symbols the model does not declare, so such a trace is rejected.
         trace = tmp_path / "mini.trace"
-        assert run_verify(RunConfig(scenario=HANDOVER_MINI, out=str(trace))) == EXIT_COUNTEREXAMPLE
+        assert main(["verify", HANDOVER_MINI, "--out", str(trace)]) == EXIT_COUNTEREXAMPLE
         bound, names, *rows = trace.read_text().splitlines()
         assert names.startswith("# vars ") and "transit_" not in names
         old = [bound, names.replace("# vars ", "# vars transit_p_a transit_p_g ")]
@@ -334,7 +348,7 @@ class TestClassify:
     )
     def test_non_finite_geometry_is_input_error(self, tmp_path, capsys, old, new, message):
         trace = tmp_path / "mini.trace"
-        assert run_verify(RunConfig(scenario=HANDOVER_MINI, out=str(trace))) == EXIT_COUNTEREXAMPLE
+        assert main(["verify", HANDOVER_MINI, "--out", str(trace)]) == EXIT_COUNTEREXAMPLE
         text = Path(HANDOVER_MINI).read_text(encoding="utf-8")
         assert old in text
         bad = tmp_path / "bad.scn"
@@ -348,12 +362,15 @@ class TestClassify:
     def test_negative_seed_is_input_error(self, trace_file, capsys):
         assert main(["classify", HANDOVER, str(trace_file), "--seed", "-1"]) == EXIT_INPUT_ERROR
         assert "seed must be >= 0" in capsys.readouterr().err
-        with pytest.raises(ValueError, match="seed must be >= 0"):
-            RunConfig(scenario=HANDOVER, seed=-1)
+
+    def test_sample_count_below_one_is_input_error(self, capsys):
+        # Checked before any file is read: neither of these exists.
+        argv = ["classify", "missing.scn", "missing.trace", "--samples", "0"]
+        assert main(argv) == EXIT_INPUT_ERROR
+        assert capsys.readouterr() == ("", "error: sample count must be >= 1\n")
 
     def test_mismatched_trace_is_input_error(self, tmp_path, trace_file, capsys):
-        cfg = RunConfig(scenario=HANDOVER_MINI)
-        assert run_classify(cfg, str(trace_file)) == EXIT_INPUT_ERROR
+        assert main(["classify", HANDOVER_MINI, str(trace_file)]) == EXIT_INPUT_ERROR
         assert "error" in capsys.readouterr().err
 
     def test_repeated_vars_header_is_input_error(self, tmp_path, capsys):
@@ -374,21 +391,14 @@ class TestClassify:
         assert main(["classify", HANDOVER, str(partial)]) == EXIT_INPUT_ERROR
         assert "no column for declared symbol 'risk_h1'" in capsys.readouterr().err
 
-    def test_defaults_match_run_config(self, trace_file, capsys):
-        assert main(["classify", HANDOVER, str(trace_file)]) == EXIT_UNCONFIRMED
-        via_main = capsys.readouterr().out
-        assert run_classify(RunConfig(scenario=HANDOVER), str(trace_file)) == EXIT_UNCONFIRMED
-        assert capsys.readouterr().out == via_main
-
     def test_text_format_prints(self, capsys, trace_file):
-        cfg = RunConfig(scenario=HANDOVER, samples=5_000)
-        assert run_classify(cfg, str(trace_file)) == EXIT_UNCONFIRMED
+        assert main(["classify", HANDOVER, str(trace_file), "--samples", "5000"]) == EXIT_UNCONFIRMED
         assert "summary:" in capsys.readouterr().out
 
     def test_svg_report(self, tmp_path, trace_file):
         out = tmp_path / "report.svg"
-        cfg = RunConfig(scenario=HANDOVER, fmt="svg", out=str(out), samples=5_000)
-        run_classify(cfg, str(trace_file))
+        main(["classify", HANDOVER, str(trace_file), "--format", "svg", "--out", str(out),
+              "--samples", "5000"])
         ET.fromstring(out.read_text())
 
     def test_csv_deterministic_for_fixed_seed(self, tmp_path, sampled_case):
@@ -396,8 +406,9 @@ class TestClassify:
         outs = []
         for name, seed in (("x.csv", 3), ("y.csv", 3), ("z.csv", 2)):
             out = tmp_path / name
-            cfg = RunConfig(scenario=scenario, fmt="csv", out=str(out), samples=10_000, seed=seed)
-            assert run_classify(cfg, trace) == EXIT_UNCONFIRMED
+            argv = ["classify", scenario, trace, "--format", "csv", "--out", str(out),
+                    "--samples", "10000", "--seed", str(seed)]
+            assert main(argv) == EXIT_UNCONFIRMED
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
         assert outs[0] != outs[2]
@@ -406,7 +417,7 @@ class TestClassify:
 class TestExport:
     def test_cnf_round_trips_through_dimacs(self, tmp_path):
         out = tmp_path / "model.cnf"
-        assert run_export(RunConfig(scenario=HANDOVER_MINI, out=str(out)), "cnf") == EXIT_SAFE
+        assert main(["export", HANDOVER_MINI, "cnf", "--out", str(out)]) == EXIT_SAFE
         cnf = read_dimacs(out.read_text())
         assert solve(cnf).satisfiable  # the unmitigated model has a counterexample
 
@@ -420,16 +431,16 @@ class TestExport:
 
     def test_trace_table_lists_instant_rows(self, tmp_path, trace_file):
         out = tmp_path / "table.txt"
-        cfg = RunConfig(scenario=HANDOVER, out=str(out))
-        assert run_export(cfg, "trace-table", str(trace_file)) == EXIT_SAFE
+        argv = ["export", HANDOVER, "trace-table", "--trace", str(trace_file), "--out", str(out)]
+        assert main(argv) == EXIT_SAFE
         lines = out.read_text().splitlines()
         scenario = load_scenario(HANDOVER)
         assert len(lines) == scenario.bound + 2  # header + one row per instant
 
     def test_timeline_svg_has_band_per_symbol(self, tmp_path, trace_file):
         out = tmp_path / "timeline.svg"
-        cfg = RunConfig(scenario=HANDOVER, out=str(out))
-        assert run_export(cfg, "timeline", str(trace_file)) == EXIT_SAFE
+        argv = ["export", HANDOVER, "timeline", "--trace", str(trace_file), "--out", str(out)]
+        assert main(argv) == EXIT_SAFE
         root = ET.fromstring(out.read_text())
         texts = {el.text for el in root.iter() if el.tag.endswith("text")}
         scenario = load_scenario(HANDOVER)
@@ -459,7 +470,7 @@ class TestExport:
             assert not out.exists()
 
     def test_timeline_without_trace_is_an_error(self, capsys):
-        assert run_export(RunConfig(scenario=HANDOVER), "timeline") == EXIT_INPUT_ERROR
+        assert main(["export", HANDOVER, "timeline"]) == EXIT_INPUT_ERROR
         assert "needs --trace" in capsys.readouterr().err
 
 
@@ -662,7 +673,7 @@ def test_a_second_mitigation_kind_fails_on_its_line(tmp_path, monkeypatch, capsy
 
 
 def test_a_negative_bound_fails_as_the_scenario_loads(tmp_path, monkeypatch, capsys):
-    # RunConfig takes any bound: every command loads its scenario first, and the
+    # --bound takes any int: every command loads its scenario first, and the
     # Scenario refuses a negative bound before a trace is read or a file written.
     monkeypatch.chdir(tmp_path)
     for argv in (["verify", HANDOVER], ["classify", HANDOVER, "missing.trace"],
@@ -670,9 +681,6 @@ def test_a_negative_bound_fails_as_the_scenario_loads(tmp_path, monkeypatch, cap
         assert main([*argv, "--bound", "-1"]) == EXIT_INPUT_ERROR, argv
         assert capsys.readouterr() == ("", "error: bound must be >= 0\n"), argv
     assert list(tmp_path.iterdir()) == []
-    cfg = RunConfig(scenario=HANDOVER, bound=-1)
-    assert run_verify(cfg) == EXIT_INPUT_ERROR
-    assert capsys.readouterr().err == "error: bound must be >= 0\n"
 
 
 def test_a_bound_option_validates_the_scenario_once(monkeypatch):
@@ -793,17 +801,17 @@ class TestSharedParser:
         for option in ("--samples", "--seed", "--format", "--out", "--bound"):
             assert option in helps[0], option
 
-    def test_options_of_one_call_do_not_reach_the_next(self, tmp_path, monkeypatch):
-        configs = []
-        monkeypatch.setattr(cli, "run_classify", lambda cfg, trace: configs.append(cfg) or EXIT_SAFE)
-        trace, out = str(tmp_path / "t.trace"), str(tmp_path / "f.csv")
-        argv = ["classify", HANDOVER, trace, "--seed", "3", "--samples", "7", "--format", "csv"]
-        assert main([*argv, "--out", out]) == EXIT_SAFE
-        assert main(["classify", HANDOVER, trace]) == EXIT_SAFE
-        assert configs == [
-            RunConfig(scenario=HANDOVER, seed=3, samples=7, fmt="csv", out=out),
-            RunConfig(scenario=HANDOVER),
-        ]
+    def test_options_of_one_call_do_not_reach_the_next(self):
+        parser = build_parser()
+        argv = ["classify", HANDOVER, "t.trace", "--seed", "3", "--samples", "7", "--format", "csv"]
+        given = vars(parser.parse_args([*argv, "--out", "f.csv"]))
+        defaults = vars(parser.parse_args(["classify", HANDOVER, "t.trace"]))
+        options = {"seed": 3, "samples": 7, "format": "csv", "out": "f.csv"}
+        assert given == {**defaults, **options}
+        assert defaults == {
+            "command": "classify", "run": given["run"], "scenario": HANDOVER, "trace": "t.trace",
+            "bound": None, "out": None, "seed": 0, "samples": 100_000, "format": "text",
+        }
 
     def test_usage_error_between_calls_changes_nothing(self, tmp_path, sampled_case, capsys):
         scenario, trace = sampled_case

@@ -261,6 +261,45 @@ class TestLoad:
         with pytest.raises(ScenarioError, match="'g' has more than one start"):
             loads_scenario(text)
 
+    STEP_USAGE = ("expected: step <poi> reach|pick|place <loc> "
+                  "or step handover <robot-poi> <human-poi> <loc>")
+    HAZARD_USAGE = "expected: hazard <id> <human-poi> <robot-poi> sev <0-2> exp <0-2> avoid <0-2>"
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            # The loader's own checks name the line, which keeps its number in handover_mini.
+            ("[layout]", "adj L1 L2", "line 5: content before any section header"),
+            ("loc L4 box", "loc L3 box", "line 9: duplicate location 'L3'"),
+            ("adj L3 L4", "adj L3 L3", "line 12: location 'L3' cannot be adjacent to itself"),
+            ("agent kuka robot", "agent operator robot", "line 16: duplicate agent 'operator'"),
+            ("poi kuka", "poi ghost", "line 18: POI for undeclared agent 'ghost'"),
+            ("dt 1.0", "step p_g reach L1", "line 30: unexpected 'step' in section [params]"),
+            ("adj L3 L4", "adj L3", "line 12: expected: adj <id> <id>"),
+            ("agent kuka robot", "agent kuka", "line 16: expected: agent <id> human|robot"),
+            ("agent operator human", "agent operator alien",
+             "line 15: expected: agent <id> human|robot"),
+            ("poi kuka p_g radius", "poi kuka p_g", "line 18: expected: poi <agent> <id> radius <m>"),
+            ("poi kuka p_g radius 0.05", "start p_g", "line 18: expected: start <poi> <loc>"),
+            ("step p_g pick L2", "step p_g fetch L2", f"line 21: {STEP_USAGE}"),
+            ("exp 2 avoid 1", "exp 2", f"line 25: {HAZARD_USAGE}"),
+            ("dt 1.0", "travel L1 L2", "line 30: expected: travel <locA> <locB> <instants>"),
+            # The Scenario's checks see the whole file, so they name no line.
+            ("threshold 3", "threshold -1", "threshold must be >= 0"),
+            ("dt 1.0", "travel L1 L2 0", "travel time L1-L2 must be >= 1"),
+            ("[task]", "start p_g L9\n[task]", "start location 'L9' is not a layout location"),
+            ("hazard h1 p_a p_g", "hazard h1 p_a p_a", "hazard 'h1': 'p_a' is not a robot POI"),
+            ("step handover p_g p_a L3", "step handover p_g p_g L3",
+             "handover's second POI must belong to a human"),
+        ],
+    )
+    def test_a_malformed_file_fails_with_its_message(self, old, new, message):
+        text = bundled_scenario_path("handover_mini").read_text(encoding="utf-8")
+        assert text.count(old) == 1
+        with pytest.raises(ScenarioError) as error:
+            loads_scenario(text.replace(old, new))
+        assert str(error.value) == message
+
 
 class TestRiskValue:
     def test_normal_speed_sums_levels(self):

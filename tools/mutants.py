@@ -90,6 +90,13 @@ MUTANTS = (
     Mutant("main-module-drops-exit-code", "src/coverify/__main__.py",
            "raise SystemExit(main())",
            "main()"),
+    Mutant("unit-travel-line-dwells", "src/coverify/world.py",
+           "            if duration == 1:\n"
+           "                continue\n",
+           ""),
+    Mutant("guard-lets-value-errors-through", "src/coverify/cli.py",
+           "except (OSError, ValueError) as exc:",
+           "except OSError as exc:"),
 )
 
 # Equivalent to the source for every int n and k; the tests cannot tell them apart.
